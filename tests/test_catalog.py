@@ -1,3 +1,6 @@
+import hashlib
+import json
+
 import pytest
 
 from graphdss.catalog import (
@@ -92,3 +95,27 @@ def test_random_cubic_properties():
         assert is_connected(g)
     with pytest.raises(GenerationFailed):
         random_cubic(7, seed=0)
+
+
+# sha256 of json.dumps(edges) for generator outputs pinned when the two
+# generators were first written; a refactor must keep every seed's graph
+GENERATOR_DIGESTS = [
+    (random_4_regular, 5, 0, "d21924ceefc6364cf80fe2733ceb1427b9b8ebd8863971cd38d48293588fce7d"),
+    (random_4_regular, 12, 3, "cff06705d00820996afc4183c915972b34c0a70d5bfd06ddd9ce1df085450a8e"),
+    (random_4_regular, 200, 1, "4170f76422806c72a8c900db3714d2e14d78239f01f66863b57a2ca06945372f"),
+    (random_4_regular, 1000, 2, "25a3f0c300c54a5c714c6540a38baf9a84891fb3111d9f0285fafd81510c383e"),
+    (random_cubic, 4, 0, "baba373788e52989efb6d5798941113c8d34c53c22aa4ca85fc8d0da9bc36101"),
+    (random_cubic, 10, 5, "1abd25f2d905c07959535ba9688fa576b570cb0d31502dd7d87280cee2c4e876"),
+    (random_cubic, 60, 2, "266d296e1961c07b2c10f75357a18fef1092e067e21b4fcbcef97ea86767bf77"),
+    (random_cubic, 1000, 7, "aa80cfc3134ef098c597a95d742e21e03dfacc92c3795e0c033f786a71fd33ad"),
+]
+
+
+@pytest.mark.parametrize(
+    "gen,n,seed,digest",
+    GENERATOR_DIGESTS,
+    ids=[f"{gen.__name__}-{n}-{seed}" for gen, n, seed, _ in GENERATOR_DIGESTS],
+)
+def test_random_generators_keep_their_outputs(gen, n, seed, digest):
+    edges = gen(n, seed).edges
+    assert hashlib.sha256(json.dumps(edges).encode()).hexdigest() == digest
