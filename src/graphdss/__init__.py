@@ -8,7 +8,9 @@ peeling decoder; unrecoverable patterns are exactly the cycles of erased
 edges.
 """
 
-from .graphs import Graph, EdgeSubset, degree_sequence, girth, two_core, is_connected
+from .graphs import (
+    Graph, EdgeSubset, degree_sequence, girth, shortest_cycle, two_core, is_connected
+)
 from .orientation import (
     OrientedGraph,
     eulerian_tour,
@@ -50,6 +52,7 @@ __all__ = [
     "EdgeSubset",
     "degree_sequence",
     "girth",
+    "shortest_cycle",
     "two_core",
     "is_connected",
     "OrientedGraph",

@@ -19,7 +19,7 @@ from typing import List, Optional, Sequence, Set, Tuple
 
 from .code import derive_code, minimum_distance
 from .cubic import CubicSystem
-from .graphs import EdgeSubset, Graph, girth, two_core
+from .graphs import EdgeSubset, Graph, girth, shortest_cycle, two_core
 from .repair import peel
 
 
@@ -149,23 +149,10 @@ def disk_cycle_from_source_cycle(
 
 def girth_cycle_vertices(g: Graph) -> List[int]:
     """Vertex sequence of one shortest cycle of g."""
-    gv = girth(g)
-    if gv == math.inf:
+    cycle = shortest_cycle(g)
+    if cycle is None:
         raise NotACycleError("acyclic graph has no cycle")
-    target = int(gv)
-    # DFS bounded at the girth: find a closed walk of exactly that length
-    for start in range(g.vertex_count):
-        stack = [(start, [start])]
-        while stack:
-            u, path = stack.pop()
-            if len(path) == target:
-                if g.has_edge(u, start):
-                    return path
-                continue
-            for _, v in g.incident(u):
-                if v not in path:
-                    stack.append((v, path + [v]))
-    raise AssertionError("girth cycle not found")  # unreachable
+    return _cycle_vertices(g, cycle)
 
 
 def min_disk_cycle(
@@ -179,8 +166,9 @@ def min_disk_cycle(
     the construction from a girth cycle of the source graph supplies the
     matching upper bound either way.
     """
-    g_src = int(girth(g4))
-    witness = disk_cycle_from_source_cycle(sys, girth_cycle_vertices(g4))
+    source_cycle = girth_cycle_vertices(g4)
+    g_src = len(source_cycle)
+    witness = disk_cycle_from_source_cycle(sys, source_cycle)
     t_upper = len(disk_cycle_of(sys, witness))
     if t_upper > g_src:
         raise AssertionError("constructed disk cycle touches extra disks")
@@ -215,7 +203,8 @@ def verify_recovery_bound(
     draws `trials` subsets with per-trial randomness from (seed, index).
     The witness comes from a girth cycle of the source graph.
     """
-    g = int(girth(g4))
+    source_cycle = girth_cycle_vertices(g4)
+    g = len(source_cycle)
     n = len(sys.disks)
     all_ok = True
     if mode == "exhaustive":
@@ -244,8 +233,7 @@ def verify_recovery_bound(
             all_ok = False
             break
 
-    witness_edges = disk_cycle_from_source_cycle(sys, girth_cycle_vertices(g4))
-    witness = disk_cycle_of(sys, witness_edges)
+    witness = disk_cycle_of(sys, disk_cycle_from_source_cycle(sys, source_cycle))
     # confirm the witness really is unrecoverable
     bits = 0
     for d in witness:

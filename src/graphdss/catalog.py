@@ -1,5 +1,5 @@
 """Built-in graphs: the (4,g)-cage family, the Petersen graph, the two
-pinned 5-disk systems, and a seeded random 4-regular generator.
+pinned 5-disk systems, and a seeded random d-regular generator.
 
 Every entry re-checks its claimed regularity and girth on load, so a
 transcription error in a hard-coded adjacency cannot propagate silently.
@@ -191,14 +191,16 @@ def catalog_names() -> List[str]:
     return sorted(_CATALOG_BUILDERS)
 
 
-def random_4_regular(n: int, seed: int, max_tries: int = 2000) -> Graph:
-    """Connected simple 4-regular graph on n vertices via the configuration
-    model with rejection; deterministic per (n, seed)."""
-    if n < 5:
-        raise GenerationFailed("need at least 5 vertices for a 4-regular graph")
-    rng = random.Random(f"4reg:{n}:{seed}")
+def random_regular(d: int, n: int, seed: int, max_tries: int = 2000) -> Graph:
+    """Connected simple d-regular graph on n vertices via the configuration
+    model with rejection; deterministic per (d, n, seed)."""
+    if n <= d or n * d % 2:
+        raise GenerationFailed(
+            f"a {d}-regular graph needs more than {d} vertices and an even n*d"
+        )
+    rng = random.Random(f"{d}reg:{n}:{seed}")
     for _ in range(max_tries):
-        stubs = [v for v in range(n) for _ in range(4)]
+        stubs = [v for v in range(n) for _ in range(d)]
         rng.shuffle(stubs)
         edges = set()
         ok = True
@@ -213,28 +215,12 @@ def random_4_regular(n: int, seed: int, max_tries: int = 2000) -> Graph:
         g = Graph(n, sorted(edges))
         if is_connected(g):
             return g
-    raise GenerationFailed(f"no simple connected 4-regular graph after {max_tries} tries")
+    raise GenerationFailed(f"no simple connected {d}-regular graph after {max_tries} tries")
+
+
+def random_4_regular(n: int, seed: int, max_tries: int = 2000) -> Graph:
+    return random_regular(4, n, seed, max_tries)
 
 
 def random_cubic(n: int, seed: int, max_tries: int = 2000) -> Graph:
-    """Connected simple 3-regular graph on an even number of vertices."""
-    if n < 4 or n % 2:
-        raise GenerationFailed("3-regular graphs need an even vertex count >= 4")
-    rng = random.Random(f"3reg:{n}:{seed}")
-    for _ in range(max_tries):
-        stubs = [v for v in range(n) for _ in range(3)]
-        rng.shuffle(stubs)
-        edges = set()
-        ok = True
-        for i in range(0, len(stubs), 2):
-            u, v = stubs[i], stubs[i + 1]
-            if u == v or (min(u, v), max(u, v)) in edges:
-                ok = False
-                break
-            edges.add((min(u, v), max(u, v)))
-        if not ok:
-            continue
-        g = Graph(n, sorted(edges))
-        if is_connected(g):
-            return g
-    raise GenerationFailed(f"no simple connected cubic graph after {max_tries} tries")
+    return random_regular(3, n, seed, max_tries)

@@ -256,14 +256,28 @@ def cmd_repair(args) -> int:
     code = derive_code(sys_.cubic)
     with open(os.path.join(args.state, "header.json")) as fh:
         header = json.load(fh)
-    s = header["s"]
-    erased = sorted({int(x) for x in args.erased.split(",")})
+    if header.get("m") != code.length:
+        raise UsageError(f"state header has m={header.get('m')!r}, "
+                         f"but the system's code has length {code.length}")
+    s = header.get("s")
+    if not isinstance(s, int) or s < 0:
+        raise UsageError(f"state header has an invalid block size s={s!r}")
+    try:
+        erased = sorted({int(x) for x in args.erased.split(",")})
+    except ValueError:
+        raise UsageError(f"--erased must be comma-separated block indices, got {args.erased!r}")
+    bad = [ei for ei in erased if not 0 <= ei < code.length]
+    if bad:
+        raise UsageError(f"--erased: no block {bad[0]}; blocks are 0..{code.length - 1}")
     state = StorageState(s, {})
     for ei in range(code.length):
         if ei in erased:
             continue
         with open(os.path.join(args.state, f"block_{ei:05d}.bin"), "rb") as fh:
-            state.symbols[ei] = fh.read()
+            block = fh.read()
+        if len(block) != s:
+            raise UsageError(f"block {ei} has {len(block)} bytes, the header says {s}")
+        state.symbols[ei] = block
     report = peel(sys_, EdgeSubset.from_indices(code.length, erased))
     if len(report.residual):
         print(f"unrecoverable: residual cycle on edges {report.residual.indices()}")

@@ -13,7 +13,7 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Dict, List, Sequence, Tuple
 
-from .graphs import Graph, girth
+from .graphs import Graph, shortest_cycle
 
 
 class DisconnectedError(ValueError):
@@ -52,7 +52,6 @@ class ParityCode:
     generator_basis: Tuple[int, ...]
     information_set: Tuple[int, ...]
     tree_order: Tuple[Tuple[int, int], ...]  # (tree edge, child vertex), leaf-up
-    field_order: int = 2
 
     def is_codeword(self, word: int) -> bool:
         return all(bin(row & word).count("1") % 2 == 0 for row in self.parity_rows)
@@ -110,7 +109,11 @@ def derive_code(g: Graph) -> ParityCode:
     """Build the cycle-space code of a connected graph.
 
     The generator basis has one vector per non-tree edge: the edge plus the
-    tree path between its endpoints.  rank(H) = n - 1, so k = m - n + 1.
+    tree path between its endpoints.  The incidence matrix H of a connected
+    graph has rank n - 1 over GF(2) (its rows sum to zero, and any n - 1 of
+    them are independent); the BFS tree proves connectivity, so rank(H) =
+    n - 1 and k = m - n + 1 with no elimination.  `gf2_rank` stays as the
+    independent oracle for tests.
     """
     if g.vertex_count == 0:
         raise DisconnectedError("empty graph")
@@ -138,7 +141,7 @@ def derive_code(g: Graph) -> ParityCode:
         u, v = g.edges[ei]
         basis.append((1 << ei) ^ path_to_root[u] ^ path_to_root[v])
 
-    rank = gf2_rank(rows)
+    rank = g.vertex_count - 1
     return ParityCode(
         length=m,
         parity_rows=tuple(rows),
@@ -173,10 +176,10 @@ def minimum_distance(code: ParityCode, g: Graph, brute_force_limit: int = 1 << 2
     Cross-checked by exhaustive minimum-weight search when the code is
     small enough, otherwise by exhibiting a shortest cycle as a codeword.
     """
-    gv = girth(g)
-    if gv == float("inf"):
+    cycle = shortest_cycle(g)
+    if cycle is None:
         raise AcyclicError("acyclic graph: code distance undefined")
-    gv = int(gv)
+    gv = len(cycle)
     if (1 << code.dimension) <= brute_force_limit:
         bf = brute_force_min_weight(code)
         if bf != gv:
@@ -185,44 +188,10 @@ def minimum_distance(code: ParityCode, g: Graph, brute_force_limit: int = 1 << 2
         # too large to enumerate: exhibit a shortest cycle as a codeword of
         # weight girth (girth is the lower bound: codeword supports are
         # edge-disjoint unions of cycles)
-        cyc = _shortest_cycle_support(g)
+        cyc = sum(1 << ei for ei in cycle)
         if not code.is_codeword(cyc) or bin(cyc).count("1") != gv:
             raise AssertionError("girth cycle is not a codeword")
     return gv
-
-
-def _shortest_cycle_support(g: Graph) -> int:
-    """Edge bitset of one shortest cycle, found by BFS from every vertex.
-
-    A cross edge closes the XOR of the two root paths plus itself; that is
-    always a codeword, and minimizing its weight over all roots and cross
-    edges yields exactly one girth cycle.
-    """
-    best_w = None
-    best = 0
-    for root in range(g.vertex_count):
-        dist = {root: 0}
-        parent_edge = {root: -1}
-        path = {root: 0}
-        q = deque([root])
-        while q:
-            u = q.popleft()
-            if best_w is not None and dist[u] * 2 >= best_w:
-                continue
-            for ei, v in g.incident(u):
-                if ei == parent_edge[u]:
-                    continue
-                if v in dist:
-                    support = (1 << ei) ^ path[u] ^ path[v]
-                    w = bin(support).count("1")
-                    if support and (best_w is None or w < best_w):
-                        best_w, best = w, support
-                else:
-                    dist[v] = dist[u] + 1
-                    parent_edge[v] = ei
-                    path[v] = path[u] ^ (1 << ei)
-                    q.append(v)
-    return best
 
 
 def _xor_bytes(a: bytes, b: bytes) -> bytes:

@@ -55,7 +55,7 @@ class NotCubicError(ValueError):
 
 
 class DecompositionFailure(Exception):
-    """No P4 decomposition was found by exhaustive search."""
+    """The cubic graph has no perfect matching, hence no P4 decomposition."""
 
 
 @dataclass(frozen=True)
@@ -207,85 +207,44 @@ def _perfect_matching(g: Graph) -> Optional[List[int]]:
     return extend([])
 
 
-def _p4_cover_backtrack(g: Graph) -> Optional[List[Tuple[int, int, int, int]]]:
-    """Exhaustive search for an edge-disjoint P4 cover of a cubic graph."""
-    m = g.edge_count
-    used = [False] * m
-
-    def free_edges_at(v: int) -> List[Tuple[int, int]]:
-        return [(ei, w) for ei, w in g.incident(v) if not used[ei]]
-
-    def extend(paths: List[Tuple[int, int, int, int]]) -> Optional[
-        List[Tuple[int, int, int, int]]
-    ]:
-        try:
-            first = used.index(False)
-        except ValueError:
-            return paths
-        a, b = g.edges[first]
-        used[first] = True
-        # grow a 3-edge path whose first edge is the lowest free edge
-        for p0, p1 in ((a, b), (b, a)):
-            for e2, p2 in free_edges_at(p1):
-                if p2 == p0:
-                    continue
-                used[e2] = True
-                for e3, p3 in free_edges_at(p2):
-                    if p3 in (p0, p1):
-                        continue
-                    used[e3] = True
-                    paths.append((p0, p1, p2, p3))
-                    result = extend(paths)
-                    if result is not None:
-                        return result
-                    paths.pop()
-                    used[e3] = False
-                used[e2] = False
-        used[first] = False
-        return None
-
-    return extend([])
-
-
 def decompose_p4(g: Graph) -> List[Tuple[int, int, int, int]]:
     """Decompose a 3-regular graph into edge-disjoint paths on 3 edges.
 
-    Strategy: find a perfect matching; the complement is a 2-factor; orient
-    each of its cycles and, for each matching edge {u,v}, take the path
-    succ(u)-u-v-succ(v).  Falls back to exhaustive search when no perfect
-    matching exists.  Raises DecompositionFailure if nothing works.
+    Kotzig (1957): a cubic graph has a decomposition into paths on 3 edges
+    iff it has a perfect matching.  So find a perfect matching; the
+    complement is a 2-factor; orient each of its cycles and, for each
+    matching edge {u,v}, take the path succ(u)-u-v-succ(v).  The matching
+    search is exhaustive, so when it finds none, no decomposition exists
+    either and DecompositionFailure is raised.
     """
     if any(d != 3 for d in degree_sequence(g)):
         raise NotCubicError("graph is not 3-regular")
 
     matching = _perfect_matching(g)
-    if matching is not None:
-        in_matching = set(matching)
-        cycle_adj = [
-            [w for ei, w in g.incident(u) if ei not in in_matching]
-            for u in range(g.vertex_count)
-        ]
-        # orient every cycle of the 2-factor; cycles have length >= 3
-        succ: Dict[int, int] = {}
-        visited = [False] * g.vertex_count
-        for start in range(g.vertex_count):
-            if visited[start]:
-                continue
-            prev, u = -1, start
-            while True:
-                visited[u] = True
-                w = cycle_adj[u][0] if cycle_adj[u][0] != prev else cycle_adj[u][1]
-                succ[u] = w
-                prev, u = u, w
-                if u == start:
-                    break
-        paths = []
-        for ei in matching:
-            u, v = g.edges[ei]
-            paths.append((succ[u], u, v, succ[v]))
-    else:
-        paths = _p4_cover_backtrack(g)
-        if paths is None:
-            raise DecompositionFailure("no P4 decomposition found")
+    if matching is None:
+        raise DecompositionFailure("no perfect matching, so no P4 decomposition (Kotzig)")
+    in_matching = set(matching)
+    cycle_adj = [
+        [w for ei, w in g.incident(u) if ei not in in_matching]
+        for u in range(g.vertex_count)
+    ]
+    # orient every cycle of the 2-factor; cycles have length >= 3
+    succ: Dict[int, int] = {}
+    visited = [False] * g.vertex_count
+    for start in range(g.vertex_count):
+        if visited[start]:
+            continue
+        prev, u = -1, start
+        while True:
+            visited[u] = True
+            w = cycle_adj[u][0] if cycle_adj[u][0] != prev else cycle_adj[u][1]
+            succ[u] = w
+            prev, u = u, w
+            if u == start:
+                break
+    paths = []
+    for ei in matching:
+        u, v = g.edges[ei]
+        paths.append((succ[u], u, v, succ[v]))
     # canonical direction: smaller end vertex first
     return [tuple(reversed(p)) if p[-1] < p[0] else tuple(p) for p in paths]

@@ -161,14 +161,16 @@ def degree_sequence(g: Graph) -> List[int]:
     return [len(g.incident(v)) for v in range(g.vertex_count)]
 
 
-def girth(g: Graph) -> float:
-    """Length of the shortest cycle; math.inf for forests.
+def shortest_cycle(g: Graph) -> Optional[List[int]]:
+    """Edge indices of one shortest cycle; None for forests.
 
     BFS from every vertex: a non-tree edge met at depths d(u), d(v) closes
-    a cycle through the root of length d(u)+d(v)+1, and minimizing over all
-    roots is exact.
+    a walk through the root of length d(u)+d(v)+1, and minimizing over all
+    roots is exact.  The walk kept at the final minimum is a simple cycle:
+    had its two root paths shared an edge, it would contain a shorter one.
     """
     best = math.inf
+    found = None  # (parent edges of the root's BFS tree, u, v, closing edge)
     for root in range(g.vertex_count):
         dist = {root: 0}
         parent_edge = {root: -1}
@@ -181,12 +183,30 @@ def girth(g: Graph) -> float:
                 if ei == parent_edge[u]:
                     continue
                 if v in dist:
-                    best = min(best, dist[u] + dist[v] + 1)
+                    if dist[u] + dist[v] + 1 < best:
+                        best = dist[u] + dist[v] + 1
+                        found = (parent_edge, u, v, ei)
                 else:
                     dist[v] = dist[u] + 1
                     parent_edge[v] = ei
                     q.append(v)
-    return best
+    if found is None:
+        return None
+    parent_edge, u, v, closing = found
+    cycle = [closing]
+    for x in (u, v):
+        while parent_edge[x] >= 0:
+            ei = parent_edge[x]
+            cycle.append(ei)
+            a, b = g.edges[ei]
+            x = a if b == x else b
+    return cycle
+
+
+def girth(g: Graph) -> float:
+    """Length of the shortest cycle; math.inf for forests."""
+    cycle = shortest_cycle(g)
+    return math.inf if cycle is None else len(cycle)
 
 
 def is_connected(g: Graph) -> bool:

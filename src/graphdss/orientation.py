@@ -38,12 +38,6 @@ class OrientedGraph:
     arcs: Tuple[Tuple[int, int], ...]
     source_edge: Tuple[int, ...]
 
-    def in_arcs(self, v: int) -> List[int]:
-        return [i for i, (_, h) in enumerate(self.arcs) if h == v]
-
-    def out_arcs(self, v: int) -> List[int]:
-        return [i for i, (t, _) in enumerate(self.arcs) if t == v]
-
     def is_two_in_two_out(self) -> bool:
         indeg = [0] * self.vertex_count
         outdeg = [0] * self.vertex_count

@@ -1,14 +1,21 @@
-"""Sequential peeling repair with exact bandwidth and round accounting.
+"""Peeling repair with exact bandwidth and round accounting.
 
-A vertex with exactly one erased incident edge repairs it as the XOR of the
-other two.  What peeling cannot reach is exactly the 2-core of the erased
-subgraph, i.e. the union of cycles of erased edges.  Bandwidth counts each
-distinct intact edge read once per repair session; edges recovered earlier
-in the session are internal and free.
+A parity vertex with exactly one erased incident edge rebuilds it as the XOR
+of the other two (locality 2).  Peeling to exhaustion recovers everything
+but the 2-core of the erased subgraph, the union of its cycles, so a pattern
+is recoverable iff its erased edges form a forest.  The block-graph edges of
+a cycle span at least girth(G) disks of the source graph G, so any
+girth(G) - 1 failed disks are recoverable.
+
+One engine, `_peel`, computes both peeling schedules; `repair_disk` writes
+out its two fixed schedules directly.  `_session_report` is the one place
+that counts bandwidth: each distinct intact edge read once per repair
+session; edges recovered earlier in the session are internal and free.
 """
 
 from __future__ import annotations
 
+import heapq
 import json
 from dataclasses import dataclass
 from enum import Enum
@@ -85,6 +92,73 @@ def _session_report(
     )
 
 
+def _peel(sys: CubicSystem, erased: EdgeSubset, min_bandwidth: bool) -> RepairReport:
+    """The peeling engine: a work queue of parity vertices with exactly one
+    unrecovered erased edge, seeded from the set bits of `erased`.
+
+    Only erased edges and their endpoints are touched, so the work is
+    O(|erased| log |erased|), whatever the size of the graph.  Under either
+    rule a recovery's round is 1 + the highest round among the other erased
+    edges at its parity vertex.  The heap key is the choice rule:
+    (round, edge, vertex) replays the round-synchronous schedule, and
+    (new reads, vertex) the bandwidth-greedy one.  Keys are recomputed on
+    pop and stale entries skipped; a greedy key only falls, and every fall
+    pushes a fresh entry.
+    """
+    g = sys.cubic
+    if erased.size != g.edge_count:
+        raise ValueError("erased subset sized for a different graph")
+    lost = set()
+    bits = erased.bits
+    while bits:
+        low = bits & -bits
+        lost.add(low.bit_length() - 1)
+        bits ^= low
+    pending: Dict[int, int] = {}  # vertex -> erased edges not yet recovered
+    for e in lost:
+        for x in g.edges[e]:
+            pending[x] = pending.get(x, 0) + 1
+    rounds: Dict[int, int] = {}  # recovered edge -> round
+    reads: Set[int] = set()
+    schedule: List[Tuple[int, int, int]] = []
+
+    def entry(v: int) -> Tuple[tuple, int, int]:
+        """(heap key, edge, round) for a vertex with one pending edge."""
+        edge, rnd, cost = -1, 1, 0
+        for ei, _ in g.incident(v):
+            if ei not in lost:
+                cost += ei not in reads
+            elif ei in rounds:
+                rnd = max(rnd, rounds[ei] + 1)
+            else:
+                edge = ei
+        return ((cost, v) if min_bandwidth else (rnd, edge, v)), edge, rnd
+
+    heap = [entry(v)[0] for v, k in pending.items() if k == 1]
+    heapq.heapify(heap)
+    while heap:
+        key = heapq.heappop(heap)
+        v = key[-1]
+        if pending[v] != 1:
+            continue
+        fresh, e, rnd = entry(v)
+        if fresh != key:
+            continue
+        rounds[e] = rnd
+        schedule.append((e, v, rnd))
+        touched = list(g.edges[e])
+        for x in touched:
+            pending[x] -= 1
+        for ei, x in g.incident(v):
+            if ei not in lost and ei not in reads:
+                reads.add(ei)
+                touched.append(x)
+        for x in touched:
+            if pending.get(x) == 1:
+                heapq.heappush(heap, entry(x)[0])
+    return _session_report(g, erased, schedule)
+
+
 def peel(sys: CubicSystem, erased: EdgeSubset) -> RepairReport:
     """Run the peeling decoder to exhaustion.
 
@@ -93,25 +167,7 @@ def peel(sys: CubicSystem, erased: EdgeSubset) -> RepairReport:
     therefore the dependency depth.  Ties (an edge repairable at both
     endpoints) go to the lowest vertex index.
     """
-    g = sys.cubic
-    if erased.size != g.edge_count:
-        raise ValueError("erased subset sized for a different graph")
-    missing = erased.bits
-    schedule: List[Tuple[int, int, int]] = []
-    rnd = 0
-    while True:
-        rnd += 1
-        found: Dict[int, int] = {}  # edge -> lowest parity vertex
-        for v in range(g.vertex_count):
-            hit = [ei for ei, _ in g.incident(v) if (missing >> ei) & 1]
-            if len(hit) == 1 and hit[0] not in found:
-                found[hit[0]] = v
-        if not found:
-            break
-        for e in sorted(found):
-            schedule.append((e, found[e], rnd))
-            missing &= ~(1 << e)
-    return _session_report(g, erased, schedule)
+    return _peel(sys, erased, min_bandwidth=False)
 
 
 def repair_disk(sys: CubicSystem, disk: int, strategy: RepairStrategy) -> RepairReport:
@@ -143,40 +199,7 @@ def peel_min_bandwidth(sys: CubicSystem, erased: EdgeSubset) -> RepairReport:
     disks costs 4 transfers each; the residual is the same 2-core as for
     plain peeling.  Rounds count dependency depth of the chosen schedule.
     """
-    g = sys.cubic
-    if erased.size != g.edge_count:
-        raise ValueError("erased subset sized for a different graph")
-    missing = erased.bits
-    reads: Set[int] = set()
-    depth: Dict[int, int] = {}
-    schedule: List[Tuple[int, int, int]] = []
-    while True:
-        best = None  # (cost, vertex, edge)
-        for v in range(g.vertex_count):
-            hit = [ei for ei, _ in g.incident(v) if (missing >> ei) & 1]
-            if len(hit) != 1:
-                continue
-            cost = sum(
-                1
-                for ei, _ in g.incident(v)
-                if ei != hit[0] and ei not in erased and ei not in reads
-            )
-            if best is None or (cost, v) < best[:2]:
-                best = (cost, v, hit[0])
-        if best is None:
-            break
-        _, v, e = best
-        rnd = 1
-        for ei, _ in g.incident(v):
-            if ei != e:
-                if ei in erased:
-                    rnd = max(rnd, depth[ei] + 1)
-                else:
-                    reads.add(ei)
-        depth[e] = rnd
-        schedule.append((e, v, rnd))
-        missing &= ~(1 << e)
-    return _session_report(g, erased, schedule)
+    return _peel(sys, erased, min_bandwidth=True)
 
 
 def repair_disks(sys: CubicSystem, disks: Iterable[int]) -> RepairReport:

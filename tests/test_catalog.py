@@ -14,6 +14,7 @@ from graphdss.catalog import (
     petersen,
     random_4_regular,
     random_cubic,
+    random_regular,
 )
 from graphdss.cubic import decompose_p4
 from graphdss.graphs import degree_sequence, girth, is_connected
@@ -117,5 +118,6 @@ GENERATOR_DIGESTS = [
     ids=[f"{gen.__name__}-{n}-{seed}" for gen, n, seed, _ in GENERATOR_DIGESTS],
 )
 def test_random_generators_keep_their_outputs(gen, n, seed, digest):
-    edges = gen(n, seed).edges
-    assert hashlib.sha256(json.dumps(edges).encode()).hexdigest() == digest
+    d = 4 if gen is random_4_regular else 3
+    for edges in (gen(n, seed).edges, random_regular(d, n, seed).edges):
+        assert hashlib.sha256(json.dumps(edges).encode()).hexdigest() == digest

@@ -113,6 +113,65 @@ def test_store_and_repair_round_trip(tmp_path, capsys):
     assert (state_dir / "block_00005.bin").read_bytes() == original
 
 
+def _stored_k44(tmp_path, capsys):
+    """A k44 system file and a state directory holding a stored payload."""
+    sys_file = tmp_path / "sys.json"
+    run(capsys, "build", "--catalog", "k44", "--output", str(sys_file))
+    data_file = tmp_path / "data.bin"
+    data_file.write_bytes(bytes(i % 251 for i in range(9 * 32)))
+    state_dir = tmp_path / "state"
+    code, _, _ = run(
+        capsys, "store", "--system", str(sys_file), "--data", str(data_file),
+        "--out", str(state_dir), "--block-size", "32",
+    )
+    assert code == 0
+    return sys_file, state_dir
+
+
+def _repair_lost_block_5(capsys, sys_file, state_dir, erased="5"):
+    """Delete block 5, run repair, and return (exit code, stderr); block 5
+    must not have been written."""
+    (state_dir / "block_00005.bin").unlink()
+    code, _, err = run(
+        capsys, "repair", "--system", str(sys_file), "--state", str(state_dir),
+        "--erased", erased,
+    )
+    assert not (state_dir / "block_00005.bin").exists()
+    return code, err
+
+
+def test_repair_rejects_out_of_range_erased(tmp_path, capsys):
+    code, err = _repair_lost_block_5(capsys, *_stored_k44(tmp_path, capsys), erased="5,99")
+    assert code == 2
+    assert "99" in err
+
+
+def test_repair_rejects_non_integer_erased(tmp_path, capsys):
+    code, err = _repair_lost_block_5(capsys, *_stored_k44(tmp_path, capsys), erased="5,x")
+    assert code == 2
+    assert "--erased" in err
+
+
+def test_repair_rejects_truncated_helper_block(tmp_path, capsys):
+    sys_file, state_dir = _stored_k44(tmp_path, capsys)
+    for path in state_dir.glob("block_*.bin"):
+        if path.name != "block_00005.bin":
+            path.write_bytes(path.read_bytes()[:5])
+    code, err = _repair_lost_block_5(capsys, sys_file, state_dir)
+    assert code == 2
+    assert "5 bytes" in err
+
+
+def test_repair_rejects_header_of_another_code_length(tmp_path, capsys):
+    sys_file, state_dir = _stored_k44(tmp_path, capsys)
+    header = json.loads((state_dir / "header.json").read_text())
+    header["m"] = 25
+    (state_dir / "header.json").write_text(json.dumps(header))
+    code, err = _repair_lost_block_5(capsys, sys_file, state_dir)
+    assert code == 2
+    assert "m=25" in err
+
+
 def test_store_wrong_size(tmp_path, capsys):
     sys_file = tmp_path / "sys.json"
     run(capsys, "build", "--catalog", "k44", "--output", str(sys_file))

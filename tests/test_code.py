@@ -3,7 +3,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from graphdss.catalog import k5_reference_system, petersen
+from graphdss.catalog import k5_reference_system, petersen, random_4_regular
 from graphdss.code import (
     AcyclicError,
     DisconnectedError,
@@ -15,7 +15,9 @@ from graphdss.code import (
     minimum_distance,
     verify_state,
 )
+from graphdss.cubic import PairingMode, build_cubic
 from graphdss.graphs import Graph
+from graphdss.orientation import eulerian_tour, orient_from_tour
 
 from test_cubic import k44_reference_system
 
@@ -50,8 +52,12 @@ def test_generators_satisfy_all_parity_rows():
         assert code.is_codeword(vec)
 
 
-def test_rank_is_vertices_minus_one():
-    for g in [TRIANGLE, petersen().graph, k44_reference_system().cubic]:
+def test_rank_is_vertices_minus_one(cage_systems):
+    g200 = random_4_regular(200, seed=1)
+    system200 = build_cubic(orient_from_tour(g200, eulerian_tour(g200)), PairingMode.PARALLEL)
+    graphs = [TRIANGLE, petersen().graph, k44_reference_system().cubic, system200.cubic]
+    graphs += [sysm.cubic for sysm, _ in cage_systems.values()]
+    for g in graphs:
         code = derive_code(g)
         assert code.rank == g.vertex_count - 1
         # independent confirmation with a fresh row reduction

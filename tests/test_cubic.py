@@ -10,6 +10,7 @@ from graphdss.catalog import (
 )
 from graphdss.cubic import (
     CubicSystem,
+    DecompositionFailure,
     NotCubicError,
     PairingMode,
     PairingPolicy,
@@ -155,6 +156,27 @@ def test_decompose_k33():
 def test_decompose_rejects_non_cubic():
     with pytest.raises(NotCubicError):
         decompose_p4(complete_graph(5))
+
+
+def _cubic_without_perfect_matching() -> Graph:
+    """A centre joined to three 5-vertex blobs.  Each blob is K4 on
+    {b, c, x, y} minus the edge {b, c}, plus a vertex a joined to b, c and
+    the centre.  Deleting the centre leaves three odd components, so by
+    Tutte's condition there is no perfect matching."""
+    edges = []
+    for k in range(3):
+        a, b, c, x, y = (1 + 5 * k + i for i in range(5))
+        edges += [(b, x), (b, y), (c, x), (c, y), (x, y), (a, b), (a, c), (0, a)]
+    return Graph(16, edges)
+
+
+def test_decompose_fails_without_perfect_matching():
+    # Kotzig: a cubic graph without a perfect matching has no P4 decomposition
+    g = _cubic_without_perfect_matching()
+    assert all(d == 3 for d in degree_sequence(g))
+    assert is_connected(g)
+    with pytest.raises(DecompositionFailure):
+        decompose_p4(g)
 
 
 @pytest.mark.parametrize("seed", range(10))

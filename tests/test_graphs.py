@@ -4,7 +4,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from graphdss.catalog import complete_graph, petersen, random_4_regular
-from graphdss.graphs import EdgeSubset, Graph, GraphError, degree_sequence, girth, is_connected, two_core
+from graphdss.graphs import (
+    EdgeSubset, Graph, GraphError, degree_sequence, girth, is_connected, shortest_cycle, two_core,
+)
 
 from conftest import all_simple_cycles
 
@@ -41,6 +43,7 @@ def test_girth_k44():
 def test_girth_tree_is_infinite():
     tree = Graph(5, [(0, 1), (0, 2), (1, 3), (1, 4)])
     assert girth(tree) == math.inf
+    assert shortest_cycle(tree) is None
 
 
 def test_girth_matches_exhaustive_cycle_enumeration():
@@ -55,6 +58,8 @@ def test_girth_matches_exhaustive_cycle_enumeration():
         cycles = all_simple_cycles(g)
         expected = min(len(c) for c in cycles) if cycles else math.inf
         assert girth(g) == expected
+        cycle = shortest_cycle(g)
+        assert frozenset(cycle) in cycles and len(cycle) == expected
 
 
 def test_simple_graph_invariants_enforced():
