@@ -98,8 +98,8 @@ def test_random_cubic_properties():
         random_cubic(7, seed=0)
 
 
-# sha256 of json.dumps(edges) for generator outputs pinned when the two
-# generators were first written; a refactor must keep every seed's graph
+# sha256 of json.dumps(edges), taken from the separate 4-regular and cubic
+# generators before they were merged: every existing seed keeps its graph
 GENERATOR_DIGESTS = [
     (random_4_regular, 5, 0, "d21924ceefc6364cf80fe2733ceb1427b9b8ebd8863971cd38d48293588fce7d"),
     (random_4_regular, 12, 3, "cff06705d00820996afc4183c915972b34c0a70d5bfd06ddd9ce1df085450a8e"),
