@@ -19,7 +19,7 @@ from typing import List, Optional, Sequence, Set, Tuple
 
 from .code import derive_code, minimum_distance
 from .cubic import CubicSystem
-from .graphs import EdgeSubset, Graph, girth, shortest_cycle, two_core
+from .graphs import EdgeSubset, Graph, girth, shortest_cycle
 from .repair import peel
 
 
@@ -155,6 +155,39 @@ def girth_cycle_vertices(g: Graph) -> List[int]:
     return _cycle_vertices(g, cycle)
 
 
+def _has_cycle(g: Graph, edges: Sequence[int]) -> bool:
+    """True iff the distinct edges contain a cycle, by union-find: some edge
+    joins two vertices that the edges before it already connect.
+
+    Peeling recovers an erasure pattern iff its edges form a forest, so this
+    answers "is the pattern unrecoverable" without running the decoder.
+    """
+    parent = {}  # non-root vertex -> its parent; roots are absent
+
+    def find(x: int) -> int:
+        while x in parent:
+            x = parent[x]
+        return x
+
+    for ei in edges:
+        u, v = g.edges[ei]
+        ru, rv = find(u), find(v)
+        if ru == rv:
+            return True
+        parent[ru] = rv
+    return False
+
+
+def _girth_witness(sys: CubicSystem, g4: Graph) -> Tuple[int, Set[int]]:
+    """(girth(G), the disks of a block-graph cycle built from a girth cycle
+    of G); the cycle touches at most girth(G) disks."""
+    source_cycle = girth_cycle_vertices(g4)
+    witness = disk_cycle_of(sys, disk_cycle_from_source_cycle(sys, source_cycle))
+    if len(witness) > len(source_cycle):
+        raise AssertionError("constructed disk cycle touches extra disks")
+    return len(source_cycle), witness
+
+
 def min_disk_cycle(
     sys: CubicSystem, g4: Graph, exhaustive_limit: int = 300_000
 ) -> int:
@@ -166,25 +199,14 @@ def min_disk_cycle(
     the construction from a girth cycle of the source graph supplies the
     matching upper bound either way.
     """
-    source_cycle = girth_cycle_vertices(g4)
-    g_src = len(source_cycle)
-    witness = disk_cycle_from_source_cycle(sys, source_cycle)
-    t_upper = len(disk_cycle_of(sys, witness))
-    if t_upper > g_src:
-        raise AssertionError("constructed disk cycle touches extra disks")
+    t_upper = len(_girth_witness(sys, g4)[1])
     n = len(sys.disks)
-    m = sys.cubic.edge_count
-    disk_bits = [
-        sum(1 << ei for ei in sys.disk_edges(d)) for d in range(n)
-    ]
+    disk_edges = [sys.disk_edges(d) for d in range(n)]
     for size in range(2, t_upper):
         if math.comb(n, size) > exhaustive_limit:
             break  # trust the construction bound at scale
         for combo in itertools.combinations(range(n), size):
-            bits = 0
-            for d in combo:
-                bits |= disk_bits[d]
-            if len(two_core(sys.cubic, EdgeSubset(m, bits))):
+            if _has_cycle(sys.cubic, [e for d in combo for e in disk_edges[d]]):
                 return size
     return t_upper
 
@@ -201,12 +223,12 @@ def verify_recovery_bound(
     Returns (all (g-1)-subsets of disks recover fully, witness g-subset
     that does not).  Exhaustive mode enumerates every subset; sampled mode
     draws `trials` subsets with per-trial randomness from (seed, index).
-    The witness comes from a girth cycle of the source graph.
+    A subset recovers iff the union of its disk edges is a forest, which
+    `_has_cycle` tests; the witness comes from a girth cycle of the source
+    graph, and the peeling decoder confirms that it does not recover.
     """
-    source_cycle = girth_cycle_vertices(g4)
-    g = len(source_cycle)
+    g, witness = _girth_witness(sys, g4)
     n = len(sys.disks)
-    all_ok = True
     if mode == "exhaustive":
         subsets = itertools.combinations(range(n), g - 1)
     elif mode == "sampled":
@@ -222,23 +244,15 @@ def verify_recovery_bound(
     else:
         raise ValueError(f"unknown mode {mode!r}")
 
-    m = sys.cubic.edge_count
-    disk_bits = [sum(1 << ei for ei in sys.disk_edges(d)) for d in range(n)]
-    for combo in subsets:
-        bits = 0
-        for d in combo:
-            bits |= disk_bits[d]
-        report = peel(sys, EdgeSubset(m, bits))
-        if len(report.residual):
-            all_ok = False
-            break
-
-    witness = disk_cycle_of(sys, disk_cycle_from_source_cycle(sys, source_cycle))
-    # confirm the witness really is unrecoverable
-    bits = 0
-    for d in witness:
-        bits |= disk_bits[d]
-    if not len(peel(sys, EdgeSubset(m, bits)).residual):
+    disk_edges = [sys.disk_edges(d) for d in range(n)]
+    all_ok = not any(
+        _has_cycle(sys.cubic, [e for d in combo for e in disk_edges[d]])
+        for combo in subsets
+    )
+    erased = EdgeSubset.from_indices(
+        sys.cubic.edge_count, [e for d in witness for e in disk_edges[d]]
+    )
+    if not len(peel(sys, erased).residual):
         raise AssertionError("witness erasure pattern unexpectedly recovered")
     return all_ok, witness
 

@@ -19,6 +19,7 @@ from .analysis import profile, verdict_json, verify_recovery_bound
 from .code import derive_code, encode, StorageState
 from .cubic import (
     CubicSystem,
+    InvalidSystemError,
     PairingMode,
     PairingPolicy,
     build_cubic,
@@ -250,12 +251,25 @@ def cmd_store(args) -> int:
     return 0
 
 
+def _read_state_file(state_dir: str, name: str) -> bytes:
+    path = os.path.join(state_dir, name)
+    try:
+        with open(path, "rb") as fh:
+            return fh.read()
+    except FileNotFoundError:
+        raise UsageError(f"state directory has no {name}: {path} is missing")
+
+
 def cmd_repair(args) -> int:
     with open(args.system) as fh:
         sys_ = CubicSystem.from_json(fh.read())
     code = derive_code(sys_.cubic)
-    with open(os.path.join(args.state, "header.json")) as fh:
-        header = json.load(fh)
+    try:
+        header = json.loads(_read_state_file(args.state, "header.json"))
+    except ValueError as exc:  # JSONDecodeError or UnicodeDecodeError
+        raise UsageError(f"state header is not valid JSON: {exc}")
+    if not isinstance(header, dict):
+        raise UsageError("state header is not a JSON object")
     if header.get("m") != code.length:
         raise UsageError(f"state header has m={header.get('m')!r}, "
                          f"but the system's code has length {code.length}")
@@ -273,8 +287,7 @@ def cmd_repair(args) -> int:
     for ei in range(code.length):
         if ei in erased:
             continue
-        with open(os.path.join(args.state, f"block_{ei:05d}.bin"), "rb") as fh:
-            block = fh.read()
+        block = _read_state_file(args.state, f"block_{ei:05d}.bin")
         if len(block) != s:
             raise UsageError(f"block {ei} has {len(block)} bytes, the header says {s}")
         state.symbols[ei] = block
@@ -364,10 +377,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except UsageError as exc:
-        print(f"error: {exc}", file=_sys.stderr)
-        return 2
-    except cat.MissingDataFileError as exc:
+    except (UsageError, cat.MissingDataFileError, InvalidSystemError) as exc:
         print(f"error: {exc}", file=_sys.stderr)
         return 2
     except UnrecoverableError as exc:

@@ -170,32 +170,42 @@ def brute_force_min_weight(code: ParityCode) -> int:
     return best
 
 
-def minimum_distance(code: ParityCode, g: Graph, brute_force_limit: int = 1 << 20) -> int:
+def minimum_distance(code: ParityCode, g: Graph) -> int:
     """Minimum distance of the cycle-space code: the girth of the graph.
 
-    Cross-checked by exhaustive minimum-weight search when the code is
-    small enough, otherwise by exhibiting a shortest cycle as a codeword.
+    Every nonzero codeword is an edge-disjoint union of cycles, so none is
+    lighter than the girth, and a shortest cycle is a codeword of exactly
+    that weight.  The cycle is checked against the parity rows, which
+    catches a code derived from another graph; `brute_force_min_weight`
+    stays as the independent oracle for tests.
     """
     cycle = shortest_cycle(g)
     if cycle is None:
         raise AcyclicError("acyclic graph: code distance undefined")
-    gv = len(cycle)
-    if (1 << code.dimension) <= brute_force_limit:
-        bf = brute_force_min_weight(code)
-        if bf != gv:
-            raise AssertionError(f"brute-force distance {bf} != girth {gv}")
-    else:
-        # too large to enumerate: exhibit a shortest cycle as a codeword of
-        # weight girth (girth is the lower bound: codeword supports are
-        # edge-disjoint unions of cycles)
-        cyc = sum(1 << ei for ei in cycle)
-        if not code.is_codeword(cyc) or bin(cyc).count("1") != gv:
-            raise AssertionError("girth cycle is not a codeword")
-    return gv
+    if not code.is_codeword(sum(1 << ei for ei in cycle)):
+        raise AssertionError("girth cycle is not a codeword")
+    return len(cycle)
 
 
 def _xor_bytes(a: bytes, b: bytes) -> bytes:
     return bytes(x ^ y for x, y in zip(a, b))
+
+
+def vertex_parity(code: ParityCode, state: StorageState, v: int, skip: int = -1) -> bytes:
+    """XOR of the blocks on the edges at vertex v, leaving out edge `skip`.
+
+    With no edge skipped this is v's parity check, zero in a valid state;
+    skipping an edge gives the block that edge must hold (locality 2).
+    """
+    acc = bytes(state.block_size)
+    row = code.parity_rows[v]
+    while row:
+        low = row & -row
+        row ^= low
+        ei = low.bit_length() - 1
+        if ei != skip:
+            acc = _xor_bytes(acc, state.symbols[ei])
+    return acc
 
 
 def encode(code: ParityCode, data: Sequence[bytes]) -> StorageState:
@@ -207,45 +217,21 @@ def encode(code: ParityCode, data: Sequence[bytes]) -> StorageState:
     sizes = {len(b) for b in data}
     if len(sizes) > 1:
         raise EncodingError("data blocks must all have the same size")
-    s = sizes.pop() if sizes else 0
-
-    symbols: Dict[int, bytes] = {}
+    state = StorageState(sizes.pop() if sizes else 0, {})
     for ei, block in zip(code.information_set, data):
-        symbols[ei] = bytes(block)
-    zero = bytes(s)
+        state.symbols[ei] = bytes(block)
     # leaf-up: when a tree edge is processed, all other edges at its child
     # endpoint are already set
     for ei, child in code.tree_order:
-        acc = zero
-        for ej, _ in _incident_cache(code, child):
-            if ej != ei:
-                acc = _xor_bytes(acc, symbols[ej])
-        symbols[ei] = acc
-    return StorageState(s, symbols)
-
-
-def _incident_cache(code: ParityCode, v: int):
-    row = code.parity_rows[v]
-    out = []
-    while row:
-        ei = (row & -row).bit_length() - 1
-        out.append((ei, v))
-        row &= row - 1
-    return out
+        state.symbols[ei] = vertex_parity(code, state, child, skip=ei)
+    return state
 
 
 def verify_state(code: ParityCode, state: StorageState) -> bool:
     """True iff the XOR of incident blocks is zero at every vertex."""
     if set(state.symbols) != set(range(code.length)):
         return False
+    if any(len(blk) != state.block_size for blk in state.symbols.values()):
+        return False
     zero = bytes(state.block_size)
-    for v in range(len(code.parity_rows)):
-        acc = zero
-        for ei, _ in _incident_cache(code, v):
-            blk = state.symbols[ei]
-            if len(blk) != state.block_size:
-                return False
-            acc = _xor_bytes(acc, blk)
-        if acc != zero:
-            return False
-    return True
+    return all(vertex_parity(code, state, v) == zero for v in range(len(code.parity_rows)))

@@ -54,6 +54,11 @@ class NotCubicError(ValueError):
     pass
 
 
+class InvalidSystemError(ValueError):
+    """A system file that does not parse or whose disks do not decompose
+    its graph."""
+
+
 class DecompositionFailure(Exception):
     """The cubic graph has no perfect matching, hence no P4 decomposition."""
 
@@ -98,18 +103,32 @@ class CubicSystem:
 
     @classmethod
     def from_json(cls, text: str) -> "CubicSystem":
-        obj = json.loads(text)
-        g = Graph(obj["vertices"], [tuple(e) for e in obj["edges"]])
-        policy = None
-        if "policy" in obj:
-            policy = PairingPolicy(tuple(PairingMode(m) for m in obj["policy"]))
-        return cls(
-            g,
-            tuple(tuple(d) for d in obj["disks"]),
-            tuple(obj["disk_owner"]),
-            tuple(tuple(a) for a in obj["arc_names"]),
-            policy,
-        )
+        """Load a system file; InvalidSystemError unless it parses and its
+        disks are an edge-disjoint P4 decomposition of its graph."""
+        try:
+            obj = json.loads(text)
+            g = Graph(obj["vertices"], [tuple(e) for e in obj["edges"]])
+            disks = tuple(tuple(d) for d in obj["disks"])
+            disk_owner = tuple(obj["disk_owner"])
+            arc_names = tuple(tuple(a) for a in obj["arc_names"])
+            policy = None
+            if "policy" in obj:
+                policy = PairingPolicy(tuple(PairingMode(m) for m in obj["policy"]))
+        except (ValueError, KeyError, TypeError) as exc:
+            raise InvalidSystemError(f"malformed system file: {exc!r}") from exc
+        for d, path in enumerate(disks):
+            if any(not isinstance(v, int) or not 0 <= v < g.vertex_count for v in path):
+                raise InvalidSystemError(
+                    f"disk {d} names a vertex outside the graph: {list(path)}")
+        if len(disk_owner) != len(disks):
+            raise InvalidSystemError(f"{len(disk_owner)} disk owners for {len(disks)} disks")
+        if len(arc_names) != g.vertex_count:
+            raise InvalidSystemError(f"{len(arc_names)} arc names for {g.vertex_count} vertices")
+        system = cls(g, disks, disk_owner, arc_names, policy)
+        if not verify_disk_decomposition(system):
+            raise InvalidSystemError(
+                "disks are not edge-disjoint 3-edge paths covering every edge")
+        return system
 
 
 def _canonical_path(path: Sequence[int], arc_names: Sequence[Tuple[int, int]]):

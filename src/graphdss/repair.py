@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Dict, Iterable, List, Sequence, Set, Tuple
 
-from .code import ParityCode, StorageState, _xor_bytes
+from .code import ParityCode, StorageState, vertex_parity
 from .cubic import CubicSystem
 from .graphs import EdgeSubset, Graph
 
@@ -225,14 +225,6 @@ def repair_state(code: ParityCode, state: StorageState, report: RepairReport) ->
     if len(report.residual):
         raise UnrecoverableError(report.residual)
     out = state.copy()
-    zero = bytes(state.block_size)
     for e, v, _ in report.recovered:
-        acc = zero
-        row = code.parity_rows[v]
-        while row:
-            ei = (row & -row).bit_length() - 1
-            row &= row - 1
-            if ei != e:
-                acc = _xor_bytes(acc, out.symbols[ei])
-        out.symbols[e] = acc
+        out.symbols[e] = vertex_parity(code, out, v, skip=e)
     return out

@@ -1,9 +1,12 @@
 import itertools
+import random
 
 import pytest
 
+from graphdss import analysis
 from graphdss.analysis import (
     NotACycleError,
+    _has_cycle,
     disk_cycle_from_source_cycle,
     disk_cycle_of,
     girth_cycle_vertices,
@@ -13,7 +16,8 @@ from graphdss.analysis import (
     verify_recovery_bound,
 )
 from graphdss.catalog import complete_graph, k5_reference_system
-from graphdss.graphs import Graph, girth
+from graphdss.graphs import EdgeSubset, Graph, girth, two_core
+from graphdss.repair import peel
 
 from conftest import all_simple_cycles
 from test_cubic import k44_reference_system
@@ -53,6 +57,46 @@ def test_min_disk_cycle_k5_variants():
 def test_min_disk_cycle_k44():
     g = Graph(8, __import__("test_orientation").K44_REFERENCE_EDGES)
     assert min_disk_cycle(k44_reference_system(), g) == 4
+
+
+@pytest.mark.parametrize("gg", [3, 4, 5, 6])
+def test_min_disk_cycle_cages(cage_systems, gg):
+    sys, g = cage_systems[gg]
+    assert min_disk_cycle(sys, g) == girth(g)
+
+
+def test_has_cycle_agrees_with_two_core_and_peeling(cage_systems):
+    # oracles: the leaf-stripping 2-core and the peeling decoder's residual
+    rng = random.Random(5)
+    systems = [cage_systems[gg] for gg in (3, 4, 5, 6)]
+    systems += [(k5_reference_system(v), K5) for v in ("girth5", "girth3")]
+    for sys, g4 in systems:
+        n, m = len(sys.disks), sys.cubic.edge_count
+        for size in range(1, int(girth(g4)) + 3):
+            for _ in range(40):
+                disks = rng.sample(range(n), min(size, n))
+                edges = [e for d in disks for e in sys.disk_edges(d)]
+                erased = EdgeSubset.from_indices(m, edges)
+                cyclic = _has_cycle(sys.cubic, edges)
+                assert cyclic == (len(two_core(sys.cubic, erased)) > 0)
+                assert cyclic == (len(peel(sys, erased).residual) > 0)
+
+
+def test_recovery_bound_peels_only_the_witness(cage_systems, monkeypatch):
+    calls = []
+
+    def counting_peel(sys, erased):
+        calls.append(erased)
+        return peel(sys, erased)
+
+    monkeypatch.setattr(analysis, "peel", counting_peel)
+    sys, g = cage_systems[4]
+    for kwargs in ({}, {"mode": "sampled", "trials": 200, "seed": 1}):
+        calls.clear()
+        ok, witness = verify_recovery_bound(sys, g, **kwargs)
+        assert ok and len(calls) == 1
+        assert calls[0] == EdgeSubset.from_indices(
+            sys.cubic.edge_count, [e for d in witness for e in sys.disk_edges(d)])
 
 
 def test_source_cycle_maps_to_disk_cycle_and_back():

@@ -2,6 +2,7 @@ import json
 import os
 import random
 
+import pytest
 
 from graphdss.cli import main
 
@@ -170,6 +171,74 @@ def test_repair_rejects_header_of_another_code_length(tmp_path, capsys):
     code, err = _repair_lost_block_5(capsys, sys_file, state_dir)
     assert code == 2
     assert "m=25" in err
+
+
+def test_repair_rejects_missing_surviving_block(tmp_path, capsys):
+    sys_file, state_dir = _stored_k44(tmp_path, capsys)
+    (state_dir / "block_00006.bin").unlink()
+    code, err = _repair_lost_block_5(capsys, sys_file, state_dir)
+    assert code == 2
+    assert "block_00006.bin" in err
+
+
+def test_repair_rejects_missing_header(tmp_path, capsys):
+    sys_file, state_dir = _stored_k44(tmp_path, capsys)
+    (state_dir / "header.json").unlink()
+    code, err = _repair_lost_block_5(capsys, sys_file, state_dir)
+    assert code == 2
+    assert "header.json" in err
+
+
+@pytest.mark.parametrize("text", [b"{", b"[]", b"\xff\xfe{"])
+def test_repair_rejects_header_that_is_not_a_json_object(tmp_path, capsys, text):
+    sys_file, state_dir = _stored_k44(tmp_path, capsys)
+    (state_dir / "header.json").write_bytes(text)
+    code, err = _repair_lost_block_5(capsys, sys_file, state_dir)
+    assert code == 2
+    assert "header" in err
+
+
+def _corrupt_system(sys_file, fault):
+    """Rewrite a system file so that disk 1 repeats disk 0, or names
+    vertex 99."""
+    obj = json.loads(sys_file.read_text())
+    obj["disks"][1] = list(obj["disks"][0]) if fault == "duplicate" else [0, 1, 2, 99]
+    sys_file.write_text(json.dumps(obj))
+
+
+@pytest.mark.parametrize("fault", ["duplicate", "vertex99"])
+def test_profile_rejects_bad_system_file(tmp_path, capsys, fault):
+    sys_file = tmp_path / "sys.json"
+    run(capsys, "build", "--catalog", "k44", "--output", str(sys_file))
+    _corrupt_system(sys_file, fault)
+    code, out, err = run(capsys, "profile", "--system", str(sys_file))
+    assert code == 2
+    assert "disk" in err
+
+
+@pytest.mark.parametrize("fault", ["duplicate", "vertex99"])
+def test_store_rejects_bad_system_file(tmp_path, capsys, fault):
+    sys_file = tmp_path / "sys.json"
+    run(capsys, "build", "--catalog", "k44", "--output", str(sys_file))
+    _corrupt_system(sys_file, fault)
+    data_file = tmp_path / "data.bin"
+    data_file.write_bytes(bytes(9 * 32))
+    code, out, err = run(
+        capsys, "store", "--system", str(sys_file), "--data", str(data_file),
+        "--out", str(tmp_path / "state"), "--block-size", "32",
+    )
+    assert code == 2
+    assert "disk" in err
+    assert not (tmp_path / "state").exists()
+
+
+@pytest.mark.parametrize("fault", ["duplicate", "vertex99"])
+def test_repair_rejects_bad_system_file(tmp_path, capsys, fault):
+    sys_file, state_dir = _stored_k44(tmp_path, capsys)
+    _corrupt_system(sys_file, fault)
+    code, err = _repair_lost_block_5(capsys, sys_file, state_dir)
+    assert code == 2
+    assert "disk" in err
 
 
 def test_store_wrong_size(tmp_path, capsys):

@@ -16,9 +16,10 @@ from graphdss.code import (
     verify_state,
 )
 from graphdss.cubic import PairingMode, build_cubic
-from graphdss.graphs import Graph
+from graphdss.graphs import Graph, girth
 from graphdss.orientation import eulerian_tour, orient_from_tour
 
+from conftest import system_from_cage
 from test_cubic import k44_reference_system
 
 TRIANGLE = Graph(3, [(0, 1), (1, 2), (2, 0)])
@@ -79,6 +80,27 @@ def test_minimum_distance_petersen_system():
 def test_minimum_distance_girth3_variant():
     sys = k5_reference_system("girth3")
     assert minimum_distance(derive_code(sys.cubic), sys.cubic) == 3
+
+
+@pytest.mark.parametrize("name", ["k5-girth5", "k5-girth3", "k44", "petersen", "robertson"])
+def test_distance_is_girth_on_every_enumerable_catalog_code(name):
+    # every catalog code of dimension <= 20, the codes small enough to enumerate
+    if name.startswith("k5-"):
+        g = k5_reference_system(name[3:]).cubic
+    elif name == "petersen":
+        g = petersen().graph
+    else:
+        g = system_from_cage({"k44": 4, "robertson": 5}[name])[0].cubic
+    code = derive_code(g)
+    assert code.dimension <= 20
+    assert brute_force_min_weight(code) == minimum_distance(code, g) == girth(g)
+
+
+def test_minimum_distance_rejects_code_of_another_graph():
+    # a triangle of the girth-3 block graph is no codeword of the Petersen code
+    code = derive_code(k5_reference_system("girth5").cubic)
+    with pytest.raises(AssertionError):
+        minimum_distance(code, k5_reference_system("girth3").cubic)
 
 
 def test_minimum_distance_triangle():

@@ -1,4 +1,6 @@
 
+import json
+
 import pytest
 
 from graphdss.catalog import (
@@ -11,6 +13,7 @@ from graphdss.catalog import (
 from graphdss.cubic import (
     CubicSystem,
     DecompositionFailure,
+    InvalidSystemError,
     NotCubicError,
     PairingMode,
     PairingPolicy,
@@ -192,3 +195,39 @@ def test_system_json_round_trip():
     assert back.arc_names == sys.arc_names
     assert back.cubic == sys.cubic
     assert back.policy == sys.policy
+
+
+def _without_disks(obj):
+    del obj["disks"]
+
+
+def _vertex_99(obj):
+    obj["disks"][1] = [0, 1, 2, 99]
+
+
+def _short_arc_names(obj):
+    obj["arc_names"].pop()
+
+
+def _short_disk_owner(obj):
+    obj["disk_owner"].pop()
+
+
+def _duplicate_disk(obj):
+    obj["disks"][1] = list(obj["disks"][0])
+
+
+@pytest.mark.parametrize(
+    "corrupt",
+    [_without_disks, _vertex_99, _short_arc_names, _short_disk_owner, _duplicate_disk],
+)
+def test_system_json_rejects_inconsistent_system(corrupt):
+    obj = json.loads(k44_reference_system().to_json())
+    corrupt(obj)
+    with pytest.raises(InvalidSystemError):
+        CubicSystem.from_json(json.dumps(obj))
+
+
+def test_system_json_rejects_malformed_json():
+    with pytest.raises(InvalidSystemError):
+        CubicSystem.from_json(k44_reference_system().to_json()[:-2])
