@@ -16,7 +16,8 @@ from graphdss.orientation import eulerian_tour, orient_from_tour
 
 def main():
     header = ("disks", "blocks", "disks rec.", "blocks rec.", "n", "k", "d_src", "d_blk")
-    print(("{:>10}" * len(header)).format(*header))
+    row = "{:>12}" * len(header)  # wider than the longest label
+    print(row.format(*header))
     systems = []
     for g_target in (3, 4, 5, 6):
         graph = cage(g_target).graph
@@ -24,7 +25,7 @@ def main():
             orient_from_tour(graph, eulerian_tour(graph)), PairingMode.PARALLEL
         )
         p = profile(sysm, graph)
-        print(("{:>10}" * len(header)).format(
+        print(row.format(
             p.disk_count, p.block_count, p.max_guaranteed_disk_erasures,
             p.blocks_recoverable, p.code_length, p.code_dimension,
             p.code_distance_source_girth, p.code_distance_cubic_girth,

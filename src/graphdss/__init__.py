@@ -40,8 +40,6 @@ from .repair import (
 )
 from .analysis import (
     SystemProfile,
-    disk_cycle_of,
-    min_disk_cycle,
     verify_recovery_bound,
     profile,
 )
@@ -82,8 +80,6 @@ __all__ = [
     "repair_disks",
     "repair_state",
     "SystemProfile",
-    "disk_cycle_of",
-    "min_disk_cycle",
     "verify_recovery_bound",
     "profile",
     "catalog",

@@ -12,19 +12,14 @@ import csv
 import io
 import itertools
 import json
-import math
 import random
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Set, Tuple
+from typing import Optional, Sequence, Set, Tuple
 
 from .code import derive_code, minimum_distance
 from .cubic import CubicSystem
 from .graphs import EdgeSubset, Graph, girth, shortest_cycle
 from .repair import peel
-
-
-class NotACycleError(ValueError):
-    pass
 
 
 @dataclass(frozen=True)
@@ -80,81 +75,6 @@ def rate_function(n: int) -> float:
     return 1 - (n - 1) / (3 * n / 2)
 
 
-def _cycle_vertices(g: Graph, edge_indices: Sequence[int]) -> List[int]:
-    """Vertex sequence of the cycle formed by the given edges; raises
-    NotACycleError if they do not form one simple cycle."""
-    if len(edge_indices) < 3:
-        raise NotACycleError("a cycle needs at least 3 edges")
-    adj = {}
-    for ei in edge_indices:
-        u, v = g.edges[ei]
-        adj.setdefault(u, []).append(v)
-        adj.setdefault(v, []).append(u)
-    if any(len(nbrs) != 2 for nbrs in adj.values()):
-        raise NotACycleError("edges do not form a single simple cycle")
-    start = next(iter(adj))
-    order = [start]
-    prev = None
-    while True:
-        cur = order[-1]
-        nxt = adj[cur][0] if adj[cur][0] != prev else adj[cur][1]
-        if nxt == start:
-            break
-        order.append(nxt)
-        prev = cur
-    if len(order) != len(edge_indices):
-        raise NotACycleError("edges form more than one cycle")
-    return order
-
-
-def disk_cycle_of(sys: CubicSystem, cycle_edges: Sequence[int]) -> Set[int]:
-    """Set of disks owning the edges of a cycle; its size is the cycle's
-    disk count t."""
-    _cycle_vertices(sys.cubic, cycle_edges)
-    owner = sys.edge_owner()
-    return {owner[ei] for ei in cycle_edges}
-
-
-def disk_cycle_from_source_cycle(
-    sys: CubicSystem, source_cycle: Sequence[int]
-) -> List[int]:
-    """Map a cycle of the source 4-regular graph (as a vertex sequence) to a
-    cycle in the block graph touching exactly those disks.
-
-    Consecutive source edges are arcs at a shared source vertex, hence both
-    lie on that vertex's disk path; the subpaths between them concatenate
-    into a simple cycle.
-    """
-    t = len(source_cycle)
-    arc_of = {}
-    for i, (a, b) in enumerate(sys.arc_names):
-        arc_of[(a, b)] = i
-        arc_of[(b, a)] = i
-    cubic_vertices = []
-    for i in range(t):
-        u, v = source_cycle[i], source_cycle[(i + 1) % t]
-        cubic_vertices.append(arc_of[(u, v)])
-    edges: List[int] = []
-    for i in range(t):
-        shared = source_cycle[(i + 1) % t]
-        a = cubic_vertices[i]
-        b = cubic_vertices[(i + 1) % t]
-        path = sys.disks[shared]
-        ia, ib = path.index(a), path.index(b)
-        walk = path[ia : ib + 1] if ia < ib else path[ib : ia + 1][::-1]
-        for j in range(len(walk) - 1):
-            edges.append(sys.cubic.edge_index(walk[j], walk[j + 1]))
-    return edges
-
-
-def girth_cycle_vertices(g: Graph) -> List[int]:
-    """Vertex sequence of one shortest cycle of g."""
-    cycle = shortest_cycle(g)
-    if cycle is None:
-        raise NotACycleError("acyclic graph has no cycle")
-    return _cycle_vertices(g, cycle)
-
-
 def _has_cycle(g: Graph, edges: Sequence[int]) -> bool:
     """True iff the distinct edges contain a cycle, by union-find: some edge
     joins two vertices that the edges before it already connect.
@@ -179,36 +99,17 @@ def _has_cycle(g: Graph, edges: Sequence[int]) -> bool:
 
 
 def _girth_witness(sys: CubicSystem, g4: Graph) -> Tuple[int, Set[int]]:
-    """(girth(G), the disks of a block-graph cycle built from a girth cycle
-    of G); the cycle touches at most girth(G) disks."""
-    source_cycle = girth_cycle_vertices(g4)
-    witness = disk_cycle_of(sys, disk_cycle_from_source_cycle(sys, source_cycle))
-    if len(witness) > len(source_cycle):
-        raise AssertionError("constructed disk cycle touches extra disks")
-    return len(source_cycle), witness
+    """(girth(G), the disks owned by the vertices of a girth cycle of G).
 
-
-def min_disk_cycle(
-    sys: CubicSystem, g4: Graph, exhaustive_limit: int = 300_000
-) -> int:
-    """Smallest t for which the block graph has a t-disk cycle.
-
-    A cycle inside the union of t disks touches at most t disks, so the
-    minimum equals the smallest subset of disks whose combined edges
-    contain a cycle.  Verified exhaustively below the subset-count limit;
-    the construction from a girth cycle of the source graph supplies the
-    matching upper bound either way.
+    Consecutive edges of a cycle of G are arcs at a shared vertex, so both
+    lie on that vertex's disk path; the disks of the cycle's vertices
+    therefore contain a block-graph cycle and do not recover.
     """
-    t_upper = len(_girth_witness(sys, g4)[1])
-    n = len(sys.disks)
-    disk_edges = [sys.disk_edges(d) for d in range(n)]
-    for size in range(2, t_upper):
-        if math.comb(n, size) > exhaustive_limit:
-            break  # trust the construction bound at scale
-        for combo in itertools.combinations(range(n), size):
-            if _has_cycle(sys.cubic, [e for d in combo for e in disk_edges[d]]):
-                return size
-    return t_upper
+    cycle = shortest_cycle(g4)
+    if cycle is None:
+        raise ValueError("acyclic source graph has no girth witness")
+    vertices = {v for ei in cycle for v in g4.edges[ei]}
+    return len(cycle), {d for d, v in enumerate(sys.disk_owner) if v in vertices}
 
 
 def verify_recovery_bound(
@@ -225,7 +126,9 @@ def verify_recovery_bound(
     draws `trials` subsets with per-trial randomness from (seed, index).
     A subset recovers iff the union of its disk edges is a forest, which
     `_has_cycle` tests; the witness comes from a girth cycle of the source
-    graph, and the peeling decoder confirms that it does not recover.
+    graph, and the peeling decoder confirms that it does not recover.  Every
+    subset of a forest is a forest, so an exhaustive all-ok plus the witness
+    shows that girth(G) disks is the smallest unrecoverable loss.
     """
     g, witness = _girth_witness(sys, g4)
     n = len(sys.disks)
@@ -261,14 +164,13 @@ def profile(sys: CubicSystem, g4: Graph) -> SystemProfile:
     """Fill the summary row for a system and its source graph."""
     n = len(sys.disks)
     g_src = int(girth(g4))
-    g_cubic = int(girth(sys.cubic))
     code = derive_code(sys.cubic)
-    d_cubic = minimum_distance(code, sys.cubic)
+    d_cubic = minimum_distance(code, sys.cubic)  # the girth of the block graph
     return SystemProfile(
         disk_count=n,
         block_count=3 * n,
         girth_source=g_src,
-        girth_cubic=g_cubic,
+        girth_cubic=d_cubic,
         max_guaranteed_disk_erasures=g_src - 1,
         blocks_recoverable=3 * (g_src - 1),
         code_length=code.length,

@@ -191,7 +191,11 @@ def catalog_names() -> List[str]:
     return sorted(_CATALOG_BUILDERS)
 
 
-def random_regular(d: int, n: int, seed: int, max_tries: int = 2000) -> Graph:
+# configuration-model draws before random_regular gives up
+RANDOM_REGULAR_TRIES = 2000
+
+
+def random_regular(d: int, n: int, seed: int) -> Graph:
     """Connected simple d-regular graph on n vertices via the configuration
     model with rejection; deterministic per (d, n, seed)."""
     if n <= d or n * d % 2:
@@ -199,7 +203,7 @@ def random_regular(d: int, n: int, seed: int, max_tries: int = 2000) -> Graph:
             f"a {d}-regular graph needs more than {d} vertices and an even n*d"
         )
     rng = random.Random(f"{d}reg:{n}:{seed}")
-    for _ in range(max_tries):
+    for _ in range(RANDOM_REGULAR_TRIES):
         stubs = [v for v in range(n) for _ in range(d)]
         rng.shuffle(stubs)
         edges = set()
@@ -215,12 +219,12 @@ def random_regular(d: int, n: int, seed: int, max_tries: int = 2000) -> Graph:
         g = Graph(n, sorted(edges))
         if is_connected(g):
             return g
-    raise GenerationFailed(f"no simple connected {d}-regular graph after {max_tries} tries")
+    raise GenerationFailed(f"no simple connected {d}-regular graph after {RANDOM_REGULAR_TRIES} tries")
 
 
-def random_4_regular(n: int, seed: int, max_tries: int = 2000) -> Graph:
-    return random_regular(4, n, seed, max_tries)
+def random_4_regular(n: int, seed: int) -> Graph:
+    return random_regular(4, n, seed)
 
 
-def random_cubic(n: int, seed: int, max_tries: int = 2000) -> Graph:
-    return random_regular(3, n, seed, max_tries)
+def random_cubic(n: int, seed: int) -> Graph:
+    return random_regular(3, n, seed)

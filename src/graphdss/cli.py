@@ -1,8 +1,10 @@
 """Batch command-line front end: build systems, profile them, verify the
 recovery bound, and store/repair real payloads.
 
-Exit codes: 0 success/verified, 1 a checked property failed or a pattern
-was unrecoverable, 2 usage error.
+Exit codes: 0 success/verified, 1 a checked property failed, a pattern
+was unrecoverable or a graph has no P4 decomposition, 2 usage error or
+rejected input (a missing file, malformed JSON, an invalid graph, system
+file or option).
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from .analysis import profile, verdict_json, verify_recovery_bound
 from .code import derive_code, encode, StorageState
 from .cubic import (
     CubicSystem,
-    InvalidSystemError,
+    DecompositionFailure,
     PairingMode,
     PairingPolicy,
     build_cubic,
@@ -82,8 +84,10 @@ def _build_system(args) -> Tuple[CubicSystem, Graph]:
             og = load_orientation(g, cat._K5_ARCS)
         else:
             with open(args.orientation) as fh:
-                arcs = [tuple(a) for a in json.load(fh)["arcs"]]
-            og = load_orientation(g, arcs)
+                obj = json.load(fh)
+            if not isinstance(obj, dict) or "arcs" not in obj:
+                raise UsageError(f'orientation file {args.orientation} has no "arcs" list')
+            og = load_orientation(g, [tuple(a) for a in obj["arcs"]])
     else:
         og = orient_from_tour(g, eulerian_tour(g))
     policy = _parse_policy(getattr(args, "policy", None) or "parallel", g.vertex_count)
@@ -251,23 +255,15 @@ def cmd_store(args) -> int:
     return 0
 
 
-def _read_state_file(state_dir: str, name: str) -> bytes:
-    path = os.path.join(state_dir, name)
-    try:
-        with open(path, "rb") as fh:
-            return fh.read()
-    except FileNotFoundError:
-        raise UsageError(f"state directory has no {name}: {path} is missing")
-
-
 def cmd_repair(args) -> int:
     with open(args.system) as fh:
         sys_ = CubicSystem.from_json(fh.read())
     code = derive_code(sys_.cubic)
-    try:
-        header = json.loads(_read_state_file(args.state, "header.json"))
-    except ValueError as exc:  # JSONDecodeError or UnicodeDecodeError
-        raise UsageError(f"state header is not valid JSON: {exc}")
+    with open(os.path.join(args.state, "header.json"), "rb") as fh:
+        try:
+            header = json.load(fh)
+        except ValueError as exc:  # JSONDecodeError or UnicodeDecodeError
+            raise UsageError(f"state header is not valid JSON: {exc}")
     if not isinstance(header, dict):
         raise UsageError("state header is not a JSON object")
     if header.get("m") != code.length:
@@ -287,7 +283,8 @@ def cmd_repair(args) -> int:
     for ei in range(code.length):
         if ei in erased:
             continue
-        block = _read_state_file(args.state, f"block_{ei:05d}.bin")
+        with open(os.path.join(args.state, f"block_{ei:05d}.bin"), "rb") as fh:
+            block = fh.read()
         if len(block) != s:
             raise UsageError(f"block {ei} has {len(block)} bytes, the header says {s}")
         state.symbols[ei] = block
@@ -377,10 +374,12 @@ def main(argv: Optional[List[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (UsageError, cat.MissingDataFileError, InvalidSystemError) as exc:
+    except (UsageError, OSError, ValueError) as exc:
+        # ValueError covers JSONDecodeError and every rejected-input error
+        # of the library (GraphError, InvalidSystemError, NotCubicError, ...)
         print(f"error: {exc}", file=_sys.stderr)
         return 2
-    except UnrecoverableError as exc:
+    except (UnrecoverableError, DecompositionFailure) as exc:
         print(f"error: {exc}", file=_sys.stderr)
         return 1
 

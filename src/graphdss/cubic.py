@@ -42,6 +42,8 @@ class PairingPolicy:
     ) -> "PairingPolicy":
         modes = [base] * vertex_count
         for v, m in overrides.items():
+            if not 0 <= v < vertex_count:
+                raise ValueError(f"no vertex {v}; vertices are 0..{vertex_count - 1}")
             modes[v] = m
         return cls(tuple(modes))
 
@@ -103,8 +105,10 @@ class CubicSystem:
 
     @classmethod
     def from_json(cls, text: str) -> "CubicSystem":
-        """Load a system file; InvalidSystemError unless it parses and its
-        disks are an edge-disjoint P4 decomposition of its graph."""
+        """Load a system file; InvalidSystemError unless it parses, its
+        disks are an edge-disjoint P4 decomposition of its graph, and each
+        disk is the path of its owner's arcs: end arcs leave the owner,
+        middle arcs enter it, and the arcs form a simple graph."""
         try:
             obj = json.loads(text)
             g = Graph(obj["vertices"], [tuple(e) for e in obj["edges"]])
@@ -124,10 +128,25 @@ class CubicSystem:
             raise InvalidSystemError(f"{len(disk_owner)} disk owners for {len(disks)} disks")
         if len(arc_names) != g.vertex_count:
             raise InvalidSystemError(f"{len(arc_names)} arc names for {g.vertex_count} vertices")
+        n = len(disks)
+        if g.vertex_count != 2 * n:
+            raise InvalidSystemError(f"{n} disks need {2 * n} graph vertices, not {g.vertex_count}")
+        if any(not isinstance(v, int) for v in disk_owner) or sorted(disk_owner) != list(range(n)):
+            raise InvalidSystemError(f"disk owners are not a permutation of 0..{n - 1}")
+        try:
+            Graph(n, arc_names)
+        except (ValueError, TypeError) as exc:
+            raise InvalidSystemError(f"arc names are not a simple graph: {exc}") from exc
         system = cls(g, disks, disk_owner, arc_names, policy)
         if not verify_disk_decomposition(system):
             raise InvalidSystemError(
                 "disks are not edge-disjoint 3-edge paths covering every edge")
+        for d, (path, v) in enumerate(zip(disks, disk_owner)):
+            tails = [arc_names[a][0] for a in (path[0], path[3])]
+            heads = [arc_names[a][1] for a in path[1:3]]
+            if tails != [v, v] or heads != [v, v]:
+                raise InvalidSystemError(
+                    f"disk {d}: its end arcs must leave vertex {v} and its middle arcs enter it")
         return system
 
 
@@ -189,7 +208,7 @@ def verify_disk_decomposition(sys: CubicSystem) -> bool:
     g = sys.cubic
     seen = set()
     for path in sys.disks:
-        if len(set(path)) != 4:
+        if len(path) != 4 or len(set(path)) != 4:
             return False
         for i in range(3):
             u, v = path[i], path[i + 1]

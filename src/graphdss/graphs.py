@@ -138,12 +138,15 @@ class Graph:
     @classmethod
     def from_json(cls, text: str) -> "Graph":
         obj = json.loads(text)
-        return cls(
-            obj["vertices"],
-            [tuple(e) for e in obj["edges"]],
-            obj.get("vertex_labels"),
-            obj.get("edge_labels"),
-        )
+        try:
+            return cls(
+                obj["vertices"],
+                [tuple(e) for e in obj["edges"]],
+                obj.get("vertex_labels"),
+                obj.get("edge_labels"),
+            )
+        except (KeyError, TypeError) as exc:
+            raise GraphError(f"malformed graph JSON: {exc!r}") from exc
 
     def to_dot(self) -> str:
         lines = ["graph {"]

@@ -7,7 +7,6 @@ once (Hierholzer).  Directing each edge in its traversal direction turns a
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from typing import Dict, List, Sequence, Tuple
 
@@ -28,15 +27,11 @@ class OrientationError(ValueError):
 
 @dataclass(frozen=True)
 class OrientedGraph:
-    """Digraph over the same vertex set as an undirected source graph.
-
-    arcs[i] = (tail, head); source_edge[i] is the undirected edge index
-    arc i came from.
-    """
+    """Digraph over the same vertex set as an undirected source graph;
+    arcs[i] = (tail, head)."""
 
     vertex_count: int
     arcs: Tuple[Tuple[int, int], ...]
-    source_edge: Tuple[int, ...]
 
     def is_two_in_two_out(self) -> bool:
         indeg = [0] * self.vertex_count
@@ -45,9 +40,6 @@ class OrientedGraph:
             outdeg[t] += 1
             indeg[h] += 1
         return all(i == 2 and o == 2 for i, o in zip(indeg, outdeg))
-
-    def to_json(self) -> str:
-        return json.dumps({"arcs": [list(a) for a in self.arcs]}, indent=2)
 
 
 def eulerian_tour(g: Graph) -> List[int]:
@@ -143,30 +135,25 @@ def orient_from_tour(g: Graph, tour: Sequence[int]) -> OrientedGraph:
     for k, ei in enumerate(tour):
         directed[ei] = (verts[k], verts[k + 1])
     arcs = tuple(directed[i] for i in range(g.edge_count))
-    return OrientedGraph(g.vertex_count, arcs, tuple(range(g.edge_count)))
+    return OrientedGraph(g.vertex_count, arcs)
 
 
-def load_orientation(
-    g: Graph, arcs: Sequence[Tuple[int, int]], strict: bool = True
-) -> OrientedGraph:
+def load_orientation(g: Graph, arcs: Sequence[Tuple[int, int]]) -> OrientedGraph:
     """Build an OrientedGraph from an explicit arc list.
 
-    The arcs must be a direction assignment of g's edges (any order).  With
-    strict=True the 2-in-2-out invariant is enforced, which pins down the
+    The arcs must be a direction assignment of g's edges (any order) with
+    in-degree = out-degree = 2 at every vertex, which pins down the
     orientations used by the worked examples.
     """
-    remaining: Dict[Tuple[int, int], int] = {}
-    for i, (u, v) in enumerate(g.edges):
-        remaining[(min(u, v), max(u, v))] = i
-    source = []
+    remaining = {(min(u, v), max(u, v)) for u, v in g.edges}
     for t, h in arcs:
         key = (min(t, h), max(t, h))
         if key not in remaining:
             raise OrientationError(f"arc ({t},{h}) is not an edge of the graph")
-        source.append(remaining.pop(key))
+        remaining.remove(key)
     if remaining:
         raise OrientationError(f"{len(remaining)} edges left unoriented")
-    og = OrientedGraph(g.vertex_count, tuple((t, h) for t, h in arcs), tuple(source))
-    if strict and not og.is_two_in_two_out():
+    og = OrientedGraph(g.vertex_count, tuple((t, h) for t, h in arcs))
+    if not og.is_two_in_two_out():
         raise OrientationError("orientation is not 2-in-2-out")
     return og

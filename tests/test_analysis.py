@@ -5,12 +5,8 @@ import pytest
 
 from graphdss import analysis
 from graphdss.analysis import (
-    NotACycleError,
+    _girth_witness,
     _has_cycle,
-    disk_cycle_from_source_cycle,
-    disk_cycle_of,
-    girth_cycle_vertices,
-    min_disk_cycle,
     profile,
     rate_function,
     verify_recovery_bound,
@@ -28,41 +24,48 @@ K5 = complete_graph(5)
 
 def test_disk_cycle_of_triangle_in_girth3_variant():
     sys = k5_reference_system("girth3")
-    cycles = all_simple_cycles(sys.cubic)
-    triangles = [c for c in cycles if len(c) == 3]
+    owner = sys.edge_owner()
+    triangles = [c for c in all_simple_cycles(sys.cubic) if len(c) == 3]
     assert triangles
-    owners = disk_cycle_of(sys, sorted(triangles[0]))
-    assert len(owners) == 3
+    assert len({owner[ei] for ei in triangles[0]}) == 3
 
 
 def test_disk_cycle_of_petersen_five_cycles():
     sys = k5_reference_system("girth5")
+    owner = sys.edge_owner()
     cycles = [c for c in all_simple_cycles(sys.cubic) if len(c) == 5]
     assert cycles
     for c in cycles:
-        assert 3 <= len(disk_cycle_of(sys, sorted(c))) <= 5
+        assert 3 <= len({owner[ei] for ei in c}) <= 5
 
 
-def test_disk_path_is_not_a_cycle():
-    sys = k5_reference_system("girth5")
-    with pytest.raises(NotACycleError):
-        disk_cycle_of(sys, sys.disk_edges(0))
+def _fewest_disks_with_a_cycle(sys):
+    """Oracle: size of the smallest disk subset whose edges contain a cycle,
+    by enumerating the subsets in order of size."""
+    n = len(sys.disks)
+    disk_edges = [sys.disk_edges(d) for d in range(n)]
+    for size in range(1, n + 1):
+        for combo in itertools.combinations(range(n), size):
+            if _has_cycle(sys.cubic, [e for d in combo for e in disk_edges[d]]):
+                return size
 
 
 def test_min_disk_cycle_k5_variants():
-    assert min_disk_cycle(k5_reference_system("girth5"), K5) == 3
-    assert min_disk_cycle(k5_reference_system("girth3"), K5) == 3
+    for variant in ("girth5", "girth3"):
+        sys = k5_reference_system(variant)
+        assert _fewest_disks_with_a_cycle(sys) == len(_girth_witness(sys, K5)[1]) == 3
 
 
 def test_min_disk_cycle_k44():
     g = Graph(8, __import__("test_orientation").K44_REFERENCE_EDGES)
-    assert min_disk_cycle(k44_reference_system(), g) == 4
+    sys = k44_reference_system()
+    assert _fewest_disks_with_a_cycle(sys) == len(_girth_witness(sys, g)[1]) == 4
 
 
 @pytest.mark.parametrize("gg", [3, 4, 5, 6])
 def test_min_disk_cycle_cages(cage_systems, gg):
     sys, g = cage_systems[gg]
-    assert min_disk_cycle(sys, g) == girth(g)
+    assert _fewest_disks_with_a_cycle(sys) == len(_girth_witness(sys, g)[1]) == girth(g)
 
 
 def test_has_cycle_agrees_with_two_core_and_peeling(cage_systems):
@@ -99,53 +102,28 @@ def test_recovery_bound_peels_only_the_witness(cage_systems, monkeypatch):
             sys.cubic.edge_count, [e for d in witness for e in sys.disk_edges(d)])
 
 
-def test_source_cycle_maps_to_disk_cycle_and_back():
-    # both directions of the correspondence, on every short cycle of K5
-    sys = k5_reference_system("girth5")
-    from conftest import all_simple_cycles as cycles_of
-
-    for cyc in cycles_of(K5):
-        verts = _vertex_order(K5, sorted(cyc))
-        mapped = disk_cycle_from_source_cycle(sys, verts)
-        owners = disk_cycle_of(sys, mapped)
-        assert owners == set(verts)
-    # converse: every disk cycle of the block graph is a cycle of K5
-    for cyc in cycles_of(sys.cubic):
-        owners = disk_cycle_of(sys, sorted(cyc))
-        induced = Graph(
-            5,
-            [
-                (u, v)
-                for u, v in itertools.combinations(sorted(owners), 2)
-                if K5.has_edge(u, v)
-            ],
-        )
-        assert girth(induced) <= len(owners)
-
-
-def _vertex_order(g, cycle_edges):
-    adj = {}
-    for ei in cycle_edges:
-        u, v = g.edges[ei]
-        adj.setdefault(u, []).append(v)
-        adj.setdefault(v, []).append(u)
-    start = next(iter(adj))
-    order = [start]
-    prev = None
-    while True:
-        cur = order[-1]
-        nxt = adj[cur][0] if adj[cur][0] != prev else adj[cur][1]
-        if nxt == start:
-            return order
-        order.append(nxt)
-        prev = cur
-
-
-def test_girth_cycle_vertices():
-    verts = girth_cycle_vertices(K5)
-    assert len(verts) == 3
-    for i in range(3):
-        assert K5.has_edge(verts[i], verts[(i + 1) % 3])
+def test_source_cycle_maps_to_disk_cycle_and_back(cage_systems):
+    # the paper's correspondence between cycles of G and block-graph cycles
+    systems = [(k5_reference_system(v), K5) for v in ("girth5", "girth3")]
+    systems += [cage_systems[3], cage_systems[4]]
+    for sys, g4 in systems:
+        disk_of = {v: d for d, v in enumerate(sys.disk_owner)}
+        # forward: the disks owned by the vertices of a cycle of G contain
+        # a block-graph cycle
+        for cyc in all_simple_cycles(g4):
+            vertices = {v for ei in cyc for v in g4.edges[ei]}
+            edges = [e for v in vertices for e in sys.disk_edges(disk_of[v])]
+            assert _has_cycle(sys.cubic, edges)
+        # converse: the owners of a block-graph cycle's edges span a cycle
+        # of G on at most that many vertices
+        owner = sys.edge_owner()
+        for cyc in all_simple_cycles(sys.cubic):
+            owners = {sys.disk_owner[owner[ei]] for ei in cyc}
+            induced = Graph(
+                g4.vertex_count,
+                [(u, v) for u, v in g4.edges if u in owners and v in owners],
+            )
+            assert girth(induced) <= len(owners)
 
 
 def test_recovery_bound_k5_exhaustive():

@@ -6,6 +6,13 @@ import pytest
 
 from graphdss.cli import main
 
+from test_cubic import (
+    _arc_out_of_range,
+    _cubic_without_perfect_matching,
+    _random_system_with_k44_arcs,
+    k44_reference_system,
+)
+
 
 def run(capsys, *argv):
     code = main(list(argv))
@@ -301,3 +308,73 @@ def test_build_deterministic(tmp_path, capsys):
     run(capsys, "build", "--catalog", "robertson", "--output", str(a))
     run(capsys, "build", "--catalog", "robertson", "--output", str(b))
     assert a.read_bytes() == b.read_bytes()
+
+
+def _k44_system_file(tmp_path):
+    path = tmp_path / "sys.json"
+    path.write_text(k44_reference_system().to_json())
+    return str(path)
+
+
+def _written(tmp_path, text):
+    path = tmp_path / "input.json"
+    path.write_text(text)
+    return str(path)
+
+
+def _no_matching_graph(tmp_path):
+    return _written(tmp_path, _cubic_without_perfect_matching().to_json())
+
+
+MISSING = "nosuch.json"
+
+# id -> (argv from a temporary directory, exit code, text the error names)
+REJECTED_INPUTS = {
+    "profile-missing-system": (lambda t: ["profile", "--system", str(t / MISSING)], 2, MISSING),
+    "build-missing-input": (lambda t: ["build", "--input", str(t / MISSING)], 2, MISSING),
+    "build-missing-orientation": (
+        lambda t: ["build", "--catalog", "k5", "--orientation", str(t / MISSING)], 2, MISSING),
+    "store-missing-data": (
+        lambda t: ["store", "--system", _k44_system_file(t), "--data", str(t / MISSING),
+                   "--out", str(t / "state")], 2, MISSING),
+    "build-non-json": (lambda t: ["build", "--input", _written(t, "not json")], 2, "Expecting"),
+    "export-dot-non-json": (
+        lambda t: ["export-dot", "--input", _written(t, "not json")], 2, "Expecting"),
+    "build-self-loop": (
+        lambda t: ["build", "--input", _written(t, '{"vertices": 2, "edges": [[0, 0]]}')],
+        2, "self-loop"),
+    "orientation-without-arcs": (
+        lambda t: ["build", "--catalog", "k5", "--orientation", _written(t, '{"edges": []}')],
+        2, "arcs"),
+    "policy-unknown-mode": (lambda t: ["build", "--catalog", "k5", "--policy", "foo"], 2, "foo"),
+    "policy-non-integer-vertex": (
+        lambda t: ["build", "--catalog", "k5", "--policy", "crossed@x"], 2, "'x'"),
+    "policy-vertex-too-large": (
+        lambda t: ["build", "--catalog", "k5", "--policy", "crossed@99"], 2, "99"),
+    "policy-negative-vertex": (
+        lambda t: ["build", "--catalog", "k5", "--policy", "parallel,crossed@-1"], 2, "-1"),
+    "decompose-not-cubic": (lambda t: ["decompose", "--catalog", "k5"], 2, "3-regular"),
+    "decompose-no-perfect-matching": (
+        lambda t: ["decompose", "--input", _no_matching_graph(t)], 1, "perfect matching"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(REJECTED_INPUTS))
+def test_rejected_input_gives_exit_code_and_message(tmp_path, capsys, case):
+    argv, want_code, named = REJECTED_INPUTS[case]
+    code, out, err = run(capsys, *argv(tmp_path))
+    assert code == want_code
+    assert err.startswith("error:") and named in err
+    assert not (tmp_path / "state").exists()
+
+
+@pytest.mark.parametrize(
+    "corrupt,named",
+    [(_random_system_with_k44_arcs, "disk 0"), (_arc_out_of_range, "(0,42)")],
+)
+def test_profile_rejects_arcs_that_do_not_match_the_disks(tmp_path, capsys, corrupt, named):
+    obj = json.loads(k44_reference_system().to_json())
+    corrupt(obj)
+    code, out, err = run(capsys, "profile", "--system", _written(tmp_path, json.dumps(obj)))
+    assert code == 2
+    assert named in err and "disks recoverable" not in out

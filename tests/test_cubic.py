@@ -217,9 +217,38 @@ def _duplicate_disk(obj):
     obj["disks"][1] = list(obj["disks"][0])
 
 
+def _random_system_with_k44_arcs(obj):
+    # a girth-3 system whose arcs are those of another graph
+    g = random_4_regular(8, 1)
+    random_obj = json.loads(
+        build_cubic(orient_from_tour(g, eulerian_tour(g)), PairingMode.PARALLEL).to_json())
+    random_obj["arc_names"] = obj["arc_names"]
+    obj.clear()
+    obj.update(random_obj)
+
+
+def _arc_out_of_range(obj):
+    obj["arc_names"][0] = [0, 42]
+
+
+def _swapped_owners(obj):
+    obj["disk_owner"][0], obj["disk_owner"][1] = obj["disk_owner"][1], obj["disk_owner"][0]
+
+
+def _repeated_owner(obj):
+    obj["disk_owner"][1] = obj["disk_owner"][0]
+
+
+def _extra_arc_on_an_isolated_vertex(obj):
+    obj["vertices"] += 1
+    obj["arc_names"].append([0, 2])
+
+
 @pytest.mark.parametrize(
     "corrupt",
-    [_without_disks, _vertex_99, _short_arc_names, _short_disk_owner, _duplicate_disk],
+    [_without_disks, _vertex_99, _short_arc_names, _short_disk_owner, _duplicate_disk,
+     _random_system_with_k44_arcs, _arc_out_of_range, _swapped_owners, _repeated_owner,
+     _extra_arc_on_an_isolated_vertex],
 )
 def test_system_json_rejects_inconsistent_system(corrupt):
     obj = json.loads(k44_reference_system().to_json())
@@ -231,3 +260,17 @@ def test_system_json_rejects_inconsistent_system(corrupt):
 def test_system_json_rejects_malformed_json():
     with pytest.raises(InvalidSystemError):
         CubicSystem.from_json(k44_reference_system().to_json()[:-2])
+
+
+def test_system_json_accepts_every_built_system():
+    for seed in range(5):
+        g = random_4_regular(12, seed)
+        for mode in PairingMode:
+            sys = build_cubic(orient_from_tour(g, eulerian_tour(g)), mode)
+            assert CubicSystem.from_json(sys.to_json()).disks == sys.disks
+
+
+@pytest.mark.parametrize("vertex", [-1, 5])
+def test_policy_rejects_vertex_outside_the_graph(vertex):
+    with pytest.raises(ValueError):
+        PairingPolicy.from_overrides(PairingMode.PARALLEL, 5, {vertex: PairingMode.CROSSED})
