@@ -85,8 +85,12 @@ def _build_system(args) -> Tuple[CubicSystem, Graph]:
         else:
             with open(args.orientation) as fh:
                 obj = json.load(fh)
-            if not isinstance(obj, dict) or "arcs" not in obj:
+            if not isinstance(obj, dict) or not isinstance(obj.get("arcs"), list):
                 raise UsageError(f'orientation file {args.orientation} has no "arcs" list')
+            for i, a in enumerate(obj["arcs"]):
+                if not (isinstance(a, list) and len(a) == 2 and all(type(x) is int for x in a)):
+                    raise UsageError(f"orientation file {args.orientation}: arc {i} is "
+                                     f"not a pair of vertex indices: {a!r}")
             og = load_orientation(g, [tuple(a) for a in obj["arcs"]])
     else:
         og = orient_from_tour(g, eulerian_tour(g))
@@ -234,6 +238,20 @@ def _random_disjoint_disks(sys_: CubicSystem, rng, count: int) -> Optional[List[
     return None
 
 
+def _write_atomic(path: str, data: bytes) -> None:
+    """Write `data` to `path` through `<path>.tmp` and a rename, so the file
+    holds either its old contents or all of `data`, never a prefix."""
+    tmp = path + ".tmp"
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(data)
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+        raise
+
+
 def cmd_store(args) -> int:
     with open(args.system) as fh:
         sys_ = CubicSystem.from_json(fh.read())
@@ -246,11 +264,14 @@ def cmd_store(args) -> int:
     blocks = [payload[i * s : (i + 1) * s] for i in range(k)]
     state = encode(code, blocks)
     os.makedirs(args.out, exist_ok=True)
-    with open(os.path.join(args.out, "header.json"), "w") as fh:
-        fh.write(state.header_json(code))
+    # the header goes last, and a stale one goes first: a directory without
+    # a header holds no complete stripe
+    header = os.path.join(args.out, "header.json")
+    if os.path.exists(header):
+        os.remove(header)
     for ei in range(code.length):
-        with open(os.path.join(args.out, f"block_{ei:05d}.bin"), "wb") as fh:
-            fh.write(state.symbols[ei])
+        _write_atomic(os.path.join(args.out, f"block_{ei:05d}.bin"), state.symbols[ei])
+    _write_atomic(header, state.header_json(code).encode())
     print(f"stored {code.length} blocks of {s} bytes in {args.out}")
     return 0
 
@@ -295,8 +316,7 @@ def cmd_repair(args) -> int:
         return 1
     repaired = repair_state(code, state, report)
     for ei in erased:
-        with open(os.path.join(args.state, f"block_{ei:05d}.bin"), "wb") as fh:
-            fh.write(repaired.symbols[ei])
+        _write_atomic(os.path.join(args.state, f"block_{ei:05d}.bin"), repaired.symbols[ei])
     print(report.to_json())
     print(f"repaired {len(erased)} blocks, transferred {report.transferred_symbols} symbols "
           f"in {report.rounds} rounds")

@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 from collections import deque
 from dataclasses import dataclass
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, Iterable, List, Sequence, Tuple
 
 from .graphs import Graph, shortest_cycle
 
@@ -187,25 +187,55 @@ def minimum_distance(code: ParityCode, g: Graph) -> int:
     return len(cycle)
 
 
-def _xor_bytes(a: bytes, b: bytes) -> bytes:
-    return bytes(x ^ y for x, y in zip(a, b))
+class _BlockInts(dict):
+    """Per-call int view of a state's blocks, filled on first read: each
+    block is length-checked and converted with `int.from_bytes` once, so
+    a parity is a few big-int XORs instead of a loop over bytes."""
+
+    def __init__(self, state: StorageState):
+        super().__init__()
+        self.state = state
+
+    def __missing__(self, e: int) -> int:
+        blk = self.state.symbols.get(e)
+        if blk is None:
+            raise EncodingError(f"no block on edge {e}")
+        if len(blk) != self.state.block_size:
+            raise EncodingError(
+                f"block on edge {e} has {len(blk)} bytes, expected {self.state.block_size}"
+            )
+        x = self[e] = int.from_bytes(blk, "little")
+        return x
 
 
-def vertex_parity(code: ParityCode, state: StorageState, v: int, skip: int = -1) -> bytes:
+def _parity(code: ParityCode, ints: _BlockInts, v: int, skip: int = -1) -> int:
     """XOR of the blocks on the edges at vertex v, leaving out edge `skip`.
 
     With no edge skipped this is v's parity check, zero in a valid state;
     skipping an edge gives the block that edge must hold (locality 2).
     """
-    acc = bytes(state.block_size)
+    acc = 0
     row = code.parity_rows[v]
     while row:
         low = row & -row
         row ^= low
         ei = low.bit_length() - 1
         if ei != skip:
-            acc = _xor_bytes(acc, state.symbols[ei])
+            acc ^= ints[ei]
     return acc
+
+
+def fill_edges(code: ParityCode, state: StorageState, steps: Iterable[Tuple[int, int]]) -> None:
+    """For each (edge, vertex) step in order, set the edge's block to the XOR
+    of the other blocks at the vertex.
+
+    A block read must be present, or set by an earlier step, and hold
+    `block_size` bytes; otherwise `EncodingError` names its edge.
+    """
+    ints = _BlockInts(state)
+    for e, v in steps:
+        x = ints[e] = _parity(code, ints, v, skip=e)
+        state.symbols[e] = x.to_bytes(state.block_size, "little")
 
 
 def encode(code: ParityCode, data: Sequence[bytes]) -> StorageState:
@@ -214,16 +244,13 @@ def encode(code: ParityCode, data: Sequence[bytes]) -> StorageState:
     k = len(code.information_set)
     if len(data) != k:
         raise EncodingError(f"expected {k} data blocks, got {len(data)}")
-    sizes = {len(b) for b in data}
-    if len(sizes) > 1:
-        raise EncodingError("data blocks must all have the same size")
-    state = StorageState(sizes.pop() if sizes else 0, {})
+    state = StorageState(len(data[0]) if data else 0, {})
     for ei, block in zip(code.information_set, data):
         state.symbols[ei] = bytes(block)
     # leaf-up: when a tree edge is processed, all other edges at its child
-    # endpoint are already set
-    for ei, child in code.tree_order:
-        state.symbols[ei] = vertex_parity(code, state, child, skip=ei)
+    # endpoint are already set.  Every non-tree edge ends at a tree edge's
+    # child, so every data block is read, and length-checked, once.
+    fill_edges(code, state, code.tree_order)
     return state
 
 
@@ -233,5 +260,5 @@ def verify_state(code: ParityCode, state: StorageState) -> bool:
         return False
     if any(len(blk) != state.block_size for blk in state.symbols.values()):
         return False
-    zero = bytes(state.block_size)
-    return all(vertex_parity(code, state, v) == zero for v in range(len(code.parity_rows)))
+    ints = _BlockInts(state)
+    return not any(_parity(code, ints, v) for v in range(len(code.parity_rows)))

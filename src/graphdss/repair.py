@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Dict, Iterable, List, Sequence, Set, Tuple
 
-from .code import ParityCode, StorageState, vertex_parity
+from .code import ParityCode, StorageState, fill_edges
 from .cubic import CubicSystem
 from .graphs import EdgeSubset, Graph
 
@@ -225,6 +225,5 @@ def repair_state(code: ParityCode, state: StorageState, report: RepairReport) ->
     if len(report.residual):
         raise UnrecoverableError(report.residual)
     out = state.copy()
-    for e, v, _ in report.recovered:
-        out.symbols[e] = vertex_parity(code, out, v, skip=e)
+    fill_edges(code, out, ((e, v) for e, v, _ in report.recovered))
     return out

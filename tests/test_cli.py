@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+import graphdss.cli
 from graphdss.cli import main
 
 from test_cubic import (
@@ -134,6 +135,64 @@ def _stored_k44(tmp_path, capsys):
     )
     assert code == 0
     return sys_file, state_dir
+
+
+def _fail_kth_block_write(monkeypatch, k):
+    """Make the k-th block file that the CLI opens for writing store half
+    of its bytes and then raise, as a crash or a full disk would."""
+    real_open = open
+    opened = []
+
+    class HalfWrite:
+        def __init__(self, fh):
+            self.fh = fh
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            self.fh.close()
+
+        def write(self, data):
+            self.fh.write(data[: len(data) // 2])
+            raise OSError("injected write failure")
+
+    def failing_open(path, mode="r", *args, **kwargs):
+        fh = real_open(path, mode, *args, **kwargs)
+        if "w" in mode and os.path.basename(path).startswith("block_"):
+            opened.append(path)
+            if len(opened) == k:
+                return HalfWrite(fh)
+        return fh
+
+    monkeypatch.setattr(graphdss.cli, "open", failing_open, raising=False)
+
+
+@pytest.mark.parametrize("command", ["store", "store-again", "repair"])
+def test_failed_block_write_leaves_no_partial_block(tmp_path, capsys, monkeypatch, command):
+    sys_file, state_dir = _stored_k44(tmp_path, capsys)
+    original = {p.name: p.read_bytes() for p in state_dir.glob("block_*.bin")}
+    if command.startswith("store"):
+        if command == "store":
+            state_dir = tmp_path / "fresh"
+        argv = ["store", "--system", str(sys_file), "--data", str(tmp_path / "data.bin"),
+                "--out", str(state_dir), "--block-size", "32"]
+    else:
+        for e in (5, 6, 7):
+            (state_dir / f"block_{e:05d}.bin").unlink()
+        argv = ["repair", "--system", str(sys_file), "--state", str(state_dir),
+                "--erased", "5,6,7"]
+    before = {p.name for p in state_dir.glob("block_*.bin")}
+    _fail_kth_block_write(monkeypatch, 2)
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and "injected write failure" in err
+    assert not list(state_dir.glob("*.tmp"))
+    # every block file holds its old contents or all of its new ones
+    blocks = {p.name: p.read_bytes() for p in state_dir.glob("block_*.bin")}
+    assert blocks and before <= set(blocks)
+    assert all(original[name] == b for name, b in blocks.items())
+    # a store directory, fresh or not, gets its header only after every block
+    assert (state_dir / "header.json").exists() == (command == "repair")
 
 
 def _repair_lost_block_5(capsys, sys_file, state_dir, erased="5"):
@@ -346,6 +405,12 @@ REJECTED_INPUTS = {
     "orientation-without-arcs": (
         lambda t: ["build", "--catalog", "k5", "--orientation", _written(t, '{"edges": []}')],
         2, "arcs"),
+    "orientation-arc-not-a-list": (
+        lambda t: ["build", "--catalog", "k5", "--orientation",
+                   _written(t, '{"arcs": [[0, 1], 5]}')], 2, "arc 1 is not a pair"),
+    "orientation-arc-of-three": (
+        lambda t: ["build", "--catalog", "k5", "--orientation",
+                   _written(t, '{"arcs": [[0, 1, 2]]}')], 2, "arc 0 is not a pair"),
     "policy-unknown-mode": (lambda t: ["build", "--catalog", "k5", "--policy", "foo"], 2, "foo"),
     "policy-non-integer-vertex": (
         lambda t: ["build", "--catalog", "k5", "--policy", "crossed@x"], 2, "'x'"),

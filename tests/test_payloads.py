@@ -1,4 +1,5 @@
-"""Payload bytes: golden digests of encoded and repaired stripes.
+"""Payload bytes: golden digests, a per-byte XOR oracle, block-size
+errors and the speed of the 1 MiB stripe.
 
 The digests pin, byte for byte, what `encode` stores and what
 `repair_state` rebuilds for seeded 4 KiB payloads, so any change to the
@@ -7,16 +8,19 @@ XOR kernel must reproduce every block exactly.
 
 import hashlib
 import random
+import time
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from graphdss.catalog import random_4_regular
-from graphdss.code import derive_code, encode
+from graphdss.code import EncodingError, StorageState, derive_code, encode, verify_state
 from graphdss.cubic import PairingMode, build_cubic
 from graphdss.orientation import eulerian_tour, orient_from_tour
 from graphdss.repair import repair_disks, repair_state
 
 from conftest import system_from_cage
+from test_cubic import k44_reference_system
 
 BLOCK = 4096
 
@@ -78,3 +82,108 @@ def test_repair_state_matches_golden(disks):
     for e, _, _ in report.recovered:
         h.update(rebuilt.symbols[e])
     assert h.hexdigest() == GOLDEN_REPAIR[disks]
+
+
+def _xor_bytes(a, b):
+    return bytes(x ^ y for x, y in zip(a, b))
+
+
+def _oracle_fill(g, symbols, steps, size):
+    """Per-byte reference kernel over the graph's incidence lists: each
+    (edge, vertex) step sets the edge to the XOR of the other blocks at the
+    vertex."""
+    for e, v in steps:
+        acc = bytes(size)
+        for ei, _ in g.incident(v):
+            if ei != e:
+                acc = _xor_bytes(acc, symbols[ei])
+        symbols[e] = acc
+
+
+def _without(state, edges):
+    return StorageState(state.block_size, {e: b for e, b in state.symbols.items() if e not in edges})
+
+
+@given(
+    n=st.integers(min_value=5, max_value=24),
+    seed=st.integers(min_value=0, max_value=2**16),
+    size=st.sampled_from([0, 1, 3, 4096]),
+    data=st.data(),
+)
+@settings(max_examples=30, deadline=None)
+def test_encode_and_repair_match_byte_xor_oracle(n, seed, size, data):
+    g4 = random_4_regular(n, seed)
+    sys = build_cubic(orient_from_tour(g4, eulerian_tour(g4)), PairingMode.PARALLEL)
+    g, code = sys.cubic, derive_code(sys.cubic)
+    rng = random.Random(seed)
+    blocks = [rng.randbytes(size) for _ in range(code.dimension)]
+
+    state = encode(code, blocks)
+    want = dict(zip(code.information_set, blocks))
+    _oracle_fill(g, want, code.tree_order, size)
+    assert state.symbols == want
+
+    # any two disks of a simple G (girth >= 3) are recoverable
+    disks = data.draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=2, unique=True))
+    report = repair_disks(sys, disks)
+    erased = {e for d in disks for e in sys.disk_edges(d)}
+    damaged = _without(state, erased)
+    rebuilt = repair_state(code, damaged, report)
+    want = dict(damaged.symbols)
+    _oracle_fill(g, want, [(e, v) for e, v, _ in report.recovered], size)
+    assert rebuilt.symbols == want == state.symbols
+
+
+def _k44_stripe():
+    sys = k44_reference_system()
+    code = derive_code(sys.cubic)
+    rng = random.Random("k44-stripe")
+    return sys, code, encode(code, [rng.randbytes(8) for _ in range(code.dimension)])
+
+
+def test_repair_rejects_short_helper_block():
+    sys, code, state = _k44_stripe()
+    report = repair_disks(sys, [0])
+    e, v, _ = report.recovered[0]
+    helper = next(ei for ei, _ in sys.cubic.incident(v) if ei != e)
+    damaged = _without(state, set(sys.disk_edges(0)))
+    damaged.symbols[helper] = damaged.symbols[helper][:5]
+    assert not verify_state(code, damaged)
+    with pytest.raises(EncodingError, match=f"edge {helper} has 5 bytes, expected 8"):
+        repair_state(code, damaged, report)
+
+
+def test_repair_rejects_missing_helper_block():
+    sys, code, state = _k44_stripe()
+    report = repair_disks(sys, [0])
+    e, v, _ = report.recovered[0]
+    helper = next(ei for ei, _ in sys.cubic.incident(v) if ei != e)
+    damaged = _without(state, set(sys.disk_edges(0)) | {helper})
+    with pytest.raises(EncodingError, match=f"no block on edge {helper}$"):
+        repair_state(code, damaged, report)
+
+
+def test_encode_rejects_short_data_block():
+    code = derive_code(k44_reference_system().cubic)
+    data = [bytes(8)] * (code.dimension - 1) + [bytes(5)]
+    edge = code.information_set[-1]
+    with pytest.raises(EncodingError, match=f"edge {edge} has 5 bytes, expected 8"):
+        encode(code, data)
+
+
+def test_pg23_one_mib_round_trip_is_fast():
+    # three failed disks of a 78 MiB stripe: about 0.4 s with the big-int
+    # kernel, over 15 s with a per-byte one
+    sys = system_from_cage(6)[0]
+    code = derive_code(sys.cubic)
+    rng = random.Random("pg23-1MiB")
+    data = [rng.randbytes(1 << 20) for _ in range(code.dimension)]
+    disks = [0, 7, 15]
+    start = time.perf_counter()
+    state = encode(code, data)
+    report = repair_disks(sys, disks)
+    rebuilt = repair_state(code, _without(state, set(report.erased.indices())), report)
+    ok = verify_state(code, rebuilt)
+    elapsed = time.perf_counter() - start
+    assert ok and rebuilt.symbols == state.symbols
+    assert elapsed < 5.0, f"1 MiB pg23 round trip took {elapsed:.2f} s"
