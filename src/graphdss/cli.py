@@ -198,7 +198,6 @@ def cmd_simulate(args) -> int:
         if args.seed is None:
             raise UsageError("--disks sampling requires --seed")
         rng = random.Random(f"simulate:{args.seed}")
-        owner = sys_.edge_owner()
         adj_ok = 0
         for _ in range(args.trials):
             picked = _random_disjoint_disks(sys_, rng, args.disks)
@@ -252,6 +251,10 @@ def _write_atomic(path: str, data: bytes) -> None:
         raise
 
 
+def _block_path(state_dir: str, ei: int) -> str:
+    return os.path.join(state_dir, f"block_{ei:05d}.bin")
+
+
 def cmd_store(args) -> int:
     with open(args.system) as fh:
         sys_ = CubicSystem.from_json(fh.read())
@@ -270,7 +273,7 @@ def cmd_store(args) -> int:
     if os.path.exists(header):
         os.remove(header)
     for ei in range(code.length):
-        _write_atomic(os.path.join(args.out, f"block_{ei:05d}.bin"), state.symbols[ei])
+        _write_atomic(_block_path(args.out, ei), state.symbols[ei])
     _write_atomic(header, state.header_json(code).encode())
     print(f"stored {code.length} blocks of {s} bytes in {args.out}")
     return 0
@@ -300,23 +303,28 @@ def cmd_repair(args) -> int:
     bad = [ei for ei in erased if not 0 <= ei < code.length]
     if bad:
         raise UsageError(f"--erased: no block {bad[0]}; blocks are 0..{code.length - 1}")
-    state = StorageState(s, {})
+    # every surviving block must be there at full size; only the helpers
+    # that the schedule names are read
+    lost = set(erased)
     for ei in range(code.length):
-        if ei in erased:
-            continue
-        with open(os.path.join(args.state, f"block_{ei:05d}.bin"), "rb") as fh:
-            block = fh.read()
-        if len(block) != s:
-            raise UsageError(f"block {ei} has {len(block)} bytes, the header says {s}")
-        state.symbols[ei] = block
+        if ei not in lost:
+            size = os.stat(_block_path(args.state, ei)).st_size
+            if size != s:
+                raise UsageError(f"block {ei} has {size} bytes, the header says {s}")
     report = peel(sys_, EdgeSubset.from_indices(code.length, erased))
     if len(report.residual):
         print(f"unrecoverable: residual cycle on edges {report.residual.indices()}")
         print(report.to_json())
         return 1
-    repaired = repair_state(code, state, report)
+    state = StorageState(s, {})
+    for _, v, _ in report.recovered:
+        for ei, _ in sys_.cubic.incident(v):
+            if ei not in lost and ei not in state.symbols:
+                with open(_block_path(args.state, ei), "rb") as fh:
+                    state.symbols[ei] = fh.read()
+    repair_state(code, state, report)
     for ei in erased:
-        _write_atomic(os.path.join(args.state, f"block_{ei:05d}.bin"), repaired.symbols[ei])
+        _write_atomic(_block_path(args.state, ei), state.symbols[ei])
     print(report.to_json())
     print(f"repaired {len(erased)} blocks, transferred {report.transferred_symbols} symbols "
           f"in {report.rounds} rounds")

@@ -42,11 +42,13 @@ def gf2_rank(rows: Sequence[int]) -> int:
 
 @dataclass(frozen=True)
 class ParityCode:
-    """Cycle-space code data: parity rows, a fundamental-cycle generator
-    basis, and a systematic information set (the non-tree edges)."""
+    """Cycle-space code data: parity rows, the edges at each vertex, a
+    fundamental-cycle generator basis, and a systematic information set
+    (the non-tree edges)."""
 
     length: int
     parity_rows: Tuple[int, ...]
+    vertex_edges: Tuple[Tuple[int, ...], ...]  # edge indices at each vertex
     rank: int
     dimension: int
     generator_basis: Tuple[int, ...]
@@ -118,12 +120,8 @@ def derive_code(g: Graph) -> ParityCode:
     if g.vertex_count == 0:
         raise DisconnectedError("empty graph")
     m = g.edge_count
-    rows = []
-    for v in range(g.vertex_count):
-        row = 0
-        for ei, _ in g.incident(v):
-            row |= 1 << ei
-        rows.append(row)
+    vertex_edges = tuple(tuple(ei for ei, _ in g.incident(v)) for v in range(g.vertex_count))
+    rows = [sum(1 << ei for ei in edges) for edges in vertex_edges]
 
     tree_edges, parent_pairs = _bfs_tree(g)
     tree_set = set(tree_edges)
@@ -145,6 +143,7 @@ def derive_code(g: Graph) -> ParityCode:
     return ParityCode(
         length=m,
         parity_rows=tuple(rows),
+        vertex_edges=vertex_edges,
         rank=rank,
         dimension=m - rank,
         generator_basis=tuple(basis),
@@ -215,11 +214,7 @@ def _parity(code: ParityCode, ints: _BlockInts, v: int, skip: int = -1) -> int:
     skipping an edge gives the block that edge must hold (locality 2).
     """
     acc = 0
-    row = code.parity_rows[v]
-    while row:
-        low = row & -row
-        row ^= low
-        ei = low.bit_length() - 1
+    for ei in code.vertex_edges[v]:
         if ei != skip:
             acc ^= ints[ei]
     return acc
@@ -261,4 +256,4 @@ def verify_state(code: ParityCode, state: StorageState) -> bool:
     if any(len(blk) != state.block_size for blk in state.symbols.values()):
         return False
     ints = _BlockInts(state)
-    return not any(_parity(code, ints, v) for v in range(len(code.parity_rows)))
+    return not any(_parity(code, ints, v) for v in range(len(code.vertex_edges)))

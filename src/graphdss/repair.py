@@ -68,26 +68,28 @@ class RepairReport:
 def _session_report(
     g: Graph,
     erased: EdgeSubset,
+    lost: Set[int],
     schedule: Sequence[Tuple[int, int, int]],
 ) -> RepairReport:
-    """Derive bandwidth and residual bookkeeping from a recovery schedule."""
+    """Derive bandwidth and residual bookkeeping from a recovery schedule.
+
+    `lost` holds the indices of `erased`; membership is tested against it,
+    so the work follows the schedule, not the number of edges.  An erased
+    edge is never a transfer: it is read only after an earlier step
+    recovered it.
+    """
     recovered_set = {e for e, _, _ in schedule}
     reads: Set[int] = set()
     for e, v, _ in schedule:
         for ei, _ in g.incident(v):
-            if ei != e and ei not in erased:
+            if ei != e and ei not in lost:
                 reads.add(ei)
-    # reads of edges that were erased but recovered earlier are internal
-    reads -= recovered_set
-    residual_bits = erased.bits
-    for e in recovered_set:
-        residual_bits &= ~(1 << e)
     rounds = max((r for _, _, r in schedule), default=0)
     return RepairReport(
         recovered=tuple(schedule),
         transferred_symbols=len(reads),
         rounds=rounds,
-        residual=EdgeSubset(erased.size, residual_bits),
+        residual=EdgeSubset.from_indices(erased.size, lost - recovered_set),
         erased=erased,
     )
 
@@ -156,7 +158,7 @@ def _peel(sys: CubicSystem, erased: EdgeSubset, min_bandwidth: bool) -> RepairRe
         for x in touched:
             if pending.get(x) == 1:
                 heapq.heappush(heap, entry(x)[0])
-    return _session_report(g, erased, schedule)
+    return _session_report(g, erased, lost, schedule)
 
 
 def peel(sys: CubicSystem, erased: EdgeSubset) -> RepairReport:
@@ -182,12 +184,13 @@ def repair_disk(sys: CubicSystem, disk: int, strategy: RepairStrategy) -> Repair
     g = sys.cubic
     p = sys.disks[disk]
     e1, e2, e3 = sys.disk_edges(disk)
-    erased = EdgeSubset.from_indices(g.edge_count, [e1, e2, e3])
+    lost = {e1, e2, e3}
+    erased = EdgeSubset.from_indices(g.edge_count, lost)
     if strategy is RepairStrategy.MIN_BANDWIDTH:
         schedule = [(e1, p[0], 1), (e2, p[1], 2), (e3, p[2], 3)]
     else:
         schedule = [(e1, p[0], 1), (e3, p[3], 1), (e2, p[1], 2)]
-    return _session_report(g, erased, schedule)
+    return _session_report(g, erased, lost, schedule)
 
 
 def peel_min_bandwidth(sys: CubicSystem, erased: EdgeSubset) -> RepairReport:
@@ -218,12 +221,14 @@ def repair_disks(sys: CubicSystem, disks: Iterable[int]) -> RepairReport:
 
 
 def repair_state(code: ParityCode, state: StorageState, report: RepairReport) -> StorageState:
-    """Apply a repair schedule to real payloads; exact repair.
+    """Apply a repair schedule to real payloads, in place; exact repair.
 
     The input state must be missing exactly the erased edges of the report.
+    The rebuilt blocks are written into `state`, which is returned; only the
+    recovered edges and the blocks their parity checks read are touched.
+    If a step fails, the blocks rebuilt before it stay in `state`.
     """
     if len(report.residual):
         raise UnrecoverableError(report.residual)
-    out = state.copy()
-    fill_edges(code, out, ((e, v) for e, v, _ in report.recovered))
-    return out
+    fill_edges(code, state, ((e, v) for e, v, _ in report.recovered))
+    return state

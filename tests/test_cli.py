@@ -122,6 +122,50 @@ def test_store_and_repair_round_trip(tmp_path, capsys):
     assert (state_dir / "block_00005.bin").read_bytes() == original
 
 
+def test_repair_reads_only_the_helper_blocks(tmp_path, capsys, monkeypatch):
+    """Repairing pg23's disk 0 reads the 5 helper blocks of its schedule,
+    not the 75 surviving block files."""
+    from graphdss.cubic import CubicSystem
+
+    sys_file = tmp_path / "sys.json"
+    run(capsys, "build", "--catalog", "pg23", "--output", str(sys_file))
+    data_file = tmp_path / "data.bin"
+    data_file.write_bytes(bytes(i % 251 for i in range(27 * 64)))
+    state_dir = tmp_path / "state"
+    run(capsys, "store", "--system", str(sys_file), "--data", str(data_file),
+        "--out", str(state_dir), "--block-size", "64")
+    sysm = CubicSystem.from_json(sys_file.read_text())
+    lost = sysm.disk_edges(0)
+    original = {e: (state_dir / f"block_{e:05d}.bin").read_bytes() for e in lost}
+    for e in lost:
+        (state_dir / f"block_{e:05d}.bin").unlink()
+
+    real_open = open
+    read = []
+
+    def recording_open(path, mode="r", *args, **kwargs):
+        name = os.path.basename(path)
+        if "w" not in mode and name.startswith("block_") and name.endswith(".bin"):
+            read.append(int(name[len("block_"):-len(".bin")]))
+        return real_open(path, mode, *args, **kwargs)
+
+    monkeypatch.setattr(graphdss.cli, "open", recording_open, raising=False)
+    code, out, err = run(
+        capsys, "repair", "--system", str(sys_file), "--state", str(state_dir),
+        "--erased", ",".join(map(str, lost)),
+    )
+    assert code == 0
+    report = {"recovered": [[0, 0, 1], [2, 2, 1], [1, 1, 2]], "transferred": 5,
+              "rounds": 2, "residual": []}
+    assert out == (json.dumps(report, indent=2) + "\n"
+                   "repaired 3 blocks, transferred 5 symbols in 2 rounds\n")
+    helpers = {ei for _, v, _ in report["recovered"] for ei, _ in sysm.cubic.incident(v)}
+    helpers -= set(lost)
+    assert sorted(read) == sorted(helpers)
+    assert len(read) == report["transferred"]
+    assert all((state_dir / f"block_{e:05d}.bin").read_bytes() == original[e] for e in lost)
+
+
 def _stored_k44(tmp_path, capsys):
     """A k44 system file and a state directory holding a stored payload."""
     sys_file = tmp_path / "sys.json"

@@ -47,6 +47,14 @@ def test_parity_rows_have_three_ones_on_cubic_graph():
     assert all(bin(r).count("1") == 3 for r in code.parity_rows)
 
 
+def test_vertex_edges_are_the_parity_row_supports():
+    g = k44_reference_system().cubic
+    code = derive_code(g)
+    assert len(code.vertex_edges) == g.vertex_count
+    for row, edges in zip(code.parity_rows, code.vertex_edges):
+        assert sorted(edges) == [j for j in range(code.length) if (row >> j) & 1]
+
+
 def test_generators_satisfy_all_parity_rows():
     code = derive_code(k44_reference_system().cubic)
     for vec in code.generator_basis:

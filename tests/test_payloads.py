@@ -128,8 +128,10 @@ def test_encode_and_repair_match_byte_xor_oracle(n, seed, size, data):
     report = repair_disks(sys, disks)
     erased = {e for d in disks for e in sys.disk_edges(d)}
     damaged = _without(state, erased)
-    rebuilt = repair_state(code, damaged, report)
+    # snapshot the surviving blocks first: repair_state fills `damaged` in place
     want = dict(damaged.symbols)
+    rebuilt = repair_state(code, damaged, report)
+    assert rebuilt is damaged
     _oracle_fill(g, want, [(e, v) for e, v, _ in report.recovered], size)
     assert rebuilt.symbols == want == state.symbols
 

@@ -4,7 +4,7 @@ import random
 import pytest
 
 from graphdss.catalog import k5_reference_system, random_4_regular
-from graphdss.code import derive_code, encode
+from graphdss.code import StorageState, derive_code, encode
 from graphdss.cubic import PairingMode, build_cubic
 from graphdss.graphs import EdgeSubset, Graph, two_core
 from graphdss.orientation import eulerian_tour, orient_from_tour
@@ -193,3 +193,79 @@ def test_peeling_cost_follows_the_erased_edges(monkeypatch):
         report = fn(sys, erased)
         assert len(report.recovered) == 16
         assert calls <= 8 * len(erased), (fn.__name__, calls)
+
+
+class _CountingBlocks(dict):
+    """A block dict that counts the blocks read from it."""
+
+    reads = 0
+
+    def __getitem__(self, e):
+        self.reads += 1
+        return super().__getitem__(e)
+
+    def get(self, e, default=None):
+        self.reads += 1
+        return super().get(e, default)
+
+
+def test_repair_state_cost_follows_the_erased_edges():
+    """Rebuilding 2 disks of a 9000-block system fills the given state in
+    place and reads at most the 2 other blocks at each parity check: no
+    block outside the schedule is read or copied."""
+    g = random_4_regular(3000, seed=1)
+    sys = build_cubic(orient_from_tour(g, eulerian_tour(g)), PairingMode.PARALLEL)
+    code = derive_code(sys.cubic)
+    rng = random.Random(3000)
+    state = encode(code, [rng.randbytes(4096) for _ in range(code.dimension)])
+    report = repair_disks(sys, [0, 1500])
+    lost = set(report.erased.indices())
+    blocks = _CountingBlocks((e, b) for e, b in state.symbols.items() if e not in lost)
+    survivors = dict(blocks)
+    damaged = StorageState(state.block_size, blocks)
+
+    rebuilt = repair_state(code, damaged, report)
+    reads = blocks.reads
+
+    assert rebuilt is damaged and rebuilt.symbols is blocks
+    assert all(dict.__getitem__(blocks, e) is b for e, b in survivors.items())
+    assert len(report.recovered) == len(lost) == 6
+    assert reads <= 2 * len(report.recovered), reads
+    assert dict(blocks) == state.symbols
+
+
+def _random_cycle(g, rng, longest):
+    """The edges of the first cycle closed by a non-backtracking random
+    walk, walking again until the cycle has at most `longest` edges."""
+    while True:
+        walk, edges = [rng.randrange(g.vertex_count)], []
+        while walk[-1] not in walk[:-1]:
+            ei, w = rng.choice([(ei, w) for ei, w in g.incident(walk[-1])
+                                if not edges or ei != edges[-1]])
+            walk.append(w)
+            edges.append(ei)
+        cycle = edges[walk.index(walk[-1]):]
+        if len(cycle) <= longest:
+            return cycle
+
+
+@pytest.mark.parametrize("fn", [peel, peel_min_bandwidth])
+def test_peel_residual_equals_two_core_on_600_edges(fn):
+    """The residual is the 2-core of the erased edges on a system far
+    larger than the cages.  Every other pattern holds a planted cycle, so
+    both empty and non-empty residuals are checked."""
+    g4 = random_4_regular(200, seed=1)
+    sys = build_cubic(orient_from_tour(g4, eulerian_tour(g4)), PairingMode.PARALLEL)
+    g = sys.cubic
+    assert g.edge_count == 600
+    rng = random.Random(f"resid600:{fn.__name__}")
+    stuck = 0
+    for i in range(300):
+        edges = set(_random_cycle(g, rng, 40)) if i % 2 else set()
+        size = rng.randint(max(1, len(edges)), 40)
+        edges.update(rng.sample(range(g.edge_count), size - len(edges)))
+        s = EdgeSubset.from_indices(g.edge_count, edges)
+        residual = fn(sys, s).residual
+        assert residual.bits == two_core(g, s).bits
+        stuck += bool(len(residual))
+    assert stuck >= 150
