@@ -10,11 +10,10 @@ from __future__ import annotations
 
 import csv
 import io
-import itertools
 import json
 import random
 from dataclasses import dataclass
-from typing import Optional, Sequence, Set, Tuple
+from typing import List, Optional, Sequence, Set, Tuple
 
 from .code import derive_code, minimum_distance
 from .cubic import CubicSystem
@@ -75,27 +74,97 @@ def rate_function(n: int) -> float:
     return 1 - (n - 1) / (3 * n / 2)
 
 
-def _has_cycle(g: Graph, edges: Sequence[int]) -> bool:
-    """True iff the distinct edges contain a cycle, by union-find: some edge
-    joins two vertices that the edges before it already connect.
+class _DiskForest:
+    """Components of the union of a stack of disks whose block edges form a
+    forest; disks are pushed with `add` and popped with `undo`.
 
-    Peeling recovers an erasure pattern iff its edges form a forest, so this
-    answers "is the pattern unrecoverable" without running the decoder.
+    A disk's edges are the 3-edge path through its 4 distinct vertices, and
+    disks are edge-disjoint, so adding a disk to the forest closes a cycle
+    iff two of its vertices already share a component.  Components are
+    labels, merged smaller-into-larger; each merge is logged so that `undo`
+    restores the labels exactly.
     """
-    parent = {}  # non-root vertex -> its parent; roots are absent
 
-    def find(x: int) -> int:
-        while x in parent:
-            x = parent[x]
-        return x
+    def __init__(self, sys: CubicSystem):
+        self.paths = sys.disks
+        self.label = list(range(sys.cubic.vertex_count))
+        self.members = [[v] for v in self.label]
+        self.log: List[Tuple[int, int, List[int]]] = []  # (big, its old size, merged labels)
 
-    for ei in edges:
-        u, v = g.edges[ei]
-        ru, rv = find(u), find(v)
-        if ru == rv:
-            return True
-        parent[ru] = rv
-    return False
+    def closes_cycle(self, d: int) -> bool:
+        """True iff disk d's edges close a cycle with the forest."""
+        label = self.label
+        a, b, c, e = self.paths[d]
+        return len({label[a], label[b], label[c], label[e]}) < 4
+
+    def add(self, d: int) -> None:
+        """Push disk d, which must not close a cycle."""
+        label, members = self.label, self.members
+        merged = sorted((label[v] for v in self.paths[d]), key=lambda c: len(members[c]))
+        big = merged.pop()
+        into = members[big]
+        self.log.append((big, len(into), merged))
+        for c in merged:
+            for v in members[c]:
+                label[v] = big
+            into.extend(members[c])
+
+    def undo(self) -> None:
+        """Pop the most recently added disk."""
+        big, size, merged = self.log.pop()
+        label, members = self.label, self.members
+        del members[big][size:]
+        for c in merged:
+            for v in members[c]:
+                label[v] = c
+
+    def with_cycle(self, disks: Sequence[int]) -> bool:
+        """True iff the forest plus the given disks contains a cycle; the
+        forest is left as it was."""
+        added = 0
+        for d in disks:
+            if self.closes_cycle(d):
+                break
+            self.add(d)
+            added += 1
+        for _ in range(added):
+            self.undo()
+        return added < len(disks)
+
+
+def _first_cyclic_subset(sys: CubicSystem, k: int) -> Optional[Tuple[int, ...]]:
+    """The lexicographically first k-subset of disks whose block edges
+    contain a cycle, or None if every k-subset is a forest.
+
+    A depth-first walk over the subsets in lexicographic order: each tree
+    node adds one disk to the forest of its prefix and undoes it on the way
+    back, and a leaf is four label lookups.  A prefix that closes a cycle
+    is completed with the next disks in order, since every superset of a
+    cyclic set is cyclic.
+    """
+    n = len(sys.disks)
+    if not 0 < k <= n:
+        return None
+    forest = _DiskForest(sys)
+    prefix: List[int] = []
+
+    def walk(start: int) -> Optional[Tuple[int, ...]]:
+        depth = len(prefix)
+        for d in range(start, n - k + depth + 1):
+            if forest.closes_cycle(d):
+                return (*prefix, *range(d, d + k - depth))
+            if depth == k - 1:
+                continue
+            forest.add(d)
+            prefix.append(d)
+            found = walk(d + 1)
+            prefix.pop()
+            forest.undo()
+            if found is not None:
+                return found
+        return None
+
+    return walk(0)
 
 
 def _girth_witness(sys: CubicSystem, g4: Graph) -> Tuple[int, Set[int]]:
@@ -122,38 +191,32 @@ def verify_recovery_bound(
     """Check the girth-minus-one disk-erasure guarantee.
 
     Returns (all (g-1)-subsets of disks recover fully, witness g-subset
-    that does not).  Exhaustive mode enumerates every subset; sampled mode
-    draws `trials` subsets with per-trial randomness from (seed, index).
-    A subset recovers iff the union of its disk edges is a forest, which
-    `_has_cycle` tests; the witness comes from a girth cycle of the source
-    graph, and the peeling decoder confirms that it does not recover.  Every
-    subset of a forest is a forest, so an exhaustive all-ok plus the witness
-    shows that girth(G) disks is the smallest unrecoverable loss.
+    that does not).  Exhaustive mode walks every subset through
+    `_first_cyclic_subset`; sampled mode draws `trials` subsets with
+    per-trial randomness from (seed, index) and tests each on one
+    `_DiskForest`.  A subset recovers iff the union of its disk edges is a
+    forest; the witness comes from a girth cycle of the source graph, and
+    the peeling decoder confirms that it does not recover.  Every subset of
+    a forest is a forest, so an exhaustive all-ok plus the witness shows
+    that girth(G) disks is the smallest unrecoverable loss.
     """
     g, witness = _girth_witness(sys, g4)
     n = len(sys.disks)
     if mode == "exhaustive":
-        subsets = itertools.combinations(range(n), g - 1)
+        all_ok = _first_cyclic_subset(sys, g - 1) is None
     elif mode == "sampled":
         if seed is None:
             raise ValueError("sampled mode requires a seed")
-
-        def _sampled():
-            for i in range(trials):
-                rng = random.Random(f"{seed}:{i}")
-                yield tuple(rng.sample(range(n), g - 1))
-
-        subsets = _sampled()
+        forest = _DiskForest(sys)
+        all_ok = not any(
+            forest.with_cycle(random.Random(f"{seed}:{i}").sample(range(n), g - 1))
+            for i in range(trials)
+        )
     else:
         raise ValueError(f"unknown mode {mode!r}")
 
-    disk_edges = [sys.disk_edges(d) for d in range(n)]
-    all_ok = not any(
-        _has_cycle(sys.cubic, [e for d in combo for e in disk_edges[d]])
-        for combo in subsets
-    )
     erased = EdgeSubset.from_indices(
-        sys.cubic.edge_count, [e for d in witness for e in disk_edges[d]]
+        sys.cubic.edge_count, [e for d in witness for e in sys.disk_edges(d)]
     )
     if not len(peel(sys, erased).residual):
         raise AssertionError("witness erasure pattern unexpectedly recovered")

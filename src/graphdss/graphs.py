@@ -11,7 +11,7 @@ import json
 import math
 from collections import deque
 from dataclasses import dataclass
-from typing import Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 
 class GraphError(ValueError):
@@ -43,7 +43,14 @@ class EdgeSubset:
         return cls(size, 0)
 
     def indices(self) -> List[int]:
-        return [i for i in range(self.size) if (self.bits >> i) & 1]
+        """Indices of the set bits, ascending; one step per set bit."""
+        out = []
+        bits = self.bits
+        while bits:
+            low = bits & -bits
+            out.append(low.bit_length() - 1)
+            bits ^= low
+        return out
 
     def __contains__(self, i: int) -> bool:
         return 0 <= i < self.size and bool((self.bits >> i) & 1)
@@ -171,10 +178,13 @@ def shortest_cycle(g: Graph) -> Optional[List[int]]:
     a walk through the root of length d(u)+d(v)+1, and minimizing over all
     roots is exact.  The walk kept at the final minimum is a simple cycle:
     had its two root paths shared an edge, it would contain a shorter one.
+    No simple graph has a cycle shorter than 3, so the roots stop there.
     """
     best = math.inf
     found = None  # (parent edges of the root's BFS tree, u, v, closing edge)
     for root in range(g.vertex_count):
+        if best == 3:
+            break
         dist = {root: 0}
         parent_edge = {root: -1}
         q = deque([root])
@@ -231,29 +241,28 @@ def two_core(g: Graph, erased: EdgeSubset) -> EdgeSubset:
     """Maximal subset of `erased` in which every touched vertex has
     erased-degree >= 2; equivalently the union of cycles of erased edges.
 
-    Computed by iterated leaf stripping.  Empty iff the erased subgraph is
-    a forest, so this is the ground truth for what peeling cannot repair.
+    Computed by iterated leaf stripping over the erased edges and their
+    endpoints only.  Empty iff the erased subgraph is a forest, so this is
+    the ground truth for what peeling cannot repair.
     """
     if erased.size != g.edge_count:
         raise GraphError("erased subset sized for a different graph")
-    alive = erased.bits
-    deg = [0] * g.vertex_count
-    for i in range(erased.size):
-        if (alive >> i) & 1:
-            u, v = g.edges[i]
-            deg[u] += 1
-            deg[v] += 1
-    stack = [v for v in range(g.vertex_count) if deg[v] == 1]
+    alive = set(erased.indices())
+    deg: Dict[int, int] = {}  # touched vertex -> its erased degree
+    for i in alive:
+        for x in g.edges[i]:
+            deg[x] = deg.get(x, 0) + 1
+    stack = [v for v, k in deg.items() if k == 1]
     while stack:
         u = stack.pop()
         if deg[u] != 1:
             continue
         for ei, v in g.incident(u):
-            if (alive >> ei) & 1:
-                alive &= ~(1 << ei)
+            if ei in alive:
+                alive.discard(ei)
                 deg[u] -= 1
                 deg[v] -= 1
                 if deg[v] == 1:
                     stack.append(v)
                 break
-    return EdgeSubset(erased.size, alive)
+    return EdgeSubset.from_indices(erased.size, alive)

@@ -96,7 +96,7 @@ def _session_report(
 
 def _peel(sys: CubicSystem, erased: EdgeSubset, min_bandwidth: bool) -> RepairReport:
     """The peeling engine: a work queue of parity vertices with exactly one
-    unrecovered erased edge, seeded from the set bits of `erased`.
+    unrecovered erased edge, seeded from `erased.indices()`.
 
     Only erased edges and their endpoints are touched, so the work is
     O(|erased| log |erased|), whatever the size of the graph.  Under either
@@ -110,12 +110,7 @@ def _peel(sys: CubicSystem, erased: EdgeSubset, min_bandwidth: bool) -> RepairRe
     g = sys.cubic
     if erased.size != g.edge_count:
         raise ValueError("erased subset sized for a different graph")
-    lost = set()
-    bits = erased.bits
-    while bits:
-        low = bits & -bits
-        lost.add(low.bit_length() - 1)
-        bits ^= low
+    lost = set(erased.indices())
     pending: Dict[int, int] = {}  # vertex -> erased edges not yet recovered
     for e in lost:
         for x in g.edges[e]:

@@ -37,3 +37,23 @@ def all_simple_cycles(g: Graph):
                 elif v == start:
                     continue
     return cycles
+
+
+def has_cycle(g: Graph, edges) -> bool:
+    """True iff the distinct edges contain a cycle, by union-find with a
+    fresh forest: some edge joins two vertices that the edges before it
+    already connect.  Per-subset oracle for the recovery-bound walk."""
+    parent = {}  # non-root vertex -> its parent; roots are absent
+
+    def find(x: int) -> int:
+        while x in parent:
+            x = parent[x]
+        return x
+
+    for ei in edges:
+        u, v = g.edges[ei]
+        ru, rv = find(u), find(v)
+        if ru == rv:
+            return True
+        parent[ru] = rv
+    return False

@@ -1,21 +1,26 @@
 import itertools
+import math
 import random
+import time
 
 import pytest
 
 from graphdss import analysis
 from graphdss.analysis import (
+    _DiskForest,
+    _first_cyclic_subset,
     _girth_witness,
-    _has_cycle,
     profile,
     rate_function,
     verify_recovery_bound,
 )
-from graphdss.catalog import complete_graph, k5_reference_system
+from graphdss.catalog import cage, complete_graph, k5_reference_system, random_4_regular
+from graphdss.cubic import PairingMode, build_cubic
 from graphdss.graphs import EdgeSubset, Graph, girth, two_core
+from graphdss.orientation import eulerian_tour, orient_from_tour
 from graphdss.repair import peel
 
-from conftest import all_simple_cycles
+from conftest import all_simple_cycles, has_cycle, system_from_cage
 from test_cubic import k44_reference_system
 
 
@@ -39,6 +44,106 @@ def test_disk_cycle_of_petersen_five_cycles():
         assert 3 <= len({owner[ei] for ei in c}) <= 5
 
 
+def _cycle_oracle(sys):
+    """Per-subset oracle: a test of whether a disk subset's edges contain a
+    cycle, each subset on a fresh forest."""
+    disk_edges = [sys.disk_edges(d) for d in range(len(sys.disks))]
+    return lambda disks: has_cycle(sys.cubic, [e for d in disks for e in disk_edges[d]])
+
+
+def _oracle_first_cyclic_subset(sys, k):
+    """The lexicographically first k-subset of disks whose edges contain a
+    cycle."""
+    cyclic = _cycle_oracle(sys)
+    return next((c for c in itertools.combinations(range(len(sys.disks)), k) if cyclic(c)), None)
+
+
+def _tour_system(g, mode):
+    return build_cubic(orient_from_tour(g, eulerian_tour(g)), mode)
+
+
+def _random_system(n, seed, mode):
+    g = random_4_regular(n, seed)
+    return _tour_system(g, mode), g
+
+
+_PG23 = cage(6).graph
+_WALK_SYSTEMS = {
+    "k5-girth5": lambda: (k5_reference_system("girth5"), K5),
+    "k5-girth3": lambda: (k5_reference_system("girth3"), K5),
+    "k44": lambda: (k44_reference_system(), Graph(8, __import__("test_orientation").K44_REFERENCE_EDGES)),
+    "cage3": lambda: system_from_cage(3),
+    "cage4": lambda: system_from_cage(4),
+    "cage5": lambda: system_from_cage(5),
+    "pg23-parallel": lambda: (_tour_system(_PG23, PairingMode.PARALLEL), _PG23),
+    "pg23-crossed": lambda: (_tour_system(_PG23, PairingMode.CROSSED), _PG23),
+}
+for _n, _s in [(10, 1), (12, 2), (14, 3), (17, 4), (20, 5)]:
+    for _mode in PairingMode:
+        _WALK_SYSTEMS[f"random-{_n}-{_s}-{_mode.value}"] = (
+            lambda n=_n, s=_s, mode=_mode: _random_system(n, s, mode))
+
+
+@pytest.mark.parametrize("name", sorted(_WALK_SYSTEMS))
+def test_first_cyclic_subset_matches_per_subset_oracle(name):
+    sys, g4 = _WALK_SYSTEMS[name]()
+    gg = int(girth(g4))
+    found = []
+    for k in range(1, gg + 1):
+        expected = _oracle_first_cyclic_subset(sys, k)
+        assert _first_cyclic_subset(sys, k) == expected, (k, expected)
+        found.append(expected is not None)
+    # the theorem, seen through the walk: g - 1 disks always recover, g may not
+    assert found == [False] * (gg - 1) + [True]
+
+
+def test_disk_forest_undo_leaves_no_trace(cage_systems):
+    # one forest answers many subsets, so every test must undo all it added
+    rng = random.Random(11)
+    for gg in (4, 5, 6):
+        sys, g4 = cage_systems[gg]
+        forest, cyclic = _DiskForest(sys), _cycle_oracle(sys)
+        fresh = (list(forest.label), [list(m) for m in forest.members])
+        n = len(sys.disks)
+        for _ in range(300):
+            disks = rng.sample(range(n), rng.randint(1, gg + 2))
+            assert forest.with_cycle(disks) == cyclic(disks)
+        assert (forest.label, forest.members, forest.log) == (*fresh, [])
+
+
+@pytest.mark.parametrize("seed", [0, 1, 7])
+def test_sampled_verdict_matches_per_subset_oracle(seed):
+    sys, g4 = _random_system(200, 1, PairingMode.PARALLEL)
+    n, k = len(sys.disks), int(girth(g4)) - 1
+    drawn = [random.Random(f"{seed}:{i}").sample(range(n), k) for i in range(300)]
+    expected = not any(map(_cycle_oracle(sys), drawn))
+    assert verify_recovery_bound(sys, g4, mode="sampled", trials=300, seed=seed)[0] == expected
+
+
+def test_exhaustive_bound_beats_the_per_subset_oracle(cage_systems):
+    sys, g4 = cage_systems[6]  # pg23: all C(26, 5) = 65 780 subsets recover
+    subsets = list(itertools.combinations(range(len(sys.disks)), int(girth(g4)) - 1))
+    assert len(subsets) == math.comb(26, 5) == 65_780
+
+    cyclic = _cycle_oracle(sys)
+
+    def oracle():
+        return not any(map(cyclic, subsets))
+
+    def best_of_3(fn):
+        times = []
+        for _ in range(3):
+            start = time.perf_counter()
+            result = fn()
+            times.append(time.perf_counter() - start)
+        return result, min(times)
+
+    (ok, _), walk_s = best_of_3(lambda: verify_recovery_bound(sys, g4))
+    oracle_ok, oracle_s = best_of_3(oracle)
+    assert ok and oracle_ok
+    assert 3 * walk_s <= oracle_s, (walk_s, oracle_s)
+
+
 def _fewest_disks_with_a_cycle(sys):
     """Oracle: size of the smallest disk subset whose edges contain a cycle,
     by enumerating the subsets in order of size."""
@@ -46,7 +151,7 @@ def _fewest_disks_with_a_cycle(sys):
     disk_edges = [sys.disk_edges(d) for d in range(n)]
     for size in range(1, n + 1):
         for combo in itertools.combinations(range(n), size):
-            if _has_cycle(sys.cubic, [e for d in combo for e in disk_edges[d]]):
+            if has_cycle(sys.cubic, [e for d in combo for e in disk_edges[d]]):
                 return size
 
 
@@ -80,7 +185,7 @@ def test_has_cycle_agrees_with_two_core_and_peeling(cage_systems):
                 disks = rng.sample(range(n), min(size, n))
                 edges = [e for d in disks for e in sys.disk_edges(d)]
                 erased = EdgeSubset.from_indices(m, edges)
-                cyclic = _has_cycle(sys.cubic, edges)
+                cyclic = has_cycle(sys.cubic, edges)
                 assert cyclic == (len(two_core(sys.cubic, erased)) > 0)
                 assert cyclic == (len(peel(sys, erased).residual) > 0)
 
@@ -113,7 +218,7 @@ def test_source_cycle_maps_to_disk_cycle_and_back(cage_systems):
         for cyc in all_simple_cycles(g4):
             vertices = {v for ei in cyc for v in g4.edges[ei]}
             edges = [e for v in vertices for e in sys.disk_edges(disk_of[v])]
-            assert _has_cycle(sys.cubic, edges)
+            assert has_cycle(sys.cubic, edges)
         # converse: the owners of a block-graph cycle's edges span a cycle
         # of G on at most that many vertices
         owner = sys.edge_owner()

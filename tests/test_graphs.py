@@ -62,6 +62,39 @@ def test_girth_matches_exhaustive_cycle_enumeration():
         assert frozenset(cycle) in cycles and len(cycle) == expected
 
 
+def test_girth_three_stops_the_root_loop(monkeypatch):
+    g = random_4_regular(3000, 1)
+    calls = 0
+    incident = Graph.incident
+
+    def counting(self, v):
+        nonlocal calls
+        calls += 1
+        return incident(self, v)
+
+    monkeypatch.setattr(Graph, "incident", counting)
+    cycle = shortest_cycle(g)
+    assert calls <= 4000, calls  # every root's BFS ran 16 584 calls
+    assert set(cycle) == {358, 360, 2330}
+
+
+@st.composite
+def sized_bitsets(draw):
+    """(size, bits) up to 9000 edges: sparse index sets or arbitrary ints."""
+    size = draw(st.integers(min_value=0, max_value=9000))
+    if size and draw(st.booleans()):
+        chosen = draw(st.sets(st.integers(min_value=0, max_value=size - 1), max_size=40))
+        return size, sum(1 << i for i in chosen)
+    return size, draw(st.integers(min_value=0, max_value=(1 << size) - 1))
+
+
+@given(sized_bitsets())
+@settings(max_examples=200)
+def test_indices_are_the_set_bits_ascending(size_bits):
+    size, bits = size_bits
+    assert EdgeSubset(size, bits).indices() == [i for i in range(size) if bits >> i & 1]
+
+
 def test_simple_graph_invariants_enforced():
     with pytest.raises(GraphError):
         Graph(3, [(0, 0)])
