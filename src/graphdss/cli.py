@@ -181,10 +181,15 @@ def _source_graph_of(sys_: CubicSystem) -> Graph:
 
 def cmd_simulate(args) -> int:
     sys_, g = _build_system(args)
+    n = len(sys_.disks)
+    if args.trials < 1:
+        raise UsageError(f"--trials must be at least 1, got {args.trials}")
+    if args.disks is not None and not 1 <= args.disks <= n:
+        raise UsageError(f"--disks must be between 1 and the disk count {n}, got {args.disks}")
     ok = True
 
     if args.measure_bandwidth:
-        for d in range(len(sys_.disks)):
+        for d in range(n):
             r = repair_disk(sys_, d, RepairStrategy.MIN_BANDWIDTH)
             if (r.transferred_symbols, r.rounds) != (4, 3):
                 ok = False
@@ -194,19 +199,23 @@ def cmd_simulate(args) -> int:
         print(f"per-disk bandwidth: min-bandwidth=4/3 rounds, min-rounds=5/2 rounds: "
               f"{'ok' if ok else 'FAILED'}")
 
-    if args.disks:
+    if args.disks is not None:
         if args.seed is None:
             raise UsageError("--disks sampling requires --seed")
         rng = random.Random(f"simulate:{args.seed}")
+        sample_disjoint = _disjoint_disk_sampler(sys_)
         adj_ok = 0
         for _ in range(args.trials):
-            picked = _random_disjoint_disks(sys_, rng, args.disks)
+            picked = sample_disjoint(rng, args.disks)
             if picked is None:
                 continue
             r = repair_disks(sys_, picked)
             if r.transferred_symbols != 4 * len(picked) or len(r.residual):
                 ok = False
             adj_ok += 1
+        if not adj_ok:
+            raise UsageError(f"no trial of {args.trials} found {args.disks} pairwise "
+                             f"non-adjacent disks to repair")
         print(f"disjoint {args.disks}-disk repairs measured: {adj_ok}, "
               f"expected transfer 4x{args.disks}: {'ok' if ok else 'FAILED'}")
 
@@ -221,20 +230,28 @@ def cmd_simulate(args) -> int:
     return 0 if ok else 1
 
 
-def _random_disjoint_disks(sys_: CubicSystem, rng, count: int) -> Optional[List[int]]:
-    """Sample disks that are pairwise non-adjacent in the block graph."""
+def _disjoint_disk_sampler(sys_: CubicSystem):
+    """A function (rng, count) that samples `count` disks pairwise
+    non-adjacent in the block graph, or None if 200 random orders find none;
+    the disks' vertex sets and neighbourhoods are built once."""
     n = len(sys_.disks)
-    touched = [set(sys_.disks[d]) | {
-        w for p in sys_.disks[d] for _, w in sys_.cubic.incident(p)
-    } for d in range(n)]
-    for _ in range(200):
-        picked: List[int] = []
-        for d in rng.sample(range(n), n):
-            if all(not (set(sys_.disks[d]) & touched[e]) for e in picked):
-                picked.append(d)
-                if len(picked) == count:
-                    return picked
-    return None
+    vertices = [set(path) for path in sys_.disks]
+    touched = [vertices[d] | {w for p in sys_.disks[d] for _, w in sys_.cubic.incident(p)}
+               for d in range(n)]
+
+    def sample(rng, count: int) -> Optional[List[int]]:
+        for _ in range(200):
+            picked: List[int] = []
+            near = set()  # vertices on or next to a picked disk
+            for d in rng.sample(range(n), n):
+                if vertices[d].isdisjoint(near):
+                    picked.append(d)
+                    if len(picked) == count:
+                        return picked
+                    near |= touched[d]
+        return None
+
+    return sample
 
 
 def _write_atomic(path: str, data: bytes) -> None:

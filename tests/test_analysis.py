@@ -97,18 +97,60 @@ def test_first_cyclic_subset_matches_per_subset_oracle(name):
     assert found == [False] * (gg - 1) + [True]
 
 
+def _forest_state(forest):
+    return (list(forest.label), [list(m) for m in forest.members], list(forest.touch),
+            forest.bad, list(forest.log))
+
+
 def test_disk_forest_undo_leaves_no_trace(cage_systems):
     # one forest answers many subsets, so every test must undo all it added
     rng = random.Random(11)
     for gg in (4, 5, 6):
         sys, g4 = cage_systems[gg]
         forest, cyclic = _DiskForest(sys), _cycle_oracle(sys)
-        fresh = (list(forest.label), [list(m) for m in forest.members])
+        fresh = _forest_state(forest)
         n = len(sys.disks)
         for _ in range(300):
             disks = rng.sample(range(n), rng.randint(1, gg + 2))
             assert forest.with_cycle(disks) == cyclic(disks)
-        assert (forest.label, forest.members, forest.log) == (*fresh, [])
+        assert _forest_state(forest) == fresh
+
+
+def test_disk_forest_masks_match_per_subset_oracle(cage_systems):
+    # `bad` is exactly the disks that close a cycle with the stack, and
+    # `closing` predicts `bad` after an add, through random adds and undos
+    rng = random.Random(13)
+    for gg in (3, 4, 5, 6):
+        sys, g4 = cage_systems[gg]
+        forest, cyclic = _DiskForest(sys), _cycle_oracle(sys)
+        n = len(sys.disks)
+        stack, states = [], []
+        for _ in range(200):
+            assert forest.bad == sum(1 << d for d in range(n) if cyclic(stack + [d]))
+            free = [d for d in range(n) if not forest.closes_cycle(d)]
+            if free and (not stack or rng.random() < 0.6):
+                d = rng.choice(free)
+                closing = forest.closing(d)
+                states.append(_forest_state(forest))
+                forest.add(d)
+                stack.append(d)
+                assert forest.bad == closing
+            else:
+                forest.undo()
+                stack.pop()
+                assert _forest_state(forest) == states.pop()
+
+
+@pytest.mark.parametrize("gg, k, most_adds", [(6, 5, 2_600), (5, 4, 200)])
+def test_walk_adds_only_above_the_last_two_levels(cage_systems, monkeypatch, gg, k, most_adds):
+    # pg23 at k = 5 and Robertson at k = 4 took 14 949 and 968 adds when
+    # every node above the leaves merged its disk
+    adds = []
+    add = _DiskForest.add
+    monkeypatch.setattr(_DiskForest, "add", lambda forest, d: adds.append(d) or add(forest, d))
+    sys, g4 = cage_systems[gg]
+    assert _first_cyclic_subset(sys, k) is None
+    assert 0 < len(adds) <= most_adds
 
 
 @pytest.mark.parametrize("seed", [0, 1, 7])
@@ -248,6 +290,14 @@ def test_recovery_bound_k44_exhaustive():
 def test_recovery_bound_sampled_needs_seed():
     with pytest.raises(ValueError):
         verify_recovery_bound(k5_reference_system("girth5"), K5, mode="sampled")
+
+
+@pytest.mark.parametrize("trials", [0, -3])
+def test_recovery_bound_sampled_needs_a_trial(trials):
+    # no samples must not read as "every subset recovers"
+    with pytest.raises(ValueError):
+        verify_recovery_bound(k5_reference_system("girth5"), K5, mode="sampled",
+                              trials=trials, seed=1)
 
 
 def test_recovery_bound_sampled_reproducible():

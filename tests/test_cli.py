@@ -98,6 +98,57 @@ def test_simulate_disjoint_disk_bandwidth(capsys):
     assert "4x2: ok" in out
 
 
+PG23_DISJOINT_STDOUT = """disjoint 2-disk repairs measured: 50, expected transfer 4x2: ok
+{
+  "all_g_minus_1_ok": true,
+  "witness": [
+    0,
+    1,
+    4,
+    13,
+    14,
+    17
+  ]
+}
+"""
+
+
+def test_simulate_disjoint_disks_output_is_pinned(capsys):
+    # the disjoint-disk sampler draws from the rng exactly as before its
+    # neighbourhood sets were built once per command
+    code, out, err = run(
+        capsys, "simulate", "--catalog", "pg23", "--disks", "2", "--seed", "3",
+        "--trials", "50", "--exhaustive",
+    )
+    assert (code, out) == (0, PG23_DISJOINT_STDOUT)
+
+
+@pytest.mark.parametrize("trials", ["0", "-3"])
+def test_simulate_rejects_no_trials(capsys, trials):
+    # an empty sample must not read as "all subsets verified"
+    code, out, err = run(capsys, "simulate", "--catalog", "k5", "--seed", "1", "--trials", trials)
+    assert code == 2
+    assert out == ""
+    assert "--trials" in err
+
+
+@pytest.mark.parametrize("disks", ["0", "-1", "999"])
+def test_simulate_rejects_disk_count_out_of_range(capsys, disks):
+    code, out, err = run(capsys, "simulate", "--catalog", "k5", "--exhaustive",
+                         "--seed", "1", "--disks", disks)
+    assert code == 2
+    assert out == ""
+    assert "--disks" in err and disks in err
+
+
+def test_simulate_without_disjoint_disks_is_not_ok(capsys):
+    # any two disks of K5 are adjacent in its block graph
+    code, out, err = run(capsys, "simulate", "--catalog", "k5", "--exhaustive",
+                         "--seed", "1", "--disks", "2", "--trials", "20")
+    assert (code, out) == (2, "")
+    assert "20" in err and "2 pairwise non-adjacent disks" in err
+
+
 def test_store_and_repair_round_trip(tmp_path, capsys):
     sys_file = tmp_path / "sys.json"
     run(capsys, "build", "--catalog", "k44", "--output", str(sys_file))
