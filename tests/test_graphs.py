@@ -1,12 +1,19 @@
+import functools
+import hashlib
+import itertools
+import json
 import math
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from graphdss.catalog import complete_graph, petersen, random_4_regular
+from graphdss.catalog import cage, complete_graph, petersen, random_4_regular, random_cubic
+from graphdss.cubic import PairingMode, build_cubic
 from graphdss.graphs import (
     EdgeSubset, Graph, GraphError, degree_sequence, girth, is_connected, shortest_cycle, two_core,
 )
+
+from graphdss.orientation import eulerian_tour, orient_from_tour
 
 from conftest import all_simple_cycles
 
@@ -76,6 +83,89 @@ def test_girth_three_stops_the_root_loop(monkeypatch):
     cycle = shortest_cycle(g)
     assert calls <= 4000, calls  # every root's BFS ran 16 584 calls
     assert set(cycle) == {358, 360, 2330}
+
+
+@functools.lru_cache(maxsize=None)
+def _source(name: str):
+    """A 4-regular source graph: "cage<g>" or "rr4-<n>-<seed>"."""
+    if name.startswith("cage"):
+        return cage(int(name[4:])).graph
+    _, n, seed = name.split("-")
+    return random_4_regular(int(n), int(seed))
+
+
+def _digest_case(case: str):
+    if case == "petersen":
+        return PETERSEN
+    if case.startswith("cubic-"):
+        _, n, seed = case.split("-")
+        return random_cubic(int(n), int(seed))
+    source, _, mode = case.partition(":")
+    g = _source(source)
+    if not mode:
+        return g
+    return build_cubic(orient_from_tour(g, eulerian_tour(g)), PairingMode(mode)).cubic
+
+
+# sha256 of json.dumps(shortest_cycle(g)): "<source>" is a 4-regular graph
+# and "<source>:<pairing>" its block graph under that pairing
+SHORTEST_CYCLE_DIGESTS = {
+    "cage3": "8199db4dd994d13093a00c633282828de02b15f3d0a592226dcef852795c201d",
+    "cage3:parallel": "2cb0033a4a92a81bfbcb518f22824491ceb80249b3c6dd9e85b6407cd484ec8a",
+    "cage3:crossed": "c3ebf964925feba1ce072b1cee6bd55c57ff46c911c01cac7e4d04970b6935da",
+    "cage4": "ae32032efb88ee2f66878670dd5ac4bb066022b5d2d903a9d961d0e3e7369924",
+    "cage4:parallel": "bdadb56213a48d66273cec94107373778792e09bd3df7a5217c9c7af8c8e02dd",
+    "cage4:crossed": "39a5b52a3273149884ab08b9e8574ce07e8a4767f10c0c5250440c569672d9bb",
+    "cage5": "b7edb6ece987df0eb6d8c353c9f1864179c491726a8673b0c660a4fd5a59ee4b",
+    "cage5:parallel": "51275fcecfd47448b625f58f8cb11de3a899cff4be83211cbf50b3c1a8eef79e",
+    "cage5:crossed": "84bed9209a59c38ad170e10eddea2359b8e7e2003b0fe2f96ce410f8b7982867",
+    "cage6": "a38ca82dfea8b890932edbb0168e504ba3ae4a18f10c646450e6c485ae62e013",
+    "cage6:parallel": "df074f7a9a5d9e821d03f1b53915b01a63d18ac3e7ea4840368ca466e09af91c",
+    "cage6:crossed": "8ac01f21d16b701eddfe4eb8d4ac62bf7785a67d7a2d423aa5d39a78467d1355",
+    "rr4-30-6": "e0cc408ec932b44464ef5b2beee8d23382980e9fae5bb43eccf55b417597b86c",
+    "rr4-30-6:parallel": "d65e2da5c7bac841a142500312b7d249d8dad60314bd8832c294637f65f45043",
+    "rr4-30-6:crossed": "c56edfd209e73afa7eb623ab4d6ee4aaeee623f4e2503e60aa0284390092185d",
+    "rr4-200-1": "4cb9af13f050bbf606bce0738d4e6db5aebcd82d6125d70a14f403de010f373d",
+    "rr4-200-1:parallel": "7699ea8178e52cc90357eb10adfb7b2a79d4c3fbfcab073a277469c93e90debc",
+    "rr4-200-1:crossed": "a2882ac7bf67089d7877db1496e320a3eca31df7f1f0f37d0decbff031b52f55",
+    "rr4-1000-1": "00643e6236a453529e62cb1ad685af49e25fd7c1a5e2cb0c3af09cb6355c4ae9",
+    "rr4-1000-1:parallel": "54852f582781059bf4da6ad85dc75edd885c07d327a49b035b5c79e1f2db6224",
+    "rr4-1000-1:crossed": "726b1526b30c8cec173c04375eaba5e1e2184c3ba1a7c9d7ec0831462d4c45fd",
+    "rr4-3000-1": "e5b7490e84b1198f2de93bdb7589f9c8eb82e068639165d8c8ee7ff28ab3f5e6",
+    "rr4-3000-1:parallel": "fd19001b17f5c0ab98cc0e1ba454e1bda27884e5e3260004a411a4e1f3b9a845",
+    "rr4-3000-1:crossed": "6e769bcb69578639cb637a680ea264e39235ada2977b629a782ea82c667565ec",
+    "petersen": "59835adc055c3ad458dd03ff7b7cff3b4bfee1b51aea83165119390c15afa685",
+    "cubic-100-1000": "5c8ff9d17a30e57ce402c6186bd1ede9fc60bf92e9025675ff7b029e8f900098",
+    "cubic-1000-1": "8be57a232ef500652e5e3f22b89d193a4d3e09977ad1a3348b24b8c317a8930c",
+}
+
+
+@pytest.mark.parametrize("case", sorted(SHORTEST_CYCLE_DIGESTS))
+def test_shortest_cycle_keeps_its_output(case):
+    cycle = shortest_cycle(_digest_case(case))
+    assert hashlib.sha256(json.dumps(cycle).encode()).hexdigest() == SHORTEST_CYCLE_DIGESTS[case]
+
+
+@st.composite
+def small_graphs(draw):
+    """Simple graphs on up to 8 vertices with at most 12 edges; sparse
+    draws are forests."""
+    n = draw(st.integers(min_value=1, max_value=8))
+    pairs = list(itertools.combinations(range(n), 2))
+    chosen = draw(st.lists(st.sampled_from(pairs), unique=True, max_size=12)) if pairs else []
+    return Graph(n, chosen)
+
+
+@given(small_graphs())
+@settings(max_examples=300)
+def test_shortest_cycle_is_a_minimum_enumerated_cycle(g):
+    cycles = all_simple_cycles(g)
+    cycle = shortest_cycle(g)
+    if not cycles:
+        assert cycle is None
+        return
+    assert len(cycle) == min(len(c) for c in cycles)
+    assert frozenset(cycle) in cycles
 
 
 @st.composite
