@@ -15,9 +15,9 @@ import random
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Set, Tuple
 
-from .code import derive_code, minimum_distance
+from .code import DisconnectedError
 from .cubic import CubicSystem
-from .graphs import EdgeSubset, Graph, girth, shortest_cycle
+from .graphs import EdgeSubset, Graph, girth, is_connected, shortest_cycle
 from .repair import peel
 
 
@@ -67,11 +67,6 @@ class SystemProfile:
                 f"rate:                   {self.rate:.6f}",
             ]
         )
-
-
-def rate_function(n: int) -> float:
-    """Cycle-space rate of any connected cubic graph on n vertices."""
-    return 1 - (n - 1) / (3 * n / 2)
 
 
 class _DiskForest:
@@ -269,11 +264,24 @@ def verify_recovery_bound(
 
 
 def profile(sys: CubicSystem, g4: Graph) -> SystemProfile:
-    """Fill the summary row for a system and its source graph."""
+    """Fill the summary row for a system and its source graph.
+
+    The code parameters follow by theorem, without deriving the code.  A
+    cycle of the block graph B is a codeword of its cycle code, and every
+    nonzero codeword is an edge-disjoint union of cycles, so the distance
+    is girth(B).  For a connected B the incidence matrix has rank
+    n_B - 1, so the dimension is m - n_B + 1 (as in `derive_code`).
+    """
+    block = sys.cubic
+    if block.vertex_count == 0:
+        raise DisconnectedError("empty graph")
+    if not is_connected(block):
+        raise DisconnectedError("graph is disconnected")
     n = len(sys.disks)
     g_src = int(girth(g4))
-    code = derive_code(sys.cubic)
-    d_cubic = minimum_distance(code, sys.cubic)  # the girth of the block graph
+    d_cubic = int(girth(block))
+    m = block.edge_count
+    k = m - block.vertex_count + 1
     return SystemProfile(
         disk_count=n,
         block_count=3 * n,
@@ -281,11 +289,11 @@ def profile(sys: CubicSystem, g4: Graph) -> SystemProfile:
         girth_cubic=d_cubic,
         max_guaranteed_disk_erasures=g_src - 1,
         blocks_recoverable=3 * (g_src - 1),
-        code_length=code.length,
-        code_dimension=code.dimension,
+        code_length=m,
+        code_dimension=k,
         code_distance_source_girth=g_src,
         code_distance_cubic_girth=d_cubic,
-        rate=code.dimension / code.length,
+        rate=k / m,
     )
 
 

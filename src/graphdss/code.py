@@ -58,12 +58,6 @@ class ParityCode:
     def is_codeword(self, word: int) -> bool:
         return all(bin(row & word).count("1") % 2 == 0 for row in self.parity_rows)
 
-    def parity_matrix_text(self) -> str:
-        return "\n".join(
-            "".join("1" if (row >> j) & 1 else "0" for j in range(self.length))
-            for row in self.parity_rows
-        )
-
 
 @dataclass
 class StorageState:

@@ -174,45 +174,79 @@ def degree_sequence(g: Graph) -> List[int]:
 def shortest_cycle(g: Graph) -> Optional[List[int]]:
     """Edge indices of one shortest cycle; None for forests.
 
-    BFS from every vertex: a non-tree edge met at depths d(u), d(v) closes
+    BFS from every root: a non-tree edge met at depths d(u), d(v) closes
     a walk through the root of length d(u)+d(v)+1, and minimizing over all
     roots is exact.  The walk kept at the final minimum is a simple cycle:
     had its two root paths shared an edge, it would contain a shorter one.
+    The walk kept is the first one of length girth found from the smallest
+    root r* that lies on a shortest cycle, since a root on none closes
+    only longer walks and later roots must be strictly shorter to count.
+
+    Three prunings leave that walk unchanged:
+    - A root's BFS enters only vertices greater than the root.  All
+      vertices of a shortest cycle through r* are >= r*, by the choice of
+      r*.  A vertex at depth below girth/2 has a unique shortest path from
+      the root (two would close a shorter cycle), so the vertices of those
+      cycles keep their depths, tree paths and BFS order in G[>= r*]; a
+      vertex at depth girth/2 keeps its tree parent, the first of its
+      shallower neighbours in BFS order, which lies on such a cycle.  No
+      walk through a vertex < r* is kept, and roots before r* still find
+      only walks longer than the girth.
+    - A root's BFS ends at the first vertex of depth d with 2d >= best, the
+      shortest walk so far: BFS depths never fall, so no later vertex
+      closes a shorter walk.
+    - A vertex at depth d+1 is not recorded once 2d+2 >= best, since every
+      walk it closes has length >= 2d+2; the test is redone when best falls
+      within a level.
     No simple graph has a cycle shorter than 3, so the roots stop there.
+    Per-root BFS state lives in shared lists stamped with the root.
     """
+    n = g.vertex_count
+    stamp = [-1] * n  # the root whose BFS last recorded the vertex
+    dist = [0] * n
+    parent_edge = [-1] * n
     best = math.inf
-    found = None  # (parent edges of the root's BFS tree, u, v, closing edge)
-    for root in range(g.vertex_count):
+    cycle = None
+
+    def tree_cycle(closing: int, u: int, v: int) -> List[int]:
+        out = [closing]
+        for x in (u, v):
+            while parent_edge[x] >= 0:
+                ei = parent_edge[x]
+                out.append(ei)
+                a, b = g.edges[ei]
+                x = a if b == x else b
+        return out
+
+    for root in range(n):
         if best == 3:
             break
-        dist = {root: 0}
-        parent_edge = {root: -1}
-        q = deque([root])
-        while q:
-            u = q.popleft()
-            if dist[u] * 2 >= best:
-                continue
-            for ei, v in g.incident(u):
-                if ei == parent_edge[u]:
-                    continue
-                if v in dist:
-                    if dist[u] + dist[v] + 1 < best:
-                        best = dist[u] + dist[v] + 1
-                        found = (parent_edge, u, v, ei)
-                else:
-                    dist[v] = dist[u] + 1
-                    parent_edge[v] = ei
-                    q.append(v)
-    if found is None:
-        return None
-    parent_edge, u, v, closing = found
-    cycle = [closing]
-    for x in (u, v):
-        while parent_edge[x] >= 0:
-            ei = parent_edge[x]
-            cycle.append(ei)
-            a, b = g.edges[ei]
-            x = a if b == x else b
+        stamp[root] = root
+        parent_edge[root] = -1
+        level = [root]
+        d = 0
+        while level and 2 * d < best:
+            grow = 2 * d + 2 < best
+            below = []
+            for u in level:
+                if 2 * d >= best:
+                    break
+                pe = parent_edge[u]
+                for ei, v in g.incident(u):
+                    if v <= root or ei == pe:
+                        continue
+                    if stamp[v] == root:
+                        if d + dist[v] + 1 < best:
+                            best = d + dist[v] + 1
+                            cycle = tree_cycle(ei, u, v)
+                            grow = 2 * d + 2 < best
+                    elif grow:
+                        stamp[v] = root
+                        dist[v] = d + 1
+                        parent_edge[v] = ei
+                        below.append(v)
+            level = below
+            d += 1
     return cycle
 
 

@@ -11,10 +11,12 @@ from graphdss.analysis import (
     _first_cyclic_subset,
     _girth_witness,
     profile,
-    rate_function,
+    SystemProfile,
     verify_recovery_bound,
 )
+from graphdss import code
 from graphdss.catalog import cage, complete_graph, k5_reference_system, random_4_regular
+from graphdss.code import derive_code, gf2_rank, minimum_distance
 from graphdss.cubic import PairingMode, build_cubic
 from graphdss.graphs import EdgeSubset, Graph, girth, two_core
 from graphdss.orientation import eulerian_tour, orient_from_tour
@@ -319,6 +321,11 @@ def test_profile_k5():
     assert prof.code_distance_cubic_girth == 5
 
 
+def rate_function(n: int) -> float:
+    """Cycle-space rate of any connected cubic graph on n vertices."""
+    return 1 - (n - 1) / (3 * n / 2)
+
+
 def test_rate_function_decreasing_to_one_third():
     values = [rate_function(n) for n in range(10, 2000, 100)]
     assert all(a > b for a, b in zip(values, values[1:]))
@@ -338,3 +345,51 @@ def test_rate_formula_matches_rank():
 def test_csv_row_format():
     row = profile(k5_reference_system("girth5"), K5).csv_row()
     assert row.split(",")[:6] == ["5", "15", "2", "6", "15", "6"]
+
+
+def _profile_oracle(sys, g):
+    """The profile row from the derived code: rank by elimination, the
+    distance from `minimum_distance`."""
+    c = derive_code(sys.cubic)
+    k = c.length - gf2_rank(c.parity_rows)
+    assert k == c.dimension
+    g_src = int(girth(g))
+    d = minimum_distance(c, sys.cubic)
+    n = len(sys.disks)
+    return SystemProfile(n, 3 * n, g_src, d, g_src - 1, 3 * (g_src - 1), c.length, k,
+                         g_src, d, k / c.length)
+
+
+def _profile_cases():
+    cases = {f"cage{gg}": system_from_cage(gg) for gg in (3, 4, 5, 6)}
+    for variant in ("girth5", "girth3"):
+        cases[f"k5-{variant}"] = (k5_reference_system(variant), K5)
+    g = random_4_regular(200, 1)
+    for mode in PairingMode:
+        cases[f"rr4-200-1-{mode.value}"] = (
+            build_cubic(orient_from_tour(g, eulerian_tour(g)), mode), g)
+    return cases
+
+
+@pytest.mark.parametrize("name,case", sorted(_profile_cases().items()))
+def test_profile_matches_the_derived_code(name, case):
+    sys, g = case
+    assert profile(sys, g) == _profile_oracle(sys, g)
+
+
+def test_profile_derives_no_code(monkeypatch):
+    calls = []
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for module in (code, analysis):
+        for name in ("derive_code", "minimum_distance"):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
+    sys, g = system_from_cage(6)
+    assert profile(sys, g).code_dimension == 27
+    assert calls == []

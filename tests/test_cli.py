@@ -377,6 +377,36 @@ def test_profile_rejects_bad_system_file(tmp_path, capsys, fault):
     assert "disk" in err
 
 
+def _two_k5_systems():
+    """System-file JSON of two disjoint copies of the pinned girth-5 K5
+    system: a valid file whose block graph is disconnected."""
+    from graphdss.catalog import k5_reference_system
+
+    obj = json.loads(k5_reference_system("girth5").to_json())
+    nv, nd = obj["vertices"], len(obj["disks"])
+    obj["edges"] += [[u + nv, v + nv] for u, v in obj["edges"]]
+    obj["disks"] += [[v + nv for v in d] for d in obj["disks"]]
+    obj["disk_owner"] += [o + nd for o in obj["disk_owner"]]
+    obj["arc_names"] += [[u + nd, v + nd] for u, v in obj["arc_names"]]
+    obj["vertices"] = 2 * nv
+    obj.pop("policy", None)
+    return json.dumps(obj)
+
+
+@pytest.mark.parametrize(
+    "text,named",
+    [(_two_k5_systems(), "disconnected"),
+     ('{"vertices": 0, "edges": [], "disks": [], "disk_owner": [], "arc_names": []}', "empty")],
+    ids=["two-k5", "no-disks"],
+)
+def test_profile_rejects_a_system_without_one_block_graph(tmp_path, capsys, text, named):
+    sys_file = tmp_path / "sys.json"
+    sys_file.write_text(text)
+    code, out, err = run(capsys, "profile", "--system", str(sys_file))
+    assert code == 2
+    assert named in err
+
+
 @pytest.mark.parametrize("fault", ["duplicate", "vertex99"])
 def test_store_rejects_bad_system_file(tmp_path, capsys, fault):
     sys_file = tmp_path / "sys.json"

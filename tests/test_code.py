@@ -195,11 +195,3 @@ def test_random_encode_round_trip(seed):
     data = [bytes(rng.randrange(256) for _ in range(3)) for _ in range(code.dimension)]
     state = encode(code, data)
     assert verify_state(code, state)
-
-
-def test_parity_matrix_text_shape():
-    code = derive_code(TRIANGLE)
-    lines = code.parity_matrix_text().splitlines()
-    assert len(lines) == 3
-    assert all(len(line) == 3 for line in lines)
-    assert all(line.count("1") == 2 for line in lines)

@@ -146,6 +146,21 @@ def test_shortest_cycle_keeps_its_output(case):
     assert hashlib.sha256(json.dumps(cycle).encode()).hexdigest() == SHORTEST_CYCLE_DIGESTS[case]
 
 
+def test_block_graph_girth_explores_only_what_can_shorten_the_cycle(monkeypatch):
+    block = _digest_case("rr4-1000-1:parallel")
+    calls = 0
+    incident = Graph.incident
+
+    def counting(self, v):
+        nonlocal calls
+        calls += 1
+        return incident(self, v)
+
+    monkeypatch.setattr(Graph, "incident", counting)
+    assert len(shortest_cycle(block)) == 4
+    assert calls <= 11_000, calls  # a BFS over every vertex of every root made 18 722
+
+
 @st.composite
 def small_graphs(draw):
     """Simple graphs on up to 8 vertices with at most 12 edges; sparse
