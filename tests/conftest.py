@@ -1,9 +1,11 @@
 
+import random
+
 import pytest
 
-from graphdss.catalog import cage
+from graphdss.catalog import RANDOM_REGULAR_TRIES, GenerationFailed, cage
 from graphdss.cubic import PairingMode, build_cubic
-from graphdss.graphs import Graph
+from graphdss.graphs import Graph, is_connected
 from graphdss.orientation import eulerian_tour, orient_from_tour
 
 
@@ -57,3 +59,32 @@ def has_cycle(g: Graph, edges) -> bool:
             return True
         parent[ru] = rv
     return False
+
+
+def random_regular_oracle(d: int, n: int, seed: int) -> Graph:
+    """The configuration model as first written: each try shuffles a fresh
+    stub list with `random.shuffle` and scans every pair.  Independent
+    oracle for `catalog.random_regular`, which must return the same graph
+    or raise `GenerationFailed` on the same inputs."""
+    if n <= d or n * d % 2:
+        raise GenerationFailed(
+            f"a {d}-regular graph needs more than {d} vertices and an even n*d"
+        )
+    rng = random.Random(f"{d}reg:{n}:{seed}")
+    for _ in range(RANDOM_REGULAR_TRIES):
+        stubs = [v for v in range(n) for _ in range(d)]
+        rng.shuffle(stubs)
+        edges = set()
+        ok = True
+        for i in range(0, len(stubs), 2):
+            u, v = stubs[i], stubs[i + 1]
+            if u == v or (min(u, v), max(u, v)) in edges:
+                ok = False
+                break
+            edges.add((min(u, v), max(u, v)))
+        if not ok:
+            continue
+        g = Graph(n, sorted(edges))
+        if is_connected(g):
+            return g
+    raise GenerationFailed(f"no simple connected {d}-regular graph after {RANDOM_REGULAR_TRIES} tries")

@@ -19,6 +19,8 @@ from graphdss.catalog import (
 from graphdss.cubic import decompose_p4
 from graphdss.graphs import degree_sequence, girth, is_connected
 
+from conftest import random_regular_oracle
+
 
 @pytest.mark.parametrize(
     "g,vertices,edges",
@@ -105,6 +107,8 @@ GENERATOR_DIGESTS = [
     (random_4_regular, 12, 3, "cff06705d00820996afc4183c915972b34c0a70d5bfd06ddd9ce1df085450a8e"),
     (random_4_regular, 200, 1, "4170f76422806c72a8c900db3714d2e14d78239f01f66863b57a2ca06945372f"),
     (random_4_regular, 1000, 2, "25a3f0c300c54a5c714c6540a38baf9a84891fb3111d9f0285fafd81510c383e"),
+    (random_4_regular, 3000, 1, "56929c7dc8088677b73dff2d5b4a42ded3a0f987aadd50f09d807651ba192504"),
+    (random_4_regular, 3000, 13, "9ea51f1b4336f79e28635317d0c32a6fac1f0757de6fe31625d25a36a47b8051"),
     (random_cubic, 4, 0, "baba373788e52989efb6d5798941113c8d34c53c22aa4ca85fc8d0da9bc36101"),
     (random_cubic, 10, 5, "1abd25f2d905c07959535ba9688fa576b570cb0d31502dd7d87280cee2c4e876"),
     (random_cubic, 60, 2, "266d296e1961c07b2c10f75357a18fef1092e067e21b4fcbcef97ea86767bf77"),
@@ -121,3 +125,24 @@ def test_random_generators_keep_their_outputs(gen, n, seed, digest):
     d = 4 if gen is random_4_regular else 3
     for edges in (gen(n, seed).edges, random_regular(d, n, seed).edges):
         assert hashlib.sha256(json.dumps(edges).encode()).hexdigest() == digest
+
+
+def _outcome(gen, d, n, seed):
+    try:
+        return gen(d, n, seed).edges
+    except GenerationFailed as exc:
+        return ("GenerationFailed", str(exc))
+
+
+GENERATOR_ORACLE_CASES = [
+    (d, n, seed) for d in (3, 4) for n in range(d + 1, 41) for seed in range(5)
+] + [(4, 200, s) for s in (0, 1, 2)] + [(4, 1000, s) for s in (1, 6)] + [
+    (4, 3000, s) for s in (1, 2)] + [(3, 1000, s) for s in (0, 7)]
+
+
+def test_random_regular_matches_the_shuffle_oracle():
+    # every small size of both degrees, odd n*d included, plus large graphs
+    # whose generation takes from a few to 80 tries
+    for d, n, seed in GENERATOR_ORACLE_CASES:
+        assert _outcome(random_regular, d, n, seed) == _outcome(
+            random_regular_oracle, d, n, seed), (d, n, seed)
