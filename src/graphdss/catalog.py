@@ -12,7 +12,7 @@ import json
 import os
 import random
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import List, Optional, Set
 
 from .cubic import CubicSystem, PairingMode, PairingPolicy, build_cubic
 from .graphs import Graph, degree_sequence, girth, is_connected
@@ -195,28 +195,81 @@ def catalog_names() -> List[str]:
 RANDOM_REGULAR_TRIES = 2000
 
 
+def _fisher_yates_runs(top: int):
+    """The steps i = top, ..., 0 of a Fisher-Yates shuffle as runs of
+    (k, steps) that share the draw width k = (i + 1).bit_length(), the
+    width `random.shuffle` draws with on CPython 3.10-3.13.  Step 0 is not a
+    shuffle step: it draws `getrandbits(0)`, which is 0 and consumes no
+    state, and only makes position 0 final."""
+    while top > 0:
+        k = (top + 1).bit_length()
+        low = (1 << (k - 1)) - 1
+        yield k, range(top, low - 1, -1)
+        top = low - 1
+    yield 0, range(top, -1, -1)
+
+
+def _draw_only(getrandbits, top: int) -> None:
+    """Make the draws of the shuffle steps top, ..., 1 and nothing else, so
+    the next try sees the random stream that a full shuffle leaves."""
+    for k, steps in _fisher_yates_runs(top):
+        for i in steps:
+            while getrandbits(k) > i:
+                pass
+
+
+def _simple_pairing(getrandbits, stubs: List[int], n: int) -> Optional[Set[int]]:
+    """Shuffle `stubs` with the draws of `random.shuffle` and pair positions
+    (0, 1), (2, 3), ...; return the pairs as keys u * n + v with u < v, or
+    None at the first loop or repeated pair.
+
+    Step i draws j = getrandbits(k) again while j > i, then fixes position i,
+    so pair (i, i + 1) is checked as soon as step i, for even i, is done.  A
+    rejected pairing only draws the steps it has left (`_draw_only`).  A
+    final position is never read again: its stub is kept in u or v, and
+    only the stub it displaces is written, to position j.
+    """
+    keys = set()
+    v = 0
+    for k, steps in _fisher_yates_runs(len(stubs) - 1):
+        for i in steps:
+            j = getrandbits(k)
+            while j > i:
+                j = getrandbits(k)
+            if i & 1:
+                v = stubs[j]
+                stubs[j] = stubs[i]
+                continue
+            u = stubs[j]
+            stubs[j] = stubs[i]
+            key = u * n + v if u < v else v * n + u
+            if u == v or key in keys:
+                _draw_only(getrandbits, i - 1)
+                return None
+            keys.add(key)
+    return keys
+
+
 def random_regular(d: int, n: int, seed: int) -> Graph:
     """Connected simple d-regular graph on n vertices via the configuration
-    model with rejection; deterministic per (d, n, seed)."""
+    model with rejection; deterministic per (d, n, seed).
+
+    Each try shuffles the stub list [0]*d + [1]*d + ... as `random.shuffle`
+    would and pairs it up; a try with a loop or a repeated pair costs only
+    its remaining random draws.  The graph depends only on the
+    `getrandbits` stream of `random.Random`, not on `random.shuffle`.
+    """
     if n <= d or n * d % 2:
         raise GenerationFailed(
             f"a {d}-regular graph needs more than {d} vertices and an even n*d"
         )
     rng = random.Random(f"{d}reg:{n}:{seed}")
+    stubs = [v for v in range(n) for _ in range(d)]
     for _ in range(RANDOM_REGULAR_TRIES):
-        stubs = [v for v in range(n) for _ in range(d)]
-        rng.shuffle(stubs)
-        edges = set()
-        ok = True
-        for i in range(0, len(stubs), 2):
-            u, v = stubs[i], stubs[i + 1]
-            if u == v or (min(u, v), max(u, v)) in edges:
-                ok = False
-                break
-            edges.add((min(u, v), max(u, v)))
-        if not ok:
+        keys = _simple_pairing(rng.getrandbits, stubs[:], n)
+        if keys is None:
             continue
-        g = Graph(n, sorted(edges))
+        g = Graph(n, [divmod(key, n) for key in sorted(keys)])
         if is_connected(g):
             return g
     raise GenerationFailed(f"no simple connected {d}-regular graph after {RANDOM_REGULAR_TRIES} tries")

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import time
 
 import pytest
 
@@ -146,3 +147,20 @@ def test_random_regular_matches_the_shuffle_oracle():
     for d, n, seed in GENERATOR_ORACLE_CASES:
         assert _outcome(random_regular, d, n, seed) == _outcome(
             random_regular_oracle, d, n, seed), (d, n, seed)
+
+
+def _best_of_3(fn):
+    best = float("inf")
+    for _ in range(3):
+        start = time.perf_counter()
+        fn()
+        best = min(best, time.perf_counter() - start)
+    return best
+
+
+def test_rejected_tries_cost_only_their_draws():
+    # random_4_regular(1000, 6) makes 80 tries; the oracle shuffles the whole
+    # stub list and rebuilds it on each, the library only draws after a reject
+    lib = _best_of_3(lambda: random_4_regular(1000, 6))
+    oracle = _best_of_3(lambda: random_regular_oracle(4, 1000, 6))
+    assert oracle >= 1.8 * lib, (lib, oracle)
