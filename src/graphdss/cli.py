@@ -71,6 +71,8 @@ def _parse_policy(text: str, n: int) -> PairingPolicy:
 
 def _build_system(args) -> Tuple[CubicSystem, Graph]:
     g = _load_graph(args)
+    if g.vertex_count == 0:
+        raise UsageError("input graph has no vertices")
     degs = degree_sequence(g)
     bad = [v for v, d in enumerate(degs) if d != 4]
     if bad:

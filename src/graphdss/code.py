@@ -28,30 +28,16 @@ class EncodingError(ValueError):
     pass
 
 
-def gf2_rank(rows: Sequence[int]) -> int:
-    """Rank of bitset-packed rows over GF(2) by Gaussian elimination."""
-    basis: List[int] = []
-    for row in rows:
-        for b in basis:
-            row = min(row, row ^ b)
-        if row:
-            basis.append(row)
-            basis.sort(reverse=True)
-    return len(basis)
-
-
 @dataclass(frozen=True)
 class ParityCode:
-    """Cycle-space code data: parity rows, the edges at each vertex, a
-    fundamental-cycle generator basis, and a systematic information set
-    (the non-tree edges)."""
+    """Cycle-space code data: parity rows, the edges at each vertex, and a
+    systematic information set (the non-tree edges)."""
 
     length: int
     parity_rows: Tuple[int, ...]
     vertex_edges: Tuple[Tuple[int, ...], ...]  # edge indices at each vertex
     rank: int
     dimension: int
-    generator_basis: Tuple[int, ...]
     information_set: Tuple[int, ...]
     tree_order: Tuple[Tuple[int, int], ...]  # (tree edge, child vertex), leaf-up
 
@@ -104,12 +90,13 @@ def _bfs_tree(g: Graph) -> Tuple[List[int], List[Tuple[int, int]]]:
 def derive_code(g: Graph) -> ParityCode:
     """Build the cycle-space code of a connected graph.
 
-    The generator basis has one vector per non-tree edge: the edge plus the
-    tree path between its endpoints.  The incidence matrix H of a connected
-    graph has rank n - 1 over GF(2) (its rows sum to zero, and any n - 1 of
-    them are independent); the BFS tree proves connectivity, so rank(H) =
-    n - 1 and k = m - n + 1 with no elimination.  `gf2_rank` stays as the
-    independent oracle for tests.
+    Each non-tree edge of a BFS spanning tree closes one fundamental cycle,
+    so the non-tree edges are an information set.  The incidence matrix H
+    of a connected graph has rank n - 1 over GF(2) (its rows sum to zero,
+    and any n - 1 of them are independent); the BFS tree proves
+    connectivity, so rank(H) = n - 1 and k = m - n + 1 with no elimination.
+    The tests keep a row reduction and the fundamental-cycle basis as
+    independent oracles.
     """
     if g.vertex_count == 0:
         raise DisconnectedError("empty graph")
@@ -121,18 +108,6 @@ def derive_code(g: Graph) -> ParityCode:
     tree_set = set(tree_edges)
     info_set = [ei for ei in range(m) if ei not in tree_set]
 
-    # tree path supports via XOR of root paths
-    path_to_root = [0] * g.vertex_count
-    for ei, child in parent_pairs:
-        u, v = g.edges[ei]
-        parent = u if v == child else v
-        path_to_root[child] = path_to_root[parent] ^ (1 << ei)
-
-    basis = []
-    for ei in info_set:
-        u, v = g.edges[ei]
-        basis.append((1 << ei) ^ path_to_root[u] ^ path_to_root[v])
-
     rank = g.vertex_count - 1
     return ParityCode(
         length=m,
@@ -140,27 +115,9 @@ def derive_code(g: Graph) -> ParityCode:
         vertex_edges=vertex_edges,
         rank=rank,
         dimension=m - rank,
-        generator_basis=tuple(basis),
         information_set=tuple(info_set),
         tree_order=tuple(reversed(parent_pairs)),
     )
-
-
-def brute_force_min_weight(code: ParityCode) -> int:
-    """Minimum nonzero codeword weight by enumerating the whole code."""
-    k = len(code.generator_basis)
-    if k == 0:
-        raise AcyclicError("trivial code has no nonzero codeword")
-    # Gray-code walk: one basis XOR per codeword
-    basis = code.generator_basis
-    word = 0
-    best = code.length + 1
-    for step in range(1, 1 << k):
-        word ^= basis[(step & -step).bit_length() - 1]
-        w = bin(word).count("1")
-        if w < best:
-            best = w
-    return best
 
 
 def minimum_distance(code: ParityCode, g: Graph) -> int:
@@ -169,8 +126,8 @@ def minimum_distance(code: ParityCode, g: Graph) -> int:
     Every nonzero codeword is an edge-disjoint union of cycles, so none is
     lighter than the girth, and a shortest cycle is a codeword of exactly
     that weight.  The cycle is checked against the parity rows, which
-    catches a code derived from another graph; `brute_force_min_weight`
-    stays as the independent oracle for tests.
+    catches a code derived from another graph; the tests keep an
+    enumeration of the whole code as the independent oracle.
     """
     cycle = shortest_cycle(g)
     if cycle is None:
@@ -205,13 +162,15 @@ def _parity(code: ParityCode, ints: _BlockInts, v: int, skip: int = -1) -> int:
     """XOR of the blocks on the edges at vertex v, leaving out edge `skip`.
 
     With no edge skipped this is v's parity check, zero in a valid state;
-    skipping an edge gives the block that edge must hold (locality 2).
+    skipping an edge gives the block that edge must hold (locality 2).  The
+    XOR starts from the first block read, not from 0, so no block is
+    copied; a vertex with no other edge gives 0.
     """
-    acc = 0
+    acc = None
     for ei in code.vertex_edges[v]:
         if ei != skip:
-            acc ^= ints[ei]
-    return acc
+            acc = ints[ei] if acc is None else acc ^ ints[ei]
+    return 0 if acc is None else acc
 
 
 def fill_edges(code: ParityCode, state: StorageState, steps: Iterable[Tuple[int, int]]) -> None:
@@ -244,10 +203,15 @@ def encode(code: ParityCode, data: Sequence[bytes]) -> StorageState:
 
 
 def verify_state(code: ParityCode, state: StorageState) -> bool:
-    """True iff the XOR of incident blocks is zero at every vertex."""
+    """True iff the XOR of incident blocks is zero at every vertex, checked
+    as: the XOR of all but a vertex's last block equals its last block."""
     if set(state.symbols) != set(range(code.length)):
         return False
     if any(len(blk) != state.block_size for blk in state.symbols.values()):
         return False
     ints = _BlockInts(state)
-    return not any(_parity(code, ints, v) for v in range(len(code.vertex_edges)))
+    return all(
+        _parity(code, ints, v, skip=edges[-1]) == ints[edges[-1]]
+        for v, edges in enumerate(code.vertex_edges)
+        if edges
+    )

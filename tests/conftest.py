@@ -1,9 +1,11 @@
 
 import random
+from collections import deque
 
 import pytest
 
 from graphdss.catalog import RANDOM_REGULAR_TRIES, GenerationFailed, cage
+from graphdss.code import AcyclicError
 from graphdss.cubic import PairingMode, build_cubic
 from graphdss.graphs import Graph, is_connected
 from graphdss.orientation import eulerian_tour, orient_from_tour
@@ -88,3 +90,49 @@ def random_regular_oracle(d: int, n: int, seed: int) -> Graph:
         if is_connected(g):
             return g
     raise GenerationFailed(f"no simple connected {d}-regular graph after {RANDOM_REGULAR_TRIES} tries")
+
+
+def gf2_rank(rows) -> int:
+    """Rank of bitset-packed rows over GF(2) by Gaussian elimination.
+    Independent oracle for the rank = n - 1 theorem that `derive_code` uses."""
+    basis = []
+    for row in rows:
+        for b in basis:
+            row = min(row, row ^ b)
+        if row:
+            basis.append(row)
+            basis.sort(reverse=True)
+    return len(basis)
+
+
+def fundamental_cycle_basis(g: Graph):
+    """One edge bitset per non-tree edge of a BFS spanning tree from vertex
+    0: the edge plus the tree path between its endpoints.  The graph must be
+    connected."""
+    path = {0: 0}  # vertex -> bitset of the tree edges from the root to it
+    tree = set()
+    queue = deque([0])
+    while queue:
+        u = queue.popleft()
+        for ei, v in g.incident(u):
+            if v not in path:
+                path[v] = path[u] | (1 << ei)
+                tree.add(ei)
+                queue.append(v)
+    return [(1 << ei) ^ path[u] ^ path[v]
+            for ei, (u, v) in enumerate(g.edges) if ei not in tree]
+
+
+def brute_force_min_weight(basis) -> int:
+    """Minimum nonzero codeword weight by enumerating every combination of
+    the basis, one XOR per codeword (Gray-code walk)."""
+    if not basis:
+        raise AcyclicError("trivial code has no nonzero codeword")
+    word = 0
+    best = None
+    for step in range(1, 1 << len(basis)):
+        word ^= basis[(step & -step).bit_length() - 1]
+        w = bin(word).count("1")
+        if best is None or w < best:
+            best = w
+    return best

@@ -20,7 +20,7 @@ from graphdss.catalog import (
     random_4_regular,
     random_cubic,
 )
-from graphdss.code import brute_force_min_weight, derive_code, encode, verify_state
+from graphdss.code import derive_code, encode, verify_state
 from graphdss.cubic import (
     PairingMode,
     build_cubic,
@@ -31,7 +31,7 @@ from graphdss.graphs import EdgeSubset, Graph, degree_sequence, girth, is_connec
 from graphdss.orientation import eulerian_tour, orient_from_tour
 from graphdss.repair import RepairStrategy, peel, repair_disk, repair_disks, repair_state
 
-from conftest import system_from_cage
+from conftest import brute_force_min_weight, fundamental_cycle_basis, system_from_cage
 
 
 def report(criterion, ok, detail=""):
@@ -261,10 +261,8 @@ def test_criterion_7_code_and_encoder(systems):
             code = derive_code(graph)
             if code.rank != graph.vertex_count - 1:
                 ok = False
-    code5 = derive_code(k5_reference_system("girth5").cubic)
-    code44 = derive_code(systems[4][0].cubic)
-    bf5 = brute_force_min_weight(code5)
-    bf44 = brute_force_min_weight(code44)
+    bf5 = brute_force_min_weight(fundamental_cycle_basis(k5_reference_system("girth5").cubic))
+    bf44 = brute_force_min_weight(fundamental_cycle_basis(systems[4][0].cubic))
     ok = ok and bf5 == int(girth(k5_reference_system("girth5").cubic)) == 5
     ok = ok and bf44 == int(girth(systems[4][0].cubic))
     details.append(f"brute-force d: {bf5} (64 words), {bf44} (512 words)")

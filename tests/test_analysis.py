@@ -16,13 +16,13 @@ from graphdss.analysis import (
 )
 from graphdss import code
 from graphdss.catalog import cage, complete_graph, k5_reference_system, random_4_regular
-from graphdss.code import derive_code, gf2_rank, minimum_distance
+from graphdss.code import derive_code, minimum_distance
 from graphdss.cubic import PairingMode, build_cubic
 from graphdss.graphs import EdgeSubset, Graph, girth, two_core
 from graphdss.orientation import eulerian_tour, orient_from_tour
 from graphdss.repair import peel
 
-from conftest import all_simple_cycles, has_cycle, system_from_cage
+from conftest import all_simple_cycles, gf2_rank, has_cycle, system_from_cage
 from test_cubic import k44_reference_system
 
 

@@ -54,6 +54,20 @@ def test_build_rejects_non_4_regular(capsys):
     assert "not 4-regular" in err
 
 
+@pytest.mark.parametrize("command", ["build", "profile", "simulate"])
+def test_graph_without_vertices_is_rejected(tmp_path, capsys, command):
+    graph_file = tmp_path / "empty.json"
+    graph_file.write_text('{"vertices": 0, "edges": []}')
+    out_file = tmp_path / "sys.json"
+    argv = [command, "--input", str(graph_file)]
+    if command == "build":
+        argv += ["--output", str(out_file)]
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert "no vertices" in err
+    assert not out_file.exists()
+
+
 def test_profile_robertson(capsys):
     code, out, err = run(capsys, "profile", "--catalog", "robertson", "--csv")
     assert code == 0

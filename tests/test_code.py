@@ -8,10 +8,10 @@ from graphdss.code import (
     AcyclicError,
     DisconnectedError,
     EncodingError,
-    brute_force_min_weight,
+    StorageState,
     derive_code,
     encode,
-    gf2_rank,
+    fill_edges,
     minimum_distance,
     verify_state,
 )
@@ -19,7 +19,7 @@ from graphdss.cubic import PairingMode, build_cubic
 from graphdss.graphs import Graph, girth
 from graphdss.orientation import eulerian_tour, orient_from_tour
 
-from conftest import system_from_cage
+from conftest import brute_force_min_weight, fundamental_cycle_basis, gf2_rank, system_from_cage
 from test_cubic import k44_reference_system
 
 TRIANGLE = Graph(3, [(0, 1), (1, 2), (2, 0)])
@@ -29,7 +29,7 @@ def test_rank_of_triangle_incidence():
     code = derive_code(TRIANGLE)
     assert code.rank == 2
     assert code.dimension == 1
-    assert code.generator_basis == (0b111,)
+    assert fundamental_cycle_basis(TRIANGLE) == [0b111]
 
 
 def test_petersen_system_code_parameters():
@@ -56,8 +56,11 @@ def test_vertex_edges_are_the_parity_row_supports():
 
 
 def test_generators_satisfy_all_parity_rows():
-    code = derive_code(k44_reference_system().cubic)
-    for vec in code.generator_basis:
+    g = k44_reference_system().cubic
+    code = derive_code(g)
+    basis = fundamental_cycle_basis(g)
+    assert len(basis) == code.dimension
+    for vec in basis:
         assert code.is_codeword(vec)
 
 
@@ -82,7 +85,7 @@ def test_minimum_distance_petersen_system():
     sys = k5_reference_system("girth5")
     code = derive_code(sys.cubic)
     assert minimum_distance(code, sys.cubic) == 5
-    assert brute_force_min_weight(code) == 5
+    assert brute_force_min_weight(fundamental_cycle_basis(sys.cubic)) == 5
 
 
 def test_minimum_distance_girth3_variant():
@@ -101,7 +104,7 @@ def test_distance_is_girth_on_every_enumerable_catalog_code(name):
         g = system_from_cage({"k44": 4, "robertson": 5}[name])[0].cubic
     code = derive_code(g)
     assert code.dimension <= 20
-    assert brute_force_min_weight(code) == minimum_distance(code, g) == girth(g)
+    assert brute_force_min_weight(fundamental_cycle_basis(g)) == minimum_distance(code, g) == girth(g)
 
 
 def test_minimum_distance_rejects_code_of_another_graph():
@@ -195,3 +198,17 @@ def test_random_encode_round_trip(seed):
     data = [bytes(rng.randrange(256) for _ in range(3)) for _ in range(code.dimension)]
     state = encode(code, data)
     assert verify_state(code, state)
+
+
+def test_kernel_at_degree_one_and_zero():
+    # a degree-1 vertex checks that its one block is zero, and filling that
+    # block from the vertex writes zeros
+    g = Graph(2, [(0, 1)])
+    code = derive_code(g)
+    state = StorageState(4, {0: b"\x01\x02\x03\x04"})
+    assert not verify_state(code, state)
+    fill_edges(code, state, [(0, 1)])
+    assert state.symbols == {0: bytes(4)}
+    assert verify_state(code, state)
+    # a vertex with no edge has no check
+    assert verify_state(derive_code(Graph(1, [])), StorageState(4, {}))

@@ -1,0 +1,35 @@
+"""The package stays pure Python with no runtime dependency: every module
+imports only the standard library and graphdss itself."""
+
+import ast
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+SOURCES = sorted((ROOT / "src" / "graphdss").glob("*.py"))
+
+
+def _imported_top_level_modules(path: Path):
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                yield alias.name.split(".")[0]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            yield node.module.split(".")[0]
+
+
+def test_sources_import_only_the_standard_library():
+    assert SOURCES
+    foreign = {
+        (path.name, name)
+        for path in SOURCES
+        for name in _imported_top_level_modules(path)
+        if name != "graphdss" and name not in sys.stdlib_module_names
+    }
+    assert not foreign
+
+
+def test_pyproject_declares_no_dependencies():
+    lines = (ROOT / "pyproject.toml").read_text().splitlines()
+    assert "dependencies = []" in lines
+    assert sum(line.startswith("dependencies") for line in lines) == 1
