@@ -158,13 +158,13 @@ class _BlockInts(dict):
         return x
 
 
-def _parity(code: ParityCode, ints: _BlockInts, v: int, skip: int = -1) -> int:
-    """XOR of the blocks on the edges at vertex v, leaving out edge `skip`.
+def _parity(code: ParityCode, ints: _BlockInts, v: int, skip: int) -> int:
+    """XOR of the blocks on the edges at vertex v other than edge `skip`.
 
-    With no edge skipped this is v's parity check, zero in a valid state;
-    skipping an edge gives the block that edge must hold (locality 2).  The
-    XOR starts from the first block read, not from 0, so no block is
-    copied; a vertex with no other edge gives 0.
+    That is the block `skip` must hold (locality 2), so v's parity check
+    holds iff it equals that block.  The XOR starts from the first block
+    read, not from 0, so no block is copied; a vertex with no other edge
+    gives 0.
     """
     acc = None
     for ei in code.vertex_edges[v]:
