@@ -205,6 +205,25 @@ def _first_cyclic_subset(sys: CubicSystem, k: int) -> Optional[Tuple[int, ...]]:
     return walk(0)
 
 
+def _fewest_cyclic_disks(sys: CubicSystem) -> float:
+    """The fewest disks whose block edges contain a cycle; math.inf if none.
+
+    Let I be the bipartite graph joining disk d (vertex d) to the 4 block
+    vertices v of its path (vertex n + v).  For a disk set D touching the
+    block vertices V in c components, D's paths have 3|D| edges and the part
+    of I on D has 4|D| edges on |D| + |V| vertices in the same c
+    components, so both have cycle rank 3|D| - |V| + c.  D's blocks thus
+    contain a cycle iff I has a cycle through disks of D only, and a cycle
+    of length 2L in I passes through L disks: the answer is girth(I) / 2.
+    """
+    n = len(sys.disks)
+    incidence = Graph(
+        n + sys.cubic.vertex_count,
+        [(d, n + v) for d, path in enumerate(sys.disks) for v in path],
+    )
+    return girth(incidence) / 2
+
+
 def _girth_witness(sys: CubicSystem, g4: Graph) -> Tuple[int, Set[int]]:
     """(girth(G), the disks owned by the vertices of a girth cycle of G).
 

@@ -8,6 +8,7 @@ import pytest
 from graphdss import analysis
 from graphdss.analysis import (
     _DiskForest,
+    _fewest_cyclic_disks,
     _first_cyclic_subset,
     _girth_witness,
     profile,
@@ -17,7 +18,7 @@ from graphdss.analysis import (
 from graphdss import code
 from graphdss.catalog import cage, complete_graph, k5_reference_system, random_4_regular
 from graphdss.code import derive_code, minimum_distance
-from graphdss.cubic import PairingMode, build_cubic
+from graphdss.cubic import CubicSystem, PairingMode, build_cubic, decompose_p4
 from graphdss.graphs import EdgeSubset, Graph, girth, two_core
 from graphdss.orientation import eulerian_tour, orient_from_tour
 from graphdss.repair import peel
@@ -90,13 +91,24 @@ for _n, _s in [(10, 1), (12, 2), (14, 3), (17, 4), (20, 5)]:
 def test_first_cyclic_subset_matches_per_subset_oracle(name):
     sys, g4 = _WALK_SYSTEMS[name]()
     gg = int(girth(g4))
+    fewest = _fewest_cyclic_disks(sys)
     found = []
     for k in range(1, gg + 1):
         expected = _oracle_first_cyclic_subset(sys, k)
-        assert _first_cyclic_subset(sys, k) == expected, (k, expected)
+        assert (expected is None) == (k < fewest), (k, expected, fewest)
         found.append(expected is not None)
-    # the theorem, seen through the walk: g - 1 disks always recover, g may not
+    # the theorem, seen through the oracle: g - 1 disks always recover, g may not
     assert found == [False] * (gg - 1) + [True]
+
+
+@pytest.mark.parametrize("name", ["k44", "cage3", "cage4", "cage5"])
+def test_fewest_cyclic_disks_on_a_kotzig_decomposition(name):
+    # Kotzig's disks are not the paths of a source vertex's arcs, so only
+    # the cycle-rank lemma ties their count to girth(I) / 2
+    sys = _WALK_SYSTEMS[name]()[0]
+    paths = tuple(decompose_p4(sys.cubic))
+    kotzig = CubicSystem(sys.cubic, paths, tuple(range(len(paths))), sys.arc_names)
+    assert _fewest_cyclic_disks(kotzig) == _fewest_disks_with_a_cycle(kotzig)
 
 
 def _forest_state(forest):
