@@ -28,7 +28,7 @@ from .cubic import (
     verify_disk_decomposition,
     DecompositionFailure,
 )
-from .code import ParityCode, StorageState, derive_code, minimum_distance, encode, verify_state
+from .code import ParityCode, StorageState, derive_code, encode, verify_state
 from .repair import (
     RepairReport,
     RepairStrategy,
@@ -69,7 +69,6 @@ __all__ = [
     "ParityCode",
     "StorageState",
     "derive_code",
-    "minimum_distance",
     "encode",
     "verify_state",
     "RepairReport",

@@ -13,7 +13,7 @@ import io
 import json
 import random
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 
 from .code import DisconnectedError
 from .cubic import CubicSystem
@@ -69,142 +69,6 @@ class SystemProfile:
         )
 
 
-class _DiskForest:
-    """Components of the union of a stack of disks whose block edges form a
-    forest; disks are pushed with `add` and popped with `undo`.
-
-    A disk's edges are the 3-edge path through its 4 distinct vertices, and
-    disks are edge-disjoint, so a disk closes a cycle with the forest iff
-    two of its vertices share a component.  Components are labels, merged
-    smaller-into-larger.  Each component c also keeps `touch[c]`, the bitmask
-    of the disks with a vertex in c, and `bad` is the bitmask of the disks
-    with two vertices in one component: exactly the disks that close a
-    cycle.  Adding disk d merges its 4 components, so a disk closes a cycle
-    with the grown forest iff it was in `bad` or it touches two of those 4
-    components.  Each add logs the merge and the old masks, so that `undo`
-    restores them exactly.
-    """
-
-    def __init__(self, sys: CubicSystem):
-        self.paths = sys.disks
-        self.label = list(range(sys.cubic.vertex_count))
-        self.members = [[v] for v in self.label]
-        self.touch = [0] * sys.cubic.vertex_count
-        for d, path in enumerate(self.paths):
-            for v in path:
-                self.touch[v] |= 1 << d
-        self.bad = 0
-        # (big, its old size, merged labels, old bad, old touch[big])
-        self.log: List[Tuple[int, int, List[int], int, int]] = []
-
-    def closes_cycle(self, d: int) -> bool:
-        """True iff disk d's edges close a cycle with the forest."""
-        return self.bad >> d & 1 == 1
-
-    def closing(self, d: int) -> int:
-        """The `bad` mask of the forest plus disk d, without adding d; -1,
-        every disk, if d closes a cycle, since a superset of a cyclic set is
-        cyclic."""
-        if self.closes_cycle(d):
-            return -1
-        label, touch = self.label, self.touch
-        u, v, w, x = self.paths[d]
-        a, b, c, e = touch[label[u]], touch[label[v]], touch[label[w]], touch[label[x]]
-        a_b = a | b
-        return self.bad | a & b | a_b & c | (a_b | c) & e
-
-    def add(self, d: int) -> None:
-        """Push disk d, which must not close a cycle."""
-        label, members, touch = self.label, self.members, self.touch
-        bad = self.closing(d)
-        merged = sorted((label[v] for v in self.paths[d]), key=lambda c: len(members[c]))
-        big = merged.pop()
-        into = members[big]
-        self.log.append((big, len(into), merged, self.bad, touch[big]))
-        self.bad = bad
-        for c in merged:
-            touch[big] |= touch[c]
-            for v in members[c]:
-                label[v] = big
-            into.extend(members[c])
-
-    def undo(self) -> None:
-        """Pop the most recently added disk."""
-        big, size, merged, self.bad, self.touch[big] = self.log.pop()
-        label, members = self.label, self.members
-        del members[big][size:]
-        for c in merged:
-            for v in members[c]:
-                label[v] = c
-
-    def with_cycle(self, disks: Sequence[int]) -> bool:
-        """True iff the forest plus the given distinct disks, one or more,
-        contains a cycle; the forest is left as it was.  Only the disks
-        before the last two are added: the one before last is tested by
-        `closing` and the last by its bit, so a 2-disk set merges nothing."""
-        *head, last = disks
-        added = 0
-        for d in head[:-1]:
-            if self.closes_cycle(d):
-                cyclic = True
-                break
-            self.add(d)
-            added += 1
-        else:
-            mask = self.closing(head[-1]) if head else self.bad
-            cyclic = mask >> last & 1 == 1
-        for _ in range(added):
-            self.undo()
-        return cyclic
-
-
-def _first_disk(mask: int, start: int) -> Optional[int]:
-    """The lowest disk >= start whose bit is set in mask, if any."""
-    above = mask >> start
-    return start + (above & -above).bit_length() - 1 if above else None
-
-
-def _first_cyclic_subset(sys: CubicSystem, k: int) -> Optional[Tuple[int, ...]]:
-    """The lexicographically first k-subset of disks whose block edges
-    contain a cycle, or None if every k-subset is a forest.
-
-    A depth-first walk over the subsets in lexicographic order: each tree
-    node above the last two levels adds one disk to the forest of its
-    prefix and undoes it on the way back.  A node at depth k - 2 merges
-    nothing: `closing` gives the disks that close a cycle with its prefix
-    plus d, and the first of them above d is its first cyclic leaf.  A
-    prefix that closes a cycle is completed with the next disks in order,
-    since every superset of a cyclic set is cyclic.
-    """
-    n = len(sys.disks)
-    if not 1 < k <= n:  # one disk is a 3-edge path, never a cycle
-        return None
-    forest = _DiskForest(sys)
-    prefix: List[int] = []
-
-    def walk(start: int) -> Optional[Tuple[int, ...]]:
-        depth = len(prefix)
-        if depth == k - 2:
-            for d in range(start, n - 1):
-                last = _first_disk(forest.closing(d), d + 1)
-                if last is not None:
-                    return (*prefix, d, last)
-            return None
-        for d in range(start, n - k + depth + 1):
-            if forest.closes_cycle(d):
-                return (*prefix, *range(d, d + k - depth))
-            forest.add(d)
-            prefix.append(d)
-            found = walk(d + 1)
-            prefix.pop()
-            forest.undo()
-            if found is not None:
-                return found
-        return None
-
-    return walk(0)
-
-
 def _fewest_cyclic_disks(sys: CubicSystem) -> float:
     """The fewest disks whose block edges contain a cycle; math.inf if none.
 
@@ -222,6 +86,30 @@ def _fewest_cyclic_disks(sys: CubicSystem) -> float:
         [(d, n + v) for d, path in enumerate(sys.disks) for v in path],
     )
     return girth(incidence) / 2
+
+
+def _paths_contain_cycle(paths: List[Tuple[int, ...]]) -> bool:
+    """True iff the block edges of the given disk paths contain a cycle.
+
+    A union-find over the paths' vertices alone, fresh per call.  Disks are
+    edge-disjoint 3-edge paths through 4 distinct vertices, so a path
+    closes a cycle iff two of its vertices already share a component.
+    """
+    parent: Dict[int, int] = {}  # non-root vertex -> its parent
+
+    def find(x: int) -> int:
+        while x in parent:
+            x = parent[x]
+        return x
+
+    for path in paths:
+        roots = {find(v) for v in path}
+        if len(roots) < len(path):
+            return True
+        root = roots.pop()
+        for r in roots:
+            parent[r] = root
+    return False
 
 
 def _girth_witness(sys: CubicSystem, g4: Graph) -> Tuple[int, Set[int]]:
@@ -248,27 +136,29 @@ def verify_recovery_bound(
     """Check the girth-minus-one disk-erasure guarantee.
 
     Returns (all (g-1)-subsets of disks recover fully, witness g-subset
-    that does not).  Exhaustive mode walks every subset through
-    `_first_cyclic_subset`; sampled mode draws `trials` subsets with
-    per-trial randomness from (seed, index) and tests each on one
-    `_DiskForest`.  A subset recovers iff the union of its disk edges is a
-    forest; the witness comes from a girth cycle of the source graph, and
-    the peeling decoder confirms that it does not recover.  Every subset of
-    a forest is a forest, so an exhaustive all-ok plus the witness shows
-    that girth(G) disks is the smallest unrecoverable loss.
+    that does not).  A subset recovers iff the union of its disk edges is a
+    forest.  Exhaustive mode compares g - 1 with `_fewest_cyclic_disks`,
+    the exact minimum over all subsets; sampled mode draws `trials` subsets
+    with per-trial randomness from (seed, index) and tests each with
+    `_paths_contain_cycle`.  The witness comes from a girth cycle of the
+    source graph, and the peeling decoder confirms that it does not
+    recover.  Every subset of a forest is a forest, so an exhaustive all-ok
+    plus the witness shows that girth(G) disks is the smallest
+    unrecoverable loss.
     """
     g, witness = _girth_witness(sys, g4)
     n = len(sys.disks)
     if mode == "exhaustive":
-        all_ok = _first_cyclic_subset(sys, g - 1) is None
+        all_ok = _fewest_cyclic_disks(sys) > g - 1
     elif mode == "sampled":
         if seed is None:
             raise ValueError("sampled mode requires a seed")
         if trials < 1:
             raise ValueError(f"sampled mode needs at least one trial, got {trials}")
-        forest = _DiskForest(sys)
         all_ok = not any(
-            forest.with_cycle(random.Random(f"{seed}:{i}").sample(range(n), g - 1))
+            _paths_contain_cycle(
+                [sys.disks[d] for d in random.Random(f"{seed}:{i}").sample(range(n), g - 1)]
+            )
             for i in range(trials)
         )
     else:

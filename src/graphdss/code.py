@@ -3,7 +3,8 @@
 Coordinates are edges; each vertex contributes the parity check "incident
 edges XOR to zero".  The kernel is spanned by the fundamental cycles of a
 spanning tree, so a connected graph with n vertices and m edges gives an
-[m, m-n+1] code whose minimum weight is the girth.
+[m, m-n+1] code whose minimum weight is the girth.  The code is kept as
+its edge lists: the check at vertex v is `vertex_edges[v]`.
 """
 
 from __future__ import annotations
@@ -13,15 +14,11 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Sequence, Tuple
 
-from .graphs import Graph, shortest_cycle
+from .graphs import Graph
 
 
 class DisconnectedError(ValueError):
     pass
-
-
-class AcyclicError(ValueError):
-    """The graph is a tree: the code is trivial and distance is undefined."""
 
 
 class EncodingError(ValueError):
@@ -30,19 +27,15 @@ class EncodingError(ValueError):
 
 @dataclass(frozen=True)
 class ParityCode:
-    """Cycle-space code data: parity rows, the edges at each vertex, and a
-    systematic information set (the non-tree edges)."""
+    """Cycle-space code data: the edges at each vertex, whose blocks XOR to
+    zero, and a systematic information set (the non-tree edges)."""
 
     length: int
-    parity_rows: Tuple[int, ...]
     vertex_edges: Tuple[Tuple[int, ...], ...]  # edge indices at each vertex
     rank: int
     dimension: int
     information_set: Tuple[int, ...]
     tree_order: Tuple[Tuple[int, int], ...]  # (tree edge, child vertex), leaf-up
-
-    def is_codeword(self, word: int) -> bool:
-        return all(bin(row & word).count("1") % 2 == 0 for row in self.parity_rows)
 
 
 @dataclass
@@ -102,7 +95,6 @@ def derive_code(g: Graph) -> ParityCode:
         raise DisconnectedError("empty graph")
     m = g.edge_count
     vertex_edges = tuple(tuple(ei for ei, _ in g.incident(v)) for v in range(g.vertex_count))
-    rows = [sum(1 << ei for ei in edges) for edges in vertex_edges]
 
     tree_edges, parent_pairs = _bfs_tree(g)
     tree_set = set(tree_edges)
@@ -111,30 +103,12 @@ def derive_code(g: Graph) -> ParityCode:
     rank = g.vertex_count - 1
     return ParityCode(
         length=m,
-        parity_rows=tuple(rows),
         vertex_edges=vertex_edges,
         rank=rank,
         dimension=m - rank,
         information_set=tuple(info_set),
         tree_order=tuple(reversed(parent_pairs)),
     )
-
-
-def minimum_distance(code: ParityCode, g: Graph) -> int:
-    """Minimum distance of the cycle-space code: the girth of the graph.
-
-    Every nonzero codeword is an edge-disjoint union of cycles, so none is
-    lighter than the girth, and a shortest cycle is a codeword of exactly
-    that weight.  The cycle is checked against the parity rows, which
-    catches a code derived from another graph; the tests keep an
-    enumeration of the whole code as the independent oracle.
-    """
-    cycle = shortest_cycle(g)
-    if cycle is None:
-        raise AcyclicError("acyclic graph: code distance undefined")
-    if not code.is_codeword(sum(1 << ei for ei in cycle)):
-        raise AssertionError("girth cycle is not a codeword")
-    return len(cycle)
 
 
 class _BlockInts(dict):

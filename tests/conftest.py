@@ -5,9 +5,8 @@ from collections import deque
 import pytest
 
 from graphdss.catalog import RANDOM_REGULAR_TRIES, GenerationFailed, cage
-from graphdss.code import AcyclicError
 from graphdss.cubic import PairingMode, build_cubic
-from graphdss.graphs import Graph, is_connected
+from graphdss.graphs import Graph, is_connected, shortest_cycle
 from graphdss.orientation import eulerian_tour, orient_from_tour
 
 
@@ -90,6 +89,36 @@ def random_regular_oracle(d: int, n: int, seed: int) -> Graph:
         if is_connected(g):
             return g
     raise GenerationFailed(f"no simple connected {d}-regular graph after {RANDOM_REGULAR_TRIES} tries")
+
+
+class AcyclicError(ValueError):
+    """The graph is a tree: the code is trivial and distance is undefined."""
+
+
+def parity_rows(code):
+    """The parity-check matrix of a derived code, one edge bitset per
+    vertex, built from `vertex_edges`; the library keeps only the lists."""
+    return [sum(1 << ei for ei in edges) for edges in code.vertex_edges]
+
+
+def is_codeword(code, word: int) -> bool:
+    """True iff the edge bitset passes every parity check of the code."""
+    return all(bin(row & word).count("1") % 2 == 0 for row in parity_rows(code))
+
+
+def minimum_distance(code, g: Graph) -> int:
+    """Minimum distance of the cycle-space code: the girth of the graph.
+
+    Every nonzero codeword is an edge-disjoint union of cycles, so none is
+    lighter than the girth, and a shortest cycle is a codeword of exactly
+    that weight.  The cycle is checked against the code's parity rows,
+    which catches a code derived from another graph."""
+    cycle = shortest_cycle(g)
+    if cycle is None:
+        raise AcyclicError("acyclic graph: code distance undefined")
+    if not is_codeword(code, sum(1 << ei for ei in cycle)):
+        raise AssertionError("girth cycle is not a codeword")
+    return len(cycle)
 
 
 def gf2_rank(rows) -> int:

@@ -5,21 +5,28 @@ from hypothesis import given, settings, strategies as st
 
 from graphdss.catalog import k5_reference_system, petersen, random_4_regular
 from graphdss.code import (
-    AcyclicError,
     DisconnectedError,
     EncodingError,
     StorageState,
     derive_code,
     encode,
     fill_edges,
-    minimum_distance,
     verify_state,
 )
 from graphdss.cubic import PairingMode, build_cubic
 from graphdss.graphs import Graph, girth
 from graphdss.orientation import eulerian_tour, orient_from_tour
 
-from conftest import brute_force_min_weight, fundamental_cycle_basis, gf2_rank, system_from_cage
+from conftest import (
+    AcyclicError,
+    brute_force_min_weight,
+    fundamental_cycle_basis,
+    gf2_rank,
+    is_codeword,
+    minimum_distance,
+    parity_rows,
+    system_from_cage,
+)
 from test_cubic import k44_reference_system
 
 TRIANGLE = Graph(3, [(0, 1), (1, 2), (2, 0)])
@@ -44,15 +51,16 @@ def test_k44_system_code_parameters():
 
 def test_parity_rows_have_three_ones_on_cubic_graph():
     code = derive_code(petersen().graph)
-    assert all(bin(r).count("1") == 3 for r in code.parity_rows)
+    assert all(bin(r).count("1") == 3 for r in parity_rows(code))
 
 
 def test_vertex_edges_are_the_parity_row_supports():
     g = k44_reference_system().cubic
     code = derive_code(g)
     assert len(code.vertex_edges) == g.vertex_count
-    for row, edges in zip(code.parity_rows, code.vertex_edges):
+    for v, (row, edges) in enumerate(zip(parity_rows(code), code.vertex_edges)):
         assert sorted(edges) == [j for j in range(code.length) if (row >> j) & 1]
+        assert sorted(edges) == [j for j, e in enumerate(g.edges) if v in e]
 
 
 def test_generators_satisfy_all_parity_rows():
@@ -61,7 +69,7 @@ def test_generators_satisfy_all_parity_rows():
     basis = fundamental_cycle_basis(g)
     assert len(basis) == code.dimension
     for vec in basis:
-        assert code.is_codeword(vec)
+        assert is_codeword(code, vec)
 
 
 def test_rank_is_vertices_minus_one(cage_systems):
@@ -73,7 +81,7 @@ def test_rank_is_vertices_minus_one(cage_systems):
         code = derive_code(g)
         assert code.rank == g.vertex_count - 1
         # independent confirmation with a fresh row reduction
-        assert gf2_rank(list(code.parity_rows)) == g.vertex_count - 1
+        assert gf2_rank(parity_rows(code)) == g.vertex_count - 1
 
 
 def test_derive_rejects_disconnected():
