@@ -176,6 +176,8 @@ def test_exhaustive_bound_is_polynomial_on_a_large_input(tmp_path, capsys):
     ok, witness = verify_recovery_bound(sys, g)
     assert time.perf_counter() - start < 0.5
     assert ok and len(witness) == 4
+    # the minimum is exactly girth(G): g - 1 disks recover, the witness does not
+    assert _fewest_cyclic_disks(sys) == 4
     path = tmp_path / "torus.json"
     path.write_text(g.to_json())
     assert cli.main(["simulate", "--input", str(path), "--exhaustive"]) == 0
