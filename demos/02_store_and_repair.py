@@ -10,7 +10,7 @@ Run: python3 demos/02_store_and_repair.py
 import random
 
 from graphdss.catalog import cage
-from graphdss.code import derive_code, encode, verify_state
+from graphdss.code import StorageState, derive_code, encode, verify_state
 from graphdss.cubic import PairingMode, build_cubic
 from graphdss.orientation import eulerian_tour, orient_from_tour
 from graphdss.repair import RepairStrategy, repair_disk, repair_state
@@ -33,7 +33,7 @@ def main():
     print()
 
     victim = 3
-    broken = state.copy()
+    broken = StorageState(state.block_size, dict(state.symbols))
     for e in sysm.disk_edges(victim):
         del broken.symbols[e]
     print(f"disk {victim} failed, losing blocks {sysm.disk_edges(victim)}")

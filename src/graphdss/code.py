@@ -46,9 +46,6 @@ class StorageState:
     block_size: int
     symbols: Dict[int, bytes]
 
-    def copy(self) -> "StorageState":
-        return StorageState(self.block_size, dict(self.symbols))
-
     def header_json(self, code: ParityCode) -> str:
         return json.dumps(
             {
@@ -112,13 +109,20 @@ def derive_code(g: Graph) -> ParityCode:
 
 
 class _BlockInts(dict):
-    """Per-call int view of a state's blocks, filled on first read: each
-    block is length-checked and converted with `int.from_bytes` once, so
-    a parity is a few big-int XORs instead of a loop over bytes."""
+    """Per-call int view of a state's blocks, each held from its first read
+    to its last.
 
-    def __init__(self, state: StorageState):
+    `left[e]` counts the reads of edge e still to come in the call.  A block
+    is length-checked and converted with `int.from_bytes` on its first
+    read; each reader counts `left[e]` down and drops the int at the last
+    read, so a parity is a few big-int XORs and the view holds only the
+    blocks that a later read needs.
+    """
+
+    def __init__(self, state: StorageState, left: Dict[int, int]):
         super().__init__()
         self.state = state
+        self.left = left
 
     def __missing__(self, e: int) -> int:
         blk = self.state.symbols.get(e)
@@ -138,12 +142,18 @@ def _parity(code: ParityCode, ints: _BlockInts, v: int, skip: int) -> int:
     That is the block `skip` must hold (locality 2), so v's parity check
     holds iff it equals that block.  The XOR starts from the first block
     read, not from 0, so no block is copied; a vertex with no other edge
-    gives 0.
+    gives 0.  Each read counts down its edge's `left` and drops the int at
+    its last read.
     """
+    left = ints.left
     acc = None
     for ei in code.vertex_edges[v]:
         if ei != skip:
-            acc = ints[ei] if acc is None else acc ^ ints[ei]
+            x = ints[ei]
+            left[ei] -= 1
+            if not left[ei]:
+                del ints[ei]
+            acc = x if acc is None else acc ^ x
     return 0 if acc is None else acc
 
 
@@ -151,12 +161,27 @@ def fill_edges(code: ParityCode, state: StorageState, steps: Iterable[Tuple[int,
     """For each (edge, vertex) step in order, set the edge's block to the XOR
     of the other blocks at the vertex.
 
-    A block read must be present, or set by an earlier step, and hold
-    `block_size` bytes; otherwise `EncodingError` names its edge.
+    Every step is checked before any block is written: a vertex outside
+    the code, or an edge not at its vertex, raises `EncodingError` naming
+    the step.  A block read must be present, or set by an earlier step, and
+    hold `block_size` bytes; otherwise `EncodingError` names its edge.
     """
-    ints = _BlockInts(state)
+    steps = list(steps)
+    left: Dict[int, int] = {}
     for e, v in steps:
-        x = ints[e] = _parity(code, ints, v, skip=e)
+        if not 0 <= v < len(code.vertex_edges):
+            raise EncodingError(f"step ({e}, {v}): no vertex {v}")
+        edges = code.vertex_edges[v]
+        if e not in edges:
+            raise EncodingError(f"step ({e}, {v}): edge {e} is not at vertex {v}")
+        for ei in edges:
+            if ei != e:
+                left[ei] = left.get(ei, 0) + 1
+    ints = _BlockInts(state, left)
+    for e, v in steps:
+        x = _parity(code, ints, v, skip=e)
+        if left.get(e):
+            ints[e] = x
         state.symbols[e] = x.to_bytes(state.block_size, "little")
 
 
@@ -171,7 +196,7 @@ def encode(code: ParityCode, data: Sequence[bytes]) -> StorageState:
         state.symbols[ei] = bytes(block)
     # leaf-up: when a tree edge is processed, all other edges at its child
     # endpoint are already set.  Every non-tree edge ends at a tree edge's
-    # child, so every data block is read, and length-checked, once.
+    # child, so every data block is read, and length-checked at its first read.
     fill_edges(code, state, code.tree_order)
     return state
 
@@ -183,9 +208,17 @@ def verify_state(code: ParityCode, state: StorageState) -> bool:
         return False
     if any(len(blk) != state.block_size for blk in state.symbols.values()):
         return False
-    ints = _BlockInts(state)
-    return all(
-        _parity(code, ints, v, skip=edges[-1]) == ints[edges[-1]]
-        for v, edges in enumerate(code.vertex_edges)
-        if edges
-    )
+    # each vertex's check reads every edge at it, and every edge has two ends
+    left = dict.fromkeys(range(code.length), 2)
+    ints = _BlockInts(state, left)
+    for v, edges in enumerate(code.vertex_edges):
+        if edges:
+            e = edges[-1]
+            p = _parity(code, ints, v, skip=e)
+            x = ints[e]
+            left[e] -= 1
+            if not left[e]:
+                del ints[e]
+            if p != x:
+                return False
+    return True

@@ -38,10 +38,6 @@ class EdgeSubset:
             bits |= 1 << i
         return cls(size, bits)
 
-    @classmethod
-    def empty(cls, size: int) -> "EdgeSubset":
-        return cls(size, 0)
-
     def indices(self) -> List[int]:
         """Indices of the set bits, ascending; one step per set bit."""
         out = []
@@ -57,12 +53,6 @@ class EdgeSubset:
 
     def __len__(self) -> int:
         return bin(self.bits).count("1")
-
-    def __le__(self, other: "EdgeSubset") -> bool:
-        return self.bits & ~other.bits == 0
-
-    def union(self, other: "EdgeSubset") -> "EdgeSubset":
-        return EdgeSubset(self.size, self.bits | other.bits)
 
 
 class Graph:

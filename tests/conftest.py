@@ -5,6 +5,7 @@ from collections import deque
 import pytest
 
 from graphdss.catalog import RANDOM_REGULAR_TRIES, GenerationFailed, cage
+from graphdss.code import StorageState
 from graphdss.cubic import PairingMode, build_cubic
 from graphdss.graphs import Graph, is_connected, shortest_cycle
 from graphdss.orientation import eulerian_tour, orient_from_tour
@@ -19,6 +20,12 @@ def system_from_cage(g_girth: int):
 def cage_systems():
     """(system, source graph) for the four built-in cages, keyed by girth."""
     return {gg: system_from_cage(gg) for gg in (3, 4, 5, 6)}
+
+
+def copy_state(state: StorageState) -> StorageState:
+    """A state with its own `symbols` dict, for a damaged copy that
+    `repair_state` may fill in place."""
+    return StorageState(state.block_size, dict(state.symbols))
 
 
 def all_simple_cycles(g: Graph):

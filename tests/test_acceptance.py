@@ -31,7 +31,7 @@ from graphdss.graphs import EdgeSubset, Graph, degree_sequence, girth, is_connec
 from graphdss.orientation import eulerian_tour, orient_from_tour
 from graphdss.repair import RepairStrategy, peel, repair_disk, repair_disks, repair_state
 
-from conftest import brute_force_min_weight, fundamental_cycle_basis, system_from_cage
+from conftest import brute_force_min_weight, copy_state, fundamental_cycle_basis, system_from_cage
 
 
 def report(criterion, ok, detail=""):
@@ -275,7 +275,7 @@ def test_criterion_7_code_and_encoder(systems):
         data = [bytes(rng.randrange(256) for _ in range(16)) for _ in range(code.dimension)]
         state = encode(code, data)
         d = rng.randrange(len(sysm.disks))
-        broken = state.copy()
+        broken = copy_state(state)
         for e in sysm.disk_edges(d):
             del broken.symbols[e]
         rep = repair_disk(sysm, d, RepairStrategy.MIN_BANDWIDTH)

@@ -220,3 +220,29 @@ def test_kernel_at_degree_one_and_zero():
     assert verify_state(code, state)
     # a vertex with no edge has no check
     assert verify_state(derive_code(Graph(1, [])), StorageState(4, {}))
+
+
+@pytest.mark.parametrize(
+    "bad, message",
+    [
+        # edge 1 is not at vertex 0: the step would overwrite a good block
+        # with the XOR of vertex 0's blocks
+        ((1, 0), r"step \(1, 0\): edge 1 is not at vertex 0"),
+        ((0, 10), r"step \(0, 10\): no vertex 10"),
+        # a negative vertex would index the edge lists from the end
+        ((0, -1), r"step \(0, -1\): no vertex -1"),
+    ],
+    ids=["edge-not-at-vertex", "vertex-past-the-end", "negative-vertex"],
+)
+def test_fill_edges_rejects_a_malformed_step_before_writing(bad, message):
+    code = derive_code(k5_reference_system("girth5").cubic)
+    rng = random.Random(3)
+    state = encode(code, [rng.randbytes(4) for _ in range(code.dimension)])
+    e, v = code.tree_order[0]
+    damaged = StorageState(4, {ei: b for ei, b in state.symbols.items() if ei != e})
+    before = dict(damaged.symbols)
+    with pytest.raises(EncodingError, match=message):
+        fill_edges(code, damaged, [(e, v), bad])
+    assert damaged.symbols == before  # not even the good first step ran
+    fill_edges(code, damaged, [(e, v)])
+    assert damaged.symbols == state.symbols

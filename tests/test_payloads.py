@@ -19,7 +19,7 @@ from graphdss.cubic import PairingMode, build_cubic
 from graphdss.orientation import eulerian_tour, orient_from_tour
 from graphdss.repair import repair_disks, repair_state
 
-from conftest import system_from_cage
+from conftest import copy_state, system_from_cage
 from test_cubic import k44_reference_system
 
 BLOCK = 4096
@@ -72,7 +72,7 @@ def test_repair_state_matches_golden(disks):
     sys, code, state = _stripe("pg23")
     report = repair_disks(sys, disks)
     erased = {e for e, _, _ in report.recovered}
-    damaged = state.copy()
+    damaged = copy_state(state)
     for e in erased:
         del damaged.symbols[e]
     rebuilt = repair_state(code, damaged, report)
@@ -166,11 +166,29 @@ def test_repair_rejects_missing_helper_block():
 
 
 def test_encode_rejects_short_data_block():
-    code = derive_code(k44_reference_system().cubic)
-    data = [bytes(8)] * (code.dimension - 1) + [bytes(5)]
-    edge = code.information_set[-1]
-    with pytest.raises(EncodingError, match=f"edge {edge} has 5 bytes, expected 8"):
-        encode(code, data)
+    # every data block is read, and so length-checked, before its int is
+    # dropped: a short block at any information-set position is caught
+    for sys in (k44_reference_system(), system_from_cage(6)[0]):
+        code = derive_code(sys.cubic)
+        for i, edge in enumerate(code.information_set):
+            data = [bytes(8)] * code.dimension
+            data[i] = bytes(5)
+            # the first data block sets block_size, so when it is the short
+            # one, the first other block read is named as too long
+            want = f"edge {edge} has 5 bytes, expected 8" if i else "has 8 bytes, expected 5"
+            with pytest.raises(EncodingError, match=want):
+                encode(code, data)
+
+
+def test_verify_state_catches_one_flipped_byte_in_every_pg23_block():
+    sys, code, state = _stripe("pg23")
+    rng = random.Random("pg23-flips")
+    for e in range(code.length):
+        blk = bytearray(state.symbols[e])
+        blk[rng.randrange(BLOCK)] ^= 1 << rng.randrange(8)
+        symbols = dict(state.symbols)
+        symbols[e] = bytes(blk)
+        assert not verify_state(code, StorageState(BLOCK, symbols)), e
 
 
 def test_pg23_one_mib_round_trip_is_fast():

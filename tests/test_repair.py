@@ -19,6 +19,7 @@ from graphdss.repair import (
     repair_state,
 )
 
+from conftest import copy_state
 from test_cubic import k44_reference_system
 
 
@@ -138,7 +139,7 @@ def test_repair_state_round_trip():
     data = [bytes(rng.randrange(256) for _ in range(16)) for _ in range(code.dimension)]
     state = encode(code, data)
     report = repair_disk(sys, 2, RepairStrategy.MIN_BANDWIDTH)
-    broken = state.copy()
+    broken = copy_state(state)
     for e in sys.disk_edges(2):
         del broken.symbols[e]
     fixed = repair_state(code, broken, report)
@@ -149,7 +150,7 @@ def test_repair_state_identity_when_nothing_erased():
     sys = k5_reference_system("girth5")
     code = derive_code(sys.cubic)
     state = encode(code, [bytes(2)] * code.dimension)
-    report = peel(sys, EdgeSubset.empty(15))
+    report = peel(sys, EdgeSubset(15, 0))
     assert repair_state(code, state, report).symbols == state.symbols
 
 
