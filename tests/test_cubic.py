@@ -1,9 +1,12 @@
 
+import functools
+import hashlib
 import json
 
 import pytest
 
 from graphdss.catalog import (
+    cage,
     complete_graph,
     k5_reference_system,
     petersen,
@@ -21,7 +24,7 @@ from graphdss.cubic import (
     decompose_p4,
     verify_disk_decomposition,
 )
-from graphdss.graphs import Graph, degree_sequence, girth, is_connected
+from graphdss.graphs import Graph, GraphError, degree_sequence, girth, is_connected
 from graphdss.orientation import eulerian_tour, load_orientation, orient_from_tour
 
 from test_orientation import K44_REFERENCE_EDGES
@@ -274,3 +277,115 @@ def test_system_json_accepts_every_built_system():
 def test_policy_rejects_vertex_outside_the_graph(vertex):
     with pytest.raises(ValueError):
         PairingPolicy.from_overrides(PairingMode.PARALLEL, 5, {vertex: PairingMode.CROSSED})
+
+
+@functools.lru_cache(maxsize=None)
+def _oriented(source: str):
+    """The tour orientation of a 4-regular graph: "cage<g>" or "rr4-<n>-<seed>"."""
+    if source.startswith("cage"):
+        g = cage(int(source[4:])).graph
+    else:
+        _, n, seed = source.split("-")
+        g = random_4_regular(int(n), int(seed))
+    return orient_from_tour(g, eulerian_tour(g))
+
+
+# sha256 of build_cubic(...).to_json() for "<source>:<pairing>"; "mixed" is
+# PARALLEL with every third vertex overridden to CROSSED
+BUILD_DIGESTS = {
+    "cage3:parallel": "5631106d943c53b0b4d3d493003adbc4a22980c360b2983e001b2af4f8ba7cc2",
+    "cage3:crossed": "d4ef7d1bde086ff4368f558145070166fb57c54cca641620f6cb0c31e0973a76",
+    "cage4:parallel": "50cf0c8c9c926f8229cd134bea5953bdd4ae2dc82d7195815127181e6ace269f",
+    "cage4:crossed": "1ba1d5393a00980664798901d1f2eed80428a5109f5577d46f815243359b9a28",
+    "cage5:parallel": "97f53e1495cf29d444ff55a159c6b7b5ed0427fcb1a17b34bf4bb05d5a78e953",
+    "cage5:crossed": "19963d1316a6af107a1eca3c060278129e80a64b3d2e4a05c76cd1a9015f4ed4",
+    "cage5:mixed": "f91a370482358606c69a732e4519168e170866d305177781a6f12121fc050076",
+    "cage6:parallel": "f7990f8e81f671d922c352f6670a067af001b06860c5370a2bc6b9705e073364",
+    "cage6:crossed": "67d15c41e7a1ccd4c3ad10d250d5fadd27bd091ce9b680749428f93a48d13ed7",
+    "rr4-1000-1:parallel": "ec69bc1cd3ad9a3eb0ebdf678268ab2945680f529d207416719cf443121668f6",
+    "rr4-1000-1:crossed": "29555eb37d44cb0625f693ed8fcba6d642435a41f6dcf7a8efa4bffd35c17422",
+    "rr4-3000-1:parallel": "b2290d598a0adc2373245f0810b98c8e144bd80207a2aea609911d32d469cd20",
+    "rr4-3000-1:crossed": "50eca334efa7520e728765348aa5e5926fb8a60c96a4845389f1e3842a082712",
+}
+
+
+@pytest.mark.parametrize("case", sorted(BUILD_DIGESTS))
+def test_build_cubic_keeps_its_output(case):
+    source, mode = case.split(":")
+    og = _oriented(source)
+    if mode == "mixed":
+        policy = PairingPolicy.from_overrides(
+            PairingMode.PARALLEL, og.vertex_count,
+            {v: PairingMode.CROSSED for v in range(0, og.vertex_count, 3)})
+    else:
+        policy = PairingMode(mode)
+    text = build_cubic(og, policy).to_json()
+    assert hashlib.sha256(text.encode()).hexdigest() == BUILD_DIGESTS[case]
+
+
+def _edge_index_walk(call):
+    """The value of `call()`, or the type and message of what it raises."""
+    try:
+        return call()
+    except Exception as exc:  # noqa: BLE001 - the exception is the result
+        return type(exc), str(exc)
+
+
+def _path_edges(sys, d):
+    """disk_edges as first written: one `Graph.edge_index` per path edge."""
+    p = sys.disks[d]
+    return [sys.cubic.edge_index(p[i], p[i + 1]) for i in range(3)]
+
+
+def _edge_owner_oracle(sys):
+    owner = [-1] * sys.cubic.edge_count
+    for d in range(len(sys.disks)):
+        for ei in _path_edges(sys, d):
+            owner[ei] = d
+    return owner
+
+
+def _broken_systems():
+    """Systems that `verify_disk_decomposition` rejects, built with the bare
+    constructor: the two of the verify tests, then each corrupted k44 file
+    of `test_system_json_rejects_inconsistent_system` that still has disks."""
+    sys = k44_reference_system()
+    g = sys.cubic
+    yield "missing-edge", CubicSystem(
+        Graph(g.vertex_count, g.edges[:-1]), sys.disks, sys.disk_owner, sys.arc_names)
+    yield "non-path", CubicSystem(
+        g, ((sys.disks[0][0],) * 4,) + sys.disks[1:], sys.disk_owner, sys.arc_names)
+    disks = list(sys.disks)
+    disks[1] = (99,) + disks[1][1:]
+    disks[2] = disks[2][:3]
+    yield "outside-and-short", CubicSystem(g, tuple(disks), sys.disk_owner, sys.arc_names)
+    for corrupt in (_vertex_99, _short_arc_names, _short_disk_owner, _duplicate_disk,
+                    _random_system_with_k44_arcs, _arc_out_of_range, _swapped_owners,
+                    _repeated_owner, _extra_arc_on_an_isolated_vertex):
+        obj = json.loads(sys.to_json())
+        corrupt(obj)
+        yield corrupt.__name__, CubicSystem(
+            Graph(obj["vertices"], [tuple(e) for e in obj["edges"]]),
+            tuple(tuple(p) for p in obj["disks"]), tuple(obj["disk_owner"]),
+            tuple(tuple(a) for a in obj["arc_names"]))
+
+
+def test_disk_edges_of_broken_systems_match_the_edge_index_walk():
+    raised = {}
+    for name, sys in _broken_systems():
+        for d in range(len(sys.disks)):
+            want = _edge_index_walk(lambda: _path_edges(sys, d))
+            assert _edge_index_walk(lambda: sys.disk_edges(d)) == want, (name, d)
+            if isinstance(want, tuple):
+                raised[name, d] = want
+        want = _edge_index_walk(lambda: _edge_owner_oracle(sys))
+        assert _edge_index_walk(sys.edge_owner) == want, name
+    k44 = k44_reference_system()
+    last = k44.disks[-1]
+    assert raised == {
+        ("missing-edge", 7): (GraphError, f"no edge ({last[2]},{last[3]})"),
+        ("non-path", 0): (GraphError, f"no edge ({k44.disks[0][0]},{k44.disks[0][0]})"),
+        ("outside-and-short", 1): (IndexError, "tuple index out of range"),
+        ("outside-and-short", 2): (IndexError, "tuple index out of range"),
+        ("_vertex_99", 1): (GraphError, "no edge (0,1)"),
+    }

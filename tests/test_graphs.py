@@ -209,6 +209,47 @@ def test_simple_graph_invariants_enforced():
         Graph(2, [(0, 2)])
 
 
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        ((-1, []), "vertex_count must be non-negative"),
+        ((3, [(0, 0)]), "self-loop at vertex 0"),
+        ((2, [(5, 5)]), "self-loop at vertex 5"),  # self-loop before range
+        ((2, [(0, 2)]), "edge (0,2) has endpoint out of range"),
+        ((2, [(-1, 0)]), "edge (-1,0) has endpoint out of range"),
+        ((3, [(0, 1), (1, 0)]), "duplicate edge (1,0)"),
+        ((3, [(1, 2), (1, 2)]), "duplicate edge (1,2)"),
+        ((4, [(0, 1), (2, 3), (0, 3), (3, 2)]), "duplicate edge (3,2)"),
+        ((3, [(0, 1), (1, 0), (2, 2)]), "duplicate edge (1,0)"),  # first bad edge wins
+        ((3, [(0, 5), (1, 1)]), "edge (0,5) has endpoint out of range"),
+        ((3, [(1, 1), (0, 5)]), "self-loop at vertex 1"),
+        ((2, [(0, 0)], ["a"]), "self-loop at vertex 0"),  # edges before labels
+        ((3, [(0, 1)], ["a"]), "vertex_labels length mismatch"),
+        ((3, [(0, 1)], None, ["x", "y"]), "edge_labels length mismatch"),
+        ((3, [(0, 1)], ["a"], ["x", "y"]), "vertex_labels length mismatch"),
+    ],
+)
+def test_graph_error_messages_are_pinned(args, message):
+    with pytest.raises(GraphError) as exc:
+        Graph(*args)
+    assert str(exc.value) == message
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        '{"vertices": 3, "edges": [["a", 1]]}',
+        '{"vertices": 3, "edges": [[null, 1]]}',
+        '{"vertices": 3, "edges": [[0.5, 1]]}',
+        '{"vertices": 3, "edges": [0]}',
+        '{"edges": []}',
+    ],
+)
+def test_graph_from_json_rejects_a_non_int_endpoint(text):
+    with pytest.raises(GraphError, match="^malformed graph JSON"):
+        Graph.from_json(text)
+
+
 def test_is_connected():
     assert is_connected(PETERSEN)
     assert is_connected(complete_graph(5))

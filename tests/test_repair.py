@@ -1,17 +1,19 @@
 import itertools
+import json
 import random
 
 import pytest
 
 from graphdss.catalog import k5_reference_system, random_4_regular
 from graphdss.code import StorageState, derive_code, encode
-from graphdss.cubic import PairingMode, build_cubic
+from graphdss.cubic import CubicSystem, PairingMode, build_cubic
 from graphdss.graphs import EdgeSubset, Graph, two_core
 from graphdss.orientation import eulerian_tour, orient_from_tour
 from graphdss.repair import (
     InvalidDiskError,
     RepairStrategy,
     UnrecoverableError,
+    _session_report,
     peel,
     peel_min_bandwidth,
     repair_disk,
@@ -19,7 +21,7 @@ from graphdss.repair import (
     repair_state,
 )
 
-from conftest import copy_state
+from conftest import copy_state, system_from_cage
 from test_cubic import k44_reference_system
 
 
@@ -82,6 +84,53 @@ def test_repair_disk_min_rounds():
             assert r.transferred_symbols == 5
             assert r.rounds == 2
             assert len(r.residual) == 0
+
+
+def _shuffled_file_system():
+    """The cage-5 system read back from a file whose edge list is shuffled
+    and partly reversed, so disk d's edges are not 3d..3d+2."""
+    obj = json.loads(system_from_cage(5)[0].to_json())
+    rng = random.Random("shuffled-edges")
+    rng.shuffle(obj["edges"])
+    obj["edges"] = [e[::-1] if rng.random() < 0.5 else e for e in obj["edges"]]
+    return CubicSystem.from_json(json.dumps(obj))
+
+
+def _oracle_system(name):
+    """"cage<g>:<pairing>", "rr4-200-1" or "shuffled-file"."""
+    if name == "shuffled-file":
+        return _shuffled_file_system()
+    if name == "rr4-200-1":
+        g, mode = random_4_regular(200, seed=1), PairingMode.PARALLEL
+    else:
+        g, mode = system_from_cage(int(name[4]))[1], PairingMode(name[6:])
+    return build_cubic(orient_from_tour(g, eulerian_tour(g)), mode)
+
+
+@pytest.mark.parametrize(
+    "name", [f"cage{gg}:{mode.value}" for gg in (3, 4, 5, 6) for mode in PairingMode]
+    + ["rr4-200-1", "shuffled-file"])
+def test_repair_disk_equals_the_session_counter(name):
+    """repair_disk prices a disk from its path; `_session_report` on the
+    same schedule is the oracle for every field."""
+    sys = _oracle_system(name)
+    g = sys.cubic
+    if name == "shuffled-file":
+        assert any(sys.disk_edges(d) != [3 * d, 3 * d + 1, 3 * d + 2]
+                   for d in range(len(sys.disks)))
+    for d, p in enumerate(sys.disks):
+        e1, e2, e3 = (g.edge_index(p[i], p[i + 1]) for i in range(3))
+        lost = {e1, e2, e3}
+        erased = EdgeSubset.from_indices(g.edge_count, lost)
+        schedules = {
+            RepairStrategy.MIN_BANDWIDTH: [(e1, p[0], 1), (e2, p[1], 2), (e3, p[2], 3)],
+            RepairStrategy.MIN_ROUNDS: [(e1, p[0], 1), (e3, p[3], 1), (e2, p[1], 2)],
+        }
+        for strategy, schedule in schedules.items():
+            report = repair_disk(sys, d, strategy)
+            want = _session_report(g, erased, lost, schedule)
+            assert report == want, (d, strategy)
+            assert report.to_json() == want.to_json()
 
 
 def test_repair_disk_invalid_index():
