@@ -13,7 +13,8 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from enum import Enum
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from functools import cached_property
+from typing import Dict, List, Optional, Tuple, Union
 
 from .graphs import Graph, degree_sequence
 from .orientation import OrientedGraph
@@ -81,10 +82,28 @@ class CubicSystem:
     arc_names: Tuple[Tuple[int, int], ...]
     policy: Optional[PairingPolicy] = None
 
-    def disk_edges(self, d: int) -> List[int]:
-        """The 3 cubic-graph edge indices of disk d, in path order."""
+    def _path_edges(self, d: int) -> List[int]:
         p = self.disks[d]
         return [self.cubic.edge_index(p[i], p[i + 1]) for i in range(3)]
+
+    @cached_property
+    def _disk_edge_table(self) -> Tuple[Optional[Tuple[int, int, int]], ...]:
+        """Each disk's 3 edge indices, looked up once per system on first
+        use; None for a disk whose lookup raises.  A system that
+        `verify_disk_decomposition` rejects still constructs, and its bad
+        disks raise again, as before, when their edges are asked for."""
+        table = []
+        for d in range(len(self.disks)):
+            try:
+                table.append(tuple(self._path_edges(d)))
+            except Exception:  # noqa: BLE001 - re-raised by disk_edges(d)
+                table.append(None)
+        return tuple(table)
+
+    def disk_edges(self, d: int) -> List[int]:
+        """The 3 cubic-graph edge indices of disk d, in path order."""
+        edges = self._disk_edge_table[d]
+        return self._path_edges(d) if edges is None else list(edges)
 
     def edge_owner(self) -> List[int]:
         """Map cubic edge index -> owning disk index."""
@@ -150,13 +169,6 @@ class CubicSystem:
         return system
 
 
-def _canonical_path(path: Sequence[int], arc_names: Sequence[Tuple[int, int]]):
-    """Orient a disk path to start at the lexicographically smaller end arc."""
-    if arc_names[path[-1]] < arc_names[path[0]]:
-        path = list(reversed(path))
-    return tuple(path)
-
-
 def build_cubic(gd: OrientedGraph, policy: Union[PairingPolicy, PairingMode]) -> CubicSystem:
     """Construct the cubic graph and its disks from a 2-in-2-out digraph.
 
@@ -179,18 +191,23 @@ def build_cubic(gd: OrientedGraph, policy: Union[PairingPolicy, PairingMode]) ->
         outs[t].append(i)
         ins[h].append(i)
 
+    arcs = gd.arcs
     edges: List[Tuple[int, int]] = []
     disks: List[Tuple[int, int, int, int]] = []
-    for v in range(n):
-        a, b = sorted(ins[v], key=lambda i: gd.arcs[i][0])
-        c, d = sorted(outs[v], key=lambda i: gd.arcs[i][1])
-        if policy.modes[v] is PairingMode.PARALLEL:
-            path = [c, a, b, d]
-        else:
-            path = [d, a, b, c]
-        path = _canonical_path(path, gd.arcs)
-        disks.append(path)
-        edges.extend((path[i], path[i + 1]) for i in range(3))
+    for v, mode in enumerate(policy.modes):
+        a, b = ins[v]
+        if arcs[b][0] < arcs[a][0]:
+            a, b = b, a
+        c, d = outs[v]
+        if arcs[d][1] < arcs[c][1]:
+            c, d = d, c
+        if mode is not PairingMode.PARALLEL:
+            c, d = d, c
+        # the path c-a-b-d runs from the lexicographically smaller end arc
+        if arcs[d] < arcs[c]:
+            c, a, b, d = d, b, a, c
+        disks.append((c, a, b, d))
+        edges += ((c, a), (a, b), (b, d))
 
     cubic = Graph(2 * n, edges)
     return CubicSystem(

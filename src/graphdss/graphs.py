@@ -68,19 +68,25 @@ class Graph:
     ):
         if vertex_count < 0:
             raise GraphError("vertex_count must be non-negative")
-        self.vertex_count = vertex_count
-        seen = set()
+        n = self.vertex_count = vertex_count
+        # one pass checks each edge and files it at both endpoints;
+        # incidence[v] = list of (edge index, other endpoint)
+        seen = set()  # u * n + v with u < v, per edge
         edge_list = []
+        inc: List[List[Tuple[int, int]]] = [[] for _ in range(n)]
         for u, v in edges:
             if u == v:
                 raise GraphError(f"self-loop at vertex {u}")
-            if not (0 <= u < vertex_count and 0 <= v < vertex_count):
+            if not (0 <= u < n and 0 <= v < n):
                 raise GraphError(f"edge ({u},{v}) has endpoint out of range")
-            key = (min(u, v), max(u, v))
+            key = u * n + v if u < v else v * n + u
             if key in seen:
                 raise GraphError(f"duplicate edge ({u},{v})")
             seen.add(key)
+            i = len(edge_list)
             edge_list.append((u, v))
+            inc[u].append((i, v))
+            inc[v].append((i, u))
         self.edges: Tuple[Tuple[int, int], ...] = tuple(edge_list)
         self.vertex_labels = tuple(vertex_labels) if vertex_labels is not None else None
         self.edge_labels = tuple(edge_labels) if edge_labels is not None else None
@@ -88,11 +94,6 @@ class Graph:
             raise GraphError("vertex_labels length mismatch")
         if self.edge_labels is not None and len(self.edge_labels) != len(self.edges):
             raise GraphError("edge_labels length mismatch")
-        # incidence[v] = list of (edge index, other endpoint)
-        inc: List[List[Tuple[int, int]]] = [[] for _ in range(vertex_count)]
-        for i, (u, v) in enumerate(self.edges):
-            inc[u].append((i, v))
-            inc[v].append((i, u))
         self._incidence = tuple(tuple(x) for x in inc)
 
     @property

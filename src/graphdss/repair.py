@@ -7,10 +7,12 @@ is recoverable iff its erased edges form a forest.  The block-graph edges of
 a cycle span at least girth(G) disks of the source graph G, so any
 girth(G) - 1 failed disks are recoverable.
 
-One engine, `_peel`, computes both peeling schedules; `repair_disk` writes
-out its two fixed schedules directly.  `_session_report` is the one place
-that counts bandwidth: each distinct intact edge read once per repair
+One engine, `_peel`, computes both peeling schedules, and `_session_report`
+counts their bandwidth: each distinct intact edge read once per repair
 session; edges recovered earlier in the session are internal and free.
+`repair_disk` writes out its two fixed schedules and prices one disk from
+its path with the same rule; a test holds it equal to `_session_report` on
+every disk.
 """
 
 from __future__ import annotations
@@ -172,20 +174,23 @@ def repair_disk(sys: CubicSystem, disk: int, strategy: RepairStrategy) -> Repair
 
     MIN_BANDWIDTH walks the path using the first three parity checks (4
     symbols, 3 rounds); MIN_ROUNDS repairs both end edges first (5 symbols,
-    2 rounds).
+    2 rounds).  The report is priced from the path alone: its 3 edges form
+    a forest, so nothing is left over, and the transfers are the distinct
+    edges at the schedule's parity vertices other than the disk's own.
     """
     if not 0 <= disk < len(sys.disks):
         raise InvalidDiskError(f"no disk {disk}")
     g = sys.cubic
     p = sys.disks[disk]
     e1, e2, e3 = sys.disk_edges(disk)
-    lost = {e1, e2, e3}
-    erased = EdgeSubset.from_indices(g.edge_count, lost)
     if strategy is RepairStrategy.MIN_BANDWIDTH:
-        schedule = [(e1, p[0], 1), (e2, p[1], 2), (e3, p[2], 3)]
+        schedule, rounds = ((e1, p[0], 1), (e2, p[1], 2), (e3, p[2], 3)), 3
     else:
-        schedule = [(e1, p[0], 1), (e3, p[3], 1), (e2, p[1], 2)]
-    return _session_report(g, erased, lost, schedule)
+        schedule, rounds = ((e1, p[0], 1), (e3, p[3], 1), (e2, p[1], 2)), 2
+    reads = {ei for _, v, _ in schedule for ei, _ in g.incident(v)} - {e1, e2, e3}
+    m = g.edge_count
+    return RepairReport(schedule, len(reads), rounds, EdgeSubset(m, 0),
+                        EdgeSubset(m, 1 << e1 | 1 << e2 | 1 << e3))
 
 
 def peel_min_bandwidth(sys: CubicSystem, erased: EdgeSubset) -> RepairReport:

@@ -133,6 +133,30 @@ def test_repair_disk_equals_the_session_counter(name):
             assert report.to_json() == want.to_json()
 
 
+def test_pricing_every_disk_looks_each_edge_up_once(monkeypatch):
+    """Pricing all disks twice under both strategies looks up each disk
+    edge once per system, not once per call (12n lookups)."""
+    g = random_4_regular(1000, seed=1)
+    sys = build_cubic(orient_from_tour(g, eulerian_tour(g)), PairingMode.PARALLEL)
+    n = len(sys.disks)
+    c = sys.cubic
+    want = [sorted(c.edge_index(p[i], p[i + 1]) for i in range(3)) for p in sys.disks]
+    calls = 0
+    edge_index = Graph.edge_index
+
+    def counting(self, u, v):
+        nonlocal calls
+        calls += 1
+        return edge_index(self, u, v)
+
+    monkeypatch.setattr(Graph, "edge_index", counting)
+    for _ in range(2):
+        for d in range(n):
+            for strategy in RepairStrategy:
+                assert repair_disk(sys, d, strategy).erased.indices() == want[d]
+    assert calls <= 3 * n, calls
+
+
 def test_repair_disk_invalid_index():
     with pytest.raises(InvalidDiskError):
         repair_disk(k5_reference_system("girth5"), 99, RepairStrategy.MIN_BANDWIDTH)
