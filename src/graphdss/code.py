@@ -187,16 +187,23 @@ def fill_edges(code: ParityCode, state: StorageState, steps: Iterable[Tuple[int,
 
 def encode(code: ParityCode, data: Sequence[bytes]) -> StorageState:
     """Systematic encode: data blocks land verbatim on the information-set
-    edges; tree edges are filled leaf-upward so every vertex parity holds."""
-    k = len(code.information_set)
-    if len(data) != k:
-        raise EncodingError(f"expected {k} data blocks, got {len(data)}")
-    state = StorageState(len(data[0]) if data else 0, {})
-    for ei, block in zip(code.information_set, data):
+    edges; tree edges are filled leaf-upward so every vertex parity holds.
+    A data block whose length differs from block 0's is named, with its
+    edge, beside block 0."""
+    info = code.information_set
+    if len(data) != len(info):
+        raise EncodingError(f"expected {len(info)} data blocks, got {len(data)}")
+    size = len(data[0]) if data else 0
+    for j, block in enumerate(data):
+        if len(block) != size:
+            raise EncodingError(
+                f"data block {j} on edge {info[j]} has {len(block)} bytes, "
+                f"but data block 0 on edge {info[0]} has {size} bytes")
+    state = StorageState(size, {})
+    for ei, block in zip(info, data):
         state.symbols[ei] = bytes(block)
     # leaf-up: when a tree edge is processed, all other edges at its child
-    # endpoint are already set.  Every non-tree edge ends at a tree edge's
-    # child, so every data block is read, and length-checked at its first read.
+    # endpoint are already set
     fill_edges(code, state, code.tree_order)
     return state
 

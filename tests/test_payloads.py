@@ -166,18 +166,24 @@ def test_repair_rejects_missing_helper_block():
 
 
 def test_encode_rejects_short_data_block():
-    # every data block is read, and so length-checked, before its int is
-    # dropped: a short block at any information-set position is caught
+    # a short block at any information-set position is caught before any
+    # block is computed, and the message names its edge, block 0 included
     for sys in (k44_reference_system(), system_from_cage(6)[0]):
         code = derive_code(sys.cubic)
-        for i, edge in enumerate(code.information_set):
+        info = code.information_set
+        for i, edge in enumerate(info):
             data = [bytes(8)] * code.dimension
             data[i] = bytes(5)
-            # the first data block sets block_size, so when it is the short
-            # one, the first other block read is named as too long
-            want = f"edge {edge} has 5 bytes, expected 8" if i else "has 8 bytes, expected 5"
-            with pytest.raises(EncodingError, match=want):
+            with pytest.raises(EncodingError) as exc:
                 encode(code, data)
+            message = str(exc.value)
+            assert f"on edge {edge} has 5 bytes" in message, (i, message)
+            if i:
+                assert message == (f"data block {i} on edge {edge} has 5 bytes, "
+                                   f"but data block 0 on edge {info[0]} has 8 bytes")
+            else:
+                assert message == (f"data block 1 on edge {info[1]} has 8 bytes, "
+                                   f"but data block 0 on edge {edge} has 5 bytes")
 
 
 def test_verify_state_catches_one_flipped_byte_in_every_pg23_block():
