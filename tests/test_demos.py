@@ -1,11 +1,14 @@
-"""Each demo's main() runs to the end and prints its key result."""
+"""Each demo's main() runs to the end and prints its key result, and so
+does the README's library quick start."""
 
 import importlib.util
+import re
 from pathlib import Path
 
 import pytest
 
-DEMOS = Path(__file__).resolve().parent.parent / "demos"
+ROOT = Path(__file__).resolve().parent.parent
+DEMOS = ROOT / "demos"
 
 # demo file -> lines its output must contain
 EXPECTED = {
@@ -36,3 +39,17 @@ def test_demo_runs(name, capsys):
     out = capsys.readouterr().out
     for line in EXPECTED[name]:
         assert line in out
+
+
+def test_readme_library_quick_start_runs(capsys):
+    text = (ROOT / "README.md").read_text()
+    section = text[text.index("## Library quick start"):]
+    block = re.search(r"```python\n(.*?)```", section, re.S).group(1)
+    scope = {}
+    exec(compile(block, "README.md", "exec"), scope)
+    out = capsys.readouterr().out
+    assert "disks:                  19" in out
+    assert "disks recoverable:      4" in out
+    # the rebuilt disk holds the encoded bytes again
+    assert scope["state2"].symbols == scope["state"].symbols
+    assert len(scope["report"].recovered) == 3
