@@ -96,7 +96,7 @@ class CubicSystem:
         for d in range(len(self.disks)):
             try:
                 table.append(tuple(self._path_edges(d)))
-            except Exception:  # noqa: BLE001 - re-raised by disk_edges(d)
+            except (LookupError, TypeError, ValueError):  # raised again by disk_edges(d)
                 table.append(None)
         return tuple(table)
 
