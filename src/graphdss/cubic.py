@@ -82,28 +82,22 @@ class CubicSystem:
     arc_names: Tuple[Tuple[int, int], ...]
     policy: Optional[PairingPolicy] = None
 
-    def _path_edges(self, d: int) -> List[int]:
-        p = self.disks[d]
-        return [self.cubic.edge_index(p[i], p[i + 1]) for i in range(3)]
-
     @cached_property
-    def _disk_edge_table(self) -> Tuple[Optional[Tuple[int, int, int]], ...]:
-        """Each disk's 3 edge indices, looked up once per system on first
-        use; None for a disk whose lookup raises.  A system that
+    def _disk_edge_table(self) -> List[Optional[Tuple[int, int, int]]]:
+        """Disk d's 3 edge indices once `disk_edges(d)` has looked them up.
+        Only lookups that succeed are kept, so a system that
         `verify_disk_decomposition` rejects still constructs, and its bad
-        disks raise again, as before, when their edges are asked for."""
-        table = []
-        for d in range(len(self.disks)):
-            try:
-                table.append(tuple(self._path_edges(d)))
-            except (LookupError, TypeError, ValueError):  # raised again by disk_edges(d)
-                table.append(None)
-        return tuple(table)
+        disks raise on every call."""
+        return [None] * len(self.disks)
 
     def disk_edges(self, d: int) -> List[int]:
         """The 3 cubic-graph edge indices of disk d, in path order."""
+        p = self.disks[d]
         edges = self._disk_edge_table[d]
-        return self._path_edges(d) if edges is None else list(edges)
+        if edges is None:
+            edges = tuple(self.cubic.edge_index(p[i], p[i + 1]) for i in range(3))
+            self._disk_edge_table[d] = edges
+        return list(edges)
 
     def edge_owner(self) -> List[int]:
         """Map cubic edge index -> owning disk index."""
