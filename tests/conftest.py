@@ -7,8 +7,9 @@ import pytest
 from graphdss.catalog import RANDOM_REGULAR_TRIES, GenerationFailed, cage
 from graphdss.code import StorageState
 from graphdss.cubic import PairingMode, build_cubic
-from graphdss.graphs import Graph, is_connected, shortest_cycle
+from graphdss.graphs import EdgeSubset, Graph, is_connected, shortest_cycle
 from graphdss.orientation import eulerian_tour, orient_from_tour
+from graphdss.repair import RepairReport
 
 
 def system_from_cage(g_girth: int):
@@ -26,6 +27,25 @@ def copy_state(state: StorageState) -> StorageState:
     """A state with its own `symbols` dict, for a damaged copy that
     `repair_state` may fill in place."""
     return StorageState(state.block_size, dict(state.symbols))
+
+
+def session_report(g: Graph, erased: EdgeSubset, lost, schedule) -> RepairReport:
+    """The report of a recovery schedule, counted from the schedule alone:
+    each distinct intact edge at a step's parity vertex is one transfer
+    (an erased edge is read only after an earlier step recovered it), the
+    rounds are the highest step round, and the residual is `lost` less the
+    recovered edges.  Oracle for the peel's own bookkeeping and for
+    `repair_disk`'s pricing."""
+    recovered = {e for e, _, _ in schedule}
+    reads = {ei for e, v, _ in schedule for ei, _ in g.incident(v)
+             if ei != e and ei not in lost}
+    return RepairReport(
+        recovered=tuple(schedule),
+        transferred_symbols=len(reads),
+        rounds=max((r for _, _, r in schedule), default=0),
+        residual=EdgeSubset.from_indices(erased.size, set(lost) - recovered),
+        erased=erased,
+    )
 
 
 def all_simple_cycles(g: Graph):

@@ -256,6 +256,8 @@ def test_is_connected():
     two_triangles = Graph(6, [(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3)])
     assert not is_connected(two_triangles)
     assert is_connected(Graph(0, []))
+    assert is_connected(Graph(1, []))
+    assert not is_connected(Graph(2, []))
 
 
 def test_two_core_of_cycle_is_itself():

@@ -39,6 +39,17 @@ def test_tour_disconnected_not_eulerian():
         eulerian_tour(two_triangles)
 
 
+def test_tour_ignores_isolated_vertices():
+    triangle_and_two_isolated = Graph(5, [(1, 2), (2, 3), (3, 1)])
+    assert eulerian_tour(triangle_and_two_isolated) == [0, 1, 2]
+
+
+def test_tour_two_triangles_and_an_isolated_vertex_is_disconnected():
+    g = Graph(7, [(0, 1), (1, 2), (2, 0), (4, 5), (5, 6), (6, 4)])
+    with pytest.raises(NotEulerianError, match="^graph is disconnected$"):
+        eulerian_tour(g)
+
+
 def test_tour_k44_length_16():
     g = Graph(8, K44_REFERENCE_EDGES)
     assert len(eulerian_tour(g)) == 16

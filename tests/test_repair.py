@@ -13,7 +13,6 @@ from graphdss.repair import (
     InvalidDiskError,
     RepairStrategy,
     UnrecoverableError,
-    _session_report,
     peel,
     peel_min_bandwidth,
     repair_disk,
@@ -21,7 +20,7 @@ from graphdss.repair import (
     repair_state,
 )
 
-from conftest import copy_state, system_from_cage
+from conftest import copy_state, session_report, system_from_cage
 from test_cubic import k44_reference_system
 
 
@@ -111,7 +110,7 @@ def _oracle_system(name):
     "name", [f"cage{gg}:{mode.value}" for gg in (3, 4, 5, 6) for mode in PairingMode]
     + ["rr4-200-1", "shuffled-file"])
 def test_repair_disk_equals_the_session_counter(name):
-    """repair_disk prices a disk from its path; `_session_report` on the
+    """repair_disk prices a disk from its path; `session_report` on the
     same schedule is the oracle for every field."""
     sys = _oracle_system(name)
     g = sys.cubic
@@ -128,7 +127,7 @@ def test_repair_disk_equals_the_session_counter(name):
         }
         for strategy, schedule in schedules.items():
             report = repair_disk(sys, d, strategy)
-            want = _session_report(g, erased, lost, schedule)
+            want = session_report(g, erased, lost, schedule)
             assert report == want, (d, strategy)
             assert report.to_json() == want.to_json()
 

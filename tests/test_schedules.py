@@ -18,7 +18,7 @@ from graphdss.graphs import EdgeSubset
 from graphdss.orientation import eulerian_tour, orient_from_tour
 from graphdss.repair import peel, peel_min_bandwidth, repair_disks
 
-from conftest import system_from_cage
+from conftest import session_report, system_from_cage
 
 PATTERNS = 60  # per system: 30 random edge subsets, 30 whole-disk failures
 
@@ -32,12 +32,11 @@ def _system(name):
     return build_cubic(orient_from_tour(g, eulerian_tour(g)), PairingMode.PARALLEL)
 
 
-def _digests(sys):
-    """SHA-256 of the concatenated report JSON per entry point."""
+def _patterns(sys):
+    """The seeded (erased subset, failed disks or None) patterns of a system."""
     m = sys.cubic.edge_count
     n = len(sys.disks)
     rng = random.Random(f"golden:{n}:{m}")
-    h = {name: hashlib.sha256() for name in ("peel", "peel_min_bandwidth", "repair_disks")}
     for i in range(PATTERNS):
         if i % 2 == 0:
             edges = rng.sample(range(m), rng.randint(1, min(m, 48)))
@@ -45,7 +44,13 @@ def _digests(sys):
         else:
             disks = rng.sample(range(n), rng.randint(1, min(n, 12)))
             edges = [e for d in disks for e in sys.disk_edges(d)]
-        erased = EdgeSubset.from_indices(m, edges)
+        yield EdgeSubset.from_indices(m, edges), disks
+
+
+def _digests(sys):
+    """SHA-256 of the concatenated report JSON per entry point."""
+    h = {name: hashlib.sha256() for name in ("peel", "peel_min_bandwidth", "repair_disks")}
+    for erased, disks in _patterns(sys):
         h["peel"].update(peel(sys, erased).to_json().encode())
         h["peel_min_bandwidth"].update(peel_min_bandwidth(sys, erased).to_json().encode())
         if disks is not None:
@@ -95,3 +100,30 @@ GOLDEN = {
 @pytest.mark.parametrize("name", sorted(GOLDEN))
 def test_repair_schedules_match_golden(name):
     assert _digests(_system(name)) == GOLDEN[name]
+
+
+def _random_1000_patterns():
+    """200 random 1-40-edge patterns of a `random_4_regular(1000, 1)` system."""
+    g = random_4_regular(1000, seed=1)
+    sys = build_cubic(orient_from_tour(g, eulerian_tour(g)), PairingMode.PARALLEL)
+    m = sys.cubic.edge_count
+    rng = random.Random("oracle:1000")
+    return sys, [EdgeSubset.from_indices(m, rng.sample(range(m), rng.randint(1, 40)))
+                 for _ in range(200)]
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN) + ["random1000"])
+def test_peel_reports_equal_the_schedule_oracle(name):
+    """Both peels price their own schedule; `session_report` counts it
+    again from the schedule alone, for every field."""
+    if name == "random1000":
+        sys, patterns = _random_1000_patterns()
+    else:
+        sys = _system(name)
+        patterns = [erased for erased, _ in _patterns(sys)]
+    g = sys.cubic
+    for erased in patterns:
+        lost = set(erased.indices())
+        for run in (peel, peel_min_bandwidth):
+            report = run(sys, erased)
+            assert report == session_report(g, erased, lost, report.recovered), (run, erased)
