@@ -10,11 +10,10 @@ its edge lists: the check at vertex v is `vertex_edges[v]`.
 from __future__ import annotations
 
 import json
-from collections import deque
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Sequence, Tuple
+from typing import Dict, Iterable, Sequence, Tuple
 
-from .graphs import Graph
+from .graphs import Graph, bfs_tree
 
 
 class DisconnectedError(ValueError):
@@ -56,27 +55,6 @@ class StorageState:
         )
 
 
-def _bfs_tree(g: Graph) -> Tuple[List[int], List[Tuple[int, int]]]:
-    """BFS spanning tree from vertex 0: (tree edge indices, (edge, child)
-    pairs in BFS order)."""
-    parent_edge: List[Tuple[int, int]] = []
-    seen = [False] * g.vertex_count
-    seen[0] = True
-    q = deque([0])
-    tree_edges = []
-    while q:
-        u = q.popleft()
-        for ei, v in g.incident(u):
-            if not seen[v]:
-                seen[v] = True
-                tree_edges.append(ei)
-                parent_edge.append((ei, v))
-                q.append(v)
-    if not all(seen):
-        raise DisconnectedError("graph is disconnected")
-    return tree_edges, parent_edge
-
-
 def derive_code(g: Graph) -> ParityCode:
     """Build the cycle-space code of a connected graph.
 
@@ -93,8 +71,10 @@ def derive_code(g: Graph) -> ParityCode:
     m = g.edge_count
     vertex_edges = tuple(tuple(ei for ei, _ in g.incident(v)) for v in range(g.vertex_count))
 
-    tree_edges, parent_pairs = _bfs_tree(g)
-    tree_set = set(tree_edges)
+    parent_pairs = bfs_tree(g, 0)
+    if len(parent_pairs) != g.vertex_count - 1:
+        raise DisconnectedError("graph is disconnected")
+    tree_set = {ei for ei, _ in parent_pairs}
     info_set = [ei for ei in range(m) if ei not in tree_set]
 
     rank = g.vertex_count - 1

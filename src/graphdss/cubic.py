@@ -16,7 +16,7 @@ from enum import Enum
 from functools import cached_property
 from typing import Dict, List, Optional, Tuple, Union
 
-from .graphs import Graph, degree_sequence
+from .graphs import Graph, GraphError, degree_sequence
 from .orientation import OrientedGraph
 
 
@@ -222,10 +222,10 @@ def verify_disk_decomposition(sys: CubicSystem) -> bool:
         if len(path) != 4 or len(set(path)) != 4:
             return False
         for i in range(3):
-            u, v = path[i], path[i + 1]
-            if not g.has_edge(u, v):
+            try:
+                ei = g.edge_index(path[i], path[i + 1])
+            except GraphError:
                 return False
-            ei = g.edge_index(u, v)
             if ei in seen:
                 return False
             seen.add(ei)

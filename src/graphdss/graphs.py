@@ -110,9 +110,6 @@ class Graph:
                 return i
         raise GraphError(f"no edge ({u},{v})")
 
-    def has_edge(self, u: int, v: int) -> bool:
-        return any(w == v for _, w in self._incidence[u])
-
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, Graph)
@@ -247,19 +244,26 @@ def girth(g: Graph) -> float:
     return math.inf if cycle is None else len(cycle)
 
 
-def is_connected(g: Graph) -> bool:
-    """True iff one BFS covers all vertices; vacuously true when empty."""
-    if g.vertex_count == 0:
-        return True
-    seen = {0}
-    q = deque([0])
+def bfs_tree(g: Graph, root: int) -> List[Tuple[int, int]]:
+    """(tree edge, child) pairs of a BFS tree of root's component, in BFS
+    order, each vertex's edges taken in edge-index order.  The component
+    has one more vertex than the tree has pairs."""
+    seen = [False] * g.vertex_count
+    seen[root] = True
+    pairs = []
+    q = deque([root])
     while q:
-        u = q.popleft()
-        for _, v in g.incident(u):
-            if v not in seen:
-                seen.add(v)
+        for ei, v in g.incident(q.popleft()):
+            if not seen[v]:
+                seen[v] = True
+                pairs.append((ei, v))
                 q.append(v)
-    return len(seen) == g.vertex_count
+    return pairs
+
+
+def is_connected(g: Graph) -> bool:
+    """True iff one BFS tree spans all vertices; vacuously true when empty."""
+    return g.vertex_count == 0 or len(bfs_tree(g, 0)) == g.vertex_count - 1
 
 
 def two_core(g: Graph, erased: EdgeSubset) -> EdgeSubset:

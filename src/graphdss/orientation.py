@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Sequence, Tuple
 
-from .graphs import Graph, degree_sequence, is_connected
+from .graphs import Graph, bfs_tree, degree_sequence
 
 
 class NotEulerianError(ValueError):
@@ -55,7 +55,8 @@ def eulerian_tour(g: Graph) -> List[int]:
     if g.edge_count == 0:
         return []
     active = [v for v, d in enumerate(degs) if d > 0]
-    if not is_connected_on(g, active):
+    # a BFS from a vertex with edges reaches only vertices with edges
+    if len(bfs_tree(g, active[0])) != len(active) - 1:
         raise NotEulerianError("graph is disconnected")
 
     used = [False] * g.edge_count
@@ -80,22 +81,6 @@ def eulerian_tour(g: Graph) -> List[int]:
             stack.append((w, ei))
     tour_edges.reverse()
     return tour_edges
-
-
-def is_connected_on(g: Graph, vertices: Sequence[int]) -> bool:
-    """Connectivity restricted to the given vertices (ignores isolated ones)."""
-    if not vertices:
-        return True
-    want = set(vertices)
-    seen = {vertices[0]}
-    stack = [vertices[0]]
-    while stack:
-        u = stack.pop()
-        for _, v in g.incident(u):
-            if v not in seen:
-                seen.add(v)
-                stack.append(v)
-    return want <= seen
 
 
 def _walk_vertices(g: Graph, tour: Sequence[int]) -> List[int]:

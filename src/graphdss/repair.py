@@ -7,12 +7,12 @@ is recoverable iff its erased edges form a forest.  The block-graph edges of
 a cycle span at least girth(G) disks of the source graph G, so any
 girth(G) - 1 failed disks are recoverable.
 
-One engine, `_peel`, computes both peeling schedules, and `_session_report`
-counts their bandwidth: each distinct intact edge read once per repair
-session; edges recovered earlier in the session are internal and free.
-`repair_disk` writes out its two fixed schedules and prices one disk from
-its path with the same rule; a test holds it equal to `_session_report` on
-every disk.
+One engine, `_peel`, computes both peeling schedules and prices them as it
+goes: each distinct intact edge is read once per repair session; edges
+recovered earlier in the session are internal and free.  `repair_disk`
+writes out its two fixed schedules and prices one disk from its path with
+the same rule.  The test oracle `session_report` (tests/conftest.py)
+counts every report again from its schedule alone.
 """
 
 from __future__ import annotations
@@ -21,11 +21,11 @@ import heapq
 import json
 from dataclasses import dataclass
 from enum import Enum
-from typing import Dict, Iterable, List, Sequence, Set, Tuple
+from typing import Dict, Iterable, List, Set, Tuple
 
 from .code import ParityCode, StorageState, fill_edges
 from .cubic import CubicSystem
-from .graphs import EdgeSubset, Graph
+from .graphs import EdgeSubset
 
 
 class InvalidDiskError(ValueError):
@@ -67,35 +67,6 @@ class RepairReport:
         )
 
 
-def _session_report(
-    g: Graph,
-    erased: EdgeSubset,
-    lost: Set[int],
-    schedule: Sequence[Tuple[int, int, int]],
-) -> RepairReport:
-    """Derive bandwidth and residual bookkeeping from a recovery schedule.
-
-    `lost` holds the indices of `erased`; membership is tested against it,
-    so the work follows the schedule, not the number of edges.  An erased
-    edge is never a transfer: it is read only after an earlier step
-    recovered it.
-    """
-    recovered_set = {e for e, _, _ in schedule}
-    reads: Set[int] = set()
-    for e, v, _ in schedule:
-        for ei, _ in g.incident(v):
-            if ei != e and ei not in lost:
-                reads.add(ei)
-    rounds = max((r for _, _, r in schedule), default=0)
-    return RepairReport(
-        recovered=tuple(schedule),
-        transferred_symbols=len(reads),
-        rounds=rounds,
-        residual=EdgeSubset.from_indices(erased.size, lost - recovered_set),
-        erased=erased,
-    )
-
-
 def _peel(sys: CubicSystem, erased: EdgeSubset, min_bandwidth: bool) -> RepairReport:
     """The peeling engine: a work queue of parity vertices with exactly one
     unrecovered erased edge, seeded from `erased.indices()`.
@@ -107,7 +78,8 @@ def _peel(sys: CubicSystem, erased: EdgeSubset, min_bandwidth: bool) -> RepairRe
     (round, edge, vertex) replays the round-synchronous schedule, and
     (new reads, vertex) the bandwidth-greedy one.  Keys are recomputed on
     pop and stale entries skipped; a greedy key only falls, and every fall
-    pushes a fresh entry.
+    pushes a fresh entry.  The report's transfers are the reads, its rounds
+    the deepest recovery, and its residual the erased edges never recovered.
     """
     g = sys.cubic
     if erased.size != g.edge_count:
@@ -155,7 +127,13 @@ def _peel(sys: CubicSystem, erased: EdgeSubset, min_bandwidth: bool) -> RepairRe
         for x in touched:
             if pending.get(x) == 1:
                 heapq.heappush(heap, entry(x)[0])
-    return _session_report(g, erased, lost, schedule)
+    return RepairReport(
+        recovered=tuple(schedule),
+        transferred_symbols=len(reads),
+        rounds=max(rounds.values(), default=0),
+        residual=EdgeSubset.from_indices(erased.size, lost.difference(rounds)),
+        erased=erased,
+    )
 
 
 def peel(sys: CubicSystem, erased: EdgeSubset) -> RepairReport:
