@@ -44,12 +44,21 @@ class UsageError(Exception):
     pass
 
 
-def _load_graph(args) -> Graph:
+def _load_graph(args, regular: bool) -> Graph:
+    """The --catalog graph or the --input file's.  A command that needs a
+    regular graph rejects a file that declares more vertices than its edges
+    have ends, before a Graph of the declared size is built: some vertex
+    would have no edge."""
     if getattr(args, "catalog", None):
         return cat.by_name(args.catalog).graph
     if getattr(args, "input", None):
         with open(args.input) as fh:
-            return Graph.from_json(fh.read())
+            obj = json.load(fh)
+        n, edges = (obj.get("vertices"), obj.get("edges")) if isinstance(obj, dict) else (0, [])
+        if regular and type(n) is int and isinstance(edges, list) and n > 2 * len(edges):
+            raise UsageError(f"input graph declares {n} vertices, but its {len(edges)} edges "
+                             f"have {2 * len(edges)} ends, so some vertex has no edge")
+        return Graph.from_obj(obj)
     raise UsageError("need --catalog or --input")
 
 
@@ -70,7 +79,7 @@ def _parse_policy(text: str, n: int) -> PairingPolicy:
 
 
 def _build_system(args) -> Tuple[CubicSystem, Graph]:
-    g = _load_graph(args)
+    g = _load_graph(args, True)
     if g.vertex_count == 0:
         raise UsageError("input graph has no vertices")
     degs = degree_sequence(g)
@@ -114,7 +123,7 @@ def cmd_build(args) -> int:
 
 
 def cmd_decompose(args) -> int:
-    g = _load_graph(args)
+    g = _load_graph(args, True)
     paths = decompose_p4(g)
     print(json.dumps({"paths": [list(p) for p in paths]}, indent=2))
     return 0
@@ -129,23 +138,18 @@ _TABLE1 = {
 }
 
 
-def _profile_of_cage(g_girth: int):
-    entry = cat.cage(g_girth)
-    g = entry.graph
-    sys_ = build_cubic(orient_from_tour(g, eulerian_tour(g)), PairingMode.PARALLEL)
-    return entry, profile(sys_, g)
-
-
 def cmd_profile(args) -> int:
     if args.table1:
         ok = True
         print("disks,blocks,disks_recoverable,blocks_recoverable,length,dimension,d_source_girth,d_block_girth,rate")
         for gg in (3, 4, 5, 6, 7):
             try:
-                entry, prof = _profile_of_cage(gg)
+                g = cat.cage(gg).graph
             except cat.MissingDataFileError:
                 print(f"# (4,{gg})-cage skipped: data file not available", file=_sys.stderr)
                 continue
+            sys_ = build_cubic(orient_from_tour(g, eulerian_tour(g)), PairingMode.PARALLEL)
+            prof = profile(sys_, g)
             print(prof.csv_row())
             want = _TABLE1[gg]
             got = (
@@ -164,7 +168,7 @@ def cmd_profile(args) -> int:
     if args.system:
         with open(args.system) as fh:
             sys_ = CubicSystem.from_json(fh.read())
-        g = _source_graph_of(sys_)
+        g = Graph(len(sys_.disks), sys_.arc_names)
     else:
         sys_, g = _build_system(args)
     prof = profile(sys_, g)
@@ -173,12 +177,6 @@ def cmd_profile(args) -> int:
     else:
         print(prof.text_report())
     return 0
-
-
-def _source_graph_of(sys_: CubicSystem) -> Graph:
-    n = len(sys_.disks)
-    edges = [tuple(a) for a in sys_.arc_names]
-    return Graph(n, edges)
 
 
 def cmd_simulate(args) -> int:
@@ -351,7 +349,7 @@ def cmd_repair(args) -> int:
 
 
 def cmd_export_dot(args) -> int:
-    g = _load_graph(args)
+    g = _load_graph(args, False)
     print(g.to_dot())
     return 0
 

@@ -16,7 +16,7 @@ from enum import Enum
 from functools import cached_property
 from typing import Dict, List, Optional, Tuple, Union
 
-from .graphs import Graph, GraphError, degree_sequence
+from .graphs import Graph, GraphError, degree_sequence, int_tuples
 from .orientation import OrientedGraph
 
 
@@ -124,27 +124,36 @@ class CubicSystem:
         middle arcs enter it, and the arcs form a simple graph."""
         try:
             obj = json.loads(text)
-            g = Graph(obj["vertices"], [tuple(e) for e in obj["edges"]])
-            disks = tuple(tuple(d) for d in obj["disks"])
+            vertex_count = obj["vertices"]
+            edges = int_tuples(obj["edges"], 2, "edge")
+            disks = tuple(int_tuples(obj["disks"], 4, "disk"))
             disk_owner = tuple(obj["disk_owner"])
-            arc_names = tuple(tuple(a) for a in obj["arc_names"])
+            for d, v in enumerate(disk_owner):
+                if type(v) is not int:
+                    raise TypeError(f"disk owner {d} is not an int: {v!r}")
+            arc_names = tuple(int_tuples(obj["arc_names"], 2, "arc name"))
             policy = None
             if "policy" in obj:
                 policy = PairingPolicy(tuple(PairingMode(m) for m in obj["policy"]))
+            # checked before the graph is built, whose size it declares
+            n = len(disks)
+            if vertex_count != 2 * n:
+                raise InvalidSystemError(
+                    f"{n} disks need {2 * n} graph vertices, not {vertex_count}")
+            g = Graph(vertex_count, edges)
+        except InvalidSystemError:
+            raise
         except (ValueError, KeyError, TypeError) as exc:
             raise InvalidSystemError(f"malformed system file: {exc!r}") from exc
         for d, path in enumerate(disks):
-            if any(not isinstance(v, int) or not 0 <= v < g.vertex_count for v in path):
+            if any(not 0 <= v < g.vertex_count for v in path):
                 raise InvalidSystemError(
                     f"disk {d} names a vertex outside the graph: {list(path)}")
-        if len(disk_owner) != len(disks):
-            raise InvalidSystemError(f"{len(disk_owner)} disk owners for {len(disks)} disks")
+        if len(disk_owner) != n:
+            raise InvalidSystemError(f"{len(disk_owner)} disk owners for {n} disks")
         if len(arc_names) != g.vertex_count:
             raise InvalidSystemError(f"{len(arc_names)} arc names for {g.vertex_count} vertices")
-        n = len(disks)
-        if g.vertex_count != 2 * n:
-            raise InvalidSystemError(f"{n} disks need {2 * n} graph vertices, not {g.vertex_count}")
-        if any(not isinstance(v, int) for v in disk_owner) or sorted(disk_owner) != list(range(n)):
+        if sorted(disk_owner) != list(range(n)):
             raise InvalidSystemError(f"disk owners are not a permutation of 0..{n - 1}")
         try:
             Graph(n, arc_names)

@@ -55,6 +55,18 @@ class EdgeSubset:
         return bin(self.bits).count("1")
 
 
+def int_tuples(items, length: int, what: str) -> List[Tuple[int, ...]]:
+    """The entries of a parsed JSON list as tuples; TypeError naming the
+    first entry, by index and value, that is not a list of exactly
+    `length` ints.  A bool is not an int here."""
+    out = []
+    for i, x in enumerate(items):
+        if not (isinstance(x, list) and len(x) == length and all(type(v) is int for v in x)):
+            raise TypeError(f"{what} {i} is not a list of {length} ints: {x!r}")
+        out.append(tuple(x))
+    return out
+
+
 class Graph:
     """Undirected simple graph with a fixed vertex count and an ordered
     edge list.  Immutable after construction; all queries are pure."""
@@ -132,14 +144,18 @@ class Graph:
 
     @classmethod
     def from_json(cls, text: str) -> "Graph":
-        obj = json.loads(text)
+        return cls.from_obj(json.loads(text))
+
+    @classmethod
+    def from_obj(cls, obj) -> "Graph":
+        """The graph of a parsed graph file; GraphError unless "vertices" is
+        an int and every edge a list of exactly 2 ints."""
         try:
-            return cls(
-                obj["vertices"],
-                [tuple(e) for e in obj["edges"]],
-                obj.get("vertex_labels"),
-                obj.get("edge_labels"),
-            )
+            n = obj["vertices"]
+            if type(n) is not int:
+                raise TypeError(f"vertices is not an int: {n!r}")
+            edges = int_tuples(obj["edges"], 2, "edge")
+            return cls(n, edges, obj.get("vertex_labels"), obj.get("edge_labels"))
         except (KeyError, TypeError) as exc:
             raise GraphError(f"malformed graph JSON: {exc!r}") from exc
 

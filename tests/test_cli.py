@@ -5,6 +5,7 @@ import random
 import pytest
 
 import graphdss.cli
+import graphdss.graphs
 from graphdss.cli import main
 
 from test_cubic import (
@@ -582,3 +583,36 @@ def test_profile_rejects_arcs_that_do_not_match_the_disks(tmp_path, capsys, corr
     code, out, err = run(capsys, "profile", "--system", _written(tmp_path, json.dumps(obj)))
     assert code == 2
     assert named in err and "disks recoverable" not in out
+
+
+HUGE = 10**30
+
+
+@pytest.mark.parametrize("argv,named", [
+    (["build", "--input", "g.json"], f"declares {HUGE} vertices, but its 2 edges have 4 ends"),
+    (["profile", "--input", "g.json"], f"declares {HUGE} vertices"),
+    (["simulate", "--input", "g.json", "--seed", "1"], f"declares {HUGE} vertices"),
+    (["decompose", "--input", "g.json"], f"declares {HUGE} vertices"),
+    (["profile", "--system", "sys.json"], f"2 disks need 4 graph vertices, not {HUGE}"),
+])
+def test_declared_vertex_count_is_checked_before_a_graph_is_built(
+        tmp_path, capsys, monkeypatch, argv, named):
+    """A file that declares 10**30 vertices is rejected from its counts; a
+    Graph of more than 10 000 vertices is never started."""
+    init = graphdss.graphs.Graph.__init__
+
+    def small_only(self, vertex_count, *args, **kwargs):
+        if vertex_count > 10_000:
+            raise AssertionError(f"Graph of {vertex_count} vertices built")
+        init(self, vertex_count, *args, **kwargs)
+
+    monkeypatch.setattr(graphdss.graphs.Graph, "__init__", small_only)
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "g.json").write_text('{"vertices": %d, "edges": [[0, 1], [1, 2]]}' % HUGE)
+    (tmp_path / "sys.json").write_text(json.dumps(
+        {"vertices": HUGE, "edges": [[0, 1], [1, 2], [2, 3]],
+         "disks": [[0, 1, 2, 3], [4, 5, 6, 7]], "disk_owner": [0, 1],
+         "arc_names": [[0, 1], [1, 0], [0, 1], [1, 0]]}))
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert err.startswith("error:") and named in err

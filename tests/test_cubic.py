@@ -260,6 +260,43 @@ def test_system_json_rejects_inconsistent_system(corrupt):
         CubicSystem.from_json(json.dumps(obj))
 
 
+def _true_for_vertex_1(obj):
+    for key in ("edges", "disks"):
+        obj[key] = [[True if v == 1 else v for v in item] for item in obj[key]]
+
+
+def _edge_of_three(obj):
+    obj["edges"][2] = obj["edges"][2] + [5]
+
+
+def _float_disk_vertex(obj):
+    obj["disks"][3][1] = float(obj["disks"][3][1])
+
+
+def _bool_disk_owner(obj):
+    obj["disk_owner"][1] = True
+
+
+def _arc_name_of_one(obj):
+    obj["arc_names"][4] = obj["arc_names"][4][:1]
+
+
+@pytest.mark.parametrize(
+    "corrupt,named",
+    [(_true_for_vertex_1, "edge 2 is not a list of 2 ints: [14, True]"),
+     (_edge_of_three, "edge 2 is not a list of 2 ints: [14, 1, 5]"),
+     (_float_disk_vertex, "disk 3 is not a list of 4 ints"),
+     (_bool_disk_owner, "disk owner 1 is not an int: True"),
+     (_arc_name_of_one, "arc name 4 is not a list of 2 ints: [2]")],
+)
+def test_system_json_names_a_malformed_entry(corrupt, named):
+    obj = json.loads(k44_reference_system().to_json())
+    corrupt(obj)
+    with pytest.raises(InvalidSystemError, match="^malformed system file") as exc:
+        CubicSystem.from_json(json.dumps(obj))
+    assert named in str(exc.value)
+
+
 def test_system_json_rejects_malformed_json():
     with pytest.raises(InvalidSystemError):
         CubicSystem.from_json(k44_reference_system().to_json()[:-2])

@@ -10,7 +10,14 @@ starts with `rm` deletes the files it names.  An input file is written
 before the first step.
 
 A digest may change only together with a CHANGES entry that says which
-output changed and why; list the row here too.
+output changed and why; list the row here too.  Changed so far:
+- error-graph-edges, error-graph-json: a graph or system file whose edge,
+  disk, disk owner or arc name is not a list of ints of the right length
+  (a bool is not an int) is rejected with a message that names the entry;
+  `build --input` checks the declared vertex count first.
+- error-graph-edges, error-input-graph-shape: `build`, `profile`,
+  `simulate` and `decompose` reject a file that declares more vertices
+  than its edges have ends before a Graph is built, with a new message.
 """
 
 import hashlib
@@ -175,7 +182,7 @@ ROWS = {
          "d.json": b'{"vertices": 2, "edges": [[0, 0]]}'},
         ["build --input a.json", "build --input b.json", "export-dot --input c.json",
          "build --input d.json"],
-        "e488a1d379b2b1475d542e8e6d187fc5ec911fb970172489a679bfeb563c000a"),
+        "0743f348a78b2f3919bf6573b3c44ff8f25b1081f49217ba068105aef9413836"),
     "error-graph-edges": (
         {"three.json": b'{"vertices": 5, "edges": [[0, 1, 2]]}',
          "one.json": b'{"vertices": 5, "edges": [[0]]}',
@@ -184,13 +191,19 @@ ROWS = {
          "sys.json": _k44_system_with_true().encode()},
         ["build --input three.json", "build --input one.json", "build --input float.json",
          "export-dot --input bool.json", "profile --system sys.json"],
-        "b88add7b4940f2894d4d50ccef750301dad32fb62e00e2851c259ac17fb7a265"),
+        "684b254780d6b4aef6e7685bde8985d264b7c60797c0f79f6060793ecd19c100"),
+    "error-graph-edges-within-count": (
+        {"three.json": b'{"vertices": 2, "edges": [[0, 1, 2]]}',
+         "float.json": b'{"vertices": 2, "edges": [[0, 1.0]]}',
+         "true.json": b'{"vertices": true, "edges": [[0, 1]]}'},
+        ["build --input three.json", "decompose --input float.json", "profile --input true.json"],
+        "3abcd52bdd42bd1e9256edd0588966cef10e50796964592e1ae66feeb2de907d"),
     "error-input-graph-shape": (
         {"empty.json": b'{"vertices": 0, "edges": []}', "two.json": _two_k5().encode(),
          "path.json": b'{"vertices": 1000, "edges": [[0, 1], [1, 2]]}'},
         ["build --catalog petersen", "profile --input empty.json", "build --input two.json",
          "simulate --input path.json --seed 1", "decompose --input path.json"],
-        "c60f7b7acc7d8f08adc44d9181827a9f57b22512cdcc55aafc23c9c97c890383"),
+        "823c805556a77dd29dda7b11d9c5934bce2c4910ab3def0ee9eb3c40306a3ae0"),
     "error-orientation": (
         {"o1.json": b'{"edges": []}', "o2.json": b'{"arcs": [[0, 1, 2]]}',
          "o3.json": b'{"arcs": [[0, 1]]}'},
