@@ -235,21 +235,22 @@ def test_graph_error_messages_are_pinned(args, message):
     assert str(exc.value) == message
 
 
-@pytest.mark.parametrize(
-    "text,named",
-    [
-        ('{"vertices": 3, "edges": [["a", 1]]}', "edge 0"),
-        ('{"vertices": 3, "edges": [[null, 1]]}', "edge 0"),
-        ('{"vertices": 3, "edges": [[0.5, 1]]}', "edge 0"),
-        ('{"vertices": 3, "edges": [0]}', "edge 0"),
-        ('{"edges": []}', "vertices"),
-        ('{"vertices": 5, "edges": [[0, 1], [0, 1, 2]]}', "edge 1 is not a list of 2 ints: [0, 1, 2]"),
-        ('{"vertices": 5, "edges": [[0]]}', "edge 0 is not a list of 2 ints: [0]"),
-        ('{"vertices": 5, "edges": [[0, 1.0]]}', "edge 0 is not a list of 2 ints: [0, 1.0]"),
-        ('{"vertices": 3, "edges": [[true, 2]]}', "edge 0 is not a list of 2 ints: [True, 2]"),
-        ('{"vertices": true, "edges": []}', "vertices is not an int: True"),
-    ],
-)
+NON_INT_GRAPH_FILES = [
+    ('{"vertices": 3, "edges": [["a", 1]]}', "edge 0"),
+    ('{"vertices": 3, "edges": [[null, 1]]}', "edge 0"),
+    ('{"vertices": 3, "edges": [[0.5, 1]]}', "edge 0"),
+    ('{"vertices": 3, "edges": [0]}', "edge 0"),
+    ('{"edges": []}', "vertices"),
+    ('{"vertices": 5, "edges": [[0, 1], [0, 1, 2]]}', "edge 1 is not a list of 2 ints: [0, 1, 2]"),
+    ('{"vertices": 5, "edges": [[0]]}', "edge 0 is not a list of 2 ints: [0]"),
+    ('{"vertices": 5, "edges": [[0, 1.0]]}', "edge 0 is not a list of 2 ints: [0, 1.0]"),
+    ('{"vertices": 3, "edges": [[true, 2]]}', "edge 0 is not a list of 2 ints: [True, 2]"),
+    ('{"vertices": true, "edges": []}', "vertices is not an int: True"),
+]
+
+
+@pytest.mark.parametrize("text,named", NON_INT_GRAPH_FILES,
+                         ids=[text for text, _ in NON_INT_GRAPH_FILES])
 def test_graph_from_json_rejects_a_non_int_endpoint(text, named):
     with pytest.raises(GraphError, match="^malformed graph JSON") as exc:
         Graph.from_json(text)

@@ -121,7 +121,8 @@ ROWS = {
         {}, ["profile --catalog pg23 --csv", "profile --catalog pg23 --policy crossed"],
         "457cfe0af44fc5712a72fa39382f6d1a4140316ce871b1f593b40dbc983f343e"),
     "profile-system-file": (
-        {}, ["build --catalog pg23 --policy crossed --output sys.json", "profile --system sys.json"],
+        {}, ["build --catalog pg23 --policy crossed --output sys.json",
+             "profile --system sys.json"],
         "f2ff77446d9035ba8d0c19d40ccd76b72fc9ff6ca7edaff9a68ceee2c71bf34a"),
     "profile-table1": (
         {}, ["profile --table1"],
@@ -150,7 +151,8 @@ ROWS = {
         {}, ["export-dot --catalog k5"],
         "9c7c04d3ab44dfd72e370678b3e40a854be65111064b2f91226f7f44124c414f"),
     "export-dot-petersen-and-input": (
-        {"g.json": b'{"vertices": 3, "edges": [[0, 1], [1, 2]], "vertex_labels": ["a", "b", "c"]}'},
+        {"g.json":
+         b'{"vertices": 3, "edges": [[0, 1], [1, 2]], "vertex_labels": ["a", "b", "c"]}'},
         ["export-dot --catalog petersen", "export-dot --input g.json"],
         "1ec6626fc1db249846fa493ffe72dd85367a4e30c66939f55865d616a2b55189"),
     "store-repair-k44": (
