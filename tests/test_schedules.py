@@ -28,7 +28,7 @@ def _system(name):
         return system_from_cage(int(name[4:]))[0]
     if name.startswith("k5-"):
         return k5_reference_system(name[3:])
-    g = random_4_regular(200, seed=1)
+    g = random_4_regular(int(name[6:]), seed=1)
     return build_cubic(orient_from_tour(g, eulerian_tour(g)), PairingMode.PARALLEL)
 
 
@@ -93,6 +93,11 @@ GOLDEN = {
         "peel": "743dba6042fe30b49c2a09ca9ed45b9d02db4d4d547a9ee715adab83f4c22727",
         "peel_min_bandwidth": "c5aa04c7fabe2e68b035b9baef4cc939cc791622926eb745e10181efa5831903",
         "repair_disks": "a02d4dfc9f3e8bc231aeb9ad79f9c1c99d25bc033a043e48f79a613841fcc317",
+    },
+    "random3000": {
+        "peel": "5f6ce2f9c6e2e64642b310b973a9ef406b6b323e678c7d75a8c08930686a1fbd",
+        "peel_min_bandwidth": "888e6b335de5b57b252d56e9dfb70c7b2bc57f67b8e5679e46f63071f05c9c67",
+        "repair_disks": "70f3a6ccecc47bce0f51d4933fbfc4dbc74e59e9111ad5d1b630fd45c2e02ae8",
     },
 }
 
