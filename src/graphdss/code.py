@@ -88,63 +88,21 @@ def derive_code(g: Graph) -> ParityCode:
     )
 
 
-class _BlockInts(dict):
-    """Per-call int view of a state's blocks, each held from its first read
-    to its last.
-
-    `left[e]` counts the reads of edge e still to come in the call.  A block
-    is length-checked and converted with `int.from_bytes` on its first
-    read; each reader counts `left[e]` down and drops the int at the last
-    read, so a parity is a few big-int XORs and the view holds only the
-    blocks that a later read needs.
-    """
-
-    def __init__(self, state: StorageState, left: Dict[int, int]):
-        super().__init__()
-        self.state = state
-        self.left = left
-
-    def __missing__(self, e: int) -> int:
-        blk = self.state.symbols.get(e)
-        if blk is None:
-            raise EncodingError(f"no block on edge {e}")
-        if len(blk) != self.state.block_size:
-            raise EncodingError(
-                f"block on edge {e} has {len(blk)} bytes, expected {self.state.block_size}"
-            )
-        x = self[e] = int.from_bytes(blk, "little")
-        return x
-
-
-def _parity(code: ParityCode, ints: _BlockInts, v: int, skip: int) -> int:
-    """XOR of the blocks on the edges at vertex v other than edge `skip`.
-
-    That is the block `skip` must hold (locality 2), so v's parity check
-    holds iff it equals that block.  The XOR starts from the first block
-    read, not from 0, so no block is copied; a vertex with no other edge
-    gives 0.  Each read counts down its edge's `left` and drops the int at
-    its last read.
-    """
-    left = ints.left
-    acc = None
-    for ei in code.vertex_edges[v]:
-        if ei != skip:
-            x = ints[ei]
-            left[ei] -= 1
-            if not left[ei]:
-                del ints[ei]
-            acc = x if acc is None else acc ^ x
-    return 0 if acc is None else acc
-
-
 def fill_edges(code: ParityCode, state: StorageState, steps: Iterable[Tuple[int, int]]) -> None:
     """For each (edge, vertex) step in order, set the edge's block to the XOR
-    of the other blocks at the vertex.
+    of the other blocks at the vertex (locality 2).
 
     Every step is checked before any block is written: a vertex outside
     the code, or an edge not at its vertex, raises `EncodingError` naming
     the step.  A block read must be present, or set by an earlier step, and
     hold `block_size` bytes; otherwise `EncodingError` names its edge.
+
+    The same pass counts, in `left[e]`, the reads of each edge to come.  A
+    block is held as an int from its first read to its last: each read
+    takes it out of `ints` (or converts it with `int.from_bytes`), counts
+    its edge down and puts it back only if a later read needs it.  The XOR
+    starts from the first block read, not from 0, so no block is copied; a
+    vertex with no other edge gives 0.
     """
     steps = list(steps)
     left: Dict[int, int] = {}
@@ -157,12 +115,31 @@ def fill_edges(code: ParityCode, state: StorageState, steps: Iterable[Tuple[int,
         for ei in edges:
             if ei != e:
                 left[ei] = left.get(ei, 0) + 1
-    ints = _BlockInts(state, left)
+    symbols, size = state.symbols, state.block_size
+    ints: Dict[int, int] = {}
     for e, v in steps:
-        x = _parity(code, ints, v, skip=e)
+        acc = None
+        for ei in code.vertex_edges[v]:
+            if ei == e:
+                continue
+            x = ints.pop(ei, None)
+            if x is None:
+                blk = symbols.get(ei)
+                if blk is None:
+                    raise EncodingError(f"no block on edge {ei}")
+                if len(blk) != size:
+                    raise EncodingError(
+                        f"block on edge {ei} has {len(blk)} bytes, expected {size}")
+                x = int.from_bytes(blk, "little")
+            k = left[ei] = left[ei] - 1
+            if k:
+                ints[ei] = x
+            acc = x if acc is None else acc ^ x
+        if acc is None:
+            acc = 0
         if left.get(e):
-            ints[e] = x
-        state.symbols[e] = x.to_bytes(state.block_size, "little")
+            ints[e] = acc
+        symbols[e] = acc.to_bytes(size, "little")
 
 
 def encode(code: ParityCode, data: Sequence[bytes]) -> StorageState:
@@ -195,17 +172,21 @@ def verify_state(code: ParityCode, state: StorageState) -> bool:
         return False
     if any(len(blk) != state.block_size for blk in state.symbols.values()):
         return False
-    # each vertex's check reads every edge at it, and every edge has two ends
-    left = dict.fromkeys(range(code.length), 2)
-    ints = _BlockInts(state, left)
-    for v, edges in enumerate(code.vertex_edges):
-        if edges:
-            e = edges[-1]
-            p = _parity(code, ints, v, skip=e)
-            x = ints[e]
-            left[e] -= 1
-            if not left[e]:
-                del ints[e]
-            if p != x:
-                return False
+    # the same read-and-drop rule as fill_edges: every edge is read once at
+    # each of its two ends, so its int is kept from the first read to the
+    # second
+    symbols = state.symbols
+    ints: Dict[int, int] = {}
+    for edges in code.vertex_edges:
+        if not edges:
+            continue
+        e, acc = edges[-1], None
+        for ei in edges:
+            x = ints.pop(ei, None)
+            if x is None:
+                x = ints[ei] = int.from_bytes(symbols[ei], "little")
+            if ei != e:
+                acc = x if acc is None else acc ^ x
+        if (0 if acc is None else acc) != x:  # x is the last block
+            return False
     return True

@@ -39,20 +39,24 @@ class EdgeSubset:
         return cls(size, bits)
 
     def indices(self) -> List[int]:
-        """Indices of the set bits, ascending; one step per set bit."""
+        """Indices of the set bits, ascending; one step per set bit.
+
+        The walk clears the top bit each step, so the int it works on
+        shrinks to the next set bit, and reverses the list at the end."""
         out = []
         bits = self.bits
         while bits:
-            low = bits & -bits
-            out.append(low.bit_length() - 1)
-            bits ^= low
+            i = bits.bit_length() - 1
+            out.append(i)
+            bits ^= 1 << i
+        out.reverse()
         return out
 
     def __contains__(self, i: int) -> bool:
         return 0 <= i < self.size and bool((self.bits >> i) & 1)
 
     def __len__(self) -> int:
-        return bin(self.bits).count("1")
+        return self.bits.bit_count()
 
 
 def int_tuples(items, length: int, what: str) -> List[Tuple[int, ...]]:
@@ -117,6 +121,9 @@ class Graph:
         return self._incidence[v]
 
     def edge_index(self, u: int, v: int) -> int:
+        n = self.vertex_count
+        if not (0 <= u < n and 0 <= v < n):
+            raise GraphError(f"edge ({u},{v}) has endpoint out of range")
         for i, w in self._incidence[u]:
             if w == v:
                 return i

@@ -76,57 +76,63 @@ def _peel(sys: CubicSystem, erased: EdgeSubset, min_bandwidth: bool) -> RepairRe
     rule a recovery's round is 1 + the highest round among the other erased
     edges at its parity vertex.  The heap key is the choice rule:
     (round, edge, vertex) replays the round-synchronous schedule, and
-    (new reads, vertex) the bandwidth-greedy one.  Keys are recomputed on
-    pop and stale entries skipped; a greedy key only falls, and every fall
-    pushes a fresh entry.  The report's transfers are the reads, its rounds
-    the deepest recovery, and its residual the erased edges never recovered.
+    (new reads, vertex) the bandwidth-greedy one.  Each vertex keeps its
+    pending edges, the highest round recovered at it and, for the greedy
+    rule, its intact edges not yet read, so no key needs an incidence scan.
+    A round key is fixed once its vertex has one pending edge, so it is
+    pushed once, then.  A greedy key only falls, and each fall pushes a
+    fresh entry, which pops before the older ones of its vertex; so under
+    either rule the first entry of a vertex to pop while it has one
+    pending edge carries its current key, and every later one finds the
+    vertex done and is skipped.  The report's transfers are the reads, its
+    rounds the deepest recovery, and its residual the erased edges never
+    recovered.
     """
     g = sys.cubic
     if erased.size != g.edge_count:
         raise ValueError("erased subset sized for a different graph")
     lost = set(erased.indices())
-    pending: Dict[int, int] = {}  # vertex -> erased edges not yet recovered
+    ends = g.edges
+    pending: Dict[int, List[int]] = {}  # vertex -> erased edges not yet recovered
     for e in lost:
-        for x in g.edges[e]:
-            pending[x] = pending.get(x, 0) + 1
+        for x in ends[e]:
+            if x in pending:
+                pending[x].append(e)
+            else:
+                pending[x] = [e]
+    depth: Dict[int, int] = {}  # vertex -> highest round recovered at it
+    cost: Dict[int, int] = {}  # vertex -> intact edges not yet read (greedy rule)
+    if min_bandwidth:
+        cost = {x: len(g.incident(x)) - len(p) for x, p in pending.items()}
+        heap = [(c, x) for x, c in cost.items() if len(pending[x]) == 1]
+    else:
+        heap = [(1, p[0], x) for x, p in pending.items() if len(p) == 1]
+    heapq.heapify(heap)
     rounds: Dict[int, int] = {}  # recovered edge -> round
     reads: Set[int] = set()
     schedule: List[Tuple[int, int, int]] = []
-
-    def entry(v: int) -> Tuple[tuple, int, int]:
-        """(heap key, edge, round) for a vertex with one pending edge."""
-        edge, rnd, cost = -1, 1, 0
-        for ei, _ in g.incident(v):
-            if ei not in lost:
-                cost += ei not in reads
-            elif ei in rounds:
-                rnd = max(rnd, rounds[ei] + 1)
-            else:
-                edge = ei
-        return ((cost, v) if min_bandwidth else (rnd, edge, v)), edge, rnd
-
-    heap = [entry(v)[0] for v, k in pending.items() if k == 1]
-    heapq.heapify(heap)
     while heap:
         key = heapq.heappop(heap)
         v = key[-1]
-        if pending[v] != 1:
-            continue
-        fresh, e, rnd = entry(v)
-        if fresh != key:
-            continue
+        if len(pending[v]) != 1:
+            continue  # recovered here or at its other end since this entry
+        e, rnd = pending[v][0], depth.get(v, 0) + 1
         rounds[e] = rnd
         schedule.append((e, v, rnd))
-        touched = list(g.edges[e])
-        for x in touched:
-            pending[x] -= 1
+        for x in ends[e]:
+            left = pending[x]
+            left.remove(e)
+            if left:
+                d = depth[x] = max(depth.get(x, 0), rnd)
+                if len(left) == 1:
+                    heapq.heappush(heap, (cost[x], x) if min_bandwidth else (d + 1, left[0], x))
         for ei, x in g.incident(v):
             if ei not in lost and ei not in reads:
                 reads.add(ei)
-                touched.append(x)
-        for x in touched:
-            if pending.get(x) == 1:
-                heapq.heappush(heap, entry(x)[0])
+                if x in cost:
+                    c = cost[x] = cost[x] - 1
+                    if len(pending[x]) == 1:
+                        heapq.heappush(heap, (c, x))
     return RepairReport(
         recovered=tuple(schedule),
         transferred_symbols=len(reads),

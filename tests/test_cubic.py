@@ -129,6 +129,18 @@ def test_verify_rejects_non_path_disk():
     assert not verify_disk_decomposition(broken)
 
 
+def test_verify_rejects_a_negative_vertex_alias():
+    """Vertex -10 names vertex 0 of the 10-vertex block graph only as a
+    list index; a disk path through it is no path of the graph."""
+    sys = k5_reference_system("girth5")
+    assert sys.disks[0] == (0, 8, 4, 1)
+    broken = CubicSystem(sys.cubic, ((-10, 8, 4, 1),) + sys.disks[1:], sys.disk_owner,
+                         sys.arc_names)
+    assert not verify_disk_decomposition(broken)
+    with pytest.raises(GraphError, match="out of range"):
+        broken.disk_edges(0)
+
+
 def _assert_p4_cover(g, paths):
     used = []
     for p in paths:
@@ -425,7 +437,7 @@ def test_disk_edges_of_broken_systems_match_the_edge_index_walk():
     assert raised == {
         ("missing-edge", 7): (GraphError, f"no edge ({last[2]},{last[3]})"),
         ("non-path", 0): (GraphError, f"no edge ({k44.disks[0][0]},{k44.disks[0][0]})"),
-        ("outside-and-short", 1): (IndexError, "tuple index out of range"),
+        ("outside-and-short", 1): (GraphError, f"edge (99,{k44.disks[1][1]}) has endpoint out of range"),
         ("outside-and-short", 2): (IndexError, "tuple index out of range"),
         ("_vertex_99", 1): (GraphError, "no edge (0,1)"),
     }

@@ -197,7 +197,18 @@ def sized_bitsets(draw):
 @settings(max_examples=200)
 def test_indices_are_the_set_bits_ascending(size_bits):
     size, bits = size_bits
-    assert EdgeSubset(size, bits).indices() == [i for i in range(size) if bits >> i & 1]
+    s = EdgeSubset(size, bits)
+    assert s.indices() == [i for i in range(size) if bits >> i & 1]
+    assert len(s) == len(s.indices())
+
+
+@pytest.mark.parametrize("u, v", [(-1, 0), (0, -1), (-4, 1), (4, 0), (0, 4)])
+def test_edge_index_rejects_an_endpoint_out_of_range(u, v):
+    """A negative endpoint is no alias of a vertex counted from the end."""
+    k4 = complete_graph(4)
+    assert k4.edge_index(3, 0) == k4.edge_index(0, 3)
+    with pytest.raises(GraphError, match=rf"^edge \({u},{v}\) has endpoint out of range$"):
+        k4.edge_index(u, v)
 
 
 def test_simple_graph_invariants_enforced():
