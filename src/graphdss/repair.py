@@ -92,14 +92,10 @@ def _peel(sys: CubicSystem, erased: EdgeSubset, min_bandwidth: bool) -> RepairRe
     if erased.size != g.edge_count:
         raise ValueError("erased subset sized for a different graph")
     lost = set(erased.indices())
-    ends = g.edges
     pending: Dict[int, List[int]] = {}  # vertex -> erased edges not yet recovered
     for e in lost:
-        for x in ends[e]:
-            if x in pending:
-                pending[x].append(e)
-            else:
-                pending[x] = [e]
+        for x in g.edges[e]:
+            pending.setdefault(x, []).append(e)
     depth: Dict[int, int] = {}  # vertex -> highest round recovered at it
     cost: Dict[int, int] = {}  # vertex -> intact edges not yet read (greedy rule)
     if min_bandwidth:
@@ -119,7 +115,7 @@ def _peel(sys: CubicSystem, erased: EdgeSubset, min_bandwidth: bool) -> RepairRe
         e, rnd = pending[v][0], depth.get(v, 0) + 1
         rounds[e] = rnd
         schedule.append((e, v, rnd))
-        for x in ends[e]:
+        for x in g.edges[e]:
             left = pending[x]
             left.remove(e)
             if left:
