@@ -11,12 +11,11 @@ from __future__ import annotations
 import csv
 import io
 import json
-import random
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Optional, Set, Tuple
 
 from .code import DisconnectedError
-from .cubic import CubicSystem
+from .cubic import CubicSystem, check_star_layout
 from .graphs import EdgeSubset, Graph, girth, is_connected, shortest_cycle
 from .repair import peel
 
@@ -69,49 +68,6 @@ class SystemProfile:
         )
 
 
-def _fewest_cyclic_disks(sys: CubicSystem) -> float:
-    """The fewest disks whose block edges contain a cycle; math.inf if none.
-
-    Let I be the bipartite graph joining disk d (vertex d) to the 4 block
-    vertices v of its path (vertex n + v).  For a disk set D touching the
-    block vertices V in c components, D's paths have 3|D| edges and the part
-    of I on D has 4|D| edges on |D| + |V| vertices in the same c
-    components, so both have cycle rank 3|D| - |V| + c.  D's blocks thus
-    contain a cycle iff I has a cycle through disks of D only, and a cycle
-    of length 2L in I passes through L disks: the answer is girth(I) / 2.
-    """
-    n = len(sys.disks)
-    incidence = Graph(
-        n + sys.cubic.vertex_count,
-        [(d, n + v) for d, path in enumerate(sys.disks) for v in path],
-    )
-    return girth(incidence) / 2
-
-
-def _paths_contain_cycle(paths: List[Tuple[int, ...]]) -> bool:
-    """True iff the block edges of the given disk paths contain a cycle.
-
-    A union-find over the paths' vertices alone, fresh per call.  Disks are
-    edge-disjoint 3-edge paths through 4 distinct vertices, so a path
-    closes a cycle iff two of its vertices already share a component.
-    """
-    parent: Dict[int, int] = {}  # non-root vertex -> its parent
-
-    def find(x: int) -> int:
-        while x in parent:
-            x = parent[x]
-        return x
-
-    for path in paths:
-        roots = {find(v) for v in path}
-        if len(roots) < len(path):
-            return True
-        root = roots.pop()
-        for r in roots:
-            parent[r] = root
-    return False
-
-
 def _girth_witness(sys: CubicSystem, g4: Graph) -> Tuple[int, Set[int]]:
     """(girth(G), the disks owned by the vertices of a girth cycle of G).
 
@@ -136,40 +92,34 @@ def verify_recovery_bound(
     """Check the girth-minus-one disk-erasure guarantee.
 
     Returns (all (g-1)-subsets of disks recover fully, witness g-subset
-    that does not).  A subset recovers iff the union of its disk edges is a
-    forest.  Exhaustive mode compares g - 1 with `_fewest_cyclic_disks`,
-    the exact minimum over all subsets; sampled mode draws `trials` subsets
-    with per-trial randomness from (seed, index) and tests each with
-    `_paths_contain_cycle`.  The witness comes from a girth cycle of the
-    source graph, and the peeling decoder confirms that it does not
-    recover.  Every subset of a forest is a forest, so an exhaustive all-ok
-    plus the witness shows that girth(G) disks is the smallest
-    unrecoverable loss.
+    that does not).  A subset recovers iff the union of its disk edges is
+    a forest.  Both modes decide this by theorem: `check_star_layout`
+    proves that disk d is the path of the arcs at its owner (or raises
+    InvalidSystemError), so each block vertex, an arc u->v, lies on the
+    paths of exactly two disks, those of u and v.  The graph joining each
+    disk to the block vertices of its path is then the subdivision of G,
+    and a disk set's block edges contain a cycle iff its owners span a
+    cycle of G, which takes girth(G) disks.  Sampled mode still requires a
+    seed and at least one trial, but draws nothing.  The witness comes from
+    a girth cycle of G, and the peeling decoder confirms that it does not
+    recover, so girth(G) disks is the smallest unrecoverable loss.
     """
-    g, witness = _girth_witness(sys, g4)
-    n = len(sys.disks)
-    if mode == "exhaustive":
-        all_ok = _fewest_cyclic_disks(sys) > g - 1
-    elif mode == "sampled":
+    _, witness = _girth_witness(sys, g4)
+    if mode == "sampled":
         if seed is None:
             raise ValueError("sampled mode requires a seed")
         if trials < 1:
             raise ValueError(f"sampled mode needs at least one trial, got {trials}")
-        all_ok = not any(
-            _paths_contain_cycle(
-                [sys.disks[d] for d in random.Random(f"{seed}:{i}").sample(range(n), g - 1)]
-            )
-            for i in range(trials)
-        )
-    else:
+    elif mode != "exhaustive":
         raise ValueError(f"unknown mode {mode!r}")
+    check_star_layout(sys, g4)
 
     erased = EdgeSubset.from_indices(
         sys.cubic.edge_count, [e for d in witness for e in sys.disk_edges(d)]
     )
     if not len(peel(sys, erased).residual):
         raise AssertionError("witness erasure pattern unexpectedly recovered")
-    return all_ok, witness
+    return True, witness
 
 
 def profile(sys: CubicSystem, g4: Graph) -> SystemProfile:

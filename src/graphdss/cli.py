@@ -168,7 +168,7 @@ def cmd_profile(args) -> int:
     if args.system:
         with open(args.system) as fh:
             sys_ = CubicSystem.from_json(fh.read())
-        g = Graph(len(sys_.disks), sys_.arc_names)
+        g = sys_.source_graph
     else:
         sys_, g = _build_system(args)
     prof = profile(sys_, g)

@@ -90,6 +90,11 @@ class CubicSystem:
         disks raise on every call."""
         return [None] * len(self.disks)
 
+    @cached_property
+    def source_graph(self) -> Graph:
+        """The source graph as the arc names give it: edge i is arc i."""
+        return Graph(len(self.disks), self.arc_names)
+
     def disk_edges(self, d: int) -> List[int]:
         """The 3 cubic-graph edge indices of disk d, in path order."""
         p = self.disks[d]
@@ -155,20 +160,15 @@ class CubicSystem:
             raise InvalidSystemError(f"{len(arc_names)} arc names for {g.vertex_count} vertices")
         if sorted(disk_owner) != list(range(n)):
             raise InvalidSystemError(f"disk owners are not a permutation of 0..{n - 1}")
+        system = cls(g, disks, disk_owner, arc_names, policy)
         try:
-            Graph(n, arc_names)
+            system.source_graph  # built once here, and kept for the caller
         except (ValueError, TypeError) as exc:
             raise InvalidSystemError(f"arc names are not a simple graph: {exc}") from exc
-        system = cls(g, disks, disk_owner, arc_names, policy)
         if not verify_disk_decomposition(system):
             raise InvalidSystemError(
                 "disks are not edge-disjoint 3-edge paths covering every edge")
-        for d, (path, v) in enumerate(zip(disks, disk_owner)):
-            tails = [arc_names[a][0] for a in (path[0], path[3])]
-            heads = [arc_names[a][1] for a in path[1:3]]
-            if tails != [v, v] or heads != [v, v]:
-                raise InvalidSystemError(
-                    f"disk {d}: its end arcs must leave vertex {v} and its middle arcs enter it")
+        check_star_layout(system, system.source_graph)
         return system
 
 
@@ -220,6 +220,44 @@ def build_cubic(gd: OrientedGraph, policy: Union[PairingPolicy, PairingMode]) ->
         arc_names=gd.arcs,
         policy=policy,
     )
+
+
+def check_star_layout(sys: CubicSystem, g4: Graph) -> None:
+    """Raise InvalidSystemError unless `sys` is a star layout of `g4`: disk
+    d is the path of the 4 arcs at its owner.
+
+    The first pass asks that each disk's end arcs leave its owner, its
+    middle arcs enter it, and no vertex owns two disks.  The second asks
+    that the other ends of a disk's 4 arcs be the 4 neighbours of its
+    owner in `g4`.  An arc then fills only end slots of its tail's disk and
+    middle slots of its head's, and the 2 arcs of a slot pair differ, so
+    the 2n arcs fill each of the 2n end and 2n middle slots once, and the
+    arc names are g4's edges, each one once.  The message names the first
+    disk that fails a pass, the first pass first.  O(n); the state is one
+    bytearray.
+    """
+    n, names, m = len(sys.disks), sys.arc_names, len(sys.arc_names)
+    if (g4.vertex_count, m) != (n, 2 * n):
+        raise InvalidSystemError(
+            f"{n} disks and {m} arcs cannot lay out a graph on {g4.vertex_count} vertices")
+    owned = bytearray(n)
+    for d, (path, v) in enumerate(zip(sys.disks, sys.disk_owner)):
+        c, a, b, e = path
+        if not (0 <= c < m and 0 <= a < m and 0 <= b < m and 0 <= e < m):
+            raise InvalidSystemError(f"disk {d} names a vertex outside the graph: {list(path)}")
+        if names[c][0] != v or names[e][0] != v or names[a][1] != v or names[b][1] != v:
+            raise InvalidSystemError(
+                f"disk {d}: its end arcs must leave vertex {v} and its middle arcs enter it")
+        if not 0 <= v < n or owned[v]:
+            raise InvalidSystemError(
+                f"disk {d}: vertex {v} is not a source vertex or owns another disk")
+        owned[v] = 1
+    for d, ((c, a, b, e), v) in enumerate(zip(sys.disks, sys.disk_owner)):
+        around = g4.incident(v)
+        if len(around) != 4 or {around[0][1], around[1][1], around[2][1], around[3][1]} != {
+                names[c][1], names[e][1], names[a][0], names[b][0]}:
+            raise InvalidSystemError(
+                f"disk {d}: its arcs are not the 4 edges at vertex {v} of the source graph")
 
 
 def verify_disk_decomposition(sys: CubicSystem) -> bool:

@@ -7,7 +7,7 @@ import pytest
 from graphdss.catalog import RANDOM_REGULAR_TRIES, GenerationFailed, cage
 from graphdss.code import StorageState
 from graphdss.cubic import PairingMode, build_cubic
-from graphdss.graphs import EdgeSubset, Graph, is_connected, shortest_cycle
+from graphdss.graphs import EdgeSubset, Graph, girth, is_connected, shortest_cycle
 from graphdss.orientation import eulerian_tour, orient_from_tour
 from graphdss.repair import RepairReport
 
@@ -86,6 +86,51 @@ def has_cycle(g: Graph, edges) -> bool:
         if ru == rv:
             return True
         parent[ru] = rv
+    return False
+
+
+def _fewest_cyclic_disks(sys) -> float:
+    """The fewest disks whose block edges contain a cycle; math.inf if none.
+
+    Let I be the bipartite graph joining disk d (vertex d) to the 4 block
+    vertices v of its path (vertex n + v).  For a disk set D touching the
+    block vertices V in c components, D's paths have 3|D| edges and the part
+    of I on D has 4|D| edges on |D| + |V| vertices in the same c
+    components, so both have cycle rank 3|D| - |V| + c.  D's blocks thus
+    contain a cycle iff I has a cycle through disks of D only, and a cycle
+    of length 2L in I passes through L disks: the answer is girth(I) / 2.
+    Oracle for the star-layout theorem behind `verify_recovery_bound`; it
+    holds for any P4 decomposition, star layout or not.
+    """
+    n = len(sys.disks)
+    incidence = Graph(
+        n + sys.cubic.vertex_count,
+        [(d, n + v) for d, path in enumerate(sys.disks) for v in path],
+    )
+    return girth(incidence) / 2
+
+
+def _paths_contain_cycle(paths) -> bool:
+    """True iff the block edges of the given disk paths contain a cycle.
+
+    A union-find over the paths' vertices alone, fresh per call.  Disks are
+    edge-disjoint 3-edge paths through 4 distinct vertices, so a path
+    closes a cycle iff two of its vertices already share a component.
+    """
+    parent = {}  # non-root vertex -> its parent
+
+    def find(x: int) -> int:
+        while x in parent:
+            x = parent[x]
+        return x
+
+    for path in paths:
+        roots = {find(v) for v in path}
+        if len(roots) < len(path):
+            return True
+        root = roots.pop()
+        for r in roots:
+            parent[r] = root
     return False
 
 

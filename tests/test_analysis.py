@@ -6,24 +6,20 @@ import time
 import pytest
 
 from graphdss import analysis
-from graphdss.analysis import (
-    _fewest_cyclic_disks,
-    _girth_witness,
-    _paths_contain_cycle,
-    profile,
-    SystemProfile,
-    verify_recovery_bound,
-)
+from graphdss.analysis import _girth_witness, profile, SystemProfile, verify_recovery_bound
 from graphdss import cli, code
 from graphdss.catalog import cage, complete_graph, k5_reference_system, random_4_regular
 from graphdss.code import derive_code
-from graphdss.cubic import CubicSystem, PairingMode, build_cubic, decompose_p4
+from graphdss.cubic import (
+    CubicSystem, InvalidSystemError, PairingMode, build_cubic, decompose_p4
+)
 from graphdss.graphs import EdgeSubset, Graph, girth, two_core
 from graphdss.orientation import eulerian_tour, orient_from_tour
 from graphdss.repair import peel
 
 from conftest import (
-    all_simple_cycles, gf2_rank, has_cycle, minimum_distance, parity_rows, system_from_cage
+    _fewest_cyclic_disks, _paths_contain_cycle, all_simple_cycles, gf2_rank, has_cycle,
+    minimum_distance, parity_rows, system_from_cage
 )
 from test_cubic import k44_reference_system
 
@@ -303,6 +299,105 @@ def test_recovery_bound_sampled_reproducible():
     a = verify_recovery_bound(sys, K5, mode="sampled", trials=50, seed=3)
     b = verify_recovery_bound(sys, K5, mode="sampled", trials=50, seed=3)
     assert a == b
+
+
+_THEOREM_SYSTEMS = {
+    name: _WALK_SYSTEMS[name] for name in ("k5-girth5", "k5-girth3", "k44")}
+for _gg, _cage in ((5, "robertson"), (6, "pg23")):
+    for _mode in PairingMode:
+        _THEOREM_SYSTEMS[f"{_cage}-{_mode.value}"] = (
+            lambda gg=_gg, mode=_mode: (_tour_system(cage(gg).graph, mode), cage(gg).graph))
+for _n, _s in [(30, 6), (200, 1), (1000, 1), (3000, 5)]:
+    _THEOREM_SYSTEMS[f"random-{_n}-{_s}"] = (
+        lambda n=_n, s=_s: _random_system(n, s, PairingMode.PARALLEL))
+
+
+@pytest.mark.parametrize("name", sorted(_THEOREM_SYSTEMS))
+def test_fewest_cyclic_disks_is_the_source_girth(name):
+    # the star-layout theorem that `verify_recovery_bound` stands on: each
+    # block vertex lies on two disk paths, so I is the subdivision of G
+    sys, g4 = _THEOREM_SYSTEMS[name]()
+    assert _fewest_cyclic_disks(sys) == girth(g4)
+
+
+def _first_non_star_disk(sys, g4):
+    """Oracle: the first disk that is not the path of the arcs at its owner,
+    ends leaving the owner and middle entering it, or whose arcs do not
+    name the owner's edges in g4; None if every disk is such a path."""
+    names = sys.arc_names
+    for d, (path, v) in enumerate(zip(sys.disks, sys.disk_owner)):
+        out = {x for x, (t, _) in enumerate(names) if t == v}
+        into = {x for x, (_, h) in enumerate(names) if h == v}
+        edges_at_v = {frozenset(g4.edges[ei]) for ei, _ in g4.incident(v)}
+        if ({path[0], path[3]}, {path[1], path[2]}) != (out, into) or (
+                {frozenset(names[x]) for x in path} != edges_at_v):
+            return d
+    return None
+
+
+def _two_switch(g):
+    """g with its first swappable pair of edges {a, b}, {c, d} replaced by
+    {a, d}, {c, b}: every vertex keeps its degree."""
+    edges = list(g.edges)
+    present = {frozenset(e) for e in edges}
+    for i, (a, b) in enumerate(edges):
+        for j, (c, d) in enumerate(edges[i + 1:], i + 1):
+            if len({a, b, c, d}) == 4 and not {frozenset((a, d)), frozenset((c, b))} & present:
+                edges[i], edges[j] = (a, d), (c, b)
+                return Graph(g.vertex_count, edges)
+
+
+_BOUND_MODES = [{}, {"mode": "sampled", "trials": 100, "seed": 1}]
+
+
+@pytest.mark.parametrize("kwargs", _BOUND_MODES)
+@pytest.mark.parametrize("gg", [5, 6])
+def test_recovery_bound_rejects_kotzig_paths(gg, kwargs):
+    # a P4 decomposition that is not a star layout used to end in
+    # "witness erasure pattern unexpectedly recovered"
+    g4 = cage(gg).graph
+    sys = _tour_system(g4, PairingMode.PARALLEL)
+    paths = tuple(decompose_p4(sys.cubic))
+    kotzig = CubicSystem(sys.cubic, paths, tuple(range(len(paths))), sys.arc_names)
+    bad = _first_non_star_disk(kotzig, g4)
+    assert bad is not None
+    with pytest.raises(InvalidSystemError, match=f"^disk {bad}: "):
+        verify_recovery_bound(kotzig, g4, **kwargs)
+
+
+@pytest.mark.parametrize("kwargs", _BOUND_MODES)
+def test_recovery_bound_rejects_a_graph_that_is_not_the_arc_graph(cage_systems, kwargs):
+    sys, g4 = cage_systems[6]
+    assert _first_non_star_disk(sys, g4) is None
+    other = _two_switch(g4)
+    bad = _first_non_star_disk(sys, other)
+    assert bad is not None
+    with pytest.raises(InvalidSystemError, match=f"^disk {bad}: its arcs are not the 4 edges"):
+        verify_recovery_bound(sys, other, **kwargs)
+    with pytest.raises(InvalidSystemError, match="^26 disks and 52 arcs cannot lay out"):
+        verify_recovery_bound(sys, cage(5).graph, **kwargs)
+
+
+def test_recovery_bound_rejects_a_vertex_owning_two_disks():
+    # disk 1 repeats disk 0 and its owner: both disks have their ends
+    # leaving that vertex and their middles entering it, and name its 4
+    # edges of K5, while the vertex that owned disk 1 owns none
+    sys = k5_reference_system("girth5")
+    v = sys.disk_owner[0]
+    twice = CubicSystem(sys.cubic, sys.disks[:1] * 2 + sys.disks[2:],
+                        (v, v) + sys.disk_owner[2:], sys.arc_names)
+    with pytest.raises(InvalidSystemError, match=f"^disk 1: vertex {v} is not a source vertex "
+                                                 "or owns another disk$"):
+        verify_recovery_bound(twice, K5)
+
+
+def test_sampled_bound_draws_nothing(cage_systems):
+    # at a million trials, a bound that drew subsets took seconds
+    sys, g4 = cage_systems[6]
+    start = time.perf_counter()
+    sampled = verify_recovery_bound(sys, g4, mode="sampled", trials=1_000_000, seed=1)
+    assert time.perf_counter() - start < 0.5
+    assert sampled == (True, verify_recovery_bound(sys, g4)[1])
 
 
 def test_profile_k5():

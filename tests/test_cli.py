@@ -422,6 +422,24 @@ def test_profile_rejects_a_system_without_one_block_graph(tmp_path, capsys, text
     assert named in err
 
 
+def test_profile_system_builds_the_source_graph_once(tmp_path, capsys, monkeypatch):
+    # the graph that the system check builds from the arc names is the one
+    # that `profile` reports on
+    sys_file = tmp_path / "sys.json"
+    sys_file.write_text(k44_reference_system().to_json())
+    built = []
+    init = graphdss.graphs.Graph.__init__
+
+    def counted(self, vertex_count, *args, **kwargs):
+        built.append(vertex_count)
+        init(self, vertex_count, *args, **kwargs)
+
+    monkeypatch.setattr(graphdss.graphs.Graph, "__init__", counted)
+    code, out, _ = run(capsys, "profile", "--system", str(sys_file))
+    assert code == 0 and "girth of source graph:  4" in out
+    assert built.count(8) == 1, built
+
+
 @pytest.mark.parametrize("fault", ["duplicate", "vertex99"])
 def test_store_rejects_bad_system_file(tmp_path, capsys, fault):
     sys_file = tmp_path / "sys.json"

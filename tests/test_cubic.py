@@ -272,6 +272,22 @@ def test_system_json_rejects_inconsistent_system(corrupt):
         CubicSystem.from_json(json.dumps(obj))
 
 
+@pytest.mark.parametrize(
+    "corrupt,message",
+    [(_swapped_owners, "disk 0: its end arcs must leave vertex 1 and its middle arcs enter it"),
+     (_random_system_with_k44_arcs,
+      "disk 0: its end arcs must leave vertex 0 and its middle arcs enter it")],
+)
+def test_system_json_star_check_message(corrupt, message):
+    # the check is shared with `verify_recovery_bound`; the file loader's
+    # message stays as it was
+    obj = json.loads(k44_reference_system().to_json())
+    corrupt(obj)
+    with pytest.raises(InvalidSystemError) as exc:
+        CubicSystem.from_json(json.dumps(obj))
+    assert str(exc.value) == message
+
+
 def _true_for_vertex_1(obj):
     for key in ("edges", "disks"):
         obj[key] = [[True if v == 1 else v for v in item] for item in obj[key]]
