@@ -8,8 +8,6 @@ profiling against the cage catalog table.
 
 from __future__ import annotations
 
-import csv
-import io
 import json
 from dataclasses import dataclass
 from typing import Optional, Set, Tuple
@@ -37,21 +35,11 @@ class SystemProfile:
     rate: float
 
     def csv_row(self) -> str:
-        buf = io.StringIO()
-        csv.writer(buf).writerow(
-            [
-                self.disk_count,
-                self.block_count,
-                self.max_guaranteed_disk_erasures,
-                self.blocks_recoverable,
-                self.code_length,
-                self.code_dimension,
-                self.code_distance_source_girth,
-                self.code_distance_cubic_girth,
-                f"{self.rate:.6f}",
-            ]
-        )
-        return buf.getvalue().strip()
+        return ",".join(map(str, (
+            self.disk_count, self.block_count, self.max_guaranteed_disk_erasures,
+            self.blocks_recoverable, self.code_length, self.code_dimension,
+            self.code_distance_source_girth, self.code_distance_cubic_girth,
+        ))) + f",{self.rate:.6f}"
 
     def text_report(self) -> str:
         return "\n".join(

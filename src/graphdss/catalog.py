@@ -8,7 +8,6 @@ transcription error in a hard-coded adjacency cannot propagate silently.
 from __future__ import annotations
 
 import itertools
-import json
 import os
 import random
 from dataclasses import dataclass

@@ -26,9 +26,8 @@ from .cubic import (
     PairingPolicy,
     build_cubic,
     decompose_p4,
-    verify_disk_decomposition,
 )
-from .graphs import EdgeSubset, Graph, degree_sequence, girth, is_connected
+from .graphs import EdgeSubset, Graph, degree_sequence, is_connected
 from .orientation import eulerian_tour, load_orientation, orient_from_tour
 from .repair import (
     RepairStrategy,
@@ -291,7 +290,8 @@ def cmd_store(args) -> int:
         os.remove(header)
     for ei in range(code.length):
         _write_atomic(_block_path(args.out, ei), state.symbols[ei])
-    _write_atomic(header, state.header_json(code).encode())
+    _write_atomic(header, json.dumps(
+        {"m": code.length, "s": s, "information_set": list(code.information_set)}).encode())
     print(f"stored {code.length} blocks of {s} bytes in {args.out}")
     return 0
 
@@ -310,6 +310,9 @@ def cmd_repair(args) -> int:
     if header.get("m") != code.length:
         raise UsageError(f"state header has m={header.get('m')!r}, "
                          f"but the system's code has length {code.length}")
+    if header.get("information_set") != list(code.information_set):
+        raise UsageError("state header's information set differs from the system's code's, "
+                         "so the state was stored under another system")
     s = header.get("s")
     if not isinstance(s, int) or s < 0:
         raise UsageError(f"state header has an invalid block size s={s!r}")

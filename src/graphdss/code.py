@@ -9,7 +9,6 @@ its edge lists: the check at vertex v is `vertex_edges[v]`.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from typing import Dict, Iterable, Sequence, Tuple
 
@@ -44,15 +43,6 @@ class StorageState:
 
     block_size: int
     symbols: Dict[int, bytes]
-
-    def header_json(self, code: ParityCode) -> str:
-        return json.dumps(
-            {
-                "m": code.length,
-                "s": self.block_size,
-                "information_set": list(code.information_set),
-            }
-        )
 
 
 def derive_code(g: Graph) -> ParityCode:

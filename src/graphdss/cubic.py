@@ -85,9 +85,9 @@ class CubicSystem:
     @cached_property
     def _disk_edge_table(self) -> List[Optional[Tuple[int, int, int]]]:
         """Disk d's 3 edge indices once `disk_edges(d)` has looked them up.
-        Only lookups that succeed are kept, so a system that
-        `verify_disk_decomposition` rejects still constructs, and its bad
-        disks raise on every call."""
+        Only lookups that succeed are kept, so a system whose disks are not
+        paths of its graph still constructs, and its bad disks raise on
+        every call."""
         return [None] * len(self.disks)
 
     @cached_property
@@ -123,10 +123,9 @@ class CubicSystem:
 
     @classmethod
     def from_json(cls, text: str) -> "CubicSystem":
-        """Load a system file; InvalidSystemError unless it parses, its
-        disks are an edge-disjoint P4 decomposition of its graph, and each
-        disk is the path of its owner's arcs: end arcs leave the owner,
-        middle arcs enter it, and the arcs form a simple graph."""
+        """Load a system file; InvalidSystemError unless it parses, its arc
+        names form a simple graph, and `check_star_layout` proves it a star
+        layout of that graph."""
         try:
             obj = json.loads(text)
             vertex_count = obj["vertices"]
@@ -150,24 +149,11 @@ class CubicSystem:
             raise
         except (ValueError, KeyError, TypeError) as exc:
             raise InvalidSystemError(f"malformed system file: {exc!r}") from exc
-        for d, path in enumerate(disks):
-            if any(not 0 <= v < g.vertex_count for v in path):
-                raise InvalidSystemError(
-                    f"disk {d} names a vertex outside the graph: {list(path)}")
-        if len(disk_owner) != n:
-            raise InvalidSystemError(f"{len(disk_owner)} disk owners for {n} disks")
-        if len(arc_names) != g.vertex_count:
-            raise InvalidSystemError(f"{len(arc_names)} arc names for {g.vertex_count} vertices")
-        if sorted(disk_owner) != list(range(n)):
-            raise InvalidSystemError(f"disk owners are not a permutation of 0..{n - 1}")
         system = cls(g, disks, disk_owner, arc_names, policy)
         try:
             system.source_graph  # built once here, and kept for the caller
         except (ValueError, TypeError) as exc:
             raise InvalidSystemError(f"arc names are not a simple graph: {exc}") from exc
-        if not verify_disk_decomposition(system):
-            raise InvalidSystemError(
-                "disks are not edge-disjoint 3-edge paths covering every edge")
         check_star_layout(system, system.source_graph)
         return system
 
@@ -224,19 +210,25 @@ def build_cubic(gd: OrientedGraph, policy: Union[PairingPolicy, PairingMode]) ->
 
 def check_star_layout(sys: CubicSystem, g4: Graph) -> None:
     """Raise InvalidSystemError unless `sys` is a star layout of `g4`: disk
-    d is the path of the 4 arcs at its owner.
+    d is the path of the 4 arcs at its owner, in the block graph.
 
-    The first pass asks that each disk's end arcs leave its owner, its
-    middle arcs enter it, and no vertex owns two disks.  The second asks
-    that the other ends of a disk's 4 arcs be the 4 neighbours of its
-    owner in `g4`.  An arc then fills only end slots of its tail's disk and
-    middle slots of its head's, and the 2 arcs of a slot pair differ, so
-    the 2n arcs fill each of the 2n end and 2n middle slots once, and the
-    arc names are g4's edges, each one once.  The message names the first
-    disk that fails a pass, the first pass first.  O(n); the state is one
-    bytearray.
+    After the counts, the first pass asks that each disk's end arcs leave
+    its owner, its middle arcs enter it, and no vertex owns two disks.  The
+    second asks that the other ends of a disk's 4 arcs be the 4 neighbours
+    of its owner in `g4`.  An arc then fills only end slots of its tail's
+    disk and middle slots of its head's, and the 2 arcs of a slot pair
+    differ, so the 2n arcs fill each of the 2n end and 2n middle slots
+    once, and the arc names are g4's edges, each one once.  So a disk's 4
+    vertices differ and no 2 arcs lie on the same 2 disks: the 3n path
+    pairs are distinct.  The last pass asks that the block graph have 3n
+    edges and that `disk_edges` find each pair in it; the pairs are then
+    its edges, each on one disk.  The message names the first disk that
+    fails a pass, the first pass first.  O(n); the state is one bytearray
+    and the system's disk-edge table.
     """
     n, names, m = len(sys.disks), sys.arc_names, len(sys.arc_names)
+    if len(sys.disk_owner) != n:
+        raise InvalidSystemError(f"{len(sys.disk_owner)} disk owners for {n} disks")
     if (g4.vertex_count, m) != (n, 2 * n):
         raise InvalidSystemError(
             f"{n} disks and {m} arcs cannot lay out a graph on {g4.vertex_count} vertices")
@@ -258,6 +250,14 @@ def check_star_layout(sys: CubicSystem, g4: Graph) -> None:
                 names[c][1], names[e][1], names[a][0], names[b][0]}:
             raise InvalidSystemError(
                 f"disk {d}: its arcs are not the 4 edges at vertex {v} of the source graph")
+    if sys.cubic.edge_count != 3 * n:
+        raise InvalidSystemError(
+            f"{n} disks of 3 edges cannot cover a block graph of {sys.cubic.edge_count} edges")
+    for d in range(n):
+        try:
+            sys.disk_edges(d)
+        except GraphError as exc:
+            raise InvalidSystemError(f"disk {d} is not a path of the block graph: {exc}") from exc
 
 
 def verify_disk_decomposition(sys: CubicSystem) -> bool:

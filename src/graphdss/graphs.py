@@ -80,7 +80,6 @@ class Graph:
         vertex_count: int,
         edges: Sequence[Tuple[int, int]],
         vertex_labels: Optional[Sequence[str]] = None,
-        edge_labels: Optional[Sequence[str]] = None,
     ):
         if vertex_count < 0:
             raise GraphError("vertex_count must be non-negative")
@@ -105,11 +104,8 @@ class Graph:
             inc[v].append((i, u))
         self.edges: Tuple[Tuple[int, int], ...] = tuple(edge_list)
         self.vertex_labels = tuple(vertex_labels) if vertex_labels is not None else None
-        self.edge_labels = tuple(edge_labels) if edge_labels is not None else None
         if self.vertex_labels is not None and len(self.vertex_labels) != vertex_count:
             raise GraphError("vertex_labels length mismatch")
-        if self.edge_labels is not None and len(self.edge_labels) != len(self.edges):
-            raise GraphError("edge_labels length mismatch")
         self._incidence = tuple(tuple(x) for x in inc)
 
     @property
@@ -145,8 +141,6 @@ class Graph:
         obj = {"vertices": self.vertex_count, "edges": [list(e) for e in self.edges]}
         if self.vertex_labels is not None:
             obj["vertex_labels"] = list(self.vertex_labels)
-        if self.edge_labels is not None:
-            obj["edge_labels"] = list(self.edge_labels)
         return json.dumps(obj, indent=2)
 
     @classmethod
@@ -156,13 +150,20 @@ class Graph:
     @classmethod
     def from_obj(cls, obj) -> "Graph":
         """The graph of a parsed graph file; GraphError unless "vertices" is
-        an int and every edge a list of exactly 2 ints."""
+        an int, every edge a list of exactly 2 ints and "vertex_labels",
+        when present, a list of strings."""
         try:
             n = obj["vertices"]
             if type(n) is not int:
                 raise TypeError(f"vertices is not an int: {n!r}")
             edges = int_tuples(obj["edges"], 2, "edge")
-            return cls(n, edges, obj.get("vertex_labels"), obj.get("edge_labels"))
+            labels = obj.get("vertex_labels")
+            if "vertex_labels" in obj and not isinstance(labels, list):
+                raise TypeError(f"vertex_labels is not a list: {labels!r}")
+            for v, label in enumerate(labels or ()):
+                if type(label) is not str:
+                    raise TypeError(f"vertex label {v} is not a string: {label!r}")
+            return cls(n, edges, labels)
         except (KeyError, TypeError) as exc:
             raise GraphError(f"malformed graph JSON: {exc!r}") from exc
 
@@ -170,6 +171,7 @@ class Graph:
         lines = ["graph {"]
         for v in range(self.vertex_count):
             label = self.vertex_labels[v] if self.vertex_labels else str(v)
+            label = label.replace("\\", "\\\\").replace('"', '\\"')
             lines.append(f'  {v} [label="{label}"];')
         for i, (u, v) in enumerate(self.edges):
             lines.append(f'  {u} -- {v} [label="{i}"];')

@@ -1,4 +1,5 @@
 import itertools
+import json
 import math
 import random
 import time
@@ -21,7 +22,7 @@ from conftest import (
     _fewest_cyclic_disks, _paths_contain_cycle, all_simple_cycles, gf2_rank, has_cycle,
     minimum_distance, parity_rows, system_from_cage
 )
-from test_cubic import k44_reference_system
+from test_cubic import _middle_edge_off_the_paths, k44_reference_system
 
 
 K5 = complete_graph(5)
@@ -376,6 +377,21 @@ def test_recovery_bound_rejects_a_graph_that_is_not_the_arc_graph(cage_systems, 
         verify_recovery_bound(sys, other, **kwargs)
     with pytest.raises(InvalidSystemError, match="^26 disks and 52 arcs cannot lay out"):
         verify_recovery_bound(sys, cage(5).graph, **kwargs)
+
+
+@pytest.mark.parametrize("kwargs", _BOUND_MODES)
+def test_recovery_bound_rejects_a_disk_that_is_not_a_block_graph_path(kwargs):
+    # the arc names still lay out pg23, and the witness disks still form a
+    # cycle, so the bound used to pass this system
+    sys = _tour_system(_PG23, PairingMode.PARALLEL)
+    _, witness = _girth_witness(sys, _PG23)
+    d = min(set(range(len(sys.disks))) - witness)
+    obj = json.loads(sys.to_json())
+    _middle_edge_off_the_paths(obj, d)
+    broken = CubicSystem(Graph(obj["vertices"], [tuple(e) for e in obj["edges"]]),
+                         sys.disks, sys.disk_owner, sys.arc_names)
+    with pytest.raises(InvalidSystemError, match=f"^disk {d} is not a path of the block graph"):
+        verify_recovery_bound(broken, _PG23, **kwargs)
 
 
 def test_recovery_bound_rejects_a_vertex_owning_two_disks():

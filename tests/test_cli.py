@@ -374,6 +374,27 @@ def test_repair_rejects_header_that_is_not_a_json_object(tmp_path, capsys, text)
     assert "header" in err
 
 
+def test_repair_rejects_a_state_stored_under_another_system(tmp_path, capsys):
+    # crossed k5 has parallel k5's 15 blocks but another information set;
+    # repair used to rebuild block 3 from it with the wrong bytes
+    par, crossed = tmp_path / "par.json", tmp_path / "crossed.json"
+    run(capsys, "build", "--catalog", "k5", "--output", str(par))
+    run(capsys, "build", "--catalog", "k5", "--policy", "crossed", "--output", str(crossed))
+    data_file = tmp_path / "data.bin"
+    data_file.write_bytes(bytes(i % 251 for i in range(6 * 32)))
+    state_dir = tmp_path / "state"
+    code, _, _ = run(capsys, "store", "--system", str(par), "--data", str(data_file),
+                     "--out", str(state_dir), "--block-size", "32")
+    assert code == 0
+    (state_dir / "block_00003.bin").unlink()
+    before = {p.name: p.read_bytes() for p in state_dir.iterdir()}
+    code, out, err = run(capsys, "repair", "--system", str(crossed), "--state", str(state_dir),
+                         "--erased", "3")
+    assert (code, out) == (2, "")
+    assert "information set" in err
+    assert {p.name: p.read_bytes() for p in state_dir.iterdir()} == before
+
+
 def _corrupt_system(sys_file, fault):
     """Rewrite a system file so that disk 1 repeats disk 0, or names
     vertex 99."""
@@ -511,6 +532,26 @@ def test_export_dot(capsys):
     code, out, err = run(capsys, "export-dot", "--catalog", "k5")
     assert code == 0
     assert out.startswith("graph {")
+
+
+def test_export_dot_escapes_vertex_labels(tmp_path, capsys):
+    # the label used to close its quotes and add a node x to the output
+    text = json.dumps({"vertices": 2, "edges": [[0, 1]],
+                       "vertex_labels": ['a"]; x [label="pwn', "b"]})
+    code, out, err = run(capsys, "export-dot", "--input", _written(tmp_path, text))
+    assert code == 0
+    assert out.splitlines()[1:3] == ['  0 [label="a\\"]; x [label=\\"pwn"];', '  1 [label="b"];']
+
+
+@pytest.mark.parametrize("labels,named", [
+    ([None, {"x": 1}], "vertex label 0 is not a string: None"),
+    ("ab", "vertex_labels is not a list: 'ab'"),
+], ids=["null", "string"])
+def test_export_dot_rejects_labels_that_are_not_strings(tmp_path, capsys, labels, named):
+    text = json.dumps({"vertices": 2, "edges": [[0, 1]], "vertex_labels": labels})
+    code, out, err = run(capsys, "export-dot", "--input", _written(tmp_path, text))
+    assert (code, out) == (2, "")
+    assert err.startswith("error: malformed graph JSON") and named in err
 
 
 def test_decompose(capsys):

@@ -259,11 +259,29 @@ def _extra_arc_on_an_isolated_vertex(obj):
     obj["arc_names"].append([0, 2])
 
 
+def _extra_block_edge(obj):
+    present = {frozenset(e) for e in obj["edges"]}
+    n = obj["vertices"]
+    obj["edges"].append(next([u, v] for u in range(n) for v in range(u + 1, n)
+                             if frozenset((u, v)) not in present))
+
+
+def _middle_edge_off_the_paths(obj, d=1):
+    """Replace disk d's middle block edge (a, b) by (a, y) for the first
+    vertex y not next to a: a pair on no disk path.  The arcs still lay
+    out the source graph, but disk d is not a path of the block graph."""
+    _, a, b, _ = obj["disks"][d]
+    edges = obj["edges"]
+    near = {v for e in edges if a in e for v in e}
+    y = next(y for y in range(obj["vertices"]) if y not in near)
+    edges[next(i for i, e in enumerate(edges) if set(e) == {a, b})] = [a, y]
+
+
 @pytest.mark.parametrize(
     "corrupt",
     [_without_disks, _vertex_99, _short_arc_names, _short_disk_owner, _duplicate_disk,
      _random_system_with_k44_arcs, _arc_out_of_range, _swapped_owners, _repeated_owner,
-     _extra_arc_on_an_isolated_vertex],
+     _extra_arc_on_an_isolated_vertex, _extra_block_edge, _middle_edge_off_the_paths],
 )
 def test_system_json_rejects_inconsistent_system(corrupt):
     obj = json.loads(k44_reference_system().to_json())
@@ -276,7 +294,9 @@ def test_system_json_rejects_inconsistent_system(corrupt):
     "corrupt,message",
     [(_swapped_owners, "disk 0: its end arcs must leave vertex 1 and its middle arcs enter it"),
      (_random_system_with_k44_arcs,
-      "disk 0: its end arcs must leave vertex 0 and its middle arcs enter it")],
+      "disk 0: its end arcs must leave vertex 0 and its middle arcs enter it"),
+     (_short_disk_owner, "7 disk owners for 8 disks"),
+     (_extra_block_edge, "8 disks of 3 edges cannot cover a block graph of 25 edges")],
 )
 def test_system_json_star_check_message(corrupt, message):
     # the check is shared with `verify_recovery_bound`; the file loader's
@@ -286,6 +306,21 @@ def test_system_json_star_check_message(corrupt, message):
     with pytest.raises(InvalidSystemError) as exc:
         CubicSystem.from_json(json.dumps(obj))
     assert str(exc.value) == message
+
+
+def test_system_json_rejects_a_disk_that_is_not_a_block_graph_path():
+    obj = json.loads(k44_reference_system().to_json())
+    _middle_edge_off_the_paths(obj)
+    _, a, b, _ = obj["disks"][1]
+    with pytest.raises(InvalidSystemError) as exc:
+        CubicSystem.from_json(json.dumps(obj))
+    assert str(exc.value) == f"disk 1 is not a path of the block graph: no edge ({a},{b})"
+
+
+def test_system_json_fills_the_disk_edge_table():
+    # the star check looks each disk up once; pricing reuses the lookups
+    sys = CubicSystem.from_json(k44_reference_system().to_json())
+    assert None not in sys._disk_edge_table
 
 
 def _true_for_vertex_1(obj):

@@ -236,8 +236,6 @@ def test_simple_graph_invariants_enforced():
         ((3, [(1, 1), (0, 5)]), "self-loop at vertex 1"),
         ((2, [(0, 0)], ["a"]), "self-loop at vertex 0"),  # edges before labels
         ((3, [(0, 1)], ["a"]), "vertex_labels length mismatch"),
-        ((3, [(0, 1)], None, ["x", "y"]), "edge_labels length mismatch"),
-        ((3, [(0, 1)], ["a"], ["x", "y"]), "vertex_labels length mismatch"),
     ],
 )
 def test_graph_error_messages_are_pinned(args, message):
@@ -322,10 +320,28 @@ def test_two_core_nonempty_iff_contains_cycle(s):
 
 
 def test_json_round_trip():
-    g = Graph(3, [(0, 1), (1, 2)], vertex_labels=["a", "b", "c"], edge_labels=["x", "y"])
+    g = Graph(3, [(0, 1), (1, 2)], vertex_labels=["a", "b", "c"])
     back = Graph.from_json(g.to_json())
     assert back == g
     assert back.vertex_labels == ("a", "b", "c")
+
+
+def test_dot_export_escapes_quotes_and_backslashes():
+    dot = Graph(2, [(0, 1)], vertex_labels=['a"b', "c\\"]).to_dot()
+    assert dot.splitlines()[1:3] == ['  0 [label="a\\"b"];', '  1 [label="c\\\\"];']
+
+
+@pytest.mark.parametrize("labels,named", [
+    ([None, {"x": 1}], "vertex label 0 is not a string: None"),
+    (["a", {"x": 1}], "vertex label 1 is not a string: {'x': 1}"),
+    ("ab", "vertex_labels is not a list: 'ab'"),
+    (None, "vertex_labels is not a list: None"),
+], ids=["null", "object", "string", "null-list"])
+def test_graph_file_vertex_labels_must_be_a_list_of_strings(labels, named):
+    obj = {"vertices": 2, "edges": [[0, 1]], "vertex_labels": labels}
+    with pytest.raises(GraphError, match="^malformed graph JSON") as exc:
+        Graph.from_obj(obj)
+    assert named in str(exc.value)
 
 
 def test_dot_export_includes_edge_indices():

@@ -33,3 +33,24 @@ def test_pyproject_declares_no_dependencies():
     lines = (ROOT / "pyproject.toml").read_text().splitlines()
     assert "dependencies = []" in lines
     assert sum(line.startswith("dependencies") for line in lines) == 1
+
+
+def _unused_imports(path: Path):
+    """(module file, name) for each name that an import binds and the
+    module never reads."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    bound = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            bound |= {alias.asname or alias.name.split(".")[0] for alias in node.names}
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            bound |= {alias.asname or alias.name for alias in node.names}
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return {(path.name, name) for name in bound - read}
+
+
+def test_modules_import_no_name_they_do_not_use():
+    # __init__.py imports names to re-export them
+    assert SOURCES
+    unused = set().union(*(_unused_imports(p) for p in SOURCES if p.name != "__init__.py"))
+    assert unused == set()
