@@ -296,25 +296,17 @@ def test_system_json_rejects_inconsistent_system(corrupt):
      (_random_system_with_k44_arcs,
       "disk 0: its end arcs must leave vertex 0 and its middle arcs enter it"),
      (_short_disk_owner, "7 disk owners for 8 disks"),
-     (_extra_block_edge, "8 disks of 3 edges cannot cover a block graph of 25 edges")],
+     (_extra_block_edge, "8 disks of 3 edges cannot cover a block graph of 25 edges"),
+     (_middle_edge_off_the_paths, "disk 1 is not a path of the block graph: no edge (0,8)")],
 )
 def test_system_json_star_check_message(corrupt, message):
-    # the check is shared with `verify_recovery_bound`; the file loader's
-    # message stays as it was
+    # the check is shared with `verify_recovery_bound`; its messages, the
+    # owner count's among them, are the file loader's
     obj = json.loads(k44_reference_system().to_json())
     corrupt(obj)
     with pytest.raises(InvalidSystemError) as exc:
         CubicSystem.from_json(json.dumps(obj))
     assert str(exc.value) == message
-
-
-def test_system_json_rejects_a_disk_that_is_not_a_block_graph_path():
-    obj = json.loads(k44_reference_system().to_json())
-    _middle_edge_off_the_paths(obj)
-    _, a, b, _ = obj["disks"][1]
-    with pytest.raises(InvalidSystemError) as exc:
-        CubicSystem.from_json(json.dumps(obj))
-    assert str(exc.value) == f"disk 1 is not a path of the block graph: no edge ({a},{b})"
 
 
 def test_system_json_fills_the_disk_edge_table():
