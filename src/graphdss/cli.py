@@ -272,6 +272,8 @@ def _block_path(state_dir: str, ei: int) -> str:
 
 
 def cmd_store(args) -> int:
+    if args.block_size < 0:
+        raise UsageError(f"--block-size must be at least 0, got {args.block_size}")
     with open(args.system) as fh:
         sys_ = CubicSystem.from_json(fh.read())
     code = derive_code(sys_.cubic)

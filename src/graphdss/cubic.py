@@ -234,6 +234,8 @@ def check_star_layout(sys: CubicSystem, g4: Graph) -> None:
             f"{n} disks and {m} arcs cannot lay out a graph on {g4.vertex_count} vertices")
     owned = bytearray(n)
     for d, (path, v) in enumerate(zip(sys.disks, sys.disk_owner)):
+        if len(path) != 4:
+            raise InvalidSystemError(f"disk {d} has {len(path)} vertices, not 4: {list(path)}")
         c, a, b, e = path
         if not (0 <= c < m and 0 <= a < m and 0 <= b < m and 0 <= e < m):
             raise InvalidSystemError(f"disk {d} names a vertex outside the graph: {list(path)}")

@@ -52,9 +52,6 @@ class EdgeSubset:
         out.reverse()
         return out
 
-    def __contains__(self, i: int) -> bool:
-        return 0 <= i < self.size and bool((self.bits >> i) & 1)
-
     def __len__(self) -> int:
         return self.bits.bit_count()
 

@@ -8,9 +8,9 @@ once (Hierholzer).  Directing each edge in its traversal direction turns a
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
-from .graphs import Graph, bfs_tree, degree_sequence
+from .graphs import Graph, degree_sequence
 
 
 class NotEulerianError(ValueError):
@@ -45,8 +45,10 @@ class OrientedGraph:
 def eulerian_tour(g: Graph) -> List[int]:
     """Closed walk covering every edge exactly once, as edge indices.
 
-    Hierholzer's algorithm with ties broken by lowest unused edge index, so
-    the tour is deterministic for a given graph.
+    Hierholzer's algorithm from the smallest vertex with an edge, ties
+    broken by lowest unused edge index, so the tour is deterministic.  A
+    vertex leaves the stack only once its edges are used, so the tour holds
+    every edge of the start's component and is short iff another has an edge.
     """
     degs = degree_sequence(g)
     odd = [v for v, d in enumerate(degs) if d % 2]
@@ -54,16 +56,11 @@ def eulerian_tour(g: Graph) -> List[int]:
         raise NotEulerianError(f"odd-degree vertices: {odd}")
     if g.edge_count == 0:
         return []
-    active = [v for v, d in enumerate(degs) if d > 0]
-    # a BFS from a vertex with edges reaches only vertices with edges
-    if len(bfs_tree(g, active[0])) != len(active) - 1:
-        raise NotEulerianError("graph is disconnected")
-
     used = [False] * g.edge_count
     # next unused incidence pointer per vertex; incidences are already in
     # edge-index order, which implements the tie-break
     ptr = [0] * g.vertex_count
-    start = active[0]
+    start = next(v for v, d in enumerate(degs) if d)
     stack: List[Tuple[int, int]] = [(start, -1)]  # (vertex, edge taken to get here)
     tour_edges: List[int] = []
     while stack:
@@ -79,48 +76,41 @@ def eulerian_tour(g: Graph) -> List[int]:
             ei, w = inc[ptr[v]]
             used[ei] = True
             stack.append((w, ei))
+    if len(tour_edges) != g.edge_count:
+        raise NotEulerianError("graph is disconnected")
     tour_edges.reverse()
     return tour_edges
 
 
-def _walk_vertices(g: Graph, tour: Sequence[int]) -> List[int]:
-    """Vertex sequence of the walk, length len(tour)+1; raises if the edge
-    sequence is not a chained walk."""
-    if not tour:
-        return []
-    if len(tour) == 1:
-        raise InvalidTourError("a single edge cannot form a closed tour")
-    a0, b0 = g.edges[tour[0]]
-    a1, b1 = g.edges[tour[1]]
-    shared = {a0, b0} & {a1, b1}
-    if not shared:
-        raise InvalidTourError("first two edges do not share a vertex")
-    second = min(shared)  # simple graph: at most one shared vertex
-    first = a0 if b0 == second else b0
-    verts = [first, second]
-    for ei in tour[1:]:
-        u, v = g.edges[ei]
-        if verts[-1] == u:
-            verts.append(v)
-        elif verts[-1] == v:
-            verts.append(u)
+def orient_from_tour(g: Graph, tour: Sequence[int]) -> OrientedGraph:
+    """Direct every edge in its traversal direction along the tour.
+
+    One pass checks the walk and files each arc in its edge's slot: every
+    entry must be an edge index not seen before whose edge is at the vertex
+    the walk has reached, and the walk must end where it began.  It begins
+    at the end of the first edge that the second edge does not touch.
+    """
+    m, edges = g.edge_count, g.edges
+    if len(tour) != m or not all(0 <= ei < m for ei in tour[:2]):
+        raise InvalidTourError("tour must use every edge exactly once")
+    at = start = None
+    if m:
+        u, v = edges[tour[0]]
+        at = start = v if u in edges[tour[1 % m]] else u
+    arcs: List[Optional[Tuple[int, int]]] = [None] * m
+    for ei in tour:
+        if not 0 <= ei < m or arcs[ei] is not None:
+            raise InvalidTourError(f"edge {ei} is out of range or used twice")
+        u, v = edges[ei]
+        if at == u:
+            arcs[ei], at = (u, v), v
+        elif at == v:
+            arcs[ei], at = (v, u), u
         else:
             raise InvalidTourError(f"edge {ei} does not continue the walk")
-    return verts
-
-
-def orient_from_tour(g: Graph, tour: Sequence[int]) -> OrientedGraph:
-    """Direct every edge in its traversal direction along the tour."""
-    if sorted(tour) != list(range(g.edge_count)):
-        raise InvalidTourError("tour must use every edge exactly once")
-    verts = _walk_vertices(g, tour)
-    if verts and verts[0] != verts[-1]:
+    if at != start:
         raise InvalidTourError("tour is not closed")
-    directed: Dict[int, Tuple[int, int]] = {}
-    for k, ei in enumerate(tour):
-        directed[ei] = (verts[k], verts[k + 1])
-    arcs = tuple(directed[i] for i in range(g.edge_count))
-    return OrientedGraph(g.vertex_count, arcs)
+    return OrientedGraph(g.vertex_count, tuple(arcs))
 
 
 def load_orientation(g: Graph, arcs: Sequence[Tuple[int, int]]) -> OrientedGraph:

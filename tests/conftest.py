@@ -7,8 +7,8 @@ import pytest
 from graphdss.catalog import RANDOM_REGULAR_TRIES, GenerationFailed, cage
 from graphdss.code import StorageState
 from graphdss.cubic import PairingMode, build_cubic
-from graphdss.graphs import EdgeSubset, Graph, girth, is_connected, shortest_cycle
-from graphdss.orientation import eulerian_tour, orient_from_tour
+from graphdss.graphs import EdgeSubset, Graph, bfs_tree, girth, is_connected, shortest_cycle
+from graphdss.orientation import InvalidTourError, OrientedGraph, eulerian_tour, orient_from_tour
 from graphdss.repair import RepairReport
 
 
@@ -132,6 +132,56 @@ def _paths_contain_cycle(paths) -> bool:
         for r in roots:
             parent[r] = root
     return False
+
+
+def edges_span_one_component(g: Graph) -> bool:
+    """True iff every edge lies in the component of the smallest vertex
+    with an edge: a BFS from it reaches every vertex that has an edge.
+    Oracle for the connectivity verdict of `eulerian_tour`, which reads it
+    off the length of its walk instead."""
+    active = [v for v in range(g.vertex_count) if g.incident(v)]
+    return not active or len(bfs_tree(g, active[0])) == len(active) - 1
+
+
+def _walk_vertices(g: Graph, tour):
+    """Vertex sequence of the walk, length len(tour)+1; raises if the edge
+    sequence is not a chained walk."""
+    if not tour:
+        return []
+    if len(tour) == 1:
+        raise InvalidTourError("a single edge cannot form a closed tour")
+    a0, b0 = g.edges[tour[0]]
+    a1, b1 = g.edges[tour[1]]
+    shared = {a0, b0} & {a1, b1}
+    if not shared:
+        raise InvalidTourError("first two edges do not share a vertex")
+    second = min(shared)  # simple graph: at most one shared vertex
+    first = a0 if b0 == second else b0
+    verts = [first, second]
+    for ei in tour[1:]:
+        u, v = g.edges[ei]
+        if verts[-1] == u:
+            verts.append(v)
+        elif verts[-1] == v:
+            verts.append(u)
+        else:
+            raise InvalidTourError(f"edge {ei} does not continue the walk")
+    return verts
+
+
+def two_pass_orient_from_tour(g: Graph, tour) -> OrientedGraph:
+    """`orient_from_tour` as first written: a sorted check that the tour
+    uses every edge once, a walk for the vertex sequence, then a second
+    walk into a dict.  Oracle for the one-walk version."""
+    if sorted(tour) != list(range(g.edge_count)):
+        raise InvalidTourError("tour must use every edge exactly once")
+    verts = _walk_vertices(g, tour)
+    if verts and verts[0] != verts[-1]:
+        raise InvalidTourError("tour is not closed")
+    directed = {}
+    for k, ei in enumerate(tour):
+        directed[ei] = (verts[k], verts[k + 1])
+    return OrientedGraph(g.vertex_count, tuple(directed[i] for i in range(g.edge_count)))
 
 
 def random_regular_oracle(d: int, n: int, seed: int) -> Graph:

@@ -8,7 +8,7 @@ import pytest
 
 from graphdss import analysis
 from graphdss.analysis import _girth_witness, profile, SystemProfile, verify_recovery_bound
-from graphdss import cli, code
+from graphdss import cli, code, repair
 from graphdss.catalog import cage, complete_graph, k5_reference_system, random_4_regular
 from graphdss.code import derive_code
 from graphdss.cubic import (
@@ -227,23 +227,6 @@ def test_has_cycle_agrees_with_two_core_and_peeling(cage_systems):
                 assert cyclic == (len(peel(sys, erased).residual) > 0)
 
 
-def test_recovery_bound_peels_only_the_witness(cage_systems, monkeypatch):
-    calls = []
-
-    def counting_peel(sys, erased):
-        calls.append(erased)
-        return peel(sys, erased)
-
-    monkeypatch.setattr(analysis, "peel", counting_peel)
-    sys, g = cage_systems[4]
-    for kwargs in ({}, {"mode": "sampled", "trials": 200, "seed": 1}):
-        calls.clear()
-        ok, witness = verify_recovery_bound(sys, g, **kwargs)
-        assert ok and len(calls) == 1
-        assert calls[0] == EdgeSubset.from_indices(
-            sys.cubic.edge_count, [e for d in witness for e in sys.disk_edges(d)])
-
-
 def test_source_cycle_maps_to_disk_cycle_and_back(cage_systems):
     # the paper's correspondence between cycles of G and block-graph cycles
     systems = [(k5_reference_system(v), K5) for v in ("girth5", "girth3")]
@@ -293,6 +276,18 @@ def test_recovery_bound_sampled_needs_a_trial(trials):
     with pytest.raises(ValueError):
         verify_recovery_bound(k5_reference_system("girth5"), K5, mode="sampled",
                               trials=trials, seed=1)
+
+
+def test_recovery_bound_rejects_an_unknown_mode():
+    with pytest.raises(ValueError, match="^unknown mode 'bogus'$"):
+        verify_recovery_bound(k5_reference_system("girth5"), K5, mode="bogus")
+
+
+def test_recovery_bound_of_the_empty_system_has_no_witness():
+    # the one star layout without a girth cycle: no disks, no vertices
+    empty = Graph(0, [])
+    with pytest.raises(ValueError, match="^acyclic source graph has no girth witness$"):
+        verify_recovery_bound(CubicSystem(empty, (), (), ()), empty)
 
 
 def test_recovery_bound_sampled_reproducible():
@@ -349,6 +344,54 @@ def _two_switch(g):
 
 
 _BOUND_MODES = [{}, {"mode": "sampled", "trials": 100, "seed": 1}]
+
+
+@pytest.mark.parametrize("kwargs", _BOUND_MODES)
+def test_recovery_bound_runs_no_peel(cage_systems, monkeypatch, kwargs):
+    # the star-layout theorem proves the witness unrecoverable
+    def no_peel(*args, **kw):
+        raise AssertionError("the recovery bound peeled")
+
+    monkeypatch.setattr(repair, "_peel", no_peel)
+    for gg in (3, 4, 5, 6):
+        assert verify_recovery_bound(*cage_systems[gg], **kwargs)[0]
+
+
+_WITNESS_SYSTEMS = {
+    "k5-girth5": lambda: (k5_reference_system("girth5"), K5),
+    "k5-girth3": lambda: (k5_reference_system("girth3"), K5),
+}
+for _gg in (3, 4, 5, 6):
+    for _mode in PairingMode:
+        _WITNESS_SYSTEMS[f"cage{_gg}-{_mode.value}"] = (
+            lambda gg=_gg, mode=_mode: (_tour_system(cage(gg).graph, mode), cage(gg).graph))
+for _n, _s in [(200, 1), (1000, 3)]:
+    _WITNESS_SYSTEMS[f"random-{_n}-{_s}"] = (
+        lambda n=_n, s=_s: _random_system(n, s, PairingMode.PARALLEL))
+
+
+@pytest.mark.parametrize("name", sorted(_WITNESS_SYSTEMS))
+def test_the_witness_peels_to_its_two_core(name):
+    # the peel that the bound no longer runs, kept as an oracle: the
+    # witness disks' edges leave a residual, their 2-core
+    sys, g4 = _WITNESS_SYSTEMS[name]()
+    ok, witness = verify_recovery_bound(sys, g4)
+    erased = EdgeSubset.from_indices(
+        sys.cubic.edge_count, [e for d in witness for e in sys.disk_edges(d)])
+    residual = peel(sys, erased).residual
+    assert ok and len(residual) and residual == two_core(sys.cubic, erased)
+    assert len(witness) == girth(g4)
+
+
+@pytest.mark.parametrize("kwargs", _BOUND_MODES)
+@pytest.mark.parametrize("length", [3, 5])
+def test_recovery_bound_rejects_a_disk_of_the_wrong_length(length, kwargs):
+    # a disk of 3 or 5 vertices used to end in a plain unpacking ValueError
+    sys = k5_reference_system("girth5")
+    path = (sys.disks[0] + sys.disks[1])[:length]
+    broken = CubicSystem(sys.cubic, (path,) + sys.disks[1:], sys.disk_owner, sys.arc_names)
+    with pytest.raises(InvalidSystemError, match=f"^disk 0 has {length} vertices, not 4"):
+        verify_recovery_bound(broken, K5, **kwargs)
 
 
 @pytest.mark.parametrize("kwargs", _BOUND_MODES)

@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import json
 import time
 
@@ -11,6 +12,7 @@ from graphdss.catalog import (
     by_name,
     cage,
     catalog_names,
+    complete_graph,
     k5_reference_system,
     petersen,
     random_4_regular,
@@ -18,7 +20,7 @@ from graphdss.catalog import (
     random_regular,
 )
 from graphdss.cubic import decompose_p4
-from graphdss.graphs import degree_sequence, girth, is_connected
+from graphdss.graphs import Graph, degree_sequence, girth, is_connected
 
 from conftest import random_regular_oracle
 
@@ -40,6 +42,34 @@ def test_cage7_missing_file(monkeypatch):
     monkeypatch.delenv("GRAPHDSS_CAGE7_FILE", raising=False)
     with pytest.raises(MissingDataFileError):
         cage(7)
+
+
+def _k5_lift(n, voltages):
+    """The cyclic n-lift of K5: vertex (v, x) is v * n + x, and the edge
+    {u, v} of voltage a joins (u, x) to (v, x + a mod n).  4-regular."""
+    k5 = itertools.combinations(range(5), 2)
+    return Graph(5 * n, [(u * n + x, v * n + (x + a) % n)
+                         for (u, v), a in zip(k5, voltages) for x in range(n)])
+
+
+# a connected 4-regular lift of girth 7 on 130 vertices; doubling n and
+# the voltages gives two copies of it
+_GIRTH7_VOLTAGES = (0, 0, 0, 0, 8, 15, 5, 17, 24, 4)
+
+
+@pytest.mark.parametrize("graph, message", [
+    (lambda: petersen().graph, "cage47: not 4-regular"),
+    (lambda: complete_graph(5), "cage47: girth 3 != claimed 7"),
+    (lambda: _k5_lift(52, [2 * a for a in _GIRTH7_VOLTAGES]), "cage47: disconnected"),
+])
+def test_cage7_rejects_a_file_that_is_not_a_cage(tmp_path, graph, message):
+    lift = _k5_lift(26, _GIRTH7_VOLTAGES)
+    assert (girth(lift), is_connected(lift)) == (7, True)
+    path = tmp_path / "cage7.json"
+    path.write_text(graph().to_json())
+    with pytest.raises(CatalogError) as exc:
+        cage(7, str(path))
+    assert str(exc.value) == message
 
 
 def test_cage_out_of_range():

@@ -374,6 +374,33 @@ def test_repair_rejects_header_that_is_not_a_json_object(tmp_path, capsys, text)
     assert "header" in err
 
 
+@pytest.mark.parametrize("s", [-1, "32", 32.0, None])
+def test_repair_rejects_a_header_block_size_that_is_not_a_size(tmp_path, capsys, s):
+    sys_file, state_dir = _stored_k44(tmp_path, capsys)
+    header = json.loads((state_dir / "header.json").read_text())
+    header["s"] = s
+    (state_dir / "header.json").write_text(json.dumps(header))
+    code, err = _repair_lost_block_5(capsys, sys_file, state_dir)
+    assert code == 2
+    assert f"invalid block size s={s!r}" in err
+
+
+def test_store_and_repair_blocks_of_size_zero(tmp_path, capsys):
+    sys_file = tmp_path / "sys.json"
+    run(capsys, "build", "--catalog", "k44", "--output", str(sys_file))
+    data_file = tmp_path / "data.bin"
+    data_file.write_bytes(b"")
+    state_dir = tmp_path / "state"
+    code, _, _ = run(capsys, "store", "--system", str(sys_file), "--data", str(data_file),
+                     "--out", str(state_dir), "--block-size", "0")
+    assert code == 0
+    (state_dir / "block_00005.bin").unlink()
+    code, _, _ = run(capsys, "repair", "--system", str(sys_file), "--state", str(state_dir),
+                     "--erased", "5")
+    assert code == 0
+    assert (state_dir / "block_00005.bin").read_bytes() == b""
+
+
 def test_repair_rejects_a_state_stored_under_another_system(tmp_path, capsys):
     # crossed k5 has parallel k5's 15 blocks but another information set;
     # repair used to rebuild block 3 from it with the wrong bytes
@@ -585,6 +612,11 @@ REJECTED_INPUTS = {
     "store-missing-data": (
         lambda t: ["store", "--system", _k44_system_file(t), "--data", str(t / MISSING),
                    "--out", str(t / "state")], 2, MISSING),
+    # checked before the data file is read, which here does not exist
+    "store-negative-block-size": (
+        lambda t: ["store", "--system", _k44_system_file(t), "--data", str(t / MISSING),
+                   "--out", str(t / "state"), "--block-size", "-8"],
+        2, "--block-size must be at least 0, got -8"),
     "build-non-json": (lambda t: ["build", "--input", _written(t, "not json")], 2, "Expecting"),
     "export-dot-non-json": (
         lambda t: ["export-dot", "--input", _written(t, "not json")], 2, "Expecting"),

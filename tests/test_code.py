@@ -89,6 +89,11 @@ def test_derive_rejects_disconnected():
         derive_code(Graph(6, [(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3)]))
 
 
+def test_derive_rejects_the_empty_graph():
+    with pytest.raises(DisconnectedError, match="^empty graph$"):
+        derive_code(Graph(0, []))
+
+
 def test_minimum_distance_petersen_system():
     sys = k5_reference_system("girth5")
     code = derive_code(sys.cubic)
@@ -168,6 +173,14 @@ def test_encode_rejects_unequal_blocks():
     data = [b"xx"] * (code.dimension - 1) + [b"xxx"]
     with pytest.raises(EncodingError):
         encode(code, data)
+
+
+def test_verify_rejects_a_short_block():
+    code = derive_code(petersen().graph)
+    state = encode(code, [bytes(4)] * code.dimension)
+    assert verify_state(code, state)
+    state.symbols[7] = bytes(3)
+    assert not verify_state(code, state)
 
 
 def test_verify_detects_single_flip():

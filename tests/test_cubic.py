@@ -18,6 +18,7 @@ from graphdss.cubic import (
     DecompositionFailure,
     InvalidSystemError,
     NotCubicError,
+    NotTwoInTwoOutError,
     PairingMode,
     PairingPolicy,
     build_cubic,
@@ -25,7 +26,7 @@ from graphdss.cubic import (
     verify_disk_decomposition,
 )
 from graphdss.graphs import Graph, GraphError, degree_sequence, girth, is_connected
-from graphdss.orientation import eulerian_tour, load_orientation, orient_from_tour
+from graphdss.orientation import OrientedGraph, eulerian_tour, load_orientation, orient_from_tour
 
 from test_orientation import K44_REFERENCE_EDGES
 
@@ -99,6 +100,20 @@ def test_disk_vertices_are_the_arcs_at_the_owner():
         v = sys.disk_owner[d]
         for p in path:
             assert v in sys.arc_names[p]
+
+
+@pytest.mark.parametrize("digraph, policy, error, message", [
+    # every K5 edge directed from its smaller end: vertex 0 has out-degree 4
+    (lambda: OrientedGraph(5, complete_graph(5).edges), PairingMode.PARALLEL,
+     NotTwoInTwoOutError, "digraph must have in-degree = out-degree = 2"),
+    (lambda: load_orientation(Graph(8, K44_REFERENCE_EDGES), K44_REFERENCE_EDGES),
+     PairingPolicy.uniform(PairingMode.PARALLEL, 7), ValueError,
+     "policy must assign one mode per vertex"),
+])
+def test_build_cubic_error_messages_are_pinned(digraph, policy, error, message):
+    with pytest.raises(error) as exc:
+        build_cubic(digraph(), policy)
+    assert type(exc.value) is error and str(exc.value) == message
 
 
 @pytest.mark.parametrize("mode", [PairingMode.PARALLEL, PairingMode.CROSSED])
@@ -438,9 +453,9 @@ def _edge_owner_oracle(sys):
 
 
 def _broken_systems():
-    """Systems that `verify_disk_decomposition` rejects, built with the bare
-    constructor: the two of the verify tests, then each corrupted k44 file
-    of `test_system_json_rejects_inconsistent_system` that still has disks."""
+    """Broken systems built with the bare constructor: the two of the
+    verify tests, then each corrupted k44 file of
+    `test_system_json_rejects_inconsistent_system` that still has disks."""
     sys = k44_reference_system()
     g = sys.cubic
     yield "missing-edge", CubicSystem(
@@ -460,6 +475,14 @@ def _broken_systems():
             Graph(obj["vertices"], [tuple(e) for e in obj["edges"]]),
             tuple(tuple(p) for p in obj["disks"]), tuple(obj["disk_owner"]),
             tuple(tuple(a) for a in obj["arc_names"]))
+
+
+def test_verify_rejects_the_broken_systems_that_are_no_decomposition():
+    # `_duplicate_disk` repeats 3 edges; the systems not listed decompose
+    # the block graph and fail only the star-layout check
+    rejected = {name for name, sys in _broken_systems() if not verify_disk_decomposition(sys)}
+    assert rejected == {"missing-edge", "non-path", "outside-and-short", "_vertex_99",
+                        "_duplicate_disk"}
 
 
 def test_disk_edges_of_broken_systems_match_the_edge_index_walk():

@@ -244,6 +244,19 @@ def test_graph_error_messages_are_pinned(args, message):
     assert str(exc.value) == message
 
 
+@pytest.mark.parametrize("make, message", [
+    (lambda: EdgeSubset(3, 8), "bitset has bits outside the edge range"),
+    (lambda: EdgeSubset(3, -1), "bitset has bits outside the edge range"),
+    (lambda: EdgeSubset.from_indices(3, [0, 3]), "edge index 3 out of range for 3 edges"),
+    (lambda: EdgeSubset.from_indices(3, [-1]), "edge index -1 out of range for 3 edges"),
+    (lambda: two_core(PETERSEN, EdgeSubset(14, 1)), "erased subset sized for a different graph"),
+])
+def test_edge_subset_error_messages_are_pinned(make, message):
+    with pytest.raises(GraphError) as exc:
+        make()
+    assert str(exc.value) == message
+
+
 NON_INT_GRAPH_FILES = [
     ('{"vertices": 3, "edges": [["a", 1]]}', "edge 0"),
     ('{"vertices": 3, "edges": [[null, 1]]}', "edge 0"),

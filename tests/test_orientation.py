@@ -1,6 +1,11 @@
-import pytest
+import itertools
 
-from graphdss.catalog import complete_graph, random_4_regular
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from graphdss.catalog import (
+    MissingDataFileError, by_name, catalog_names, complete_graph, random_4_regular
+)
 from graphdss.graphs import Graph
 from graphdss.orientation import (
     InvalidTourError,
@@ -10,6 +15,8 @@ from graphdss.orientation import (
     load_orientation,
     orient_from_tour,
 )
+
+from conftest import edges_span_one_component, two_pass_orient_from_tour
 
 K44_REFERENCE_EDGES = [
     (0, 1), (0, 5), (1, 2), (1, 6), (2, 3), (2, 7), (3, 0), (3, 4),
@@ -26,6 +33,7 @@ def test_tour_k5_covers_all_edges_once():
     g = complete_graph(5)
     tour = eulerian_tour(g)
     assert sorted(tour) == list(range(10))
+    assert tour == K5_TOUR
 
 
 def test_tour_path_not_eulerian():
@@ -87,6 +95,130 @@ def test_orient_rejects_broken_walk():
     broken = tour[:-1] + [tour[0]]
     with pytest.raises(InvalidTourError):
         orient_from_tour(g, broken)
+
+
+K5_TOUR = [0, 4, 1, 2, 5, 6, 8, 7, 9, 3]  # vertices 0 1 2 0 3 1 4 2 3 4 0
+
+
+@pytest.mark.parametrize("graph, tour, message", [
+    (complete_graph(5), [10] + K5_TOUR[1:], "tour must use every edge exactly once"),
+    (complete_graph(5), [0, -1] + K5_TOUR[2:], "tour must use every edge exactly once"),
+    (complete_graph(5), [0, 0] + K5_TOUR[2:], "edge 0 is out of range or used twice"),
+    (complete_graph(5), K5_TOUR[:9] + [0], "edge 0 is out of range or used twice"),
+    (complete_graph(5), K5_TOUR[:5] + [10] + K5_TOUR[6:], "edge 10 is out of range or used twice"),
+    (complete_graph(5), K5_TOUR[:5] + [-2] + K5_TOUR[6:], "edge -2 is out of range or used twice"),
+    (complete_graph(5), [0, 4, 2, 1] + K5_TOUR[4:], "edge 2 does not continue the walk"),
+    (complete_graph(5), [0, 5] + K5_TOUR[2:], "edge 1 does not continue the walk"),
+    (Graph(3, [(0, 1), (1, 2)]), [0, 1], "tour is not closed"),
+    (Graph(2, [(0, 1)]), [0], "tour is not closed"),
+])
+def test_orient_error_messages_are_pinned(graph, tour, message):
+    with pytest.raises(InvalidTourError) as exc:
+        orient_from_tour(graph, tour)
+    assert str(exc.value) == message
+
+
+def test_orient_the_empty_tour_of_a_graph_without_edges():
+    assert orient_from_tour(Graph(3, []), []).arcs == ()
+
+
+def _outcome(fn):
+    try:
+        return fn()
+    except InvalidTourError:
+        return InvalidTourError
+
+
+def _even_degree_catalog():
+    graphs = {}
+    for name in catalog_names():
+        try:
+            g = by_name(name).graph
+        except MissingDataFileError:  # cage7 is read from a data file
+            continue
+        if all(len(g.incident(v)) % 2 == 0 for v in range(g.vertex_count)):
+            graphs[name] = g
+    return graphs
+
+
+TOUR_GRAPHS = _even_degree_catalog()
+for _n, _s in [(5, 1), (8, 2), (12, 3), (30, 6), (200, 1)]:
+    TOUR_GRAPHS[f"random-{_n}-{_s}"] = random_4_regular(_n, _s)
+
+
+# built only by the test below; the mutation test takes the smaller graphs
+_LARGE_TOUR_GRAPHS = {"random-1000-1": (1000, 1), "random-3000-1": (3000, 1)}
+
+
+@pytest.mark.parametrize("name", sorted(TOUR_GRAPHS) + sorted(_LARGE_TOUR_GRAPHS))
+def test_orient_matches_the_two_pass_oracle(name):
+    g = TOUR_GRAPHS[name] if name in TOUR_GRAPHS else random_4_regular(*_LARGE_TOUR_GRAPHS[name])
+    tour = eulerian_tour(g)
+    assert orient_from_tour(g, tour) == two_pass_orient_from_tour(g, tour)
+
+
+def _mutated(tour, kind, i, j, k):
+    t = list(tour)
+    i, j = i % len(t), j % len(t)
+    if kind == "drop":
+        del t[i]
+    elif kind == "repeat":
+        t[i] = t[j]
+    elif kind == "swap":
+        t[i], t[j] = t[j], t[i]
+    elif kind == "out-of-range":
+        t[i] = len(t) + k
+    elif kind == "negative":
+        t[i] = -1 - k
+    elif kind == "rotate":
+        t = t[i:] + t[:i]
+    else:
+        t.reverse()
+    return t
+
+
+@settings(max_examples=400, derandomize=True, deadline=None)
+@given(st.sampled_from(sorted(TOUR_GRAPHS)),
+       st.sampled_from(["drop", "repeat", "swap", "out-of-range", "negative", "rotate", "reverse"]),
+       st.integers(0, 10**6), st.integers(0, 10**6), st.integers(0, 3))
+def test_orient_accepts_and_rejects_as_the_two_pass_oracle(name, kind, i, j, k):
+    g = TOUR_GRAPHS[name]
+    tour = _mutated(eulerian_tour(g), kind, i, j, k)
+    assert _outcome(lambda: orient_from_tour(g, tour)) == _outcome(
+        lambda: two_pass_orient_from_tour(g, tour))
+
+
+_COMPONENTS = {  # (vertex count, edges), every degree even
+    "isolated": (1, []),
+    "triangle": (3, [(0, 1), (1, 2), (2, 0)]),
+    "hexagon": (6, [(i, (i + 1) % 6) for i in range(6)]),
+    "bowtie": (5, [(0, 1), (1, 2), (2, 0), (0, 3), (3, 4), (4, 0)]),
+    "k5": (5, list(itertools.combinations(range(5), 2))),
+}
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(st.lists(st.sampled_from(sorted(_COMPONENTS)), min_size=1, max_size=4),
+       st.randoms(use_true_random=False))
+def test_tour_disconnected_verdict_matches_the_bfs_oracle(parts, rnd):
+    edges, n = [], 0
+    for part in parts:
+        size, part_edges = _COMPONENTS[part]
+        edges += [(n + u, n + v) for u, v in part_edges]
+        n += size
+    label = list(range(n))
+    rnd.shuffle(label)
+    edges = [(label[u], label[v]) for u, v in edges]
+    rnd.shuffle(edges)
+    g = Graph(n, edges)
+    try:
+        tour = eulerian_tour(g)
+    except NotEulerianError as exc:
+        assert str(exc) == "graph is disconnected"
+        assert not edges_span_one_component(g)
+    else:
+        assert edges_span_one_component(g)
+        assert orient_from_tour(g, tour) == two_pass_orient_from_tour(g, tour)
 
 
 def test_load_reference_k5_arcs():

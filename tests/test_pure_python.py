@@ -54,3 +54,25 @@ def test_modules_import_no_name_they_do_not_use():
     assert SOURCES
     unused = set().union(*(_unused_imports(p) for p in SOURCES if p.name != "__init__.py"))
     assert unused == set()
+
+
+def _imported_names(path: Path):
+    """(absolute module, name) for each name a `from ... import` binds;
+    a relative module resolves inside graphdss."""
+    names = set()
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if isinstance(node, ast.ImportFrom):
+            module = ".".join(["graphdss"] * bool(node.level) + [node.module or ""]).rstrip(".")
+            names |= {(module, alias.name) for alias in node.names}
+    return names
+
+
+def test_theorems_stand_in_for_the_computations_they_replaced():
+    # the star-layout theorem proves the witness unrecoverable, so the
+    # bound needs no peel; Hierholzer's walk proves the tour's
+    # connectivity, so the tour needs no BFS
+    src = ROOT / "src" / "graphdss"
+    from_repair = {(m, n) for m, n in _imported_names(src / "analysis.py")
+                   if m == "graphdss.repair" or (m, n) == ("graphdss", "repair")}
+    assert from_repair == set()
+    assert "bfs_tree" not in {n for _, n in _imported_names(src / "orientation.py")}

@@ -161,6 +161,18 @@ def test_repair_disk_invalid_index():
         repair_disk(k5_reference_system("girth5"), 99, RepairStrategy.MIN_BANDWIDTH)
 
 
+@pytest.mark.parametrize("disks, bad", [([0, 5], 5), ([-1], -1)])
+def test_repair_disks_rejects_an_unknown_disk(disks, bad):
+    with pytest.raises(InvalidDiskError, match=f"^no disk {bad}$"):
+        repair_disks(k5_reference_system("girth5"), disks)
+
+
+@pytest.mark.parametrize("fn", [peel, peel_min_bandwidth])
+def test_peel_rejects_a_subset_of_another_graph(fn):
+    with pytest.raises(ValueError, match="^erased subset sized for a different graph$"):
+        fn(k5_reference_system("girth5"), EdgeSubset(14, 1))
+
+
 def test_repair_two_disjoint_disks_costs_eight():
     sys = k44_reference_system()
     found = 0
