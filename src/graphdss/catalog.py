@@ -99,7 +99,9 @@ def cage(g: int, data_file: Optional[str] = None) -> CatalogEntry:
 
     g=7 needs an external adjacency file (JSON graph format) because the
     67-vertex cage listing is too long to embed; pass data_file or set the
-    environment variable named by CAGE7_ENV_VAR.
+    environment variable named by CAGE7_ENV_VAR.  The file's graph must be
+    4-regular, of girth 7, connected and on 67 vertices, checked in that
+    order.
     """
     if g == 3:
         return _checked("k5", complete_graph(5), 4, 3, "built-in")
@@ -118,7 +120,10 @@ def cage(g: int, data_file: Optional[str] = None) -> CatalogEntry:
             )
         with open(path) as fh:
             graph = Graph.from_json(fh.read())
-        return _checked("cage47", graph, 4, 7, path)
+        entry = _checked("cage47", graph, 4, 7, path)
+        if graph.vertex_count != 67:
+            raise CatalogError(f"cage47: {graph.vertex_count} vertices, the (4,7)-cage has 67")
+        return entry
     raise CatalogError(f"no (4,{g})-cage in the catalog")
 
 

@@ -16,7 +16,7 @@ from enum import Enum
 from functools import cached_property
 from typing import Dict, List, Optional, Tuple, Union
 
-from .graphs import Graph, GraphError, degree_sequence, int_tuples
+from .graphs import EdgeSubset, Graph, GraphError, degree_sequence, int_tuples
 from .orientation import OrientedGraph
 
 
@@ -89,6 +89,12 @@ class CubicSystem:
         paths of its graph still constructs, and its bad disks raise on
         every call."""
         return [None] * len(self.disks)
+
+    @cached_property
+    def _empty_edges(self) -> EdgeSubset:
+        """The empty subset of the block graph's edges: one object, shared
+        as the residual of every `repair_disk` report of this system."""
+        return EdgeSubset(self.cubic.edge_count, 0)
 
     @cached_property
     def source_graph(self) -> Graph:

@@ -11,17 +11,19 @@ One engine, `_peel`, computes both peeling schedules and prices them as it
 goes: each distinct intact edge is read once per repair session; edges
 recovered earlier in the session are internal and free.  `repair_disk`
 writes out its two fixed schedules and prices one disk from its path with
-the same rule.  The test oracle `session_report` (tests/conftest.py)
-counts every report again from its schedule alone.
+the same rule, as the edges at its 3 parity vertices less the 3 of the
+disk.  A priced disk builds one `EdgeSubset`, its erased edges, and one
+`RepairReport`, a named tuple; its empty residual is the one its system
+keeps.  The test oracle `session_report` (tests/conftest.py) counts every
+report again from its schedule alone.
 """
 
 from __future__ import annotations
 
 import heapq
 import json
-from dataclasses import dataclass
 from enum import Enum
-from typing import Dict, Iterable, List, Set, Tuple
+from typing import Dict, Iterable, List, NamedTuple, Set, Tuple
 
 from .code import ParityCode, StorageState, fill_edges
 from .cubic import CubicSystem
@@ -45,9 +47,13 @@ class RepairStrategy(Enum):
     MIN_ROUNDS = "min-rounds"  # 5 symbols, 2 rounds
 
 
-@dataclass(frozen=True)
-class RepairReport:
-    """Transcript of one repair session."""
+class RepairReport(NamedTuple):
+    """Transcript of one repair session.
+
+    A named tuple: immutable, equal and hashed by value, built by position
+    or keyword.  Being a tuple, it is also iterable, indexable in field
+    order, and equal to a plain tuple of the same five values.
+    """
 
     recovered: Tuple[Tuple[int, int, int], ...]  # (edge, parity vertex, round)
     transferred_symbols: int
@@ -155,22 +161,27 @@ def repair_disk(sys: CubicSystem, disk: int, strategy: RepairStrategy) -> Repair
     MIN_BANDWIDTH walks the path using the first three parity checks (4
     symbols, 3 rounds); MIN_ROUNDS repairs both end edges first (5 symbols,
     2 rounds).  The report is priced from the path alone: its 3 edges form
-    a forest, so nothing is left over, and the transfers are the distinct
-    edges at the schedule's parity vertices other than the disk's own.
+    a forest, so nothing is left over, and the residual is the system's
+    shared empty subset.  The transfers are the distinct edges at the
+    schedule's 3 parity vertices other than the disk's own.  On the path
+    p0-p1-p2-p3 the edge p0-p1 lies at p0, p1-p2 at p1, and p2-p3 at p2
+    under MIN_BANDWIDTH or at p3 under MIN_ROUNDS.  So the union of the
+    incidences at those vertices holds all 3 disk edges, which differ
+    because the path's 4 vertices do, and its size minus 3 is the count.
     """
     if not 0 <= disk < len(sys.disks):
         raise InvalidDiskError(f"no disk {disk}")
     g = sys.cubic
     p = sys.disks[disk]
-    e1, e2, e3 = sys.disk_edges(disk)
+    # the cached triple, or the first lookup, which fills the cache
+    e1, e2, e3 = sys._disk_edge_table[disk] or sys.disk_edges(disk)
     if strategy is RepairStrategy.MIN_BANDWIDTH:
         schedule, rounds = ((e1, p[0], 1), (e2, p[1], 2), (e3, p[2], 3)), 3
     else:
         schedule, rounds = ((e1, p[0], 1), (e3, p[3], 1), (e2, p[1], 2)), 2
-    reads = {ei for _, v, _ in schedule for ei, _ in g.incident(v)} - {e1, e2, e3}
-    m = g.edge_count
-    return RepairReport(schedule, len(reads), rounds, EdgeSubset(m, 0),
-                        EdgeSubset(m, 1 << e1 | 1 << e2 | 1 << e3))
+    reads = len({ei for _, v, _ in schedule for ei, _ in g.incident(v)}) - 3
+    return RepairReport(schedule, reads, rounds, sys._empty_edges,
+                        EdgeSubset(g.edge_count, 1 << e1 | 1 << e2 | 1 << e3))
 
 
 def peel_min_bandwidth(sys: CubicSystem, erased: EdgeSubset) -> RepairReport:

@@ -61,6 +61,7 @@ _GIRTH7_VOLTAGES = (0, 0, 0, 0, 8, 15, 5, 17, 24, 4)
     (lambda: petersen().graph, "cage47: not 4-regular"),
     (lambda: complete_graph(5), "cage47: girth 3 != claimed 7"),
     (lambda: _k5_lift(52, [2 * a for a in _GIRTH7_VOLTAGES]), "cage47: disconnected"),
+    (lambda: _k5_lift(26, _GIRTH7_VOLTAGES), "cage47: 130 vertices, the (4,7)-cage has 67"),
 ])
 def test_cage7_rejects_a_file_that_is_not_a_cage(tmp_path, graph, message):
     lift = _k5_lift(26, _GIRTH7_VOLTAGES)

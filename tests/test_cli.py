@@ -8,6 +8,7 @@ import graphdss.cli
 import graphdss.graphs
 from graphdss.cli import main
 
+from test_catalog import _GIRTH7_VOLTAGES, _k5_lift
 from test_cubic import (
     _arc_out_of_range,
     _cubic_without_perfect_matching,
@@ -87,6 +88,15 @@ def test_profile_cage7_missing(capsys, monkeypatch):
     code, out, err = run(capsys, "profile", "--catalog", "cage7")
     assert code == 2
     assert "cage" in err
+
+
+def test_profile_cage7_rejects_a_graph_that_is_not_the_cage(tmp_path, capsys, monkeypatch):
+    path = tmp_path / "cage7.json"
+    path.write_text(_k5_lift(26, _GIRTH7_VOLTAGES).to_json())
+    monkeypatch.setenv("GRAPHDSS_CAGE7_FILE", str(path))
+    code, out, err = run(capsys, "profile", "--catalog", "cage7")
+    assert (code, out) == (2, "")
+    assert "130 vertices, the (4,7)-cage has 67" in err
 
 
 def test_simulate_k5_exhaustive(capsys):

@@ -11,6 +11,7 @@ from graphdss.graphs import EdgeSubset, Graph, two_core
 from graphdss.orientation import eulerian_tour, orient_from_tour
 from graphdss.repair import (
     InvalidDiskError,
+    RepairReport,
     RepairStrategy,
     UnrecoverableError,
     peel,
@@ -156,6 +157,25 @@ def test_pricing_every_disk_looks_each_edge_up_once(monkeypatch):
     assert calls <= 3 * n, calls
 
 
+def test_pricing_builds_one_edge_subset_per_report(monkeypatch):
+    """A priced disk builds its erased subset only; the empty residual is
+    built once per system and shared by every report."""
+    g = random_4_regular(200, seed=1)
+    sys = build_cubic(orient_from_tour(g, eulerian_tour(g)), PairingMode.PARALLEL)
+    built = 0
+    post_init = EdgeSubset.__post_init__
+
+    def counting(self):
+        nonlocal built
+        built += 1
+        post_init(self)
+
+    monkeypatch.setattr(EdgeSubset, "__post_init__", counting)
+    reports = [repair_disk(sys, d, strategy)
+               for d in range(len(sys.disks)) for strategy in RepairStrategy]
+    assert built <= len(reports) + 1, (built, len(reports))
+
+
 def test_repair_disk_invalid_index():
     with pytest.raises(InvalidDiskError):
         repair_disk(k5_reference_system("girth5"), 99, RepairStrategy.MIN_BANDWIDTH)
@@ -254,6 +274,30 @@ def test_report_json_fields():
 
     obj = json.loads(peel(sys, EdgeSubset.from_indices(15, [0, 1])).to_json())
     assert set(obj) == {"recovered", "transferred", "rounds", "residual"}
+
+
+_REPORT_FIELDS = ("recovered", "transferred_symbols", "rounds", "residual", "erased")
+
+
+def test_report_is_an_immutable_value():
+    """Every entry point's report refuses field assignment, hashes, and
+    equals the report rebuilt by keyword from its five fields, and a plain
+    tuple of them."""
+    sys = system_from_cage(6)[0]
+    erased = EdgeSubset.from_indices(sys.cubic.edge_count, sys.disk_edges(0) + sys.disk_edges(5))
+    reports = [peel(sys, erased), peel_min_bandwidth(sys, erased),
+               repair_disk(sys, 0, RepairStrategy.MIN_BANDWIDTH),
+               repair_disk(sys, 0, RepairStrategy.MIN_ROUNDS), repair_disks(sys, [0, 5])]
+    for report in reports:
+        for field in _REPORT_FIELDS:
+            with pytest.raises(AttributeError):
+                setattr(report, field, getattr(report, field))
+        values = [getattr(report, field) for field in _REPORT_FIELDS]
+        rebuilt = RepairReport(**dict(zip(_REPORT_FIELDS, values)))
+        assert rebuilt == report and hash(rebuilt) == hash(report)
+        assert rebuilt.to_json() == report.to_json()
+        assert report == tuple(values) and report[1] == report.transferred_symbols
+    assert reports[2].residual is repair_disk(sys, 7, RepairStrategy.MIN_ROUNDS).residual
 
 
 def test_peeling_cost_follows_the_erased_edges(monkeypatch):
