@@ -43,7 +43,7 @@ from .analysis import (
     verify_recovery_bound,
     profile,
 )
-from . import catalog
+from . import catalog, state
 
 __all__ = [
     "Graph",
@@ -82,4 +82,5 @@ __all__ = [
     "verify_recovery_bound",
     "profile",
     "catalog",
+    "state",
 ]

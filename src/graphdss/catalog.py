@@ -36,12 +36,9 @@ class GenerationFailed(RuntimeError):
 class CatalogEntry:
     name: str
     graph: Graph
-    claimed_regularity: int
-    claimed_girth: int
-    source: str  # "built-in" or a file path
 
 
-def _checked(name: str, g: Graph, regularity: int, claimed_girth: int, source: str) -> CatalogEntry:
+def _checked(name: str, g: Graph, regularity: int, claimed_girth: int) -> CatalogEntry:
     degs = degree_sequence(g)
     if any(d != regularity for d in degs):
         raise CatalogError(f"{name}: not {regularity}-regular")
@@ -50,7 +47,7 @@ def _checked(name: str, g: Graph, regularity: int, claimed_girth: int, source: s
         raise CatalogError(f"{name}: girth {gv} != claimed {claimed_girth}")
     if not is_connected(g):
         raise CatalogError(f"{name}: disconnected")
-    return CatalogEntry(name, g, regularity, claimed_girth, source)
+    return CatalogEntry(name, g)
 
 
 def complete_graph(n: int) -> Graph:
@@ -104,13 +101,13 @@ def cage(g: int, data_file: Optional[str] = None) -> CatalogEntry:
     order.
     """
     if g == 3:
-        return _checked("k5", complete_graph(5), 4, 3, "built-in")
+        return _checked("k5", complete_graph(5), 4, 3)
     if g == 4:
-        return _checked("k44", complete_bipartite(4, 4), 4, 4, "built-in")
+        return _checked("k44", complete_bipartite(4, 4), 4, 4)
     if g == 5:
-        return _checked("robertson", Graph(19, _ROBERTSON_EDGES), 4, 5, "built-in")
+        return _checked("robertson", Graph(19, _ROBERTSON_EDGES), 4, 5)
     if g == 6:
-        return _checked("pg23", _pg23_incidence(), 4, 6, "built-in")
+        return _checked("pg23", _pg23_incidence(), 4, 6)
     if g == 7:
         path = data_file or os.environ.get(CAGE7_ENV_VAR)
         if not path or not os.path.exists(path):
@@ -120,7 +117,7 @@ def cage(g: int, data_file: Optional[str] = None) -> CatalogEntry:
             )
         with open(path) as fh:
             graph = Graph.from_json(fh.read())
-        entry = _checked("cage47", graph, 4, 7, path)
+        entry = _checked("cage47", graph, 4, 7)
         if graph.vertex_count != 67:
             raise CatalogError(f"cage47: {graph.vertex_count} vertices, the (4,7)-cage has 67")
         return entry
@@ -136,7 +133,7 @@ _PETERSEN_EDGES = [
 
 
 def petersen() -> CatalogEntry:
-    return _checked("petersen", Graph(10, _PETERSEN_EDGES), 3, 5, "built-in")
+    return _checked("petersen", Graph(10, _PETERSEN_EDGES), 3, 5)
 
 
 # the pinned 5-disk example: one Eulerian orientation of K5 (0-indexed)

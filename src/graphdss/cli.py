@@ -11,14 +11,12 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import random
 import sys as _sys
 from typing import Dict, List, Optional, Tuple
 
-from . import catalog as cat
+from . import catalog as cat, state
 from .analysis import profile, verdict_json, verify_recovery_bound
-from .code import derive_code, encode, StorageState
 from .cubic import (
     CubicSystem,
     DecompositionFailure,
@@ -27,16 +25,9 @@ from .cubic import (
     build_cubic,
     decompose_p4,
 )
-from .graphs import EdgeSubset, Graph, degree_sequence, is_connected
+from .graphs import Graph, degree_sequence, is_connected
 from .orientation import eulerian_tour, load_orientation, orient_from_tour
-from .repair import (
-    RepairStrategy,
-    UnrecoverableError,
-    peel,
-    repair_disk,
-    repair_disks,
-    repair_state,
-)
+from .repair import RepairStrategy, UnrecoverableError, repair_disk, repair_disks
 
 
 class UsageError(Exception):
@@ -253,100 +244,34 @@ def _disjoint_disk_sampler(sys_: CubicSystem):
     return sample
 
 
-def _write_atomic(path: str, data: bytes) -> None:
-    """Write `data` to `path` through `<path>.tmp` and a rename, so the file
-    holds either its old contents or all of `data`, never a prefix."""
-    tmp = path + ".tmp"
-    try:
-        with open(tmp, "wb") as fh:
-            fh.write(data)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.remove(tmp)
-        raise
-
-
-def _block_path(state_dir: str, ei: int) -> str:
-    return os.path.join(state_dir, f"block_{ei:05d}.bin")
-
-
 def cmd_store(args) -> int:
     if args.block_size < 0:
         raise UsageError(f"--block-size must be at least 0, got {args.block_size}")
     with open(args.system) as fh:
         sys_ = CubicSystem.from_json(fh.read())
-    code = derive_code(sys_.cubic)
-    k, s = len(code.information_set), args.block_size
     with open(args.data, "rb") as fh:
         payload = fh.read()
-    if len(payload) != k * s:
-        raise UsageError(f"data must be exactly k*s = {k}*{s} = {k * s} bytes, got {len(payload)}")
-    blocks = [payload[i * s : (i + 1) * s] for i in range(k)]
-    state = encode(code, blocks)
-    os.makedirs(args.out, exist_ok=True)
-    # the header goes last, and a stale one goes first: a directory without
-    # a header holds no complete stripe
-    header = os.path.join(args.out, "header.json")
-    if os.path.exists(header):
-        os.remove(header)
-    for ei in range(code.length):
-        _write_atomic(_block_path(args.out, ei), state.symbols[ei])
-    _write_atomic(header, json.dumps(
-        {"m": code.length, "s": s, "information_set": list(code.information_set)}).encode())
-    print(f"stored {code.length} blocks of {s} bytes in {args.out}")
+    state.store(sys_, payload, args.out, args.block_size)
+    print(f"stored {sys_.cubic.edge_count} blocks of {args.block_size} bytes in {args.out}")
     return 0
 
 
 def cmd_repair(args) -> int:
     with open(args.system) as fh:
         sys_ = CubicSystem.from_json(fh.read())
-    code = derive_code(sys_.cubic)
-    with open(os.path.join(args.state, "header.json"), "rb") as fh:
-        try:
-            header = json.load(fh)
-        except ValueError as exc:  # JSONDecodeError or UnicodeDecodeError
-            raise UsageError(f"state header is not valid JSON: {exc}")
-    if not isinstance(header, dict):
-        raise UsageError("state header is not a JSON object")
-    if header.get("m") != code.length:
-        raise UsageError(f"state header has m={header.get('m')!r}, "
-                         f"but the system's code has length {code.length}")
-    if header.get("information_set") != list(code.information_set):
-        raise UsageError("state header's information set differs from the system's code's, "
-                         "so the state was stored under another system")
-    s = header.get("s")
-    if not isinstance(s, int) or s < 0:
-        raise UsageError(f"state header has an invalid block size s={s!r}")
+    m = sys_.cubic.edge_count
     try:
         erased = sorted({int(x) for x in args.erased.split(",")})
     except ValueError:
         raise UsageError(f"--erased must be comma-separated block indices, got {args.erased!r}")
-    bad = [ei for ei in erased if not 0 <= ei < code.length]
+    bad = [ei for ei in erased if not 0 <= ei < m]
     if bad:
-        raise UsageError(f"--erased: no block {bad[0]}; blocks are 0..{code.length - 1}")
-    # every surviving block must be there at full size; only the helpers
-    # that the schedule names are read
-    lost = set(erased)
-    for ei in range(code.length):
-        if ei not in lost:
-            size = os.stat(_block_path(args.state, ei)).st_size
-            if size != s:
-                raise UsageError(f"block {ei} has {size} bytes, the header says {s}")
-    report = peel(sys_, EdgeSubset.from_indices(code.length, erased))
+        raise UsageError(f"--erased: no block {bad[0]}; blocks are 0..{m - 1}")
+    report = state.repair(sys_, args.state, erased)
     if len(report.residual):
         print(f"unrecoverable: residual cycle on edges {report.residual.indices()}")
         print(report.to_json())
         return 1
-    state = StorageState(s, {})
-    for _, v, _ in report.recovered:
-        for ei, _ in sys_.cubic.incident(v):
-            if ei not in lost and ei not in state.symbols:
-                with open(_block_path(args.state, ei), "rb") as fh:
-                    state.symbols[ei] = fh.read()
-    repair_state(code, state, report)
-    for ei in erased:
-        _write_atomic(_block_path(args.state, ei), state.symbols[ei])
     print(report.to_json())
     print(f"repaired {len(erased)} blocks, transferred {report.transferred_symbols} symbols "
           f"in {report.rounds} rounds")

@@ -168,6 +168,16 @@ def repair_disk(sys: CubicSystem, disk: int, strategy: RepairStrategy) -> Repair
     under MIN_BANDWIDTH or at p3 under MIN_ROUNDS.  So the union of the
     incidences at those vertices holds all 3 disk edges, which differ
     because the path's 4 vertices do, and its size minus 3 is the count.
+
+    On a system of a simple G built by `build_cubic`, that count is 4 under
+    MIN_BANDWIDTH and 5 under MIN_ROUNDS for every disk.  A disk is the
+    path c-a-b-d of the arcs at its owner v: end arc c leaves v for w,
+    middle arcs a and b enter v from x and u, and end arc d leaves v for z.
+    The other block edges at c lie on w's disk (2 of them), at a on x's
+    (1), at b on u's (1) and at d on z's (2).  Two of them coincide only if
+    two of w, x, u and z are one vertex joined to v by two arcs, a parallel
+    edge of G.  So MIN_BANDWIDTH, at c, a and b, reads 7 - 3 = 4 blocks and
+    MIN_ROUNDS, at c, a and d, reads 8 - 3 = 5.
     """
     if not 0 <= disk < len(sys.disks):
         raise InvalidDiskError(f"no disk {disk}")

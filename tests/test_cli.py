@@ -6,6 +6,7 @@ import pytest
 
 import graphdss.cli
 import graphdss.graphs
+import graphdss.state
 from graphdss.cli import main
 
 from test_catalog import _GIRTH7_VOLTAGES, _k5_lift
@@ -225,7 +226,7 @@ def test_repair_reads_only_the_helper_blocks(tmp_path, capsys, monkeypatch):
             read.append(int(name[len("block_"):-len(".bin")]))
         return real_open(path, mode, *args, **kwargs)
 
-    monkeypatch.setattr(graphdss.cli, "open", recording_open, raising=False)
+    monkeypatch.setattr(graphdss.state, "open", recording_open, raising=False)
     code, out, err = run(
         capsys, "repair", "--system", str(sys_file), "--state", str(state_dir),
         "--erased", ",".join(map(str, lost)),
@@ -258,8 +259,9 @@ def _stored_k44(tmp_path, capsys):
 
 
 def _fail_kth_block_write(monkeypatch, k):
-    """Make the k-th block file that the CLI opens for writing store half
-    of its bytes and then raise, as a crash or a full disk would."""
+    """Make the k-th block file that `graphdss.state` opens for writing
+    store half of its bytes and then raise, as a crash or a full disk
+    would."""
     real_open = open
     opened = []
 
@@ -285,7 +287,7 @@ def _fail_kth_block_write(monkeypatch, k):
                 return HalfWrite(fh)
         return fh
 
-    monkeypatch.setattr(graphdss.cli, "open", failing_open, raising=False)
+    monkeypatch.setattr(graphdss.state, "open", failing_open, raising=False)
 
 
 @pytest.mark.parametrize("command", ["store", "store-again", "repair"])
@@ -384,7 +386,7 @@ def test_repair_rejects_header_that_is_not_a_json_object(tmp_path, capsys, text)
     assert "header" in err
 
 
-@pytest.mark.parametrize("s", [-1, "32", 32.0, None])
+@pytest.mark.parametrize("s", [-1, "32", 32.0, None, True])
 def test_repair_rejects_a_header_block_size_that_is_not_a_size(tmp_path, capsys, s):
     sys_file, state_dir = _stored_k44(tmp_path, capsys)
     header = json.loads((state_dir / "header.json").read_text())
@@ -430,6 +432,22 @@ def test_repair_rejects_a_state_stored_under_another_system(tmp_path, capsys):
     assert (code, out) == (2, "")
     assert "information set" in err
     assert {p.name: p.read_bytes() for p in state_dir.iterdir()} == before
+
+
+def test_repair_rejects_a_state_of_another_block_graph_with_the_same_code(tmp_path, capsys):
+    # these two k44 systems share m = 24 and the information set, so only
+    # the header's system digest tells them apart; repair used to exit 0
+    # and write a wrong block 0
+    sys_file, state_dir = _stored_k44(tmp_path, capsys)
+    other = tmp_path / "other.json"
+    run(capsys, "build", "--catalog", "k44", "--policy",
+        "parallel,crossed@4,crossed@5,crossed@6,crossed@7", "--output", str(other))
+    (state_dir / "block_00000.bin").unlink()
+    code, out, err = run(capsys, "repair", "--system", str(other), "--state", str(state_dir),
+                         "--erased", "0")
+    assert (code, out) == (2, "")
+    assert err.startswith("error: state header names system ")
+    assert not (state_dir / "block_00000.bin").exists()
 
 
 def _corrupt_system(sys_file, fault):

@@ -3,10 +3,11 @@ import json
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from graphdss.catalog import k5_reference_system, random_4_regular
 from graphdss.code import StorageState, derive_code, encode
-from graphdss.cubic import CubicSystem, PairingMode, build_cubic
+from graphdss.cubic import CubicSystem, PairingMode, PairingPolicy, build_cubic
 from graphdss.graphs import EdgeSubset, Graph, two_core
 from graphdss.orientation import eulerian_tour, orient_from_tour
 from graphdss.repair import (
@@ -174,6 +175,22 @@ def test_pricing_builds_one_edge_subset_per_report(monkeypatch):
     reports = [repair_disk(sys, d, strategy)
                for d in range(len(sys.disks)) for strategy in RepairStrategy]
     assert built <= len(reports) + 1, (built, len(reports))
+
+
+@given(st.integers(5, 40), st.integers(0, 2**32 - 1), st.data())
+@settings(max_examples=100, derandomize=True, deadline=None)
+def test_every_disk_of_a_simple_graph_prices_4_in_3_and_5_in_2(n, seed, data):
+    """The star-layout price theorem: on a simple G every disk reads
+    7 - 3 = 4 blocks in 3 rounds under MIN_BANDWIDTH and 8 - 3 = 5 in 2
+    under MIN_ROUNDS, whatever each vertex's pairing."""
+    g = random_4_regular(n, seed)
+    modes = data.draw(st.lists(st.sampled_from(PairingMode), min_size=n, max_size=n))
+    sys = build_cubic(orient_from_tour(g, eulerian_tour(g)), PairingPolicy(tuple(modes)))
+    for d in range(n):
+        for strategy, price in ((RepairStrategy.MIN_BANDWIDTH, (4, 3)),
+                                (RepairStrategy.MIN_ROUNDS, (5, 2))):
+            report = repair_disk(sys, d, strategy)
+            assert (report.transferred_symbols, report.rounds) == price, (d, strategy)
 
 
 def test_repair_disk_invalid_index():

@@ -18,6 +18,10 @@ output changed and why; list the row here too.  Changed so far:
 - error-graph-edges, error-input-graph-shape: `build`, `profile`,
   `simulate` and `decompose` reject a file that declares more vertices
   than its edges have ends before a Graph is built, with a new message.
+- store-repair-k44, store-repair-pg23-crossed, repair-unrecoverable-k5,
+  error-repair-inputs: `header.json` gains the `"system"` key, the digest
+  of the block graph's edges and the disks; every step's exit code and
+  output is unchanged, and without that key each row gives its old digest.
 """
 
 import hashlib
@@ -159,18 +163,18 @@ ROWS = {
         K44_DATA, _stored("k44") + [
             "rm state/block_00003.bin state/block_00004.bin state/block_00005.bin",
             "repair --system sys.json --state state --erased 3,4,5"],
-        "aa84db8899237deeb8f78c3718867cc7dfd84bfc8fb758610e5b673295b2af4d"),
+        "554183689858e2e88aa062eb33548d1795f532153fcff94b12fd95c68f139459"),
     "store-repair-pg23-crossed": (
         PG23_DATA, _stored("pg23", "crossed") + [
             "rm state/block_00000.bin state/block_00001.bin state/block_00002.bin "
             "state/block_00040.bin",
             "repair --system sys.json --state state --erased 0,1,2,40"],
-        "779f33ef37aa8db5e83b9045825f1d788ad7984b7beb63fbca1b3fb6f3a59fe6"),
+        "99e4d97a3187d307744215cd0dee33139674cf877f907175ea9340712272ce42"),
     "repair-unrecoverable-k5": (
         K5_DATA, _stored("k5") + [
             "rm state/block_00000.bin state/block_00003.bin state/block_00006.bin",
             "repair --system sys.json --state state --erased 0,3,6"],
-        "71ba2c8bf1b07679d30b0ff59b9ebf0310f81d32aa9284e6c64a83da99ac3ddc"),
+        "fc1719678985044d04d1cb85b90c8048d07b117f0c85097154b31af6419e11cd"),
     # exit 2, one row per message family
     "error-missing-file": (
         {}, ["profile --system nosuch.json", "build --input nosuch.json"],
@@ -245,7 +249,16 @@ ROWS = {
             "repair --system sys.json --state state --erased 3",
             "build --catalog k5 --output k5.json",
             "repair --system k5.json --state state --erased 3"],
-        "37672307689f113bd2d0c4639a6c03cca95c8f3ad15ba9f3caac9e1a2e8f4bc3"),
+        "9ac02955c4383621128c1b5200c42a49c1b0a12fbac7d16035d2ad600fa8e6a8"),
+    # k44 under these pairings has the same m and information set as
+    # parallel k44, so only the header's system digest tells them apart
+    "error-repair-foreign-system": (
+        K44_DATA, _stored("k44") + [
+            "build --catalog k44 --policy parallel,crossed@4,crossed@5,crossed@6,crossed@7 "
+            "--output other.json",
+            "rm state/block_00000.bin",
+            "repair --system other.json --state state --erased 0"],
+        "cddb51b69ea61b7d9e4bfe04ff8a622549e479c371516e79852f5603aa94b0f9"),
 }
 
 
