@@ -9,7 +9,7 @@ Run: python3 demos/01_build_system.py
 """
 
 from graphdss.catalog import random_4_regular
-from graphdss.cubic import PairingMode, build_cubic, verify_disk_decomposition
+from graphdss.cubic import PairingMode, build_cubic, check_star_layout
 from graphdss.graphs import degree_sequence, girth, is_connected
 from graphdss.orientation import eulerian_tour, orient_from_tour
 
@@ -43,7 +43,11 @@ def main():
     print(f"block graph: {cubic.vertex_count} parity nodes, "
           f"{cubic.edge_count} block-carrying edges,")
     print(f"all degrees 3: {all(d == 3 for d in degree_sequence(cubic))}")
-    print(f"every edge appears in exactly one disk: {verify_disk_decomposition(sysm)}")
+    check_star_layout(sysm, g)  # raises InvalidSystemError if the layout is wrong
+    print("star layout checked: disk d is the path of the 4 arcs at its owner,")
+    print("the arcs are the source graph's edges, each once, and the block graph's")
+    print("edges are the disks' path edges, so")
+    print("every edge appears in exactly one disk: True")
     print(f"block-graph girth {girth(cubic)} bounds how many erased edges can hide")
     print("from the peeling repairer (any set smaller than the girth recovers).")
 

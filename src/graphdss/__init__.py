@@ -33,7 +33,6 @@ from .repair import (
     RepairReport,
     RepairStrategy,
     peel,
-    peel_min_bandwidth,
     repair_disk,
     repair_disks,
     repair_state,
@@ -74,7 +73,6 @@ __all__ = [
     "RepairReport",
     "RepairStrategy",
     "peel",
-    "peel_min_bandwidth",
     "repair_disk",
     "repair_disks",
     "repair_state",

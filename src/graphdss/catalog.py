@@ -8,6 +8,7 @@ transcription error in a hard-coded adjacency cannot propagate silently.
 from __future__ import annotations
 
 import itertools
+import json
 import os
 import random
 from dataclasses import dataclass
@@ -98,7 +99,9 @@ def cage(g: int, data_file: Optional[str] = None) -> CatalogEntry:
     67-vertex cage listing is too long to embed; pass data_file or set the
     environment variable named by CAGE7_ENV_VAR.  The file's graph must be
     4-regular, of girth 7, connected and on 67 vertices, checked in that
-    order.
+    order.  A file that declares more vertices than its edges have ends
+    has a vertex of degree 0, so it is rejected as not 4-regular before a
+    Graph of the declared size is built.
     """
     if g == 3:
         return _checked("k5", complete_graph(5), 4, 3)
@@ -116,10 +119,13 @@ def cage(g: int, data_file: Optional[str] = None) -> CatalogEntry:
                 f"pass data_file= or set ${CAGE7_ENV_VAR}"
             )
         with open(path) as fh:
-            graph = Graph.from_json(fh.read())
-        entry = _checked("cage47", graph, 4, 7)
-        if graph.vertex_count != 67:
-            raise CatalogError(f"cage47: {graph.vertex_count} vertices, the (4,7)-cage has 67")
+            obj = json.load(fh)
+        n, edges = (obj.get("vertices"), obj.get("edges")) if isinstance(obj, dict) else (0, [])
+        if type(n) is int and isinstance(edges, list) and n > 2 * len(edges):
+            raise CatalogError("cage47: not 4-regular")
+        entry = _checked("cage47", Graph.from_obj(obj), 4, 7)
+        if n != 67:
+            raise CatalogError(f"cage47: {n} vertices, the (4,7)-cage has 67")
         return entry
     raise CatalogError(f"no (4,{g})-cage in the catalog")
 

@@ -141,10 +141,6 @@ class Graph:
         return json.dumps(obj, indent=2)
 
     @classmethod
-    def from_json(cls, text: str) -> "Graph":
-        return cls.from_obj(json.loads(text))
-
-    @classmethod
     def from_obj(cls, obj) -> "Graph":
         """The graph of a parsed graph file; GraphError unless "vertices" is
         an int, every edge a list of exactly 2 ints and "vertex_labels",
@@ -202,9 +198,9 @@ def shortest_cycle(g: Graph) -> Optional[List[int]]:
       shallower neighbours in BFS order, which lies on such a cycle.  No
       walk through a vertex < r* is kept, and roots before r* still find
       only walks longer than the girth.
-    - A root's BFS ends at the first vertex of depth d with 2d >= best, the
-      shortest walk so far: BFS depths never fall, so no later vertex
-      closes a shorter walk.
+    - A root's BFS ends before the first level d with 2d >= best, the
+      shortest walk so far: a vertex at depth d closes only walks of
+      length >= 2d, and BFS depths never fall.
     - A vertex at depth d+1 is not recorded once 2d+2 >= best, since every
       walk it closes has length >= 2d+2; the test is redone when best falls
       within a level.
@@ -239,8 +235,6 @@ def shortest_cycle(g: Graph) -> Optional[List[int]]:
             grow = 2 * d + 2 < best
             below = []
             for u in level:
-                if 2 * d >= best:
-                    break
                 pe = parent_edge[u]
                 for ei, v in g.incident(u):
                     if v <= root or ei == pe:

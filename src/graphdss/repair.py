@@ -7,15 +7,16 @@ is recoverable iff its erased edges form a forest.  The block-graph edges of
 a cycle span at least girth(G) disks of the source graph G, so any
 girth(G) - 1 failed disks are recoverable.
 
-One engine, `_peel`, computes both peeling schedules and prices them as it
-goes: each distinct intact edge is read once per repair session; edges
-recovered earlier in the session are internal and free.  `repair_disk`
-writes out its two fixed schedules and prices one disk from its path with
-the same rule, as the edges at its 3 parity vertices less the 3 of the
-disk.  A priced disk builds one `EdgeSubset`, its erased edges, and one
-`RepairReport`, a named tuple; its empty residual is the one its system
-keeps.  The test oracle `session_report` (tests/conftest.py) counts every
-report again from its schedule alone.
+One engine, `peel`, computes the peeling schedule of either
+`RepairStrategy` and prices it as it goes: each distinct intact edge is
+read once per repair session; edges recovered earlier in the session are
+internal and free.  `repair_disk` writes out its two fixed schedules and
+prices one disk from its path with the same rule, as the edges at its 3
+parity vertices less the 3 of the disk.  A priced disk builds one
+`EdgeSubset`, its erased edges, and one `RepairReport`, a named tuple;
+its empty residual is the one its system keeps.  The test oracle
+`session_report` (tests/conftest.py) counts every report again from its
+schedule alone.
 """
 
 from __future__ import annotations
@@ -73,11 +74,26 @@ class RepairReport(NamedTuple):
         )
 
 
-def _peel(sys: CubicSystem, erased: EdgeSubset, min_bandwidth: bool) -> RepairReport:
-    """The peeling engine: a work queue of parity vertices with exactly one
-    unrecovered erased edge, seeded from `erased.indices()`.
+def peel(sys: CubicSystem, erased: EdgeSubset,
+         strategy: RepairStrategy = RepairStrategy.MIN_ROUNDS) -> RepairReport:
+    """Run the peeling decoder to exhaustion under one of two rules.
 
-    Only erased edges and their endpoints are touched, so the work is
+    MIN_ROUNDS is round-synchronous: each round recovers every edge that
+    has, at the start of the round, a parity vertex with exactly one
+    erased incident edge; the round number is therefore the dependency
+    depth.  Ties (an edge repairable at both endpoints) go to the lowest
+    vertex index.  MIN_BANDWIDTH is sequential and greedily minimizes new
+    symbol transfers: at each step the recoverable edge whose parity check
+    needs the fewest not-yet-read intact symbols is repaired (ties to the
+    lowest vertex).  This walks along erased disk paths, so repairing
+    pairwise non-adjacent disks costs 4 transfers each; rounds count the
+    dependency depth of the chosen schedule.  Both rules leave the same
+    residual, the 2-core of the erased edges.  ValueError for a strategy
+    that is not a `RepairStrategy`.
+
+    The engine is a work queue of parity vertices with exactly one
+    unrecovered erased edge, seeded from `erased.indices()`.  Only erased
+    edges and their endpoints are touched, so the work is
     O(|erased| log |erased|), whatever the size of the graph.  Under either
     rule a recovery's round is 1 + the highest round among the other erased
     edges at its parity vertex.  The heap key is the choice rule:
@@ -91,9 +107,12 @@ def _peel(sys: CubicSystem, erased: EdgeSubset, min_bandwidth: bool) -> RepairRe
     either rule the first entry of a vertex to pop while it has one
     pending edge carries its current key, and every later one finds the
     vertex done and is skipped.  The report's transfers are the reads, its
-    rounds the deepest recovery, and its residual the erased edges never
-    recovered.
+    rounds the deepest schedule entry, and its residual the erased edges
+    the schedule does not recover.
     """
+    if not isinstance(strategy, RepairStrategy):
+        raise ValueError(f"not a repair strategy: {strategy!r}")
+    min_bandwidth = strategy is RepairStrategy.MIN_BANDWIDTH
     g = sys.cubic
     if erased.size != g.edge_count:
         raise ValueError("erased subset sized for a different graph")
@@ -103,14 +122,11 @@ def _peel(sys: CubicSystem, erased: EdgeSubset, min_bandwidth: bool) -> RepairRe
         for x in g.edges[e]:
             pending.setdefault(x, []).append(e)
     depth: Dict[int, int] = {}  # vertex -> highest round recovered at it
-    cost: Dict[int, int] = {}  # vertex -> intact edges not yet read (greedy rule)
-    if min_bandwidth:
-        cost = {x: len(g.incident(x)) - len(p) for x, p in pending.items()}
-        heap = [(c, x) for x, c in cost.items() if len(pending[x]) == 1]
-    else:
-        heap = [(1, p[0], x) for x, p in pending.items() if len(p) == 1]
+    # vertex -> intact edges not yet read, for the greedy rule's key
+    cost = {x: len(g.incident(x)) - len(p) for x, p in pending.items()} if min_bandwidth else {}
+    heap = [(cost[x], x) if min_bandwidth else (1, p[0], x)
+            for x, p in pending.items() if len(p) == 1]
     heapq.heapify(heap)
-    rounds: Dict[int, int] = {}  # recovered edge -> round
     reads: Set[int] = set()
     schedule: List[Tuple[int, int, int]] = []
     while heap:
@@ -119,7 +135,6 @@ def _peel(sys: CubicSystem, erased: EdgeSubset, min_bandwidth: bool) -> RepairRe
         if len(pending[v]) != 1:
             continue  # recovered here or at its other end since this entry
         e, rnd = pending[v][0], depth.get(v, 0) + 1
-        rounds[e] = rnd
         schedule.append((e, v, rnd))
         for x in g.edges[e]:
             left = pending[x]
@@ -138,21 +153,10 @@ def _peel(sys: CubicSystem, erased: EdgeSubset, min_bandwidth: bool) -> RepairRe
     return RepairReport(
         recovered=tuple(schedule),
         transferred_symbols=len(reads),
-        rounds=max(rounds.values(), default=0),
-        residual=EdgeSubset.from_indices(erased.size, lost.difference(rounds)),
+        rounds=max((r for _, _, r in schedule), default=0),
+        residual=EdgeSubset.from_indices(erased.size, lost - {e for e, _, _ in schedule}),
         erased=erased,
     )
-
-
-def peel(sys: CubicSystem, erased: EdgeSubset) -> RepairReport:
-    """Run the peeling decoder to exhaustion.
-
-    Each round recovers every edge that has, at the start of the round, a
-    parity vertex with exactly one erased incident edge; the round number is
-    therefore the dependency depth.  Ties (an edge repairable at both
-    endpoints) go to the lowest vertex index.
-    """
-    return _peel(sys, erased, min_bandwidth=False)
 
 
 def repair_disk(sys: CubicSystem, disk: int, strategy: RepairStrategy) -> RepairReport:
@@ -168,6 +172,7 @@ def repair_disk(sys: CubicSystem, disk: int, strategy: RepairStrategy) -> Repair
     under MIN_BANDWIDTH or at p3 under MIN_ROUNDS.  So the union of the
     incidences at those vertices holds all 3 disk edges, which differ
     because the path's 4 vertices do, and its size minus 3 is the count.
+    ValueError for a strategy that is not a `RepairStrategy`.
 
     On a system of a simple G built by `build_cubic`, that count is 4 under
     MIN_BANDWIDTH and 5 under MIN_ROUNDS for every disk.  A disk is the
@@ -179,6 +184,8 @@ def repair_disk(sys: CubicSystem, disk: int, strategy: RepairStrategy) -> Repair
     edge of G.  So MIN_BANDWIDTH, at c, a and b, reads 7 - 3 = 4 blocks and
     MIN_ROUNDS, at c, a and d, reads 8 - 3 = 5.
     """
+    if not isinstance(strategy, RepairStrategy):
+        raise ValueError(f"not a repair strategy: {strategy!r}")
     if not 0 <= disk < len(sys.disks):
         raise InvalidDiskError(f"no disk {disk}")
     g = sys.cubic
@@ -194,21 +201,9 @@ def repair_disk(sys: CubicSystem, disk: int, strategy: RepairStrategy) -> Repair
                         EdgeSubset(g.edge_count, 1 << e1 | 1 << e2 | 1 << e3))
 
 
-def peel_min_bandwidth(sys: CubicSystem, erased: EdgeSubset) -> RepairReport:
-    """Sequential peeling that greedily minimizes new symbol transfers.
-
-    At each step the recoverable edge whose parity check needs the fewest
-    not-yet-read intact symbols is repaired (ties to the lowest vertex).
-    This walks along erased disk paths, so repairing pairwise non-adjacent
-    disks costs 4 transfers each; the residual is the same 2-core as for
-    plain peeling.  Rounds count dependency depth of the chosen schedule.
-    """
-    return _peel(sys, erased, min_bandwidth=True)
-
-
 def repair_disks(sys: CubicSystem, disks: Iterable[int]) -> RepairReport:
-    """Erase every block of the given disks and run bandwidth-greedy
-    sequential peeling.
+    """Erase every block of the given disks and peel them under
+    MIN_BANDWIDTH, the bandwidth-greedy sequential rule.
 
     For pairwise non-adjacent disks the transfer count is 4 per disk.
     """
@@ -218,7 +213,7 @@ def repair_disks(sys: CubicSystem, disks: Iterable[int]) -> RepairReport:
             raise InvalidDiskError(f"no disk {d}")
         edges.extend(sys.disk_edges(d))
     erased = EdgeSubset.from_indices(sys.cubic.edge_count, edges)
-    return peel_min_bandwidth(sys, erased)
+    return peel(sys, erased, RepairStrategy.MIN_BANDWIDTH)
 
 
 def repair_state(code: ParityCode, state: StorageState, report: RepairReport) -> StorageState:

@@ -13,17 +13,21 @@ other keys.
 
 Every file is written as `<file>.tmp` and renamed, so it holds either its
 old contents or all of its new ones.  `store` removes a stale header
-first, writes the blocks next and the header last, so a directory without
-a header holds no complete stripe.  `repair` checks the header, then the
-size of every surviving block, then opens only the helper blocks that its
-peel schedule reads; it writes the erased blocks back only if the peel
-leaves no residual.  Every rejection is a `StateError`.
+first, then the block files of a longer stripe (every `block_NNNNN.bin`
+of index m or more, and no other name), writes the blocks next and the
+header last, so a directory without a header holds no complete stripe
+and a stored one holds no other stripe's blocks.  `repair` checks the
+header, then the size of every surviving block, then opens only the
+helper blocks that its peel schedule reads; it writes the erased blocks
+back only if the peel leaves no residual.  Every rejection is a
+`StateError`.
 """
 
 from __future__ import annotations
 
 import json
 import os
+import re
 from typing import Iterable
 
 from .code import ParityCode, StorageState, derive_code, encode
@@ -76,6 +80,11 @@ def store(system: CubicSystem, payload: bytes, directory: str, block_size: int) 
     header = os.path.join(directory, "header.json")
     if os.path.exists(header):
         os.remove(header)
+    for name in os.listdir(directory):
+        # the names `_block` gives: 5 digits, or more without a leading zero
+        match = re.fullmatch(r"block_([0-9]{5}|[1-9][0-9]{5,})\.bin", name)
+        if match and int(match[1]) >= code.length:
+            os.remove(os.path.join(directory, name))
     for e in range(code.length):
         _write_atomic(_block(directory, e), state.symbols[e])
     _write_atomic(header, json.dumps(_header(system, code, s)).encode())

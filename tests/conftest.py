@@ -9,7 +9,7 @@ from graphdss.code import StorageState
 from graphdss.cubic import PairingMode, build_cubic
 from graphdss.graphs import EdgeSubset, Graph, bfs_tree, girth, is_connected, shortest_cycle
 from graphdss.orientation import InvalidTourError, OrientedGraph, eulerian_tour, orient_from_tour
-from graphdss.repair import RepairReport
+from graphdss.repair import RepairReport, RepairStrategy
 
 
 def system_from_cage(g_girth: int):
@@ -21,6 +21,11 @@ def system_from_cage(g_girth: int):
 def cage_systems():
     """(system, source graph) for the four built-in cages, keyed by girth."""
     return {gg: system_from_cage(gg) for gg in (3, 4, 5, 6)}
+
+
+# each peeling rule by the name that its golden digests and test ids carry
+PEEL_RULES = {"peel": RepairStrategy.MIN_ROUNDS,
+              "peel_min_bandwidth": RepairStrategy.MIN_BANDWIDTH}
 
 
 def copy_state(state: StorageState) -> StorageState:

@@ -352,7 +352,7 @@ def test_recovery_bound_runs_no_peel(cage_systems, monkeypatch, kwargs):
     def no_peel(*args, **kw):
         raise AssertionError("the recovery bound peeled")
 
-    monkeypatch.setattr(repair, "_peel", no_peel)
+    monkeypatch.setattr(repair, "peel", no_peel)
     for gg in (3, 4, 5, 6):
         assert verify_recovery_bound(*cage_systems[gg], **kwargs)[0]
 

@@ -73,6 +73,18 @@ def test_cage7_rejects_a_file_that_is_not_a_cage(tmp_path, graph, message):
     assert str(exc.value) == message
 
 
+def test_cage7_rejects_a_file_with_more_vertices_than_edge_ends_before_building_it(
+        tmp_path, monkeypatch):
+    def no_graph(*args, **kwargs):
+        raise AssertionError("a Graph of the declared size was built")
+
+    path = tmp_path / "cage7.json"
+    path.write_text(json.dumps({"vertices": 10**9, "edges": [[0, 1]]}))
+    monkeypatch.setattr(Graph, "__init__", no_graph)
+    with pytest.raises(CatalogError, match="^cage47: not 4-regular$"):
+        cage(7, str(path))
+
+
 def test_cage_out_of_range():
     with pytest.raises(CatalogError):
         cage(8)

@@ -281,7 +281,7 @@ NON_INT_GRAPH_FILES = [
                          ids=[text for text, _ in NON_INT_GRAPH_FILES])
 def test_graph_from_json_rejects_a_non_int_endpoint(text, named):
     with pytest.raises(GraphError, match="^malformed graph JSON") as exc:
-        Graph.from_json(text)
+        Graph.from_obj(json.loads(text))
     assert named in str(exc.value)
 
 
@@ -340,7 +340,7 @@ def test_two_core_nonempty_iff_contains_cycle(s):
 
 def test_json_round_trip():
     g = Graph(3, [(0, 1), (1, 2)], vertex_labels=["a", "b", "c"])
-    back = Graph.from_json(g.to_json())
+    back = Graph.from_obj(json.loads(g.to_json()))
     assert back == g
     assert back.vertex_labels == ("a", "b", "c")
 

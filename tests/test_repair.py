@@ -1,6 +1,7 @@
 import itertools
 import json
 import random
+import re
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -16,13 +17,12 @@ from graphdss.repair import (
     RepairStrategy,
     UnrecoverableError,
     peel,
-    peel_min_bandwidth,
     repair_disk,
     repair_disks,
     repair_state,
 )
 
-from conftest import copy_state, session_report, system_from_cage
+from conftest import PEEL_RULES, copy_state, session_report, system_from_cage
 from test_cubic import k44_reference_system
 
 
@@ -66,7 +66,7 @@ def test_peel_residual_equals_two_core(variant):
         size = rng.randrange(0, g.edge_count + 1)
         s = EdgeSubset.from_indices(g.edge_count, rng.sample(range(g.edge_count), size))
         assert peel(sys, s).residual.bits == two_core(g, s).bits
-        assert peel_min_bandwidth(sys, s).residual.bits == two_core(g, s).bits
+        assert peel(sys, s, RepairStrategy.MIN_BANDWIDTH).residual.bits == two_core(g, s).bits
 
 
 def test_repair_disk_min_bandwidth():
@@ -204,10 +204,20 @@ def test_repair_disks_rejects_an_unknown_disk(disks, bad):
         repair_disks(k5_reference_system("girth5"), disks)
 
 
-@pytest.mark.parametrize("fn", [peel, peel_min_bandwidth])
-def test_peel_rejects_a_subset_of_another_graph(fn):
+@pytest.mark.parametrize("rule", PEEL_RULES)
+def test_peel_rejects_a_subset_of_another_graph(rule):
     with pytest.raises(ValueError, match="^erased subset sized for a different graph$"):
-        fn(k5_reference_system("girth5"), EdgeSubset(14, 1))
+        peel(k5_reference_system("girth5"), EdgeSubset(14, 1), PEEL_RULES[rule])
+
+
+@pytest.mark.parametrize("strategy", ["min-bandwidth", None])
+def test_peel_and_repair_disk_reject_a_strategy_that_is_not_a_member(strategy):
+    sys = k5_reference_system("girth5")
+    message = f"^not a repair strategy: {re.escape(repr(strategy))}$"
+    with pytest.raises(ValueError, match=message):
+        peel(sys, EdgeSubset(15, 1), strategy)
+    with pytest.raises(ValueError, match=message):
+        repair_disk(sys, 0, strategy)
 
 
 def test_repair_two_disjoint_disks_costs_eight():
@@ -302,7 +312,7 @@ def test_report_is_an_immutable_value():
     tuple of them."""
     sys = system_from_cage(6)[0]
     erased = EdgeSubset.from_indices(sys.cubic.edge_count, sys.disk_edges(0) + sys.disk_edges(5))
-    reports = [peel(sys, erased), peel_min_bandwidth(sys, erased),
+    reports = [peel(sys, erased), peel(sys, erased, RepairStrategy.MIN_BANDWIDTH),
                repair_disk(sys, 0, RepairStrategy.MIN_BANDWIDTH),
                repair_disk(sys, 0, RepairStrategy.MIN_ROUNDS), repair_disks(sys, [0, 5])]
     for report in reports:
@@ -334,11 +344,11 @@ def test_peeling_cost_follows_the_erased_edges(monkeypatch):
         return incident(self, v)
 
     monkeypatch.setattr(Graph, "incident", counting)
-    for fn in (peel, peel_min_bandwidth):
+    for strategy in RepairStrategy:
         calls = 0
-        report = fn(sys, erased)
+        report = peel(sys, erased, strategy)
         assert len(report.recovered) == 16
-        assert 0 < calls <= 8 * len(erased), (fn.__name__, calls)
+        assert 0 < calls <= 8 * len(erased), (strategy, calls)
 
 
 class _CountingBlocks(dict):
@@ -395,8 +405,8 @@ def _random_cycle(g, rng, longest):
             return cycle
 
 
-@pytest.mark.parametrize("fn", [peel, peel_min_bandwidth])
-def test_peel_residual_equals_two_core_on_600_edges(fn):
+@pytest.mark.parametrize("rule", PEEL_RULES)
+def test_peel_residual_equals_two_core_on_600_edges(rule):
     """The residual is the 2-core of the erased edges on a system far
     larger than the cages.  Every other pattern holds a planted cycle, so
     both empty and non-empty residuals are checked."""
@@ -404,14 +414,14 @@ def test_peel_residual_equals_two_core_on_600_edges(fn):
     sys = build_cubic(orient_from_tour(g4, eulerian_tour(g4)), PairingMode.PARALLEL)
     g = sys.cubic
     assert g.edge_count == 600
-    rng = random.Random(f"resid600:{fn.__name__}")
+    rng = random.Random(f"resid600:{rule}")
     stuck = 0
     for i in range(300):
         edges = set(_random_cycle(g, rng, 40)) if i % 2 else set()
         size = rng.randint(max(1, len(edges)), 40)
         edges.update(rng.sample(range(g.edge_count), size - len(edges)))
         s = EdgeSubset.from_indices(g.edge_count, edges)
-        residual = fn(sys, s).residual
+        residual = peel(sys, s, PEEL_RULES[rule]).residual
         assert residual.bits == two_core(g, s).bits
         stuck += bool(len(residual))
     assert stuck >= 150

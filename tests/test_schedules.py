@@ -1,7 +1,7 @@
 """Golden repair schedules.
 
 The digests below pin, byte for byte, the `RepairReport.to_json()` output of
-`peel`, `peel_min_bandwidth` and `repair_disks` over seeded erasure patterns:
+`peel` under each rule and `repair_disks` over seeded erasure patterns:
 half of them random edge subsets, half of them whole failed disks.  Any
 change to the peeling engine must reproduce every schedule, round and
 transfer count exactly.
@@ -16,7 +16,7 @@ from graphdss.catalog import k5_reference_system, random_4_regular
 from graphdss.cubic import PairingMode, build_cubic
 from graphdss.graphs import EdgeSubset
 from graphdss.orientation import eulerian_tour, orient_from_tour
-from graphdss.repair import peel, peel_min_bandwidth, repair_disks
+from graphdss.repair import RepairStrategy, peel, repair_disks
 
 from conftest import session_report, system_from_cage
 
@@ -48,11 +48,13 @@ def _patterns(sys):
 
 
 def _digests(sys):
-    """SHA-256 of the concatenated report JSON per entry point."""
+    """SHA-256 of the concatenated report JSON per peeling rule, `peel`'s
+    default and MIN_BANDWIDTH, and of `repair_disks`."""
     h = {name: hashlib.sha256() for name in ("peel", "peel_min_bandwidth", "repair_disks")}
     for erased, disks in _patterns(sys):
         h["peel"].update(peel(sys, erased).to_json().encode())
-        h["peel_min_bandwidth"].update(peel_min_bandwidth(sys, erased).to_json().encode())
+        h["peel_min_bandwidth"].update(
+            peel(sys, erased, RepairStrategy.MIN_BANDWIDTH).to_json().encode())
         if disks is not None:
             h["repair_disks"].update(repair_disks(sys, disks).to_json().encode())
     return {name: x.hexdigest() for name, x in h.items()}
@@ -119,8 +121,9 @@ def _random_1000_patterns():
 
 @pytest.mark.parametrize("name", sorted(GOLDEN) + ["random1000"])
 def test_peel_reports_equal_the_schedule_oracle(name):
-    """Both peels price their own schedule; `session_report` counts it
-    again from the schedule alone, for every field."""
+    """Both peeling rules price their own schedule; `session_report`
+    counts it again from the schedule alone, for every field.  The default
+    rule is MIN_ROUNDS."""
     if name == "random1000":
         sys, patterns = _random_1000_patterns()
     else:
@@ -129,6 +132,7 @@ def test_peel_reports_equal_the_schedule_oracle(name):
     g = sys.cubic
     for erased in patterns:
         lost = set(erased.indices())
-        for run in (peel, peel_min_bandwidth):
-            report = run(sys, erased)
-            assert report == session_report(g, erased, lost, report.recovered), (run, erased)
+        assert peel(sys, erased) == peel(sys, erased, RepairStrategy.MIN_ROUNDS)
+        for strategy in RepairStrategy:
+            report = peel(sys, erased, strategy)
+            assert report == session_report(g, erased, lost, report.recovered), (strategy, erased)

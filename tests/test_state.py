@@ -49,6 +49,18 @@ def test_store_then_repair_a_lost_pg23_disk(tmp_path):
     assert not list(tmp_path.glob("*.tmp"))
 
 
+def test_store_removes_the_blocks_of_a_longer_stripe_and_no_other_file(tmp_path):
+    store(system_from_cage(6)[0], _payload(27 * 8), str(tmp_path), 8)
+    others = {"notes.txt": b"kept", "block_24.bin": b"not a block name", "block_00030.bin.tmp": b""}
+    for name, data in others.items():
+        (tmp_path / name).write_bytes(data)
+    store(_k44(), _payload(9 * 8), str(tmp_path), 8)
+    files = _files(tmp_path)
+    assert sorted(set(files) - set(others)) == (
+        [f"block_{e:05d}.bin" for e in range(24)] + ["header.json"])
+    assert {name: files[name] for name in others} == others
+
+
 def test_the_header_names_the_system(tmp_path):
     sys = _k44()
     store(sys, _payload(9 * 8), str(tmp_path), 8)
