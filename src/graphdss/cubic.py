@@ -84,10 +84,15 @@ class CubicSystem:
 
     @cached_property
     def _disk_edge_table(self) -> List[Optional[Tuple[int, int, int]]]:
-        """Disk d's 3 edge indices once `disk_edges(d)` has looked them up.
-        Only lookups that succeed are kept, so a system whose disks are not
-        paths of its graph still constructs, and its bad disks raise on
-        every call."""
+        """Disk d's 3 edge indices, in path order, or None until known.
+
+        `build_cubic` fills every entry as it builds the system: it appends
+        disk v's path pairs as edges 3v, 3v+1 and 3v+2, so the triples are
+        known without a lookup.  A system from `from_json` or the bare
+        constructor starts empty, and `disk_edges(d)` looks disk d up on
+        its first call.  Only lookups that succeed are kept, so a system
+        whose disks are not paths of its graph still constructs, and its
+        bad disks raise on every call."""
         return [None] * len(self.disks)
 
     @cached_property
@@ -102,7 +107,10 @@ class CubicSystem:
         return Graph(len(self.disks), self.arc_names)
 
     def disk_edges(self, d: int) -> List[int]:
-        """The 3 cubic-graph edge indices of disk d, in path order."""
+        """The 3 cubic-graph edge indices of disk d, in path order;
+        IndexError naming d unless 0 <= d < the disk count."""
+        if not 0 <= d < len(self.disks):
+            raise IndexError(f"no disk {d}; disks are 0..{len(self.disks) - 1}")
         p = self.disks[d]
         edges = self._disk_edge_table[d]
         if edges is None:
@@ -204,14 +212,16 @@ def build_cubic(gd: OrientedGraph, policy: Union[PairingPolicy, PairingMode]) ->
         disks.append((c, a, b, d))
         edges += ((c, a), (a, b), (b, d))
 
-    cubic = Graph(2 * n, edges)
-    return CubicSystem(
-        cubic=cubic,
+    system = CubicSystem(
+        cubic=Graph(2 * n, edges),
         disks=tuple(disks),
         disk_owner=tuple(range(n)),
         arc_names=gd.arcs,
         policy=policy,
     )
+    # disk v's path pairs are edges 3v, 3v+1 and 3v+2, in path order
+    vars(system)["_disk_edge_table"] = [(e, e + 1, e + 2) for e in range(0, 3 * n, 3)]
+    return system
 
 
 def check_star_layout(sys: CubicSystem, g4: Graph) -> None:
@@ -228,9 +238,13 @@ def check_star_layout(sys: CubicSystem, g4: Graph) -> None:
     vertices differ and no 2 arcs lie on the same 2 disks: the 3n path
     pairs are distinct.  The last pass asks that the block graph have 3n
     edges and that `disk_edges` find each pair in it; the pairs are then
-    its edges, each on one disk.  The message names the first disk that
-    fails a pass, the first pass first.  O(n); the state is one bytearray
-    and the system's disk-edge table.
+    its edges, each on one disk.  It looks up only the disks whose triple
+    the system's disk-edge table does not hold yet.  A triple that
+    `build_cubic` filed is sound without a lookup: it appended exactly
+    those pairs as those edges, and `Graph` kept them in order; a triple
+    that `disk_edges` filed is one it found.  The message names the first
+    disk that fails a pass, the first pass first.  O(n); the state is one
+    bytearray and the system's disk-edge table.
     """
     n, names, m = len(sys.disks), sys.arc_names, len(sys.arc_names)
     if len(sys.disk_owner) != n:
@@ -261,7 +275,9 @@ def check_star_layout(sys: CubicSystem, g4: Graph) -> None:
     if sys.cubic.edge_count != 3 * n:
         raise InvalidSystemError(
             f"{n} disks of 3 edges cannot cover a block graph of {sys.cubic.edge_count} edges")
-    for d in range(n):
+    for d, edges in enumerate(sys._disk_edge_table):
+        if edges is not None:
+            continue
         try:
             sys.disk_edges(d)
         except GraphError as exc:

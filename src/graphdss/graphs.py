@@ -20,12 +20,15 @@ class GraphError(ValueError):
 
 @dataclass(frozen=True)
 class EdgeSubset:
-    """A subset of a graph's edges as a bitset over edge indices."""
+    """A subset of a graph's edges as a bitset over edge indices;
+    GraphError for a negative size, then for a bit outside 0..size-1."""
 
     size: int
     bits: int
 
     def __post_init__(self):
+        if self.size < 0:
+            raise GraphError(f"negative edge subset size {self.size}")
         if self.bits < 0 or self.bits >> self.size:
             raise GraphError("bitset has bits outside the edge range")
 
@@ -205,9 +208,10 @@ def shortest_cycle(g: Graph) -> Optional[List[int]]:
       walk it closes has length >= 2d+2; the test is redone when best falls
       within a level.
     No simple graph has a cycle shorter than 3, so the roots stop there.
-    Per-root BFS state lives in shared lists stamped with the root.
+    Per-root BFS state lives in shared lists stamped with the root, and
+    the incidence lists are read from the graph once, not per vertex.
     """
-    n = g.vertex_count
+    n, incidence = g.vertex_count, g._incidence
     stamp = [-1] * n  # the root whose BFS last recorded the vertex
     dist = [0] * n
     parent_edge = [-1] * n
@@ -236,7 +240,7 @@ def shortest_cycle(g: Graph) -> Optional[List[int]]:
             below = []
             for u in level:
                 pe = parent_edge[u]
-                for ei, v in g.incident(u):
+                for ei, v in incidence[u]:
                     if v <= root or ei == pe:
                         continue
                     if stamp[v] == root:
@@ -264,12 +268,13 @@ def bfs_tree(g: Graph, root: int) -> List[Tuple[int, int]]:
     """(tree edge, child) pairs of a BFS tree of root's component, in BFS
     order, each vertex's edges taken in edge-index order.  The component
     has one more vertex than the tree has pairs."""
+    incidence = g._incidence
     seen = [False] * g.vertex_count
     seen[root] = True
     pairs = []
     q = deque([root])
     while q:
-        for ei, v in g.incident(q.popleft()):
+        for ei, v in incidence[q.popleft()]:
             if not seen[v]:
                 seen[v] = True
                 pairs.append((ei, v))

@@ -12,7 +12,8 @@ One engine, `peel`, computes the peeling schedule of either
 read once per repair session; edges recovered earlier in the session are
 internal and free.  `repair_disk` writes out its two fixed schedules and
 prices one disk from its path with the same rule, as the edges at its 3
-parity vertices less the 3 of the disk.  A priced disk builds one
+parity vertices less the 3 of the disk, counted by inclusion-exclusion
+over their degrees.  A priced disk builds one
 `EdgeSubset`, its erased edges, and one `RepairReport`, a named tuple;
 its empty residual is the one its system keeps.  The test oracle
 `session_report` (tests/conftest.py) counts every report again from its
@@ -174,6 +175,17 @@ def repair_disk(sys: CubicSystem, disk: int, strategy: RepairStrategy) -> Repair
     because the path's 4 vertices do, and its size minus 3 is the count.
     ValueError for a strategy that is not a `RepairStrategy`.
 
+    The union is counted by inclusion-exclusion, with no set: the degree
+    sum of the 3 vertices counts an edge twice iff it joins two of them,
+    and once otherwise, since a simple graph has at most one edge between
+    two vertices and no edge has 3 ends.  The edges among p0, p1, p2 are
+    the disk edges p0-p1 and p1-p2 and the chord p0-p2 if present; among
+    p0, p1, p3 they are p0-p1 and the chords p0-p3 and p1-p3 if present.
+    So the count is the degree sum, less 2 disk edges (MIN_BANDWIDTH) or 1
+    (MIN_ROUNDS), less each chord present, less 3.  The disk's 3 edges
+    come from the system's disk-edge table, which `build_cubic` fills, or
+    from one `disk_edges` lookup, which fills it.
+
     On a system of a simple G built by `build_cubic`, that count is 4 under
     MIN_BANDWIDTH and 5 under MIN_ROUNDS for every disk.  A disk is the
     path c-a-b-d of the arcs at its owner v: end arc c leaves v for w,
@@ -184,19 +196,28 @@ def repair_disk(sys: CubicSystem, disk: int, strategy: RepairStrategy) -> Repair
     edge of G.  So MIN_BANDWIDTH, at c, a and b, reads 7 - 3 = 4 blocks and
     MIN_ROUNDS, at c, a and d, reads 8 - 3 = 5.
     """
-    if not isinstance(strategy, RepairStrategy):
+    min_bandwidth = strategy is RepairStrategy.MIN_BANDWIDTH
+    if not min_bandwidth and strategy is not RepairStrategy.MIN_ROUNDS:
         raise ValueError(f"not a repair strategy: {strategy!r}")
     if not 0 <= disk < len(sys.disks):
         raise InvalidDiskError(f"no disk {disk}")
     g = sys.cubic
-    p = sys.disks[disk]
     # the cached triple, or the first lookup, which fills the cache
     e1, e2, e3 = sys._disk_edge_table[disk] or sys.disk_edges(disk)
-    if strategy is RepairStrategy.MIN_BANDWIDTH:
-        schedule, rounds = ((e1, p[0], 1), (e2, p[1], 2), (e3, p[2], 3)), 3
+    p0, p1, p2, p3 = sys.disks[disk]
+    at0, at1 = g.incident(p0), g.incident(p1)
+    if min_bandwidth:
+        schedule, rounds = ((e1, p0, 1), (e2, p1, 2), (e3, p2, 3)), 3
+        reads = len(at0) + len(at1) + len(g.incident(p2)) - 2 - 3
+        for _, x in at0:  # the chord p0-p2
+            if x == p2:
+                reads -= 1
     else:
-        schedule, rounds = ((e1, p[0], 1), (e3, p[3], 1), (e2, p[1], 2)), 2
-    reads = len({ei for _, v, _ in schedule for ei, _ in g.incident(v)}) - 3
+        schedule, rounds = ((e1, p0, 1), (e3, p3, 1), (e2, p1, 2)), 2
+        reads = len(at0) + len(at1) + len(g.incident(p3)) - 1 - 3
+        for _, x in at0 + at1:  # the chords p0-p3 and p1-p3
+            if x == p3:
+                reads -= 1
     return RepairReport(schedule, reads, rounds, sys._empty_edges,
                         EdgeSubset(g.edge_count, 1 << e1 | 1 << e2 | 1 << e3))
 

@@ -2,6 +2,7 @@
 import functools
 import hashlib
 import json
+import random
 
 import pytest
 
@@ -22,11 +23,13 @@ from graphdss.cubic import (
     PairingMode,
     PairingPolicy,
     build_cubic,
+    check_star_layout,
     decompose_p4,
     verify_disk_decomposition,
 )
 from graphdss.graphs import Graph, GraphError, degree_sequence, girth, is_connected
 from graphdss.orientation import OrientedGraph, eulerian_tour, load_orientation, orient_from_tour
+from graphdss.repair import RepairStrategy, repair_disk, repair_disks
 
 from test_orientation import K44_REFERENCE_EDGES
 
@@ -507,3 +510,57 @@ def test_disk_edges_of_broken_systems_match_the_edge_index_walk():
         ("outside-and-short", 2): (IndexError, "tuple index out of range"),
         ("_vertex_99", 1): (GraphError, "no edge (0,1)"),
     }
+
+
+@pytest.mark.parametrize("d", [-1, -5, 5, 99])
+def test_disk_edges_names_a_disk_outside_the_system(d):
+    # a negative index would otherwise read a disk from the end
+    sys = k5_reference_system("girth5")
+    with pytest.raises(IndexError) as exc:
+        sys.disk_edges(d)
+    assert str(exc.value) == f"no disk {d}; disks are 0..4"
+
+
+def _seeded_system(name):
+    """(system, source graph) built by `build_cubic`: "cage<g>:<pairing>",
+    "k5:<variant>" or "rr4-200-1:mixed", the last under a random policy."""
+    source, variant = name.split(":")
+    if source == "k5":
+        return k5_reference_system(variant), complete_graph(5)
+    og = _oriented(source)
+    if variant == "mixed":
+        rng = random.Random("seeded-disk-edge-table")
+        policy = PairingPolicy(tuple(rng.choice(list(PairingMode)) for _ in range(og.vertex_count)))
+        return build_cubic(og, policy), random_4_regular(200, 1)
+    return build_cubic(og, PairingMode(variant)), cage(int(source[4:])).graph
+
+
+SEEDED_SYSTEMS = ([f"cage{gg}:{mode.value}" for gg in (3, 4, 5, 6) for mode in PairingMode]
+                  + ["k5:girth5", "k5:girth3", "rr4-200-1:mixed"])
+
+
+@pytest.mark.parametrize("name", SEEDED_SYSTEMS)
+def test_build_cubic_files_the_edge_index_walk(name):
+    sys, _ = _seeded_system(name)
+    assert ([list(edges) for edges in sys._disk_edge_table]
+            == [_path_edges(sys, d) for d in range(len(sys.disks))])
+
+
+@pytest.mark.parametrize("name", SEEDED_SYSTEMS)
+def test_a_built_system_is_checked_and_priced_without_a_lookup(name, monkeypatch):
+    """The star check, the edge owners and every price of a built system
+    read the filed triples; no `Graph.edge_index` call is made."""
+    sys, g4 = _seeded_system(name)
+    owner = _edge_owner_oracle(sys)
+
+    def refuse(self, u, v):
+        raise AssertionError(f"edge_index({u}, {v}) on a built system")
+
+    monkeypatch.setattr(Graph, "edge_index", refuse)
+    check_star_layout(sys, g4)
+    assert sys.edge_owner() == owner
+    for d in range(len(sys.disks)):
+        prices = [(r.transferred_symbols, r.rounds)
+                  for r in (repair_disk(sys, d, strategy) for strategy in RepairStrategy)]
+        assert prices == [(4, 3), (5, 2)], d
+    assert len(repair_disks(sys, [0]).recovered) == 3

@@ -249,6 +249,7 @@ def test_graph_error_messages_are_pinned(args, message):
     (lambda: EdgeSubset(3, -1), "bitset has bits outside the edge range"),
     (lambda: EdgeSubset.from_indices(3, [0, 3]), "edge index 3 out of range for 3 edges"),
     (lambda: EdgeSubset.from_indices(3, [-1]), "edge index -1 out of range for 3 edges"),
+    (lambda: EdgeSubset(-1, 1), "negative edge subset size -1"),  # size before bits
     (lambda: two_core(PETERSEN, EdgeSubset(14, 1)), "erased subset sized for a different graph"),
 ])
 def test_edge_subset_error_messages_are_pinned(make, message):

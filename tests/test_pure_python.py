@@ -76,3 +76,20 @@ def test_theorems_stand_in_for_the_computations_they_replaced():
                    if m == "graphdss.repair" or (m, n) == ("graphdss", "repair")}
     assert from_repair == set()
     assert "bfs_tree" not in {n for _, n in _imported_names(src / "orientation.py")}
+
+
+def _incidence_reads(path: Path):
+    """Line numbers at which a module reads an attribute `_incidence`."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    return sorted(node.lineno for node in ast.walk(tree)
+                  if isinstance(node, ast.Attribute) and node.attr == "_incidence"
+                  and isinstance(node.ctx, ast.Load))
+
+
+def test_only_graphs_reads_the_private_incidence():
+    # the BFS loops of graphs.py read Graph._incidence once per call;
+    # every other module asks `Graph.incident`
+    assert _incidence_reads(ROOT / "src" / "graphdss" / "graphs.py")
+    readers = {(p.name, line) for p in SOURCES if p.name != "graphs.py"
+               for line in _incidence_reads(p)}
+    assert readers == set()

@@ -6,9 +6,9 @@ import re
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from graphdss.catalog import k5_reference_system, random_4_regular
+from graphdss.catalog import complete_graph, k5_reference_system, random_4_regular, random_cubic
 from graphdss.code import StorageState, derive_code, encode
-from graphdss.cubic import CubicSystem, PairingMode, PairingPolicy, build_cubic
+from graphdss.cubic import CubicSystem, PairingMode, PairingPolicy, build_cubic, decompose_p4
 from graphdss.graphs import EdgeSubset, Graph, two_core
 from graphdss.orientation import eulerian_tour, orient_from_tour
 from graphdss.repair import (
@@ -97,10 +97,28 @@ def _shuffled_file_system():
     return CubicSystem.from_json(json.dumps(obj))
 
 
+def _p4_system(g):
+    """A bare system on the `decompose_p4` paths of a cubic graph, owner d
+    for disk d.  Unlike a star layout, its paths may have chords."""
+    paths = tuple(decompose_p4(g))
+    return CubicSystem(g, paths, tuple(range(len(paths))), ())
+
+
+def _chords(g, p):
+    """How many of the pairs p0-p2, p0-p3 and p1-p3 of a path are edges."""
+    ends = {frozenset(e) for e in g.edges}
+    return sum(frozenset((p[i], p[j])) in ends for i, j in ((0, 2), (0, 3), (1, 3)))
+
+
 def _oracle_system(name):
-    """"cage<g>:<pairing>", "rr4-200-1" or "shuffled-file"."""
+    """"cage<g>:<pairing>", "rr4-200-1", "shuffled-file", or the P4
+    decomposition of K4 ("k4-p4") or of random_cubic(20, 1) ("rc20-1-p4")."""
     if name == "shuffled-file":
         return _shuffled_file_system()
+    if name == "k4-p4":
+        return _p4_system(complete_graph(4))
+    if name == "rc20-1-p4":
+        return _p4_system(random_cubic(20, 1))
     if name == "rr4-200-1":
         g, mode = random_4_regular(200, seed=1), PairingMode.PARALLEL
     else:
@@ -110,15 +128,20 @@ def _oracle_system(name):
 
 @pytest.mark.parametrize(
     "name", [f"cage{gg}:{mode.value}" for gg in (3, 4, 5, 6) for mode in PairingMode]
-    + ["rr4-200-1", "shuffled-file"])
+    + ["rr4-200-1", "shuffled-file", "k4-p4", "rc20-1-p4"])
 def test_repair_disk_equals_the_session_counter(name):
     """repair_disk prices a disk from its path; `session_report` on the
-    same schedule is the oracle for every field."""
+    same schedule is the oracle for every field.  The P4 systems reach
+    the chord terms of its count: every path of K4 has all three."""
     sys = _oracle_system(name)
     g = sys.cubic
     if name == "shuffled-file":
         assert any(sys.disk_edges(d) != [3 * d, 3 * d + 1, 3 * d + 2]
                    for d in range(len(sys.disks)))
+    if name == "k4-p4":
+        assert [_chords(g, p) for p in sys.disks] == [3, 3]
+    if name == "rc20-1-p4":
+        assert any(_chords(g, p) for p in sys.disks)
     for d, p in enumerate(sys.disks):
         e1, e2, e3 = (g.edge_index(p[i], p[i + 1]) for i in range(3))
         lost = {e1, e2, e3}
@@ -194,8 +217,9 @@ def test_every_disk_of_a_simple_graph_prices_4_in_3_and_5_in_2(n, seed, data):
 
 
 def test_repair_disk_invalid_index():
-    with pytest.raises(InvalidDiskError):
-        repair_disk(k5_reference_system("girth5"), 99, RepairStrategy.MIN_BANDWIDTH)
+    for disk in (99, 5, -1):
+        with pytest.raises(InvalidDiskError, match=f"^no disk {disk}$"):
+            repair_disk(k5_reference_system("girth5"), disk, RepairStrategy.MIN_BANDWIDTH)
 
 
 @pytest.mark.parametrize("disks, bad", [([0, 5], 5), ([-1], -1)])
