@@ -221,6 +221,73 @@ def test_random_encode_round_trip(seed):
     assert verify_state(code, state)
 
 
+_CAGE_CODES = {}
+
+
+def _cage_code(name):
+    """The code of the k44 (girth 4) or pg23 (girth 6) cage's system."""
+    if name not in _CAGE_CODES:
+        _CAGE_CODES[name] = derive_code(system_from_cage({"k44": 4, "pg23": 6}[name])[0].cubic)
+    return _CAGE_CODES[name]
+
+
+def _parities_hold(code, state) -> bool:
+    """verify_state's contract, byte by byte: a block on each edge
+    0..length-1 and on no other key, each block_size bytes long, and at
+    every vertex the blocks XOR to zero in every byte position."""
+    blocks, size = state.symbols, state.block_size
+    if set(blocks) != set(range(code.length)):
+        return False
+    if any(len(blk) != size for blk in blocks.values()):
+        return False
+    for edges in code.vertex_edges:
+        column = [0] * size
+        for e in edges:
+            for i, byte in enumerate(blocks[e]):
+                column[i] ^= byte
+        if any(column):
+            return False
+    return True
+
+
+@given(
+    name=st.sampled_from(["k44", "pg23"]),
+    size=st.integers(min_value=1, max_value=6),
+    fault=st.sampled_from(["none", "flipped byte", "missing block", "extra key", "short block"]),
+    data=st.data(),
+)
+@settings(max_examples=200, derandomize=True, deadline=None)
+def test_verify_state_and_fill_edges_match_a_byte_xor_oracle(name, size, fault, data):
+    code = _cage_code(name)
+    blocks = [data.draw(st.binary(min_size=size, max_size=size)) for _ in range(code.dimension)]
+    state = encode(code, blocks)
+    e = data.draw(st.integers(0, code.length - 1))
+    if fault == "flipped byte":
+        blk = bytearray(state.symbols[e])
+        blk[data.draw(st.integers(0, size - 1))] ^= data.draw(st.integers(1, 255))
+        state.symbols[e] = bytes(blk)
+    elif fault == "missing block":
+        del state.symbols[e]
+    elif fault == "extra key":
+        state.symbols[data.draw(st.sampled_from([-1, code.length, code.length + 7]))] = bytes(size)
+    elif fault == "short block":
+        state.symbols[e] = state.symbols[e][:-1]
+    assert verify_state(code, state) == _parities_hold(code, state) == (fault == "none")
+
+    # refilling the tree edges from the information set gives encode's
+    # state, or names the missing or short data block
+    info = [state.symbols.get(ei) for ei in code.information_set]
+    refilled = StorageState(size, dict(state.symbols))
+    if all(blk is not None and len(blk) == size for blk in info):
+        fill_edges(code, refilled, code.tree_order)
+        encoded = encode(code, info)
+        assert _parities_hold(code, encoded)
+        assert {ei: refilled.symbols[ei] for ei in range(code.length)} == encoded.symbols
+    else:
+        with pytest.raises(EncodingError, match=f"edge {e}"):
+            fill_edges(code, refilled, code.tree_order)
+
+
 def test_kernel_at_degree_one_and_zero():
     # a degree-1 vertex checks that its one block is zero, and filling that
     # block from the vertex writes zeros
