@@ -1,9 +1,12 @@
 """How many disk failures each catalog system survives.
 
 Builds the systems derived from the four bundled girth-extremal 4-regular
-graphs, prints their profile table, and verifies the guarantee by brute
-force: every set of girth-1 disks is recoverable, and some set of girth
-disks is not.
+graphs, prints their profile table, and verifies the guarantee: every set
+of girth-1 disks is recoverable, and some set of girth disks is not.
+`verify_recovery_bound` decides this without a search: the star-layout
+check proves each disk the path of the arcs at its owner, so a disk set
+loses data iff its owners span a cycle of the source graph, and the disks
+of a girth cycle are the witness.
 
 Run: python3 demos/03_failure_tolerance.py
 """

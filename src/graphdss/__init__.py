@@ -21,7 +21,6 @@ from .orientation import (
 )
 from .cubic import (
     PairingMode,
-    PairingPolicy,
     CubicSystem,
     build_cubic,
     decompose_p4,
@@ -59,7 +58,6 @@ __all__ = [
     "NotEulerianError",
     "InvalidTourError",
     "PairingMode",
-    "PairingPolicy",
     "CubicSystem",
     "build_cubic",
     "decompose_p4",

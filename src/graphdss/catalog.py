@@ -14,7 +14,7 @@ import random
 from dataclasses import dataclass
 from typing import List, Optional, Set
 
-from .cubic import CubicSystem, PairingMode, PairingPolicy, build_cubic
+from .cubic import CubicSystem, PairingMode, build_cubic
 from .graphs import Graph, degree_sequence, girth, is_connected
 from .orientation import load_orientation
 
@@ -150,11 +150,8 @@ _K5_ARCS = [
 
 # per-vertex pairing that reproduces the girth-5 disk list (the block graph
 # is then the Petersen graph); uniform Parallel gives the girth-3 variant
-_K5_GIRTH5_MODES = {
-    0: PairingMode.CROSSED,
-    2: PairingMode.CROSSED,
-    4: PairingMode.CROSSED,
-}
+_K5_GIRTH5_MODES = (PairingMode.CROSSED, PairingMode.PARALLEL, PairingMode.CROSSED,
+                    PairingMode.PARALLEL, PairingMode.CROSSED)
 
 
 def k5_reference_system(variant: str) -> CubicSystem:
@@ -166,9 +163,9 @@ def k5_reference_system(variant: str) -> CubicSystem:
     g = complete_graph(5)
     og = load_orientation(g, _K5_ARCS)
     if variant == "girth5":
-        policy = PairingPolicy.from_overrides(PairingMode.PARALLEL, 5, _K5_GIRTH5_MODES)
+        policy = _K5_GIRTH5_MODES
     elif variant == "girth3":
-        policy = PairingPolicy.uniform(PairingMode.PARALLEL, 5)
+        policy = PairingMode.PARALLEL
     else:
         raise CatalogError(f"unknown variant {variant!r}")
     return build_cubic(og, policy)

@@ -21,7 +21,6 @@ from .cubic import (
     CubicSystem,
     DecompositionFailure,
     PairingMode,
-    PairingPolicy,
     build_cubic,
     decompose_p4,
 )
@@ -52,8 +51,9 @@ def _load_graph(args, regular: bool) -> Graph:
     raise UsageError("need --catalog or --input")
 
 
-def _parse_policy(text: str, n: int) -> PairingPolicy:
-    """E.g. 'parallel' or 'parallel,crossed@0,crossed@2'."""
+def _parse_policy(text: str, n: int) -> Tuple[PairingMode, ...]:
+    """One mode per vertex from e.g. 'parallel' or 'parallel,crossed@0,crossed@2';
+    ValueError for an unknown mode or a vertex outside 0..n-1."""
     base = PairingMode.PARALLEL
     overrides: Dict[int, PairingMode] = {}
     for token in text.split(","):
@@ -65,7 +65,10 @@ def _parse_policy(text: str, n: int) -> PairingPolicy:
             overrides[int(v_s.lstrip("v"))] = PairingMode(mode_s)
         else:
             base = PairingMode(token)
-    return PairingPolicy.from_overrides(base, n, overrides)
+    for v in overrides:
+        if not 0 <= v < n:
+            raise ValueError(f"no vertex {v}; vertices are 0..{n - 1}")
+    return tuple(overrides.get(v, base) for v in range(n))
 
 
 def _build_system(args) -> Tuple[CubicSystem, Graph]:

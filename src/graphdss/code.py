@@ -10,7 +10,7 @@ its edge lists: the check at vertex v is `vertex_edges[v]`.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, Sequence, Tuple
+from typing import Dict, Iterable, Optional, Sequence, Tuple, Union
 
 from .graphs import Graph, bfs_tree
 
@@ -78,6 +78,37 @@ def derive_code(g: Graph) -> ParityCode:
     )
 
 
+def _xor_blocks(state: StorageState, left: Union[Dict[int, int], bytearray],
+                ints: Dict[int, int], edges: Sequence[int], skip: Optional[int]) -> int:
+    """The one block reader: the XOR of the blocks on `edges` other than
+    `skip`, as an int; 0 if there are none.  The XOR starts from the first
+    block read, not from 0, so no block is copied.
+
+    `left[e]` counts the reads of edge e still to come, and `ints` holds
+    the int of each edge with reads left: a read takes the edge's int out
+    of `ints` (or converts its block with `int.from_bytes`), counts the
+    edge down and puts the int back only if a later read needs it.  A block
+    read must be in `ints` or `state` and hold `block_size` bytes;
+    otherwise `EncodingError` names its edge."""
+    symbols, size, acc = state.symbols, state.block_size, None
+    for e in edges:
+        if e == skip:
+            continue
+        x = ints.pop(e, None)
+        if x is None:
+            blk = symbols.get(e)
+            if blk is None:
+                raise EncodingError(f"no block on edge {e}")
+            if len(blk) != size:
+                raise EncodingError(f"block on edge {e} has {len(blk)} bytes, expected {size}")
+            x = int.from_bytes(blk, "little")
+        k = left[e] = left[e] - 1
+        if k:
+            ints[e] = x
+        acc = x if acc is None else acc ^ x
+    return 0 if acc is None else acc
+
+
 def fill_edges(code: ParityCode, state: StorageState, steps: Iterable[Tuple[int, int]]) -> None:
     """For each (edge, vertex) step in order, set the edge's block to the XOR
     of the other blocks at the vertex (locality 2).
@@ -87,14 +118,11 @@ def fill_edges(code: ParityCode, state: StorageState, steps: Iterable[Tuple[int,
     the step.  A block read must be present, or set by an earlier step, and
     hold `block_size` bytes; otherwise `EncodingError` names its edge.
 
-    The same pass counts, in `left[e]`, the reads of each edge to come.  A
-    block is held as an int from its first read to its last: each read
-    takes it out of `ints` (or converts it with `int.from_bytes`), counts
-    its edge down and puts it back only if a later read needs it.  The XOR
-    starts from the first block read, not from 0, so no block is copied; a
-    vertex with no other edge gives 0.
+    The same pass counts the reads of each edge to come, for the block
+    reader `_xor_blocks`; a block written with reads left is kept as its
+    int.
     """
-    steps = list(steps)
+    steps = tuple(steps)
     left: Dict[int, int] = {}
     for e, v in steps:
         if not 0 <= v < len(code.vertex_edges):
@@ -108,28 +136,11 @@ def fill_edges(code: ParityCode, state: StorageState, steps: Iterable[Tuple[int,
     symbols, size = state.symbols, state.block_size
     ints: Dict[int, int] = {}
     for e, v in steps:
-        acc = None
-        for ei in code.vertex_edges[v]:
-            if ei == e:
-                continue
-            x = ints.pop(ei, None)
-            if x is None:
-                blk = symbols.get(ei)
-                if blk is None:
-                    raise EncodingError(f"no block on edge {ei}")
-                if len(blk) != size:
-                    raise EncodingError(
-                        f"block on edge {ei} has {len(blk)} bytes, expected {size}")
-                x = int.from_bytes(blk, "little")
-            k = left[ei] = left[ei] - 1
-            if k:
-                ints[ei] = x
-            acc = x if acc is None else acc ^ x
-        if acc is None:
-            acc = 0
+        acc = _xor_blocks(state, left, ints, code.vertex_edges[v], e)
         if left.get(e):
             ints[e] = acc
         symbols[e] = acc.to_bytes(size, "little")
+        del acc  # not held through the next step's reads
 
 
 def encode(code: ParityCode, data: Sequence[bytes]) -> StorageState:
@@ -156,27 +167,20 @@ def encode(code: ParityCode, data: Sequence[bytes]) -> StorageState:
 
 
 def verify_state(code: ParityCode, state: StorageState) -> bool:
-    """True iff the XOR of incident blocks is zero at every vertex, checked
-    as: the XOR of all but a vertex's last block equals its last block."""
-    if set(state.symbols) != set(range(code.length)):
+    """True iff the state holds one `block_size` block per edge and the XOR
+    of incident blocks is zero at every vertex, checked as: the XOR of all
+    but a vertex's last block equals its last block.  Blocks go through
+    `_xor_blocks`, the reader of `fill_edges`, each edge counted for its
+    read at either end; a missing or mis-sized block is the reader's
+    `EncodingError`."""
+    if len(state.symbols) != code.length:
         return False
-    if any(len(blk) != state.block_size for blk in state.symbols.values()):
+    left, ints = bytearray([2]) * code.length, {}
+    try:
+        for edges in code.vertex_edges:
+            if edges and (_xor_blocks(state, left, ints, edges, edges[-1])
+                          != _xor_blocks(state, left, ints, edges[-1:], None)):
+                return False
+    except EncodingError:
         return False
-    # the same read-and-drop rule as fill_edges: every edge is read once at
-    # each of its two ends, so its int is kept from the first read to the
-    # second
-    symbols = state.symbols
-    ints: Dict[int, int] = {}
-    for edges in code.vertex_edges:
-        if not edges:
-            continue
-        e, acc = edges[-1], None
-        for ei in edges:
-            x = ints.pop(ei, None)
-            if x is None:
-                x = ints[ei] = int.from_bytes(symbols[ei], "little")
-            if ei != e:
-                acc = x if acc is None else acc ^ x
-        if (0 if acc is None else acc) != x:  # x is the last block
-            return False
     return True

@@ -5,7 +5,8 @@ Vertices of the cubic graph are the arcs of the digraph.  At each original
 vertex v the two in-arcs are joined (the middle edge of v's disk) and each
 in-arc is paired with one out-arc; the pairing is a free choice per vertex
 and is exposed as a policy because different choices give different (all
-valid) systems.
+valid) systems.  A policy is one PairingMode for every vertex, or a tuple
+of one mode per vertex.
 """
 
 from __future__ import annotations
@@ -27,28 +28,6 @@ class PairingMode(Enum):
     CROSSED = "crossed"
 
 
-@dataclass(frozen=True)
-class PairingPolicy:
-    """One PairingMode per vertex of the 4-regular graph."""
-
-    modes: Tuple[PairingMode, ...]
-
-    @classmethod
-    def uniform(cls, mode: PairingMode, vertex_count: int) -> "PairingPolicy":
-        return cls(tuple([mode] * vertex_count))
-
-    @classmethod
-    def from_overrides(
-        cls, base: PairingMode, vertex_count: int, overrides: Dict[int, PairingMode]
-    ) -> "PairingPolicy":
-        modes = [base] * vertex_count
-        for v, m in overrides.items():
-            if not 0 <= v < vertex_count:
-                raise ValueError(f"no vertex {v}; vertices are 0..{vertex_count - 1}")
-            modes[v] = m
-        return cls(tuple(modes))
-
-
 class NotTwoInTwoOutError(ValueError):
     pass
 
@@ -58,8 +37,8 @@ class NotCubicError(ValueError):
 
 
 class InvalidSystemError(ValueError):
-    """A system file that does not parse or whose disks do not decompose
-    its graph."""
+    """A system file that does not parse, whose disks do not decompose its
+    graph, or whose disks are not the ones its policy pairs."""
 
 
 class DecompositionFailure(Exception):
@@ -80,7 +59,7 @@ class CubicSystem:
     disks: Tuple[Tuple[int, int, int, int], ...]
     disk_owner: Tuple[int, ...]
     arc_names: Tuple[Tuple[int, int], ...]
-    policy: Optional[PairingPolicy] = None
+    policy: Optional[Tuple[PairingMode, ...]] = None
 
     @cached_property
     def _disk_edge_table(self) -> List[Optional[Tuple[int, int, int]]]:
@@ -114,8 +93,9 @@ class CubicSystem:
         p = self.disks[d]
         edges = self._disk_edge_table[d]
         if edges is None:
-            edges = tuple(self.cubic.edge_index(p[i], p[i + 1]) for i in range(3))
-            self._disk_edge_table[d] = edges
+            index = self.cubic.edge_index
+            edges = self._disk_edge_table[d] = (index(p[0], p[1]), index(p[1], p[2]),
+                                                index(p[2], p[3]))
         return list(edges)
 
     def edge_owner(self) -> List[int]:
@@ -132,14 +112,16 @@ class CubicSystem:
         obj["disk_owner"] = list(self.disk_owner)
         obj["arc_names"] = [list(a) for a in self.arc_names]
         if self.policy is not None:
-            obj["policy"] = [m.value for m in self.policy.modes]
+            obj["policy"] = [m.value for m in self.policy]
         return json.dumps(obj, indent=2)
 
     @classmethod
     def from_json(cls, text: str) -> "CubicSystem":
         """Load a system file; InvalidSystemError unless it parses, its arc
-        names form a simple graph, and `check_star_layout` proves it a star
-        layout of that graph."""
+        names form a simple graph, `check_star_layout` proves it a star
+        layout of that graph, and, if it names a policy, each disk is, in
+        either direction, the disk that `build_cubic` pairs for its owner
+        under that policy."""
         try:
             obj = json.loads(text)
             vertex_count = obj["vertices"]
@@ -152,7 +134,7 @@ class CubicSystem:
             arc_names = tuple(int_tuples(obj["arc_names"], 2, "arc name"))
             policy = None
             if "policy" in obj:
-                policy = PairingPolicy(tuple(PairingMode(m) for m in obj["policy"]))
+                policy = tuple(PairingMode(m) for m in obj["policy"])
             # checked before the graph is built, whose size it declares
             n = len(disks)
             if vertex_count != 2 * n:
@@ -169,10 +151,19 @@ class CubicSystem:
         except (ValueError, TypeError) as exc:
             raise InvalidSystemError(f"arc names are not a simple graph: {exc}") from exc
         check_star_layout(system, system.source_graph)
+        if policy is not None:
+            if len(policy) != n:
+                raise InvalidSystemError(f"policy has {len(policy)} modes for {n} disks")
+            built = build_cubic(OrientedGraph(n, arc_names), policy).disks
+            for d, (path, v) in enumerate(zip(disks, disk_owner)):
+                if path != built[v] and path[::-1] != built[v]:
+                    raise InvalidSystemError(
+                        f"disk {d} is not the {policy[v].value} pairing of vertex {v}'s arcs")
         return system
 
 
-def build_cubic(gd: OrientedGraph, policy: Union[PairingPolicy, PairingMode]) -> CubicSystem:
+def build_cubic(
+        gd: OrientedGraph, policy: Union[PairingMode, Tuple[PairingMode, ...]]) -> CubicSystem:
     """Construct the cubic graph and its disks from a 2-in-2-out digraph.
 
     For each source vertex v with in-arcs a = min In(v), b = max In(v)
@@ -183,9 +174,8 @@ def build_cubic(gd: OrientedGraph, policy: Union[PairingPolicy, PairingMode]) ->
     if not gd.is_two_in_two_out():
         raise NotTwoInTwoOutError("digraph must have in-degree = out-degree = 2")
     n = gd.vertex_count
-    if isinstance(policy, PairingMode):
-        policy = PairingPolicy.uniform(policy, n)
-    if len(policy.modes) != n:
+    policy = (policy,) * n if isinstance(policy, PairingMode) else tuple(policy)
+    if len(policy) != n:
         raise ValueError("policy must assign one mode per vertex")
 
     ins: List[List[int]] = [[] for _ in range(n)]
@@ -197,7 +187,7 @@ def build_cubic(gd: OrientedGraph, policy: Union[PairingPolicy, PairingMode]) ->
     arcs = gd.arcs
     edges: List[Tuple[int, int]] = []
     disks: List[Tuple[int, int, int, int]] = []
-    for v, mode in enumerate(policy.modes):
+    for v, mode in enumerate(policy):
         a, b = ins[v]
         if arcs[b][0] < arcs[a][0]:
             a, b = b, a
@@ -286,21 +276,17 @@ def check_star_layout(sys: CubicSystem, g4: Graph) -> None:
 
 def verify_disk_decomposition(sys: CubicSystem) -> bool:
     """True iff the disks are vertex-paths on 3 edges, pairwise edge-disjoint,
-    and together cover every edge of the cubic graph."""
-    g = sys.cubic
+    and together cover every edge of the cubic graph: the 3 edges that
+    `disk_edges` gives for each disk are 3 per disk and all of them."""
     seen = set()
-    for path in sys.disks:
+    for d, path in enumerate(sys.disks):
         if len(path) != 4 or len(set(path)) != 4:
             return False
-        for i in range(3):
-            try:
-                ei = g.edge_index(path[i], path[i + 1])
-            except GraphError:
-                return False
-            if ei in seen:
-                return False
-            seen.add(ei)
-    return len(seen) == g.edge_count
+        try:
+            seen.update(sys.disk_edges(d))
+        except GraphError:
+            return False
+    return len(seen) == 3 * len(sys.disks) == sys.cubic.edge_count
 
 
 def _perfect_matching(g: Graph) -> Optional[List[int]]:

@@ -51,6 +51,23 @@ def test_build_reference_k5_policy(tmp_path, capsys):
     assert [tuple(d) for d in obj["disks"]] == list(k5_reference_system("girth5").disks)
 
 
+@pytest.mark.parametrize(
+    "modes,named",
+    [(["crossed"], "policy has 1 modes for 5 disks"),
+     (["crossed"] * 5, "disk 0 is not the crossed pairing of vertex 0's arcs")],
+    ids=["one-mode-for-5-disks", "crossed-over-parallel-disks"],
+)
+def test_profile_rejects_a_policy_the_disks_do_not_follow(tmp_path, capsys, modes, named):
+    sys_file = tmp_path / "sys.json"
+    assert run(capsys, "build", "--catalog", "k5", "--output", str(sys_file))[0] == 0
+    obj = json.loads(sys_file.read_text())
+    obj["policy"] = modes
+    sys_file.write_text(json.dumps(obj))
+    code, out, err = run(capsys, "profile", "--system", str(sys_file))
+    assert code == 2
+    assert named in err
+
+
 def test_build_rejects_non_4_regular(capsys):
     code, out, err = run(capsys, "build", "--catalog", "petersen")
     assert code == 2

@@ -1,3 +1,4 @@
+import functools
 import random
 
 import pytest
@@ -221,14 +222,10 @@ def test_random_encode_round_trip(seed):
     assert verify_state(code, state)
 
 
-_CAGE_CODES = {}
-
-
+@functools.lru_cache(maxsize=None)
 def _cage_code(name):
     """The code of the k44 (girth 4) or pg23 (girth 6) cage's system."""
-    if name not in _CAGE_CODES:
-        _CAGE_CODES[name] = derive_code(system_from_cage({"k44": 4, "pg23": 6}[name])[0].cubic)
-    return _CAGE_CODES[name]
+    return derive_code(system_from_cage({"k44": 4, "pg23": 6}[name])[0].cubic)
 
 
 def _parities_hold(code, state) -> bool:

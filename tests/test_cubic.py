@@ -14,6 +14,7 @@ from graphdss.catalog import (
     random_4_regular,
     random_cubic,
 )
+from graphdss.cli import _parse_policy
 from graphdss.cubic import (
     CubicSystem,
     DecompositionFailure,
@@ -21,7 +22,6 @@ from graphdss.cubic import (
     NotCubicError,
     NotTwoInTwoOutError,
     PairingMode,
-    PairingPolicy,
     build_cubic,
     check_star_layout,
     decompose_p4,
@@ -110,7 +110,7 @@ def test_disk_vertices_are_the_arcs_at_the_owner():
     (lambda: OrientedGraph(5, complete_graph(5).edges), PairingMode.PARALLEL,
      NotTwoInTwoOutError, "digraph must have in-degree = out-degree = 2"),
     (lambda: load_orientation(Graph(8, K44_REFERENCE_EDGES), K44_REFERENCE_EDGES),
-     PairingPolicy.uniform(PairingMode.PARALLEL, 7), ValueError,
+     (PairingMode.PARALLEL,) * 7, ValueError,
      "policy must assign one mode per vertex"),
 ])
 def test_build_cubic_error_messages_are_pinned(digraph, policy, error, message):
@@ -375,6 +375,30 @@ def test_system_json_rejects_malformed_json():
         CubicSystem.from_json(k44_reference_system().to_json()[:-2])
 
 
+@pytest.mark.parametrize(
+    "modes,message",
+    [(["crossed"], "policy has 1 modes for 5 disks"),
+     # the disks stay the parallel ones
+     (["crossed"] * 5, "disk 0 is not the crossed pairing of vertex 0's arcs")],
+    ids=["one-mode-for-5-disks", "crossed-over-parallel-disks"],
+)
+def test_system_json_rejects_a_policy_its_disks_do_not_follow(modes, message):
+    obj = json.loads(k5_reference_system("girth3").to_json())
+    obj["policy"] = modes
+    with pytest.raises(InvalidSystemError) as exc:
+        CubicSystem.from_json(json.dumps(obj))
+    assert str(exc.value) == message
+
+
+def test_system_json_accepts_its_policy_in_either_direction():
+    sys = k5_reference_system("girth5")
+    obj = json.loads(sys.to_json())
+    obj["disks"] = [d[::-1] for d in obj["disks"]]
+    back = CubicSystem.from_json(json.dumps(obj))
+    assert back.policy == sys.policy
+    assert [d[::-1] for d in back.disks] == list(sys.disks)
+
+
 def test_system_json_accepts_every_built_system():
     for seed in range(5):
         g = random_4_regular(12, seed)
@@ -386,7 +410,7 @@ def test_system_json_accepts_every_built_system():
 @pytest.mark.parametrize("vertex", [-1, 5])
 def test_policy_rejects_vertex_outside_the_graph(vertex):
     with pytest.raises(ValueError):
-        PairingPolicy.from_overrides(PairingMode.PARALLEL, 5, {vertex: PairingMode.CROSSED})
+        _parse_policy(f"parallel,crossed@{vertex}", 5)
 
 
 @functools.lru_cache(maxsize=None)
@@ -424,9 +448,8 @@ def test_build_cubic_keeps_its_output(case):
     source, mode = case.split(":")
     og = _oriented(source)
     if mode == "mixed":
-        policy = PairingPolicy.from_overrides(
-            PairingMode.PARALLEL, og.vertex_count,
-            {v: PairingMode.CROSSED for v in range(0, og.vertex_count, 3)})
+        policy = tuple(PairingMode.CROSSED if v % 3 == 0 else PairingMode.PARALLEL
+                       for v in range(og.vertex_count))
     else:
         policy = PairingMode(mode)
     text = build_cubic(og, policy).to_json()
@@ -530,7 +553,7 @@ def _seeded_system(name):
     og = _oriented(source)
     if variant == "mixed":
         rng = random.Random("seeded-disk-edge-table")
-        policy = PairingPolicy(tuple(rng.choice(list(PairingMode)) for _ in range(og.vertex_count)))
+        policy = tuple(rng.choice(list(PairingMode)) for _ in range(og.vertex_count))
         return build_cubic(og, policy), random_4_regular(200, 1)
     return build_cubic(og, PairingMode(variant)), cage(int(source[4:])).graph
 

@@ -93,3 +93,21 @@ def test_only_graphs_reads_the_private_incidence():
     readers = {(p.name, line) for p in SOURCES if p.name != "graphs.py"
                for line in _incidence_reads(p)}
     assert readers == set()
+
+
+def _byte_conversions(path: Path):
+    """(module file, method) for each call of `int.from_bytes` or of a
+    `.to_bytes` method in a module."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    return [(path.name, node.func.attr) for node in ast.walk(tree)
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+            and (node.func.attr == "to_bytes"
+                 or (node.func.attr == "from_bytes" and isinstance(node.func.value, ast.Name)
+                     and node.func.value.id == "int"))]
+
+
+def test_blocks_convert_in_one_reader_and_one_writer():
+    # fill_edges and verify_state share code.py's block reader, and
+    # fill_edges alone writes a block back to bytes
+    calls = sorted(c for p in SOURCES for c in _byte_conversions(p))
+    assert calls == [("code.py", "from_bytes"), ("code.py", "to_bytes")]

@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from graphdss.catalog import complete_graph, k5_reference_system, random_4_regular, random_cubic
 from graphdss.code import StorageState, derive_code, encode
-from graphdss.cubic import CubicSystem, PairingMode, PairingPolicy, build_cubic, decompose_p4
+from graphdss.cubic import CubicSystem, PairingMode, build_cubic, decompose_p4
 from graphdss.graphs import EdgeSubset, Graph, two_core
 from graphdss.orientation import eulerian_tour, orient_from_tour
 from graphdss.repair import (
@@ -208,7 +208,7 @@ def test_every_disk_of_a_simple_graph_prices_4_in_3_and_5_in_2(n, seed, data):
     under MIN_ROUNDS, whatever each vertex's pairing."""
     g = random_4_regular(n, seed)
     modes = data.draw(st.lists(st.sampled_from(PairingMode), min_size=n, max_size=n))
-    sys = build_cubic(orient_from_tour(g, eulerian_tour(g)), PairingPolicy(tuple(modes)))
+    sys = build_cubic(orient_from_tour(g, eulerian_tour(g)), tuple(modes))
     for d in range(n):
         for strategy, price in ((RepairStrategy.MIN_BANDWIDTH, (4, 3)),
                                 (RepairStrategy.MIN_ROUNDS, (5, 2))):

@@ -7,7 +7,7 @@ import json
 import pytest
 
 from graphdss.catalog import by_name
-from graphdss.cubic import PairingMode, PairingPolicy, build_cubic
+from graphdss.cubic import PairingMode, build_cubic
 from graphdss.graphs import EdgeSubset
 from graphdss.orientation import eulerian_tour, orient_from_tour
 from graphdss.repair import peel
@@ -22,7 +22,7 @@ _K44_CROSSED_4_TO_7 = {v: PairingMode.CROSSED for v in range(4, 8)}
 
 def _k44(overrides=None):
     g = by_name("k44").graph
-    policy = PairingPolicy.from_overrides(PairingMode.PARALLEL, 8, overrides or {})
+    policy = tuple((overrides or {}).get(v, PairingMode.PARALLEL) for v in range(8))
     return build_cubic(orient_from_tour(g, eulerian_tour(g)), policy)
 
 
