@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from typing import List, Optional, Set
 
 from .cubic import CubicSystem, PairingMode, build_cubic
-from .graphs import Graph, degree_sequence, girth, is_connected
+from .graphs import Graph, declares_an_edgeless_vertex, degree_sequence, girth, is_connected
 from .orientation import load_orientation
 
 CAGE7_ENV_VAR = "GRAPHDSS_CAGE7_FILE"
@@ -100,8 +100,8 @@ def cage(g: int, data_file: Optional[str] = None) -> CatalogEntry:
     environment variable named by CAGE7_ENV_VAR.  The file's graph must be
     4-regular, of girth 7, connected and on 67 vertices, checked in that
     order.  A file that declares more vertices than its edges have ends
-    has a vertex of degree 0, so it is rejected as not 4-regular before a
-    Graph of the declared size is built.
+    (`declares_an_edgeless_vertex`) has a vertex of degree 0, so it is
+    rejected as not 4-regular before a Graph of the declared size is built.
     """
     if g == 3:
         return _checked("k5", complete_graph(5), 4, 3)
@@ -120,12 +120,11 @@ def cage(g: int, data_file: Optional[str] = None) -> CatalogEntry:
             )
         with open(path) as fh:
             obj = json.load(fh)
-        n, edges = (obj.get("vertices"), obj.get("edges")) if isinstance(obj, dict) else (0, [])
-        if type(n) is int and isinstance(edges, list) and n > 2 * len(edges):
+        if declares_an_edgeless_vertex(obj):
             raise CatalogError("cage47: not 4-regular")
         entry = _checked("cage47", Graph.from_obj(obj), 4, 7)
-        if n != 67:
-            raise CatalogError(f"cage47: {n} vertices, the (4,7)-cage has 67")
+        if entry.graph.vertex_count != 67:
+            raise CatalogError(f"cage47: {entry.graph.vertex_count} vertices, the (4,7)-cage has 67")
         return entry
     raise CatalogError(f"no (4,{g})-cage in the catalog")
 

@@ -24,7 +24,7 @@ from .cubic import (
     build_cubic,
     decompose_p4,
 )
-from .graphs import Graph, degree_sequence, is_connected
+from .graphs import Graph, declares_an_edgeless_vertex, degree_sequence, is_connected
 from .orientation import eulerian_tour, load_orientation, orient_from_tour
 from .repair import RepairStrategy, UnrecoverableError, repair_disk, repair_disks
 
@@ -36,17 +36,17 @@ class UsageError(Exception):
 def _load_graph(args, regular: bool) -> Graph:
     """The --catalog graph or the --input file's.  A command that needs a
     regular graph rejects a file that declares more vertices than its edges
-    have ends, before a Graph of the declared size is built: some vertex
-    would have no edge."""
+    have ends (`declares_an_edgeless_vertex`), before a Graph of the
+    declared size is built: some vertex would have no edge."""
     if getattr(args, "catalog", None):
         return cat.by_name(args.catalog).graph
     if getattr(args, "input", None):
         with open(args.input) as fh:
             obj = json.load(fh)
-        n, edges = (obj.get("vertices"), obj.get("edges")) if isinstance(obj, dict) else (0, [])
-        if regular and type(n) is int and isinstance(edges, list) and n > 2 * len(edges):
-            raise UsageError(f"input graph declares {n} vertices, but its {len(edges)} edges "
-                             f"have {2 * len(edges)} ends, so some vertex has no edge")
+        if regular and declares_an_edgeless_vertex(obj):
+            n, m = obj["vertices"], len(obj["edges"])
+            raise UsageError(f"input graph declares {n} vertices, but its {m} edges "
+                             f"have {2 * m} ends, so some vertex has no edge")
         return Graph.from_obj(obj)
     raise UsageError("need --catalog or --input")
 

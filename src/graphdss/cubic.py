@@ -15,7 +15,7 @@ import json
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
-from typing import Dict, List, Optional, Tuple, Union
+from typing import Dict, Iterator, List, Optional, Tuple, Union
 
 from .graphs import EdgeSubset, Graph, GraphError, degree_sequence, int_tuples
 from .orientation import OrientedGraph
@@ -26,6 +26,11 @@ class PairingMode(Enum):
     # Crossed:  min-In with max-Out, max-In with min-Out.
     PARALLEL = "parallel"
     CROSSED = "crossed"
+
+
+# each mode by its value: a file's policy costs one dict hit per vertex,
+# where PairingMode(value) costs an enum call
+_MODES = {m.value: m for m in PairingMode}
 
 
 class NotTwoInTwoOutError(ValueError):
@@ -120,8 +125,11 @@ class CubicSystem:
         """Load a system file; InvalidSystemError unless it parses, its arc
         names form a simple graph, `check_star_layout` proves it a star
         layout of that graph, and, if it names a policy, each disk is, in
-        either direction, the disk that `build_cubic` pairs for its owner
-        under that policy."""
+        either direction, the disk that `_pair_arcs`, `build_cubic`'s own
+        pairing, gives its owner under that policy.  The star check has
+        shown every vertex 2 in-arcs and 2 out-arcs, so the pairing applies.
+        The pairing builds no graph: the load builds only the block graph
+        and the source graph."""
         try:
             obj = json.loads(text)
             vertex_count = obj["vertices"]
@@ -134,7 +142,9 @@ class CubicSystem:
             arc_names = tuple(int_tuples(obj["arc_names"], 2, "arc name"))
             policy = None
             if "policy" in obj:
-                policy = tuple(PairingMode(m) for m in obj["policy"])
+                # PairingMode raises the ValueError for a value that is no mode
+                policy = tuple(_MODES[m] if type(m) is str and m in _MODES else PairingMode(m)
+                               for m in obj["policy"])
             # checked before the graph is built, whose size it declares
             n = len(disks)
             if vertex_count != 2 * n:
@@ -154,22 +164,50 @@ class CubicSystem:
         if policy is not None:
             if len(policy) != n:
                 raise InvalidSystemError(f"policy has {len(policy)} modes for {n} disks")
-            built = build_cubic(OrientedGraph(n, arc_names), policy).disks
+            paired = tuple(_pair_arcs(arc_names, policy))
             for d, (path, v) in enumerate(zip(disks, disk_owner)):
-                if path != built[v] and path[::-1] != built[v]:
+                if path != paired[v] and path[::-1] != paired[v]:
                     raise InvalidSystemError(
                         f"disk {d} is not the {policy[v].value} pairing of vertex {v}'s arcs")
         return system
 
 
+def _pair_arcs(arcs: Tuple[Tuple[int, int], ...],
+               policy: Tuple[PairingMode, ...]) -> Iterator[Tuple[int, int, int, int]]:
+    """Disk v of each vertex v in turn, the path of its 4 arcs under
+    policy[v]; `arcs` is a list of (tail, head) in which every vertex below
+    len(policy) has 2 in-arcs and 2 out-arcs.
+
+    With in-arcs a = min In(v), b = max In(v) (min/max over tail indices)
+    and out-arcs c = min Out(v), d = max Out(v) (over head indices): the
+    middle pair {a,b} always exists; Parallel adds {a,c} and {b,d} (disk
+    path c-a-b-d), Crossed adds {a,d} and {b,c}.  The path runs from its
+    end arc with the smaller (tail, head).  The one pairing rule:
+    `build_cubic` builds from it and `CubicSystem.from_json` checks a
+    file's policy with it.
+    """
+    ins: List[List[int]] = [[] for _ in policy]
+    outs: List[List[int]] = [[] for _ in policy]
+    for i, (t, h) in enumerate(arcs):
+        outs[t].append(i)
+        ins[h].append(i)
+    parallel = PairingMode.PARALLEL  # a member lookup costs about 0.1 us on CPython 3.11
+    for (a, b), (c, d), mode in zip(ins, outs, policy):
+        if arcs[b][0] < arcs[a][0]:
+            a, b = b, a
+        if arcs[d][1] < arcs[c][1]:
+            c, d = d, c
+        if mode is not parallel:
+            c, d = d, c
+        yield (d, b, a, c) if arcs[d] < arcs[c] else (c, a, b, d)
+
+
 def build_cubic(
         gd: OrientedGraph, policy: Union[PairingMode, Tuple[PairingMode, ...]]) -> CubicSystem:
-    """Construct the cubic graph and its disks from a 2-in-2-out digraph.
-
-    For each source vertex v with in-arcs a = min In(v), b = max In(v)
-    (min/max over tail indices) and out-arcs c = min Out(v), d = max Out(v)
-    (over head indices): the middle edge {a,b} always exists; Parallel adds
-    {a,c} and {b,d} (disk path c-a-b-d), Crossed adds {a,d} and {b,c}.
+    """Construct the cubic graph and its disks from a 2-in-2-out digraph:
+    vertex i of the cubic graph is arc i, disk v pairs vertex v's arcs
+    under its mode (see `_pair_arcs`), and the block graph's edges are the
+    disks' path pairs, disk by disk.
     """
     if not gd.is_two_in_two_out():
         raise NotTwoInTwoOutError("digraph must have in-degree = out-degree = 2")
@@ -177,34 +215,10 @@ def build_cubic(
     policy = (policy,) * n if isinstance(policy, PairingMode) else tuple(policy)
     if len(policy) != n:
         raise ValueError("policy must assign one mode per vertex")
-
-    ins: List[List[int]] = [[] for _ in range(n)]
-    outs: List[List[int]] = [[] for _ in range(n)]
-    for i, (t, h) in enumerate(gd.arcs):
-        outs[t].append(i)
-        ins[h].append(i)
-
-    arcs = gd.arcs
-    edges: List[Tuple[int, int]] = []
-    disks: List[Tuple[int, int, int, int]] = []
-    for v, mode in enumerate(policy):
-        a, b = ins[v]
-        if arcs[b][0] < arcs[a][0]:
-            a, b = b, a
-        c, d = outs[v]
-        if arcs[d][1] < arcs[c][1]:
-            c, d = d, c
-        if mode is not PairingMode.PARALLEL:
-            c, d = d, c
-        # the path c-a-b-d runs from the lexicographically smaller end arc
-        if arcs[d] < arcs[c]:
-            c, a, b, d = d, b, a, c
-        disks.append((c, a, b, d))
-        edges += ((c, a), (a, b), (b, d))
-
+    disks = tuple(_pair_arcs(gd.arcs, policy))
     system = CubicSystem(
-        cubic=Graph(2 * n, edges),
-        disks=tuple(disks),
+        cubic=Graph(2 * n, [pair for c, a, b, d in disks for pair in ((c, a), (a, b), (b, d))]),
+        disks=disks,
         disk_owner=tuple(range(n)),
         arc_names=gd.arcs,
         policy=policy,

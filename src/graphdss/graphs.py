@@ -71,6 +71,16 @@ def int_tuples(items, length: int, what: str) -> List[Tuple[int, ...]]:
     return out
 
 
+def declares_an_edgeless_vertex(obj) -> bool:
+    """True iff a parsed graph file declares an int count of vertices that
+    exceeds the ends of its edge list, so that some vertex has no edge.
+    Read from the parsed object alone, before a Graph of the declared size
+    is built; False for a file too malformed to tell, which
+    `Graph.from_obj` then rejects."""
+    n, edges = (obj.get("vertices"), obj.get("edges")) if isinstance(obj, dict) else (0, [])
+    return type(n) is int and isinstance(edges, list) and n > 2 * len(edges)
+
+
 class Graph:
     """Undirected simple graph with a fixed vertex count and an ordered
     edge list.  Immutable after construction; all queries are pure."""
@@ -201,9 +211,10 @@ def shortest_cycle(g: Graph) -> Optional[List[int]]:
       shallower neighbours in BFS order, which lies on such a cycle.  No
       walk through a vertex < r* is kept, and roots before r* still find
       only walks longer than the girth.
-    - A root's BFS ends before the first level d with 2d >= best, the
-      shortest walk so far: a vertex at depth d closes only walks of
-      length >= 2d, and BFS depths never fall.
+    - A root's BFS ends before the first level d with 2d+1 >= best, the
+      shortest walk so far: scanning level d closes only walks of length
+      2d+1 or 2d+2, since an edge from depth d back to depth d-1 was met
+      when level d-1 was scanned, and BFS depths never fall.
     - A vertex at depth d+1 is not recorded once 2d+2 >= best, since every
       walk it closes has length >= 2d+2; the test is redone when best falls
       within a level.
@@ -235,7 +246,7 @@ def shortest_cycle(g: Graph) -> Optional[List[int]]:
         parent_edge[root] = -1
         level = [root]
         d = 0
-        while level and 2 * d < best:
+        while level and 2 * d + 1 < best:
             grow = 2 * d + 2 < best
             below = []
             for u in level:

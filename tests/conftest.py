@@ -1,4 +1,5 @@
 
+import json
 import random
 from collections import deque
 
@@ -6,7 +7,7 @@ import pytest
 
 from graphdss.catalog import RANDOM_REGULAR_TRIES, GenerationFailed, cage
 from graphdss.code import StorageState
-from graphdss.cubic import PairingMode, build_cubic
+from graphdss.cubic import CubicSystem, InvalidSystemError, PairingMode, build_cubic
 from graphdss.graphs import EdgeSubset, Graph, bfs_tree, girth, is_connected, shortest_cycle
 from graphdss.orientation import InvalidTourError, OrientedGraph, eulerian_tour, orient_from_tour
 from graphdss.repair import RepairReport, RepairStrategy
@@ -26,6 +27,31 @@ def cage_systems():
 # each peeling rule by the name that its golden digests and test ids carry
 PEEL_RULES = {"peel": RepairStrategy.MIN_ROUNDS,
               "peel_min_bandwidth": RepairStrategy.MIN_BANDWIDTH}
+
+
+def load_by_rebuilding(text: str) -> CubicSystem:
+    """`CubicSystem.from_json` with its policy check as first written: the
+    file loads without its "policy" key, then `build_cubic` builds a whole
+    second system from an `OrientedGraph` of the arc names under the
+    policy, and each disk must equal, in either direction, the built disk
+    of its owner.  Oracle for the check that pairs the arcs directly; it
+    reads each mode after the rest of the file, so it agrees on files whose
+    modes all parse."""
+    obj = json.loads(text)
+    modes = obj.pop("policy", None)
+    system = CubicSystem.from_json(json.dumps(obj))
+    if modes is None:
+        return system
+    policy = tuple(PairingMode(m) for m in modes)
+    n = len(system.disks)
+    if len(policy) != n:
+        raise InvalidSystemError(f"policy has {len(policy)} modes for {n} disks")
+    built = build_cubic(OrientedGraph(n, system.arc_names), policy).disks
+    for d, (path, v) in enumerate(zip(system.disks, system.disk_owner)):
+        if path != built[v] and path[::-1] != built[v]:
+            raise InvalidSystemError(
+                f"disk {d} is not the {policy[v].value} pairing of vertex {v}'s arcs")
+    return CubicSystem(system.cubic, system.disks, system.disk_owner, system.arc_names, policy)
 
 
 def copy_state(state: StorageState) -> StorageState:

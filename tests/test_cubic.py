@@ -5,7 +5,9 @@ import json
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from graphdss import cubic
 from graphdss.catalog import (
     cage,
     complete_graph,
@@ -31,6 +33,7 @@ from graphdss.graphs import Graph, GraphError, degree_sequence, girth, is_connec
 from graphdss.orientation import OrientedGraph, eulerian_tour, load_orientation, orient_from_tour
 from graphdss.repair import RepairStrategy, repair_disk, repair_disks
 
+from conftest import load_by_rebuilding
 from test_orientation import K44_REFERENCE_EDGES
 
 
@@ -405,6 +408,68 @@ def test_system_json_accepts_every_built_system():
         for mode in PairingMode:
             sys = build_cubic(orient_from_tour(g, eulerian_tour(g)), mode)
             assert CubicSystem.from_json(sys.to_json()).disks == sys.disks
+
+
+def test_system_json_checks_its_policy_without_building_a_second_system(monkeypatch):
+    """A policy-bearing file loads into its block graph and its source
+    graph alone: no `build_cubic`, no `OrientedGraph`, 2 `Graph`s."""
+    text = build_cubic(_oriented("cage5"), tuple(
+        PairingMode.CROSSED if v % 3 == 0 else PairingMode.PARALLEL for v in range(19))).to_json()
+    built = []
+    graph_init = Graph.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(self)
+        graph_init(self, *args, **kwargs)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a second system was built")
+
+    monkeypatch.setattr(Graph, "__init__", counting)
+    monkeypatch.setattr(cubic, "build_cubic", refuse)
+    monkeypatch.setattr(OrientedGraph, "__init__", refuse)
+    back = CubicSystem.from_json(text)
+    assert built == [back.cubic, back.source_graph]
+    assert back.policy[:4] == (PairingMode.CROSSED, PairingMode.PARALLEL, PairingMode.PARALLEL,
+                               PairingMode.CROSSED)
+
+
+_POLICY_SOURCES = ["cage3", "cage4", "cage5", "cage6"] + [f"rr4-40-{s}" for s in range(4)]
+
+
+@st.composite
+def policy_files(draw):
+    """The JSON text of a system built under random modes, then edited:
+    some modes flipped, some disks reversed and, now and then, a mode
+    dropped or added."""
+    og = _oriented(draw(st.sampled_from(_POLICY_SOURCES)))
+    n = og.vertex_count
+    modes = draw(st.lists(st.sampled_from(list(PairingMode)), min_size=n, max_size=n))
+    obj = json.loads(build_cubic(og, tuple(modes)).to_json())
+    names = [m.value for m in PairingMode]
+    for v in draw(st.sets(st.integers(0, n - 1), max_size=3)):
+        obj["policy"][v] = names[1 - names.index(obj["policy"][v])]
+    for d in draw(st.sets(st.integers(0, n - 1), max_size=n)):
+        obj["disks"][d].reverse()
+    length = draw(st.sampled_from([n] * 8 + [n - 1, n + 1]))
+    obj["policy"] = (obj["policy"] + names)[:length]
+    return json.dumps(obj)
+
+
+def _verdict(load, text):
+    """The policy of the loaded system and its disks, or the message of the
+    InvalidSystemError that rejects the file."""
+    try:
+        system = load(text)
+    except InvalidSystemError as exc:
+        return str(exc)
+    return system.policy, system.disks
+
+
+@given(policy_files())
+@settings(max_examples=300, derandomize=True, deadline=None)
+def test_system_json_policy_check_matches_a_rebuilt_system(text):
+    assert _verdict(CubicSystem.from_json, text) == _verdict(load_by_rebuilding, text)
 
 
 @pytest.mark.parametrize("vertex", [-1, 5])

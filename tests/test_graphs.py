@@ -10,7 +10,8 @@ from hypothesis import given, settings, strategies as st
 from graphdss.catalog import cage, complete_graph, petersen, random_4_regular, random_cubic
 from graphdss.cubic import PairingMode, build_cubic
 from graphdss.graphs import (
-    EdgeSubset, Graph, GraphError, degree_sequence, girth, is_connected, shortest_cycle, two_core,
+    EdgeSubset, Graph, GraphError, declares_an_edgeless_vertex, degree_sequence, girth,
+    is_connected, shortest_cycle, two_core,
 )
 
 from graphdss.orientation import eulerian_tour, orient_from_tour
@@ -19,6 +20,21 @@ from conftest import all_simple_cycles
 
 
 PETERSEN = petersen().graph
+
+
+@pytest.mark.parametrize("obj,edgeless", [
+    ({"vertices": 3, "edges": [[0, 1], [1, 2], [2, 0]]}, False),
+    ({"vertices": 4, "edges": [[0, 1], [1, 2]]}, False),  # as many ends as vertices
+    ({"vertices": 5, "edges": [[0, 1], [1, 2]]}, True),
+    ({"vertices": 10 ** 30, "edges": []}, True),
+    ({"vertices": True, "edges": []}, False),  # malformed: left to Graph.from_obj
+    ({"vertices": 5.0, "edges": []}, False),
+    ({"vertices": 5, "edges": {}}, False),
+    ({"edges": []}, False),
+    ([5, []], False),
+])
+def test_declares_an_edgeless_vertex(obj, edgeless):
+    assert declares_an_edgeless_vertex(obj) is edgeless
 
 
 def test_degree_sequence_k5():
@@ -146,19 +162,42 @@ def test_shortest_cycle_keeps_its_output(case):
     assert hashlib.sha256(json.dumps(cycle).encode()).hexdigest() == SHORTEST_CYCLE_DIGESTS[case]
 
 
-def test_block_graph_girth_explores_only_what_can_shorten_the_cycle(monkeypatch):
+class _CountingIncidence(tuple):
+    """A graph's incidence tuple that counts its reads: one per vertex
+    whose incidences `shortest_cycle` scans."""
+
+    reads = 0
+
+    def __getitem__(self, v):
+        self.reads += 1
+        return tuple.__getitem__(self, v)
+
+
+def _incidence_reads(g: Graph):
+    """(length of the shortest cycle, incidence reads the search made), on
+    a copy of `g`, which may be a cached graph that other tests share."""
+    g = Graph(g.vertex_count, g.edges)
+    counting = g._incidence = _CountingIncidence(g._incidence)
+    return len(shortest_cycle(g)), counting.reads
+
+
+def test_block_graph_girth_explores_only_what_can_shorten_the_cycle():
     block = _digest_case("rr4-1000-1:parallel")
-    calls = 0
-    incident = Graph.incident
+    length, reads = _incidence_reads(block)
+    assert length == 4
+    # a BFS over every vertex of every root made 18 722 reads; stopping
+    # a root's BFS at the first level d with 2d >= best made 9 823
+    assert reads <= 6_500, reads
 
-    def counting(self, v):
-        nonlocal calls
-        calls += 1
-        return incident(self, v)
 
-    monkeypatch.setattr(Graph, "incident", counting)
-    assert len(shortest_cycle(block)) == 4
-    assert calls <= 11_000, calls  # a BFS over every vertex of every root made 18 722
+@pytest.mark.parametrize("case,girth_,most", [("cage5", 5, 69), ("rr4-200-1:parallel", 4, 1_082)])
+def test_shortest_cycle_scans_no_level_that_closes_only_longer_walks(case, girth_, most):
+    # scanning level d closes walks of length 2d+1 or more, so a root's BFS
+    # stops once 2d+1 >= best; stopping only at 2d >= best read 140
+    # incidences on Robertson and 1 755 on the block graph
+    length, reads = _incidence_reads(_digest_case(case))
+    assert length == girth_
+    assert reads <= most, reads
 
 
 @st.composite
