@@ -92,12 +92,12 @@ def _pg23_incidence() -> Graph:
     return Graph(26, edges, vertex_labels=labels)
 
 
-def cage(g: int, data_file: Optional[str] = None) -> CatalogEntry:
+def cage(g: int) -> CatalogEntry:
     """The (4,g)-cage for g in 3..7.
 
     g=7 needs an external adjacency file (JSON graph format) because the
-    67-vertex cage listing is too long to embed; pass data_file or set the
-    environment variable named by CAGE7_ENV_VAR.  The file's graph must be
+    67-vertex cage listing is too long to embed; the environment variable
+    named by CAGE7_ENV_VAR gives its path.  The file's graph must be
     4-regular, of girth 7, connected and on 67 vertices, checked in that
     order.  A file that declares more vertices than its edges have ends
     (`declares_an_edgeless_vertex`) has a vertex of degree 0, so it is
@@ -112,11 +112,11 @@ def cage(g: int, data_file: Optional[str] = None) -> CatalogEntry:
     if g == 6:
         return _checked("pg23", _pg23_incidence(), 4, 6)
     if g == 7:
-        path = data_file or os.environ.get(CAGE7_ENV_VAR)
+        path = os.environ.get(CAGE7_ENV_VAR)
         if not path or not os.path.exists(path):
             raise MissingDataFileError(
                 "the 67-vertex (4,7)-cage is loaded from a JSON graph file; "
-                f"pass data_file= or set ${CAGE7_ENV_VAR}"
+                f"set ${CAGE7_ENV_VAR}"
             )
         with open(path) as fh:
             obj = json.load(fh)

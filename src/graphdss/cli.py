@@ -38,9 +38,9 @@ def _load_graph(args, regular: bool) -> Graph:
     regular graph rejects a file that declares more vertices than its edges
     have ends (`declares_an_edgeless_vertex`), before a Graph of the
     declared size is built: some vertex would have no edge."""
-    if getattr(args, "catalog", None):
+    if args.catalog:
         return cat.by_name(args.catalog).graph
-    if getattr(args, "input", None):
+    if args.input:
         with open(args.input) as fh:
             obj = json.load(fh)
         if regular and declares_an_edgeless_vertex(obj):
@@ -81,9 +81,9 @@ def _build_system(args) -> Tuple[CubicSystem, Graph]:
         raise UsageError(f"input is not 4-regular: vertex {bad[0]} has degree {degs[bad[0]]}")
     if not is_connected(g):
         raise UsageError("input graph is disconnected")
-    if getattr(args, "orientation", None):
+    if args.orientation:
         if args.orientation == "reference":
-            if getattr(args, "catalog", None) != "k5":
+            if args.catalog != "k5":
                 raise UsageError("--orientation reference is only pinned for --catalog k5")
             og = load_orientation(g, cat._K5_ARCS)
         else:
@@ -98,7 +98,7 @@ def _build_system(args) -> Tuple[CubicSystem, Graph]:
             og = load_orientation(g, [tuple(a) for a in obj["arcs"]])
     else:
         og = orient_from_tour(g, eulerian_tour(g))
-    policy = _parse_policy(getattr(args, "policy", None) or "parallel", g.vertex_count)
+    policy = _parse_policy(args.policy, g.vertex_count)
     return build_cubic(og, policy), g
 
 
@@ -212,12 +212,9 @@ def cmd_simulate(args) -> int:
         print(f"disjoint {args.disks}-disk repairs measured: {adj_ok}, "
               f"expected transfer 4x{args.disks}: {'ok' if ok else 'FAILED'}")
 
-    mode = "exhaustive" if args.exhaustive else "sampled"
-    if mode == "sampled" and args.seed is None:
+    if not args.exhaustive and args.seed is None:
         raise UsageError("sampled simulation requires --seed")
-    all_ok, witness = verify_recovery_bound(
-        sys_, g, mode=mode, trials=args.trials, seed=args.seed
-    )
+    all_ok, witness = verify_recovery_bound(sys_, g)
     ok = ok and all_ok
     print(verdict_json(all_ok, witness))
     return 0 if ok else 1
@@ -291,36 +288,31 @@ def make_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="graphdss", description=__doc__)
     sub = p.add_subparsers(dest="command", required=True)
 
-    def add_graph_source(sp):
-        sp.add_argument("--catalog", choices=cat.catalog_names())
-        sp.add_argument("--input", help="JSON graph file")
+    # the graph source, and the layout (orientation, pairing) that fixes a system on it
+    source = argparse.ArgumentParser(add_help=False)
+    source.add_argument("--catalog", choices=cat.catalog_names())
+    source.add_argument("--input", help="JSON graph file")
+    layout = argparse.ArgumentParser(add_help=False, parents=[source])
+    layout.add_argument("--orientation", help="'reference' (k5, the pinned 5-disk orientation) or a JSON arc-list file")
+    layout.add_argument("--policy", default="parallel",
+                        help="pairing policy, e.g. 'parallel' or 'parallel,crossed@0'")
 
-    b = sub.add_parser("build", help="construct a storage system from a 4-regular graph")
-    add_graph_source(b)
-    b.add_argument("--orientation", help="'reference' (k5, the pinned 5-disk orientation) or a JSON arc-list file")
-    b.add_argument("--policy", default="parallel",
-                   help="pairing policy, e.g. 'parallel' or 'parallel,crossed@0'")
+    b = sub.add_parser("build", parents=[layout],
+                       help="construct a storage system from a 4-regular graph")
     b.add_argument("--output", help="system JSON output path")
     b.set_defaults(func=cmd_build)
 
-    d = sub.add_parser("decompose", help="P4-decompose a 3-regular graph")
-    add_graph_source(d)
+    d = sub.add_parser("decompose", parents=[source], help="P4-decompose a 3-regular graph")
     d.set_defaults(func=cmd_decompose)
 
-    pr = sub.add_parser("profile", help="system parameter report")
-    add_graph_source(pr)
+    pr = sub.add_parser("profile", parents=[layout], help="system parameter report")
     pr.add_argument("--system", help="system JSON file")
     pr.add_argument("--table1", action="store_true",
                     help="profile all catalog cages and diff against expected values")
-    pr.add_argument("--policy", default="parallel")
-    pr.add_argument("--orientation")
     pr.add_argument("--csv", action="store_true")
     pr.set_defaults(func=cmd_profile)
 
-    sm = sub.add_parser("simulate", help="verify recovery bound and bandwidth")
-    add_graph_source(sm)
-    sm.add_argument("--policy", default="parallel")
-    sm.add_argument("--orientation")
+    sm = sub.add_parser("simulate", parents=[layout], help="verify recovery bound and bandwidth")
     sm.add_argument("--exhaustive", action="store_true")
     sm.add_argument("--trials", type=int, default=10_000)
     sm.add_argument("--seed", type=int)
@@ -341,8 +333,7 @@ def make_parser() -> argparse.ArgumentParser:
     rp.add_argument("--erased", required=True, help="comma-separated edge indices")
     rp.set_defaults(func=cmd_repair)
 
-    ex = sub.add_parser("export-dot", help="DOT output of a graph")
-    add_graph_source(ex)
+    ex = sub.add_parser("export-dot", parents=[source], help="DOT output of a graph")
     ex.set_defaults(func=cmd_export_dot)
     return p
 

@@ -112,10 +112,12 @@ class CubicSystem:
         return owner
 
     def to_json(self) -> str:
-        obj = json.loads(self.cubic.to_json())
-        obj["disks"] = [list(d) for d in self.disks]
-        obj["disk_owner"] = list(self.disk_owner)
-        obj["arc_names"] = [list(a) for a in self.arc_names]
+        """The system file: the block graph's keys as `Graph.to_json` writes
+        them, then the disks, owners, arc names and the policy, if any."""
+        obj = {"vertices": self.cubic.vertex_count, "edges": self.cubic.edges}
+        if self.cubic.vertex_labels is not None:
+            obj["vertex_labels"] = self.cubic.vertex_labels
+        obj.update(disks=self.disks, disk_owner=self.disk_owner, arc_names=self.arc_names)
         if self.policy is not None:
             obj["policy"] = [m.value for m in self.policy]
         return json.dumps(obj, indent=2)

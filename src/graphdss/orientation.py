@@ -34,9 +34,13 @@ class OrientedGraph:
     arcs: Tuple[Tuple[int, int], ...]
 
     def is_two_in_two_out(self) -> bool:
-        indeg = [0] * self.vertex_count
-        outdeg = [0] * self.vertex_count
+        """2 in-arcs and 2 out-arcs at every vertex, and no arc outside 0..n-1."""
+        n = self.vertex_count
+        indeg = [0] * n
+        outdeg = [0] * n
         for t, h in self.arcs:
+            if not (0 <= t < n and 0 <= h < n):
+                return False
             outdeg[t] += 1
             indeg[h] += 1
         return all(i == 2 and o == 2 for i, o in zip(indeg, outdeg))

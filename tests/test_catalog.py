@@ -63,13 +63,14 @@ _GIRTH7_VOLTAGES = (0, 0, 0, 0, 8, 15, 5, 17, 24, 4)
     (lambda: _k5_lift(52, [2 * a for a in _GIRTH7_VOLTAGES]), "cage47: disconnected"),
     (lambda: _k5_lift(26, _GIRTH7_VOLTAGES), "cage47: 130 vertices, the (4,7)-cage has 67"),
 ])
-def test_cage7_rejects_a_file_that_is_not_a_cage(tmp_path, graph, message):
+def test_cage7_rejects_a_file_that_is_not_a_cage(tmp_path, monkeypatch, graph, message):
     lift = _k5_lift(26, _GIRTH7_VOLTAGES)
     assert (girth(lift), is_connected(lift)) == (7, True)
     path = tmp_path / "cage7.json"
     path.write_text(graph().to_json())
+    monkeypatch.setenv("GRAPHDSS_CAGE7_FILE", str(path))
     with pytest.raises(CatalogError) as exc:
-        cage(7, str(path))
+        cage(7)
     assert str(exc.value) == message
 
 
@@ -80,9 +81,10 @@ def test_cage7_rejects_a_file_with_more_vertices_than_edge_ends_before_building_
 
     path = tmp_path / "cage7.json"
     path.write_text(json.dumps({"vertices": 10**9, "edges": [[0, 1]]}))
+    monkeypatch.setenv("GRAPHDSS_CAGE7_FILE", str(path))
     monkeypatch.setattr(Graph, "__init__", no_graph)
     with pytest.raises(CatalogError, match="^cage47: not 4-regular$"):
-        cage(7, str(path))
+        cage(7)
 
 
 def test_cage_out_of_range():

@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import random
@@ -620,6 +621,35 @@ def test_decompose(capsys):
     code, out, err = run(capsys, "decompose", "--catalog", "petersen")
     assert code == 0
     assert len(json.loads(out)["paths"]) == 5
+
+
+_COMMANDS = ("build", "decompose", "profile", "simulate", "store", "repair", "export-dot")
+
+
+def _flags(parser):
+    return {flag: action for action in parser._actions for flag in action.option_strings}
+
+
+def test_graph_options_are_declared_once_for_every_command_that_takes_them():
+    parser = graphdss.cli.make_parser()
+    (commands,) = [a.choices for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    assert sorted(commands) == sorted(_COMMANDS)
+    for flag in ("--orientation", "--policy"):
+        actions = [_flags(commands[c])[flag] for c in ("build", "profile", "simulate")]
+        assert all(a.help for a in actions)
+        assert len({(a.help, a.default) for a in actions}) == 1
+    for c in ("decompose", "export-dot"):
+        flags = _flags(commands[c])
+        assert "--catalog" in flags and "--input" in flags
+        assert "--orientation" not in flags and "--policy" not in flags
+
+
+@pytest.mark.parametrize("command", _COMMANDS)
+def test_help_of_every_command_exits_0(capsys, command):
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--help"])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.startswith(f"usage: graphdss {command}")
 
 
 def test_build_deterministic(tmp_path, capsys):

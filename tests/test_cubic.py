@@ -122,6 +122,18 @@ def test_build_cubic_error_messages_are_pinned(digraph, policy, error, message):
     assert type(exc.value) is error and str(exc.value) == message
 
 
+@pytest.mark.parametrize("name", [-1, 5])
+def test_build_cubic_rejects_an_arc_outside_the_vertex_range(name):
+    """K5's reference arcs with vertex 4 renamed: -1 must not count as
+    vertex 4 through a list index, and 5 must not raise IndexError."""
+    arcs = tuple(tuple(name if x == 4 else x for x in a)
+                 for a in k5_reference_system("girth3").arc_names)
+    assert not OrientedGraph(5, arcs).is_two_in_two_out()
+    with pytest.raises(NotTwoInTwoOutError,
+                       match="^digraph must have in-degree = out-degree = 2$"):
+        build_cubic(OrientedGraph(5, arcs), PairingMode.PARALLEL)
+
+
 @pytest.mark.parametrize("mode", [PairingMode.PARALLEL, PairingMode.CROSSED])
 @pytest.mark.parametrize("seed", range(6))
 def test_build_invariants_random_graphs(mode, seed):
