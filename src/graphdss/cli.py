@@ -34,10 +34,13 @@ class UsageError(Exception):
 
 
 def _load_graph(args, regular: bool) -> Graph:
-    """The --catalog graph or the --input file's.  A command that needs a
+    """The --catalog graph or the --input file's; UsageError if both are
+    given, as they name two graphs.  A command that needs a
     regular graph rejects a file that declares more vertices than its edges
     have ends (`declares_an_edgeless_vertex`), before a Graph of the
     declared size is built: some vertex would have no edge."""
+    if args.catalog and args.input:
+        raise UsageError("--input cannot be given with --catalog")
     if args.catalog:
         return cat.by_name(args.catalog).graph
     if args.input:
@@ -53,6 +56,8 @@ def _load_graph(args, regular: bool) -> Graph:
 
 def _parse_policy(text: str, n: int) -> Tuple[PairingMode, ...]:
     """One mode per vertex from e.g. 'parallel' or 'parallel,crossed@0,crossed@2';
+    a vertex that no token names gets the base mode, parallel unless a
+    token names another (so '' is all parallel, the --policy default).
     ValueError for an unknown mode or a vertex outside 0..n-1."""
     base = PairingMode.PARALLEL
     overrides: Dict[int, PairingMode] = {}
@@ -132,6 +137,12 @@ _TABLE1 = {
 
 
 def cmd_profile(args) -> int:
+    # --table1 and --system each fix the systems to profile: the other, or a
+    # source or layout option, would go unread, so it is refused
+    given = [f"--{name}" for name in ("table1", "system", "catalog", "input", "orientation",
+                                      "policy") if vars(args)[name]]
+    if (args.table1 or args.system) and len(given) > 1:
+        raise UsageError(f"{given[1]} cannot be given with {given[0]}")
     if args.table1:
         ok = True
         print("disks,blocks,disks_recoverable,blocks_recoverable,length,dimension,d_source_girth,d_block_girth,rate")
@@ -294,7 +305,7 @@ def make_parser() -> argparse.ArgumentParser:
     source.add_argument("--input", help="JSON graph file")
     layout = argparse.ArgumentParser(add_help=False, parents=[source])
     layout.add_argument("--orientation", help="'reference' (k5, the pinned 5-disk orientation) or a JSON arc-list file")
-    layout.add_argument("--policy", default="parallel",
+    layout.add_argument("--policy", default="",
                         help="pairing policy, e.g. 'parallel' or 'parallel,crossed@0'")
 
     b = sub.add_parser("build", parents=[layout],

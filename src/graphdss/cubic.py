@@ -112,12 +112,12 @@ class CubicSystem:
         return owner
 
     def to_json(self) -> str:
-        """The system file: the block graph's keys as `Graph.to_json` writes
-        them, then the disks, owners, arc names and the policy, if any."""
-        obj = {"vertices": self.cubic.vertex_count, "edges": self.cubic.edges}
-        if self.cubic.vertex_labels is not None:
-            obj["vertex_labels"] = self.cubic.vertex_labels
-        obj.update(disks=self.disks, disk_owner=self.disk_owner, arc_names=self.arc_names)
+        """The system file: the block graph's vertex count and edges, then
+        the disks, owners, arc names and the policy, if any.  No vertex
+        labels: `from_json` reads none, and no block graph it or
+        `build_cubic` makes has any."""
+        obj = {"vertices": self.cubic.vertex_count, "edges": self.cubic.edges,
+               "disks": self.disks, "disk_owner": self.disk_owner, "arc_names": self.arc_names}
         if self.policy is not None:
             obj["policy"] = [m.value for m in self.policy]
         return json.dumps(obj, indent=2)
@@ -234,23 +234,23 @@ def check_star_layout(sys: CubicSystem, g4: Graph) -> None:
     """Raise InvalidSystemError unless `sys` is a star layout of `g4`: disk
     d is the path of the 4 arcs at its owner, in the block graph.
 
-    After the counts, the first pass asks that each disk's end arcs leave
-    its owner, its middle arcs enter it, and no vertex owns two disks.  The
-    second asks that the other ends of a disk's 4 arcs be the 4 neighbours
-    of its owner in `g4`.  An arc then fills only end slots of its tail's
-    disk and middle slots of its head's, and the 2 arcs of a slot pair
-    differ, so the 2n arcs fill each of the 2n end and 2n middle slots
-    once, and the arc names are g4's edges, each one once.  So a disk's 4
-    vertices differ and no 2 arcs lie on the same 2 disks: the 3n path
-    pairs are distinct.  The last pass asks that the block graph have 3n
-    edges and that `disk_edges` find each pair in it; the pairs are then
-    its edges, each on one disk.  It looks up only the disks whose triple
+    After the counts (the block graph's 3n edges among them), one pass asks
+    of each disk in turn that its end arcs leave its owner and its middle
+    arcs enter it, that no earlier disk has the same owner, that the other
+    ends of its 4 arcs be the 4 neighbours of its owner in `g4`, and that
+    `disk_edges` find its 3 path pairs in the block graph.  An arc then
+    fills only end slots of its tail's disk and middle slots of its head's,
+    and the 2 arcs of a slot pair differ, so the 2n arcs fill each of the
+    2n end and 2n middle slots once, and the arc names are g4's edges, each
+    one once.  So a disk's 4 vertices differ and no 2 arcs lie on the same
+    2 disks: the 3n path pairs are distinct, hence the block graph's 3n
+    edges, each on one disk.  The pass looks up only the disks whose triple
     the system's disk-edge table does not hold yet.  A triple that
     `build_cubic` filed is sound without a lookup: it appended exactly
     those pairs as those edges, and `Graph` kept them in order; a triple
     that `disk_edges` filed is one it found.  The message names the first
-    disk that fails a pass, the first pass first.  O(n); the state is one
-    bytearray and the system's disk-edge table.
+    disk that fails.  O(n); the state is one bytearray and the system's
+    disk-edge table.
     """
     n, names, m = len(sys.disks), sys.arc_names, len(sys.arc_names)
     if len(sys.disk_owner) != n:
@@ -258,7 +258,10 @@ def check_star_layout(sys: CubicSystem, g4: Graph) -> None:
     if (g4.vertex_count, m) != (n, 2 * n):
         raise InvalidSystemError(
             f"{n} disks and {m} arcs cannot lay out a graph on {g4.vertex_count} vertices")
-    owned = bytearray(n)
+    if sys.cubic.edge_count != 3 * n:
+        raise InvalidSystemError(
+            f"{n} disks of 3 edges cannot cover a block graph of {sys.cubic.edge_count} edges")
+    owned, filed = bytearray(n), sys._disk_edge_table
     for d, (path, v) in enumerate(zip(sys.disks, sys.disk_owner)):
         if len(path) != 4:
             raise InvalidSystemError(f"disk {d} has {len(path)} vertices, not 4: {list(path)}")
@@ -272,22 +275,17 @@ def check_star_layout(sys: CubicSystem, g4: Graph) -> None:
             raise InvalidSystemError(
                 f"disk {d}: vertex {v} is not a source vertex or owns another disk")
         owned[v] = 1
-    for d, ((c, a, b, e), v) in enumerate(zip(sys.disks, sys.disk_owner)):
         around = g4.incident(v)
         if len(around) != 4 or {around[0][1], around[1][1], around[2][1], around[3][1]} != {
                 names[c][1], names[e][1], names[a][0], names[b][0]}:
             raise InvalidSystemError(
                 f"disk {d}: its arcs are not the 4 edges at vertex {v} of the source graph")
-    if sys.cubic.edge_count != 3 * n:
-        raise InvalidSystemError(
-            f"{n} disks of 3 edges cannot cover a block graph of {sys.cubic.edge_count} edges")
-    for d, edges in enumerate(sys._disk_edge_table):
-        if edges is not None:
-            continue
-        try:
-            sys.disk_edges(d)
-        except GraphError as exc:
-            raise InvalidSystemError(f"disk {d} is not a path of the block graph: {exc}") from exc
+        if filed[d] is None:
+            try:
+                sys.disk_edges(d)
+            except GraphError as exc:
+                raise InvalidSystemError(
+                    f"disk {d} is not a path of the block graph: {exc}") from exc
 
 
 def verify_disk_decomposition(sys: CubicSystem) -> bool:

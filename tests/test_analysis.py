@@ -12,7 +12,7 @@ from graphdss import cli, code, repair
 from graphdss.catalog import cage, complete_graph, k5_reference_system, random_4_regular
 from graphdss.code import derive_code
 from graphdss.cubic import (
-    CubicSystem, InvalidSystemError, PairingMode, build_cubic, decompose_p4
+    CubicSystem, InvalidSystemError, PairingMode, build_cubic, check_star_layout, decompose_p4
 )
 from graphdss.graphs import EdgeSubset, Graph, girth, two_core
 from graphdss.orientation import eulerian_tour, orient_from_tour
@@ -420,6 +420,22 @@ def test_recovery_bound_rejects_a_graph_that_is_not_the_arc_graph(cage_systems, 
         verify_recovery_bound(sys, other, **kwargs)
     with pytest.raises(InvalidSystemError, match="^26 disks and 52 arcs cannot lay out"):
         verify_recovery_bound(sys, cage(5).graph, **kwargs)
+
+
+def test_star_check_names_the_first_disk_that_fails(cage_systems):
+    # a neighbour fault at disk 0 (the two-switched graph breaks disks 0,
+    # 1, 13 and 14) and a slot fault at disk 25: one pass over the disks
+    # names disk 0, as the oracle does
+    sys, g4 = cage_systems[6]
+    p = sys.disks[25]
+    swapped = CubicSystem(sys.cubic, sys.disks[:25] + ((p[1], p[0], p[2], p[3]),),
+                          sys.disk_owner, sys.arc_names)
+    with pytest.raises(InvalidSystemError, match="^disk 25: its end arcs must leave"):
+        check_star_layout(swapped, g4)
+    other = _two_switch(g4)
+    assert _first_non_star_disk(swapped, other) == 0
+    with pytest.raises(InvalidSystemError, match="^disk 0: its arcs are not the 4 edges"):
+        check_star_layout(swapped, other)
 
 
 @pytest.mark.parametrize("kwargs", _BOUND_MODES)

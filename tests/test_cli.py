@@ -5,6 +5,7 @@ import random
 
 import pytest
 
+import graphdss.catalog
 import graphdss.cli
 import graphdss.graphs
 import graphdss.state
@@ -17,6 +18,7 @@ from test_cubic import (
     _random_system_with_k44_arcs,
     k44_reference_system,
 )
+from test_orientation import k5_arcs_all_into_vertex_0
 
 
 def run(capsys, *argv):
@@ -715,6 +717,11 @@ REJECTED_INPUTS = {
     "orientation-arc-of-three": (
         lambda t: ["build", "--catalog", "k5", "--orientation",
                    _written(t, '{"arcs": [[0, 1, 2]]}')], 2, "arc 0 is not a pair"),
+    # the arcs orient K5, so `load_orientation` takes them; `build_cubic` does not
+    "orientation-not-two-in-two-out": (
+        lambda t: ["build", "--catalog", "k5", "--orientation",
+                   _written(t, json.dumps({"arcs": k5_arcs_all_into_vertex_0()}))],
+        2, "digraph must have in-degree = out-degree = 2"),
     "policy-unknown-mode": (lambda t: ["build", "--catalog", "k5", "--policy", "foo"], 2, "foo"),
     "policy-non-integer-vertex": (
         lambda t: ["build", "--catalog", "k5", "--policy", "crossed@x"], 2, "'x'"),
@@ -735,6 +742,62 @@ def test_rejected_input_gives_exit_code_and_message(tmp_path, capsys, case):
     assert code == want_code
     assert err.startswith("error:") and named in err
     assert not (tmp_path / "state").exists()
+
+
+# id -> (argv run in a directory that holds the k44 graph g.json and the
+# k44 system sys.json, the refused option, the option it is refused with);
+# each of these command lines used to read one option and ignore the other
+REFUSED_OPTIONS = {
+    "build-catalog-input": (["build", "--catalog", "k44", "--input", "g.json"],
+                            "--input", "--catalog"),
+    "simulate-catalog-input": (["simulate", "--catalog", "k5", "--input", "g.json",
+                                "--exhaustive"], "--input", "--catalog"),
+    "profile-catalog-input": (["profile", "--catalog", "k5", "--input", "g.json"],
+                              "--input", "--catalog"),
+    "decompose-catalog-input": (["decompose", "--catalog", "petersen", "--input", "g.json"],
+                                "--input", "--catalog"),
+    "export-dot-catalog-input": (["export-dot", "--catalog", "k5", "--input", "g.json"],
+                                 "--input", "--catalog"),
+    "profile-system-catalog": (["profile", "--system", "sys.json", "--catalog", "k5",
+                                "--policy", "crossed", "--orientation", "reference"],
+                               "--catalog", "--system"),
+    "profile-system-input": (["profile", "--system", "sys.json", "--input", "g.json"],
+                             "--input", "--system"),
+    "profile-system-orientation": (["profile", "--system", "sys.json", "--orientation",
+                                    "reference"], "--orientation", "--system"),
+    "profile-system-policy": (["profile", "--system", "sys.json", "--policy", "crossed"],
+                              "--policy", "--system"),
+    "profile-table1-system": (["profile", "--table1", "--system", "sys.json"],
+                              "--system", "--table1"),
+    "profile-table1-catalog": (["profile", "--table1", "--catalog", "k5"],
+                               "--catalog", "--table1"),
+    "profile-table1-policy": (["profile", "--table1", "--csv", "--policy", "crossed"],
+                              "--policy", "--table1"),
+}
+
+
+def _k44_graph_and_system(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.delenv(graphdss.catalog.CAGE7_ENV_VAR, raising=False)
+    (tmp_path / "g.json").write_text(graphdss.catalog.by_name("k44").graph.to_json())
+    _k44_system_file(tmp_path)
+
+
+@pytest.mark.parametrize("case", sorted(REFUSED_OPTIONS))
+def test_an_option_that_would_be_ignored_is_refused(tmp_path, capsys, monkeypatch, case):
+    argv, refused, kept = REFUSED_OPTIONS[case]
+    _k44_graph_and_system(tmp_path, monkeypatch)
+    code, out, err = run(capsys, *argv)
+    assert (code, out, err) == (2, "", f"error: {refused} cannot be given with {kept}\n")
+
+
+@pytest.mark.parametrize("argv", [["profile", "--system", "sys.json", "--csv"],
+                                  ["profile", "--table1", "--csv"]], ids=["system", "table1"])
+def test_profile_of_a_system_file_or_table1_takes_csv(tmp_path, capsys, monkeypatch, argv):
+    _k44_graph_and_system(tmp_path, monkeypatch)
+    code, out, err = run(capsys, *argv)
+    assert code == 0
+    assert "8,24,3,9,24,9,4,4,0.375000\n" in out
 
 
 @pytest.mark.parametrize(

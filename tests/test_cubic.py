@@ -342,6 +342,17 @@ def test_system_json_star_check_message(corrupt, message):
     assert str(exc.value) == message
 
 
+def test_system_json_writes_no_vertex_labels():
+    # no block graph that the library builds or loads has labels, and
+    # `from_json` reads none, so a bare system's labels are not written
+    sys = k44_reference_system()
+    labelled = Graph(sys.cubic.vertex_count, sys.cubic.edges,
+                     vertex_labels=[f"arc{i}" for i in range(sys.cubic.vertex_count)])
+    text = CubicSystem(labelled, sys.disks, sys.disk_owner, sys.arc_names).to_json()
+    assert "vertex_labels" not in json.loads(text)
+    assert CubicSystem.from_json(text).disks == sys.disks
+
+
 def test_system_json_fills_the_disk_edge_table():
     # the star check looks each disk up once; pricing reuses the lookups
     sys = CubicSystem.from_json(k44_reference_system().to_json())

@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 from graphdss.catalog import (
     MissingDataFileError, by_name, catalog_names, complete_graph, random_4_regular
 )
+from graphdss.cubic import NotTwoInTwoOutError, PairingMode, build_cubic
 from graphdss.graphs import Graph
 from graphdss.orientation import (
     InvalidTourError,
@@ -233,12 +234,20 @@ def test_load_reference_k44_arcs():
     assert og.is_two_in_two_out()
 
 
-def test_load_rejects_all_arcs_into_one_vertex():
-    g = complete_graph(5)
-    arcs = [(max(u, v), min(u, v)) if 0 in (u, v) else (u, v) for u, v in g.edges]
+def k5_arcs_all_into_vertex_0():
     # every arc touching vertex 0 points at it -> in-degree 4
-    with pytest.raises(OrientationError):
-        load_orientation(g, arcs)
+    return [(max(u, v), min(u, v)) if 0 in (u, v) else (u, v) for u, v in complete_graph(5).edges]
+
+
+def test_load_rejects_all_arcs_into_one_vertex():
+    # the arcs orient K5, so they load; `build_cubic`, the one 2-in-2-out
+    # test, rejects them
+    g = complete_graph(5)
+    arcs = k5_arcs_all_into_vertex_0()
+    og = load_orientation(g, arcs)
+    assert og.arcs == tuple(arcs)
+    with pytest.raises(NotTwoInTwoOutError, match="^digraph must have in-degree = out-degree = 2$"):
+        build_cubic(og, PairingMode.PARALLEL)
 
 
 def test_load_rejects_foreign_arc():

@@ -226,6 +226,14 @@ ROWS = {
         {}, ["simulate --catalog k5 --trials 0 --seed 1", "simulate --catalog k5",
              "simulate --catalog k5 --disks 9 --seed 1", "simulate --catalog k5 --disks 2"],
         "63f9534c792a21abd453deb56a0e986d2e180e70a6fc1f87996449aeb13dc109"),
+    # an option that names a second graph or system is refused, not ignored
+    "error-refused-options": (
+        {"g.json": by_name("k44").graph.to_json().encode()},
+        ["build --catalog k44 --output sys.json",
+         "profile --system sys.json --catalog k5 --policy crossed --orientation reference",
+         "profile --table1 --system sys.json", "profile --table1 --csv --policy crossed",
+         "build --catalog k5 --input g.json", "export-dot --catalog k5 --input g.json"],
+        "a64e347e1e61a68026bdc020f504e19c89c5a7c7aa893ddae905d2e679c90cf2"),
     "error-decompose": (
         {}, ["decompose --catalog k5"],
         "e408af65418c4706cedcbd98c8882804ec061770e5c137d6c3fee88e07e8c0bb"),
