@@ -73,23 +73,16 @@ _ROBERTSON_EDGES = [
 def _pg23_incidence() -> Graph:
     """Point-line incidence graph of the projective plane over the field
     with 3 elements: 13 points, 13 lines, a point on a line iff the dot
-    product of homogeneous coordinates is zero mod 3."""
-    triples = []
-    for x in itertools.product(range(3), repeat=3):
-        if x == (0, 0, 0):
-            continue
-        # normalize: first nonzero coordinate is 1
-        lead = next(v for v in x if v)
-        if lead == 1:
-            triples.append(x)
+    product of homogeneous coordinates is zero mod 3.
+
+    A point is a nonzero triple whose first nonzero coordinate is 1;
+    `x or y or z` is that coordinate, and 0 for the zero triple."""
+    triples = [t for t in itertools.product(range(3), repeat=3) if (t[0] or t[1] or t[2]) == 1]
     assert len(triples) == 13
-    edges = []
-    for p, point in enumerate(triples):
-        for l, line in enumerate(triples):
-            if sum(a * b for a, b in zip(point, line)) % 3 == 0:
-                edges.append((p, 13 + l))
-    labels = [f"p{t}" for t in triples] + [f"l{t}" for t in triples]
-    return Graph(26, edges, vertex_labels=labels)
+    edges = [(p, 13 + l) for p, (a, b, c) in enumerate(triples)
+             for l, (x, y, z) in enumerate(triples) if (a * x + b * y + c * z) % 3 == 0]
+    names = [str(t) for t in triples]
+    return Graph(26, edges, vertex_labels=["p" + t for t in names] + ["l" + t for t in names])
 
 
 def cage(g: int) -> CatalogEntry:

@@ -39,11 +39,11 @@ def _load_graph(args, regular: bool) -> Graph:
     regular graph rejects a file that declares more vertices than its edges
     have ends (`declares_an_edgeless_vertex`), before a Graph of the
     declared size is built: some vertex would have no edge."""
-    if args.catalog and args.input:
+    if args.catalog and args.input is not None:
         raise UsageError("--input cannot be given with --catalog")
     if args.catalog:
         return cat.by_name(args.catalog).graph
-    if args.input:
+    if args.input is not None:
         with open(args.input) as fh:
             obj = json.load(fh)
         if regular and declares_an_edgeless_vertex(obj):
@@ -54,14 +54,14 @@ def _load_graph(args, regular: bool) -> Graph:
     raise UsageError("need --catalog or --input")
 
 
-def _parse_policy(text: str, n: int) -> Tuple[PairingMode, ...]:
+def _parse_policy(text: Optional[str], n: int) -> Tuple[PairingMode, ...]:
     """One mode per vertex from e.g. 'parallel' or 'parallel,crossed@0,crossed@2';
     a vertex that no token names gets the base mode, parallel unless a
-    token names another (so '' is all parallel, the --policy default).
-    ValueError for an unknown mode or a vertex outside 0..n-1."""
+    token names another (so None, the --policy default, and '' are all
+    parallel).  ValueError for an unknown mode or a vertex outside 0..n-1."""
     base = PairingMode.PARALLEL
     overrides: Dict[int, PairingMode] = {}
-    for token in text.split(","):
+    for token in (text or "").split(","):
         token = token.strip()
         if not token:
             continue
@@ -86,7 +86,7 @@ def _build_system(args) -> Tuple[CubicSystem, Graph]:
         raise UsageError(f"input is not 4-regular: vertex {bad[0]} has degree {degs[bad[0]]}")
     if not is_connected(g):
         raise UsageError("input graph is disconnected")
-    if args.orientation:
+    if args.orientation is not None:
         if args.orientation == "reference":
             if args.catalog != "k5":
                 raise UsageError("--orientation reference is only pinned for --catalog k5")
@@ -111,7 +111,7 @@ def cmd_build(args) -> int:
     sys_, g = _build_system(args)
     n = g.vertex_count
     text = sys_.to_json()
-    if args.output:
+    if args.output is not None:
         with open(args.output, "w") as fh:
             fh.write(text)
     else:
@@ -140,8 +140,8 @@ def cmd_profile(args) -> int:
     # --table1 and --system each fix the systems to profile: the other, or a
     # source or layout option, would go unread, so it is refused
     given = [f"--{name}" for name in ("table1", "system", "catalog", "input", "orientation",
-                                      "policy") if vars(args)[name]]
-    if (args.table1 or args.system) and len(given) > 1:
+                                      "policy") if vars(args)[name] not in (None, False)]
+    if (args.table1 or args.system is not None) and len(given) > 1:
         raise UsageError(f"{given[1]} cannot be given with {given[0]}")
     if args.table1:
         ok = True
@@ -169,7 +169,7 @@ def cmd_profile(args) -> int:
                 print(f"# MISMATCH for (4,{gg})-cage: {got} != {want}", file=_sys.stderr)
         return 0 if ok else 1
 
-    if args.system:
+    if args.system is not None:
         with open(args.system) as fh:
             sys_ = CubicSystem.from_json(fh.read())
         g = sys_.source_graph
@@ -305,7 +305,7 @@ def make_parser() -> argparse.ArgumentParser:
     source.add_argument("--input", help="JSON graph file")
     layout = argparse.ArgumentParser(add_help=False, parents=[source])
     layout.add_argument("--orientation", help="'reference' (k5, the pinned 5-disk orientation) or a JSON arc-list file")
-    layout.add_argument("--policy", default="",
+    layout.add_argument("--policy",
                         help="pairing policy, e.g. 'parallel' or 'parallel,crossed@0'")
 
     b = sub.add_parser("build", parents=[layout],

@@ -58,14 +58,15 @@ def derive_code(g: Graph) -> ParityCode:
     """
     if g.vertex_count == 0:
         raise DisconnectedError("empty graph")
-    m = g.edge_count
-    vertex_edges = tuple(tuple(ei for ei, _ in g.incident(v)) for v in range(g.vertex_count))
+    m, incident = g.edge_count, g.incident
+    vertex_edges = tuple([tuple([ei for ei, _ in incident(v)]) for v in range(g.vertex_count)])
 
     parent_pairs = bfs_tree(g, 0)
     if len(parent_pairs) != g.vertex_count - 1:
         raise DisconnectedError("graph is disconnected")
-    tree_set = {ei for ei, _ in parent_pairs}
-    info_set = [ei for ei in range(m) if ei not in tree_set]
+    in_tree = [False] * m
+    for ei, _ in parent_pairs:
+        in_tree[ei] = True
 
     rank = g.vertex_count - 1
     return ParityCode(
@@ -73,8 +74,8 @@ def derive_code(g: Graph) -> ParityCode:
         vertex_edges=vertex_edges,
         rank=rank,
         dimension=m - rank,
-        information_set=tuple(info_set),
-        tree_order=tuple(reversed(parent_pairs)),
+        information_set=tuple([ei for ei in range(m) if not in_tree[ei]]),
+        tree_order=tuple(parent_pairs[::-1]),
     )
 
 

@@ -15,7 +15,7 @@ import json
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
-from typing import Dict, Iterator, List, Optional, Tuple, Union
+from typing import Dict, List, Optional, Tuple, Union
 
 from .graphs import EdgeSubset, Graph, GraphError, degree_sequence, int_tuples
 from .orientation import OrientedGraph
@@ -166,7 +166,7 @@ class CubicSystem:
         if policy is not None:
             if len(policy) != n:
                 raise InvalidSystemError(f"policy has {len(policy)} modes for {n} disks")
-            paired = tuple(_pair_arcs(arc_names, policy))
+            paired = _pair_arcs(arc_names, policy)
             for d, (path, v) in enumerate(zip(disks, disk_owner)):
                 if path != paired[v] and path[::-1] != paired[v]:
                     raise InvalidSystemError(
@@ -175,8 +175,8 @@ class CubicSystem:
 
 
 def _pair_arcs(arcs: Tuple[Tuple[int, int], ...],
-               policy: Tuple[PairingMode, ...]) -> Iterator[Tuple[int, int, int, int]]:
-    """Disk v of each vertex v in turn, the path of its 4 arcs under
+               policy: Tuple[PairingMode, ...]) -> List[Tuple[int, int, int, int]]:
+    """Disk v of each vertex v, in vertex order, the path of its 4 arcs under
     policy[v]; `arcs` is a list of (tail, head) in which every vertex below
     len(policy) has 2 in-arcs and 2 out-arcs.
 
@@ -194,6 +194,7 @@ def _pair_arcs(arcs: Tuple[Tuple[int, int], ...],
         outs[t].append(i)
         ins[h].append(i)
     parallel = PairingMode.PARALLEL  # a member lookup costs about 0.1 us on CPython 3.11
+    disks = []
     for (a, b), (c, d), mode in zip(ins, outs, policy):
         if arcs[b][0] < arcs[a][0]:
             a, b = b, a
@@ -201,7 +202,8 @@ def _pair_arcs(arcs: Tuple[Tuple[int, int], ...],
             c, d = d, c
         if mode is not parallel:
             c, d = d, c
-        yield (d, b, a, c) if arcs[d] < arcs[c] else (c, a, b, d)
+        disks.append((d, b, a, c) if arcs[d] < arcs[c] else (c, a, b, d))
+    return disks
 
 
 def build_cubic(
@@ -217,10 +219,13 @@ def build_cubic(
     policy = (policy,) * n if isinstance(policy, PairingMode) else tuple(policy)
     if len(policy) != n:
         raise ValueError("policy must assign one mode per vertex")
-    disks = tuple(_pair_arcs(gd.arcs, policy))
+    disks = _pair_arcs(gd.arcs, policy)
+    pairs = []
+    for c, a, b, d in disks:
+        pairs += (c, a), (a, b), (b, d)
     system = CubicSystem(
-        cubic=Graph(2 * n, [pair for c, a, b, d in disks for pair in ((c, a), (a, b), (b, d))]),
-        disks=disks,
+        cubic=Graph(2 * n, pairs),
+        disks=tuple(disks),
         disk_owner=tuple(range(n)),
         arc_names=gd.arcs,
         policy=policy,

@@ -95,20 +95,26 @@ class Graph:
             raise GraphError("vertex_count must be non-negative")
         n = self.vertex_count = vertex_count
         # one pass checks each edge and files it at both endpoints;
-        # incidence[v] = list of (edge index, other endpoint)
+        # incidence[v] = list of (edge index, other endpoint).  The u < v
+        # and v < u branches order the ends for the range test and the key;
+        # neither holds for a self-loop.  A duplicate's key leaves `seen`
+        # no larger than the i edges before it
         seen = set()  # u * n + v with u < v, per edge
         edge_list = []
         inc: List[List[Tuple[int, int]]] = [[] for _ in range(n)]
-        for u, v in edges:
-            if u == v:
+        for i, (u, v) in enumerate(edges):
+            if u < v:
+                if u < 0 or v >= n:
+                    raise GraphError(f"edge ({u},{v}) has endpoint out of range")
+                seen.add(u * n + v)
+            elif v < u:
+                if v < 0 or u >= n:
+                    raise GraphError(f"edge ({u},{v}) has endpoint out of range")
+                seen.add(v * n + u)
+            else:
                 raise GraphError(f"self-loop at vertex {u}")
-            if not (0 <= u < n and 0 <= v < n):
-                raise GraphError(f"edge ({u},{v}) has endpoint out of range")
-            key = u * n + v if u < v else v * n + u
-            if key in seen:
+            if len(seen) == i:
                 raise GraphError(f"duplicate edge ({u},{v})")
-            seen.add(key)
-            i = len(edge_list)
             edge_list.append((u, v))
             inc[u].append((i, v))
             inc[v].append((i, u))
@@ -116,7 +122,7 @@ class Graph:
         self.vertex_labels = tuple(vertex_labels) if vertex_labels is not None else None
         if self.vertex_labels is not None and len(self.vertex_labels) != vertex_count:
             raise GraphError("vertex_labels length mismatch")
-        self._incidence = tuple(tuple(x) for x in inc)
+        self._incidence = tuple(map(tuple, inc))
 
     @property
     def edge_count(self) -> int:

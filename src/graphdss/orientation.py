@@ -43,7 +43,7 @@ class OrientedGraph:
                 return False
             outdeg[t] += 1
             indeg[h] += 1
-        return all(i == 2 and o == 2 for i, o in zip(indeg, outdeg))
+        return indeg == outdeg == [2] * n
 
 
 def eulerian_tour(g: Graph) -> List[int]:
@@ -61,25 +61,25 @@ def eulerian_tour(g: Graph) -> List[int]:
     if g.edge_count == 0:
         return []
     used = [False] * g.edge_count
-    # next unused incidence pointer per vertex; incidences are already in
-    # edge-index order, which implements the tie-break
-    ptr = [0] * g.vertex_count
+    # one iterator per vertex over its incidences, which are in edge-index
+    # order: the tie-break.  An incidence it passes is used for good, so
+    # the walk never looks at it again
+    pending = [iter(g.incident(v)) for v in range(g.vertex_count)]
     start = next(v for v, d in enumerate(degs) if d)
-    stack: List[Tuple[int, int]] = [(start, -1)]  # (vertex, edge taken to get here)
+    stack = [start]  # vertices of the walk not yet finished
+    taken = [-1]  # taken[k]: the edge the walk took to reach stack[k]
     tour_edges: List[int] = []
     while stack:
-        v, _ = stack[-1]
-        inc = g.incident(v)
-        while ptr[v] < len(inc) and used[inc[ptr[v]][0]]:
-            ptr[v] += 1
-        if ptr[v] == len(inc):
-            _, ein = stack.pop()
-            if ein >= 0:
-                tour_edges.append(ein)
+        for ei, w in pending[stack[-1]]:
+            if not used[ei]:
+                used[ei] = True
+                stack.append(w)
+                taken.append(ei)
+                break
         else:
-            ei, w = inc[ptr[v]]
-            used[ei] = True
-            stack.append((w, ei))
+            stack.pop()
+            tour_edges.append(taken.pop())
+    tour_edges.pop()  # the -1 of the start
     if len(tour_edges) != g.edge_count:
         raise NotEulerianError("graph is disconnected")
     tour_edges.reverse()

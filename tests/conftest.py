@@ -1,4 +1,5 @@
 
+import itertools
 import json
 import random
 from collections import deque
@@ -6,10 +7,12 @@ from collections import deque
 import pytest
 
 from graphdss.catalog import RANDOM_REGULAR_TRIES, GenerationFailed, cage
-from graphdss.code import StorageState
+from graphdss.code import DisconnectedError, ParityCode, StorageState
 from graphdss.cubic import CubicSystem, InvalidSystemError, PairingMode, build_cubic
-from graphdss.graphs import EdgeSubset, Graph, bfs_tree, girth, is_connected, shortest_cycle
-from graphdss.orientation import InvalidTourError, OrientedGraph, eulerian_tour, orient_from_tour
+from graphdss.graphs import (EdgeSubset, Graph, GraphError, bfs_tree, degree_sequence, girth,
+                             is_connected, shortest_cycle)
+from graphdss.orientation import (InvalidTourError, NotEulerianError, OrientedGraph,
+                                  eulerian_tour, orient_from_tour)
 from graphdss.repair import RepairReport, RepairStrategy
 
 
@@ -52,6 +55,14 @@ def load_by_rebuilding(text: str) -> CubicSystem:
             raise InvalidSystemError(
                 f"disk {d} is not the {policy[v].value} pairing of vertex {v}'s arcs")
     return CubicSystem(system.cubic, system.disks, system.disk_owner, system.arc_names, policy)
+
+
+def outcome(call):
+    """The value of `call()`, or the type and message of what it raises."""
+    try:
+        return call()
+    except Exception as exc:  # noqa: BLE001 - the exception is the result
+        return type(exc), str(exc)
 
 
 def copy_state(state: StorageState) -> StorageState:
@@ -318,3 +329,111 @@ def brute_force_min_weight(basis) -> int:
         if best is None or w < best:
             best = w
     return best
+
+
+# The construction loops as first written, kept as oracles for the rewrites
+# that take fewer Python steps per element; each must give the same output,
+# and the same exception type and message, on every input.
+
+def pg23_incidence_oracle() -> Graph:
+    """`catalog._pg23_incidence` as first written: a generator finds each
+    triple's first nonzero coordinate, and a generator inside `sum` takes
+    each of the 169 dot products."""
+    triples = []
+    for x in itertools.product(range(3), repeat=3):
+        if x == (0, 0, 0):
+            continue
+        lead = next(v for v in x if v)
+        if lead == 1:
+            triples.append(x)
+    edges = []
+    for p, point in enumerate(triples):
+        for l, line in enumerate(triples):
+            if sum(a * b for a, b in zip(point, line)) % 3 == 0:
+                edges.append((p, 13 + l))
+    labels = [f"p{t}" for t in triples] + [f"l{t}" for t in triples]
+    return Graph(26, edges, vertex_labels=labels)
+
+
+def eulerian_tour_oracle(g: Graph):
+    """`orientation.eulerian_tour` as first written: a stack of (vertex,
+    edge taken) tuples and a pointer per vertex that is re-scanned past
+    used incidences each time the vertex is on top."""
+    degs = degree_sequence(g)
+    odd = [v for v, d in enumerate(degs) if d % 2]
+    if odd:
+        raise NotEulerianError(f"odd-degree vertices: {odd}")
+    if g.edge_count == 0:
+        return []
+    used = [False] * g.edge_count
+    ptr = [0] * g.vertex_count
+    start = next(v for v, d in enumerate(degs) if d)
+    stack = [(start, -1)]
+    tour_edges = []
+    while stack:
+        v, _ = stack[-1]
+        inc = g.incident(v)
+        while ptr[v] < len(inc) and used[inc[ptr[v]][0]]:
+            ptr[v] += 1
+        if ptr[v] == len(inc):
+            _, ein = stack.pop()
+            if ein >= 0:
+                tour_edges.append(ein)
+        else:
+            ei, w = inc[ptr[v]]
+            used[ei] = True
+            stack.append((w, ei))
+    if len(tour_edges) != g.edge_count:
+        raise NotEulerianError("graph is disconnected")
+    tour_edges.reverse()
+    return tour_edges
+
+
+def graph_tables_oracle(vertex_count: int, edges):
+    """The edge tuple and incidence table that `Graph.__init__` as first
+    written builds: per edge, a self-loop test, then a range test, then a
+    set-membership test for a duplicate; GraphError naming the first bad
+    edge."""
+    if vertex_count < 0:
+        raise GraphError("vertex_count must be non-negative")
+    n = vertex_count
+    seen = set()
+    edge_list = []
+    inc = [[] for _ in range(n)]
+    for u, v in edges:
+        if u == v:
+            raise GraphError(f"self-loop at vertex {u}")
+        if not (0 <= u < n and 0 <= v < n):
+            raise GraphError(f"edge ({u},{v}) has endpoint out of range")
+        key = u * n + v if u < v else v * n + u
+        if key in seen:
+            raise GraphError(f"duplicate edge ({u},{v})")
+        seen.add(key)
+        i = len(edge_list)
+        edge_list.append((u, v))
+        inc[u].append((i, v))
+        inc[v].append((i, u))
+    return tuple(edge_list), tuple(tuple(x) for x in inc)
+
+
+def derive_code_oracle(g: Graph) -> ParityCode:
+    """`code.derive_code` as first written: generators inside `tuple()`
+    and a set of tree edges scanned once per edge."""
+    if g.vertex_count == 0:
+        raise DisconnectedError("empty graph")
+    m = g.edge_count
+    vertex_edges = tuple(tuple(ei for ei, _ in g.incident(v)) for v in range(g.vertex_count))
+    parent_pairs = bfs_tree(g, 0)
+    if len(parent_pairs) != g.vertex_count - 1:
+        raise DisconnectedError("graph is disconnected")
+    tree_set = {ei for ei, _ in parent_pairs}
+    info_set = [ei for ei in range(m) if ei not in tree_set]
+    rank = g.vertex_count - 1
+    return ParityCode(
+        length=m,
+        vertex_edges=vertex_edges,
+        rank=rank,
+        dimension=m - rank,
+        information_set=tuple(info_set),
+        tree_order=tuple(reversed(parent_pairs)),
+    )

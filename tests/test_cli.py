@@ -773,6 +773,11 @@ REFUSED_OPTIONS = {
                                "--catalog", "--table1"),
     "profile-table1-policy": (["profile", "--table1", "--csv", "--policy", "crossed"],
                               "--policy", "--table1"),
+    # an option given as the empty string is given
+    "build-catalog-empty-input": (["build", "--catalog", "k5", "--input", ""],
+                                  "--input", "--catalog"),
+    "profile-system-empty-policy": (["profile", "--system", "sys.json", "--policy", "", "--csv"],
+                                    "--policy", "--system"),
 }
 
 
@@ -789,6 +794,22 @@ def test_an_option_that_would_be_ignored_is_refused(tmp_path, capsys, monkeypatc
     _k44_graph_and_system(tmp_path, monkeypatch)
     code, out, err = run(capsys, *argv)
     assert (code, out, err) == (2, "", f"error: {refused} cannot be given with {kept}\n")
+
+
+@pytest.mark.parametrize("argv", [
+    ["build", "--input", ""], ["build", "--catalog", "k5", "--orientation", ""],
+    ["build", "--catalog", "k5", "--output", ""], ["profile", "--system", "", "--csv"]],
+    ids=["input", "orientation", "output", "system"])
+def test_an_empty_file_option_is_read_as_a_path(tmp_path, capsys, monkeypatch, argv):
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: [Errno 2]") and "''" in err
+
+
+def test_an_empty_policy_is_all_parallel(capsys):
+    assert run(capsys, "build", "--catalog", "k44", "--policy", "") == run(
+        capsys, "build", "--catalog", "k44", "--policy", "parallel")
 
 
 @pytest.mark.parametrize("argv", [["profile", "--system", "sys.json", "--csv"],

@@ -33,7 +33,7 @@ from graphdss.graphs import Graph, GraphError, degree_sequence, girth, is_connec
 from graphdss.orientation import OrientedGraph, eulerian_tour, load_orientation, orient_from_tour
 from graphdss.repair import RepairStrategy, repair_disk, repair_disks
 
-from conftest import load_by_rebuilding
+from conftest import load_by_rebuilding, outcome
 from test_orientation import K44_REFERENCE_EDGES
 
 
@@ -544,14 +544,6 @@ def test_build_cubic_keeps_its_output(case):
     assert hashlib.sha256(text.encode()).hexdigest() == BUILD_DIGESTS[case]
 
 
-def _outcome(call):
-    """The value of `call()`, or the type and message of what it raises."""
-    try:
-        return call()
-    except Exception as exc:  # noqa: BLE001 - the exception is the result
-        return type(exc), str(exc)
-
-
 def _path_edges(sys, d):
     """disk_edges as first written: one `Graph.edge_index` per path edge."""
     p = sys.disks[d]
@@ -605,13 +597,13 @@ def test_disk_edges_of_broken_systems_match_the_edge_index_walk():
     raised = {}
     for name, sys in _broken_systems():
         for d in range(len(sys.disks)):
-            want = _outcome(lambda: _path_edges(sys, d))
+            want = outcome(lambda: _path_edges(sys, d))
             for _ in range(2):  # a kept lookup and a bad disk's second raise
-                assert _outcome(lambda: sys.disk_edges(d)) == want, (name, d)
+                assert outcome(lambda: sys.disk_edges(d)) == want, (name, d)
             if isinstance(want, tuple):
                 raised[name, d] = want
-        want = _outcome(lambda: _edge_owner_oracle(sys))
-        assert _outcome(sys.edge_owner) == want, name
+        want = outcome(lambda: _edge_owner_oracle(sys))
+        assert outcome(sys.edge_owner) == want, name
     k44 = k44_reference_system()
     last = k44.disks[-1]
     assert raised == {

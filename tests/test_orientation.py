@@ -1,4 +1,6 @@
+import hashlib
 import itertools
+import json
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -99,6 +101,30 @@ def test_orient_rejects_broken_walk():
 
 
 K5_TOUR = [0, 4, 1, 2, 5, 6, 8, 7, 9, 3]  # vertices 0 1 2 0 3 1 4 2 3 4 0
+
+
+# sha256 of json.dumps(eulerian_tour(g)): the tours themselves, which
+# BUILD_DIGESTS pins only through the arc order of each system
+TOUR_DIGESTS = {
+    "k5": "5943d86c8a94ca7b228fa752f41a57db2bca07648d04d5a2de911266072f4143",
+    "k44": "691c78683393d5374ea017774eeda980b3852a963db3da442871e73215de6161",
+    "robertson": "8046eeecaaefda5f227473008f06eb987c415380156ee5b1fc9ccc6f7d40c7f8",
+    "pg23": "ea27cf3f00faa55c7143e830cdfac4d3eb1872caeec4c97f5b2ec94e760c78fd",
+    "rr4-200-1": "371df620f7d947aece81a913f918b8e0913a99b07f749e5e87cdadb39e8e57df",
+    "rr4-1000-1": "d9edb2ce7ae10488bdf5713f72b2f2bbedd5fda7404029c72c651ccdb6184a64",
+    "rr4-3000-1": "7788360041872c0b8dacf20ceb0ea5e12fde905089230a0289b59007e32ee7a3",
+}
+
+
+@pytest.mark.parametrize("name", sorted(TOUR_DIGESTS))
+def test_tour_keeps_its_output(name):
+    if name.startswith("rr4-"):
+        _, n, seed = name.split("-")
+        g = random_4_regular(int(n), int(seed))
+    else:
+        g = by_name(name).graph
+    tour = json.dumps(eulerian_tour(g))
+    assert hashlib.sha256(tour.encode()).hexdigest() == TOUR_DIGESTS[name]
 
 
 @pytest.mark.parametrize("graph, tour, message", [

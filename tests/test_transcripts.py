@@ -234,6 +234,12 @@ ROWS = {
          "profile --table1 --system sys.json", "profile --table1 --csv --policy crossed",
          "build --catalog k5 --input g.json", "export-dot --catalog k5 --input g.json"],
         "a64e347e1e61a68026bdc020f504e19c89c5a7c7aa893ddae905d2e679c90cf2"),
+    # an option given as the empty string, written `--name=`, is read or refused
+    "error-empty-options": (
+        {}, ["build --catalog k44 --output sys.json", "build --catalog k5 --input=",
+             "profile --system sys.json --policy= --csv", "build --input=",
+             "build --catalog k5 --orientation=", "build --catalog k5 --output="],
+        "8db9d381643851e40186a27d4abd13868ac2cf6751187506aead1861d89f85ce"),
     "error-decompose": (
         {}, ["decompose --catalog k5"],
         "e408af65418c4706cedcbd98c8882804ec061770e5c137d6c3fee88e07e8c0bb"),
