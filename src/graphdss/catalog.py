@@ -1,8 +1,10 @@
 """Built-in graphs: the (4,g)-cage family, the Petersen graph, the two
 pinned 5-disk systems, and a seeded random d-regular generator.
 
-Every entry re-checks its claimed regularity and girth on load, so a
-transcription error in a hard-coded adjacency cannot propagate silently.
+The hard-coded graphs and the pinned K5 orientation are plain
+constructions: tier-1 tests prove their regularity, girth, connectivity
+and sizes once.  The one graph read from outside the program, the
+(4,7)-cage file, is checked on every load.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from typing import List, Optional, Set
 
 from .cubic import CubicSystem, PairingMode, build_cubic
 from .graphs import Graph, declares_an_edgeless_vertex, degree_sequence, girth, is_connected
-from .orientation import load_orientation
+from .orientation import OrientedGraph
 
 CAGE7_ENV_VAR = "GRAPHDSS_CAGE7_FILE"
 
@@ -39,18 +41,6 @@ class CatalogEntry:
     graph: Graph
 
 
-def _checked(name: str, g: Graph, regularity: int, claimed_girth: int) -> CatalogEntry:
-    degs = degree_sequence(g)
-    if any(d != regularity for d in degs):
-        raise CatalogError(f"{name}: not {regularity}-regular")
-    gv = girth(g)
-    if gv != claimed_girth:
-        raise CatalogError(f"{name}: girth {gv} != claimed {claimed_girth}")
-    if not is_connected(g):
-        raise CatalogError(f"{name}: disconnected")
-    return CatalogEntry(name, g)
-
-
 def complete_graph(n: int) -> Graph:
     return Graph(n, list(itertools.combinations(range(n), 2)))
 
@@ -60,7 +50,8 @@ def complete_bipartite(a: int, b: int) -> Graph:
 
 
 # (4,5)-cage on 19 vertices; found by exhaustive girth-constrained search
-# and certified by the regularity/girth checks on load (the cage is unique)
+# (the cage is unique); tier-1 tests prove it 4-regular, connected and of
+# girth 5
 _ROBERTSON_EDGES = [
     (0, 1), (0, 2), (0, 3), (0, 4), (1, 5), (1, 6), (1, 7), (2, 8), (2, 9),
     (2, 10), (3, 11), (3, 12), (3, 13), (4, 14), (4, 15), (4, 16), (5, 8),
@@ -78,7 +69,6 @@ def _pg23_incidence() -> Graph:
     A point is a nonzero triple whose first nonzero coordinate is 1;
     `x or y or z` is that coordinate, and 0 for the zero triple."""
     triples = [t for t in itertools.product(range(3), repeat=3) if (t[0] or t[1] or t[2]) == 1]
-    assert len(triples) == 13
     edges = [(p, 13 + l) for p, (a, b, c) in enumerate(triples)
              for l, (x, y, z) in enumerate(triples) if (a * x + b * y + c * z) % 3 == 0]
     names = [str(t) for t in triples]
@@ -97,13 +87,13 @@ def cage(g: int) -> CatalogEntry:
     rejected as not 4-regular before a Graph of the declared size is built.
     """
     if g == 3:
-        return _checked("k5", complete_graph(5), 4, 3)
+        return CatalogEntry("k5", complete_graph(5))
     if g == 4:
-        return _checked("k44", complete_bipartite(4, 4), 4, 4)
+        return CatalogEntry("k44", complete_bipartite(4, 4))
     if g == 5:
-        return _checked("robertson", Graph(19, _ROBERTSON_EDGES), 4, 5)
+        return CatalogEntry("robertson", Graph(19, _ROBERTSON_EDGES))
     if g == 6:
-        return _checked("pg23", _pg23_incidence(), 4, 6)
+        return CatalogEntry("pg23", _pg23_incidence())
     if g == 7:
         path = os.environ.get(CAGE7_ENV_VAR)
         if not path or not os.path.exists(path):
@@ -115,10 +105,17 @@ def cage(g: int) -> CatalogEntry:
             obj = json.load(fh)
         if declares_an_edgeless_vertex(obj):
             raise CatalogError("cage47: not 4-regular")
-        entry = _checked("cage47", Graph.from_obj(obj), 4, 7)
-        if entry.graph.vertex_count != 67:
-            raise CatalogError(f"cage47: {entry.graph.vertex_count} vertices, the (4,7)-cage has 67")
-        return entry
+        graph = Graph.from_obj(obj)
+        if any(d != 4 for d in degree_sequence(graph)):
+            raise CatalogError("cage47: not 4-regular")
+        gv = girth(graph)
+        if gv != 7:
+            raise CatalogError(f"cage47: girth {gv} != claimed 7")
+        if not is_connected(graph):
+            raise CatalogError("cage47: disconnected")
+        if graph.vertex_count != 67:
+            raise CatalogError(f"cage47: {graph.vertex_count} vertices, the (4,7)-cage has 67")
+        return CatalogEntry("cage47", graph)
     raise CatalogError(f"no (4,{g})-cage in the catalog")
 
 
@@ -131,14 +128,15 @@ _PETERSEN_EDGES = [
 
 
 def petersen() -> CatalogEntry:
-    return _checked("petersen", Graph(10, _PETERSEN_EDGES), 3, 5)
+    return CatalogEntry("petersen", Graph(10, _PETERSEN_EDGES))
 
 
-# the pinned 5-disk example: one Eulerian orientation of K5 (0-indexed)
-_K5_ARCS = [
+# the pinned 5-disk example: one Eulerian orientation of K5 (0-indexed);
+# tier-1 tests prove it an orientation of complete_graph(5)
+_K5_ORIENTATION = OrientedGraph(5, (
     (0, 1), (0, 3), (1, 2), (1, 4), (2, 0),
     (2, 3), (3, 1), (3, 4), (4, 0), (4, 2),
-]
+))
 
 # per-vertex pairing that reproduces the girth-5 disk list (the block graph
 # is then the Petersen graph); uniform Parallel gives the girth-3 variant
@@ -152,15 +150,13 @@ def k5_reference_system(variant: str) -> CubicSystem:
     variant="girth5": block graph isomorphic to Petersen, girth 5.
     variant="girth3": same orientation, different pairing, girth 3.
     """
-    g = complete_graph(5)
-    og = load_orientation(g, _K5_ARCS)
     if variant == "girth5":
         policy = _K5_GIRTH5_MODES
     elif variant == "girth3":
         policy = PairingMode.PARALLEL
     else:
         raise CatalogError(f"unknown variant {variant!r}")
-    return build_cubic(og, policy)
+    return build_cubic(_K5_ORIENTATION, policy)
 
 
 _CATALOG_BUILDERS = {

@@ -90,7 +90,7 @@ def _build_system(args) -> Tuple[CubicSystem, Graph]:
         if args.orientation == "reference":
             if args.catalog != "k5":
                 raise UsageError("--orientation reference is only pinned for --catalog k5")
-            og = load_orientation(g, cat._K5_ARCS)
+            og = cat._K5_ORIENTATION
         else:
             with open(args.orientation) as fh:
                 obj = json.load(fh)
@@ -144,14 +144,17 @@ def cmd_profile(args) -> int:
     if (args.table1 or args.system is not None) and len(given) > 1:
         raise UsageError(f"{given[1]} cannot be given with {given[0]}")
     if args.table1:
-        ok = True
-        print("disks,blocks,disks_recoverable,blocks_recoverable,length,dimension,d_source_girth,d_block_girth,rate")
+        # every cage is loaded before the first line is printed, so a
+        # rejected cage-7 file leaves stdout empty
+        cages = {}
         for gg in (3, 4, 5, 6, 7):
             try:
-                g = cat.cage(gg).graph
+                cages[gg] = cat.cage(gg).graph
             except cat.MissingDataFileError:
                 print(f"# (4,{gg})-cage skipped: data file not available", file=_sys.stderr)
-                continue
+        ok = True
+        print("disks,blocks,disks_recoverable,blocks_recoverable,length,dimension,d_source_girth,d_block_girth,rate")
+        for gg, g in cages.items():
             sys_ = build_cubic(orient_from_tour(g, eulerian_tour(g)), PairingMode.PARALLEL)
             prof = profile(sys_, g)
             print(prof.csv_row())
@@ -190,7 +193,13 @@ def cmd_simulate(args) -> int:
         raise UsageError(f"--trials must be at least 1, got {args.trials}")
     if args.disks is not None and not 1 <= args.disks <= n:
         raise UsageError(f"--disks must be between 1 and the disk count {n}, got {args.disks}")
+    if args.disks is not None and args.seed is None:
+        raise UsageError("--disks sampling requires --seed")
+    if not args.exhaustive and args.seed is None:
+        raise UsageError("sampled simulation requires --seed")
     ok = True
+    # printed once the disk sampling, the last step that can refuse, is done
+    lines: List[str] = []
 
     if args.measure_bandwidth:
         for d in range(n):
@@ -200,12 +209,10 @@ def cmd_simulate(args) -> int:
             r = repair_disk(sys_, d, RepairStrategy.MIN_ROUNDS)
             if (r.transferred_symbols, r.rounds) != (5, 2):
                 ok = False
-        print(f"per-disk bandwidth: min-bandwidth=4/3 rounds, min-rounds=5/2 rounds: "
-              f"{'ok' if ok else 'FAILED'}")
+        lines.append(f"per-disk bandwidth: min-bandwidth=4/3 rounds, min-rounds=5/2 rounds: "
+                     f"{'ok' if ok else 'FAILED'}")
 
     if args.disks is not None:
-        if args.seed is None:
-            raise UsageError("--disks sampling requires --seed")
         rng = random.Random(f"simulate:{args.seed}")
         sample_disjoint = _disjoint_disk_sampler(sys_)
         adj_ok = 0
@@ -220,11 +227,11 @@ def cmd_simulate(args) -> int:
         if not adj_ok:
             raise UsageError(f"no trial of {args.trials} found {args.disks} pairwise "
                              f"non-adjacent disks to repair")
-        print(f"disjoint {args.disks}-disk repairs measured: {adj_ok}, "
-              f"expected transfer 4x{args.disks}: {'ok' if ok else 'FAILED'}")
+        lines.append(f"disjoint {args.disks}-disk repairs measured: {adj_ok}, "
+                     f"expected transfer 4x{args.disks}: {'ok' if ok else 'FAILED'}")
 
-    if not args.exhaustive and args.seed is None:
-        raise UsageError("sampled simulation requires --seed")
+    for line in lines:
+        print(line)
     all_ok, witness = verify_recovery_bound(sys_, g)
     ok = ok and all_ok
     print(verdict_json(all_ok, witness))

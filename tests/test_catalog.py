@@ -5,7 +5,9 @@ import time
 
 import pytest
 
+import graphdss.catalog
 from graphdss.catalog import (
+    _K5_ORIENTATION,
     CatalogError,
     GenerationFailed,
     MissingDataFileError,
@@ -21,6 +23,7 @@ from graphdss.catalog import (
 )
 from graphdss.cubic import decompose_p4
 from graphdss.graphs import Graph, degree_sequence, girth, is_connected
+from graphdss.orientation import load_orientation
 
 from conftest import random_regular_oracle
 
@@ -118,6 +121,44 @@ def test_by_name():
     with pytest.raises(CatalogError):
         by_name("nope")
     assert "petersen" in catalog_names()
+
+
+@pytest.mark.parametrize("name, regularity, girth_, vertices, edges", [
+    ("k5", 4, 3, 5, 10),
+    ("k44", 4, 4, 8, 16),
+    ("robertson", 4, 5, 19, 38),
+    ("pg23", 4, 6, 26, 52),
+    ("petersen", 3, 5, 10, 15),
+])
+def test_hard_coded_graphs_are_what_the_catalog_claims(name, regularity, girth_, vertices,
+                                                       edges):
+    # the catalog builds these without checks; this is their proof
+    g = by_name(name).graph
+    assert (g.vertex_count, g.edge_count) == (vertices, edges)
+    assert set(degree_sequence(g)) == {regularity}
+    assert girth(g) == girth_
+    assert is_connected(g)
+
+
+def test_pinned_k5_orientation_orients_k5():
+    assert load_orientation(complete_graph(5), _K5_ORIENTATION.arcs) == _K5_ORIENTATION
+    assert _K5_ORIENTATION.is_two_in_two_out()
+
+
+def test_hard_coded_entries_are_built_without_checks(monkeypatch):
+    def no_check(*args, **kwargs):
+        raise AssertionError("a hard-coded catalog entry was re-checked")
+
+    for name in ("girth", "is_connected", "degree_sequence", "load_orientation"):
+        # the catalog need not import a check it no longer calls
+        monkeypatch.setattr(graphdss.catalog, name, no_check, raising=False)
+    for g in (3, 4, 5, 6):
+        cage(g)
+    petersen()
+    for name in ("k5", "k44", "robertson", "pg23", "petersen"):
+        by_name(name)
+    k5_reference_system("girth5")
+    k5_reference_system("girth3")
 
 
 def test_random_4_regular_properties():

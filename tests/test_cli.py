@@ -9,6 +9,7 @@ import graphdss.catalog
 import graphdss.cli
 import graphdss.graphs
 import graphdss.state
+from graphdss.catalog import complete_graph
 from graphdss.cli import main
 
 from test_catalog import _GIRTH7_VOLTAGES, _k5_lift
@@ -104,6 +105,16 @@ def test_profile_table1(capsys):
     assert len(rows) >= 4
 
 
+def test_profile_table1_prints_nothing_before_a_rejected_cage7_file(tmp_path, capsys,
+                                                                      monkeypatch):
+    path = tmp_path / "k5.json"
+    path.write_text(complete_graph(5).to_json())
+    monkeypatch.setenv("GRAPHDSS_CAGE7_FILE", str(path))
+    code, out, err = run(capsys, "profile", "--table1")
+    assert (code, out) == (2, "")
+    assert err == "error: cage47: girth 3 != claimed 7\n"
+
+
 def test_profile_cage7_missing(capsys, monkeypatch):
     monkeypatch.delenv("GRAPHDSS_CAGE7_FILE", raising=False)
     code, out, err = run(capsys, "profile", "--catalog", "cage7")
@@ -193,6 +204,19 @@ def test_simulate_without_disjoint_disks_is_not_ok(capsys):
                          "--seed", "1", "--disks", "2", "--trials", "20")
     assert (code, out) == (2, "")
     assert "20" in err and "2 pairwise non-adjacent disks" in err
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["--measure-bandwidth"], "sampled simulation requires --seed"),
+    (["--measure-bandwidth", "--disks", "2"], "--disks sampling requires --seed"),
+    (["--exhaustive", "--disks", "5", "--seed", "1", "--trials", "3", "--measure-bandwidth"],
+     "no trial of 3 found 5 pairwise non-adjacent disks"),
+], ids=["no-seed", "disks-without-seed", "no-disjoint-disks"])
+def test_simulate_prints_nothing_before_it_refuses(capsys, argv, message):
+    # the bandwidth line is printed only once every refusal is behind it
+    code, out, err = run(capsys, "simulate", "--catalog", "k5", *argv)
+    assert (code, out) == (2, "")
+    assert message in err
 
 
 def test_store_and_repair_round_trip(tmp_path, capsys):
