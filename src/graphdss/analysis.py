@@ -55,21 +55,6 @@ class SystemProfile:
         )
 
 
-def _girth_witness(sys: CubicSystem, g4: Graph) -> Tuple[int, Set[int]]:
-    """(girth(G), the disks owned by the vertices of a girth cycle of G).
-
-    Consecutive edges of a cycle of G are arcs at a shared vertex, so both
-    lie on that vertex's disk path; the disks of the cycle's vertices
-    therefore contain a block-graph cycle and do not recover.  A star
-    layout's G is 4-regular, so only an empty one has no girth cycle.
-    """
-    cycle = shortest_cycle(g4)
-    if cycle is None:
-        raise ValueError("acyclic source graph has no girth witness")
-    vertices = {v for ei in cycle for v in g4.edges[ei]}
-    return len(cycle), {d for d, v in enumerate(sys.disk_owner) if v in vertices}
-
-
 def verify_recovery_bound(
     sys: CubicSystem,
     g4: Graph,
@@ -88,9 +73,14 @@ def verify_recovery_bound(
     disk to the block vertices of its path is then the subdivision of G,
     and a disk set's block edges contain a cycle iff its owners span a
     cycle of G, which takes girth(G) disks.  Sampled mode still requires a
-    seed and at least one trial, but draws nothing.  The witness, the disks
-    of a girth cycle of G, does not recover by the same theorem, so no peel
-    confirms it: girth(G) disks is the smallest unrecoverable loss.
+    seed and at least one trial, but draws nothing.
+
+    The witness is the set of disks owned by the vertices of a girth cycle
+    of G.  Consecutive edges of that cycle are arcs at a shared vertex, so
+    both lie on that vertex's disk path; the witness disks therefore
+    contain a block-graph cycle and do not recover, and no peel confirms
+    it: girth(G) disks is the smallest unrecoverable loss.  A star layout's
+    G is 4-regular, so only an empty one has no girth cycle.
     """
     if mode == "sampled":
         if seed is None:
@@ -100,7 +90,11 @@ def verify_recovery_bound(
     elif mode != "exhaustive":
         raise ValueError(f"unknown mode {mode!r}")
     check_star_layout(sys, g4)
-    return True, _girth_witness(sys, g4)[1]
+    cycle = shortest_cycle(g4)
+    if cycle is None:
+        raise ValueError("acyclic source graph has no girth witness")
+    vertices = {v for ei in cycle for v in g4.edges[ei]}
+    return True, {d for d, v in enumerate(sys.disk_owner) if v in vertices}
 
 
 def profile(sys: CubicSystem, g4: Graph) -> SystemProfile:

@@ -60,12 +60,13 @@ class EdgeSubset:
 
 
 def int_tuples(items, length: int, what: str) -> List[Tuple[int, ...]]:
-    """The entries of a parsed JSON list as tuples; TypeError naming the
-    first entry, by index and value, that is not a list of exactly
-    `length` ints.  A bool is not an int here."""
+    """The entries of a list as tuples; TypeError naming the first entry,
+    by index and value, that is not a list or tuple of exactly `length`
+    ints.  A bool is not an int here."""
     out = []
     for i, x in enumerate(items):
-        if not (isinstance(x, list) and len(x) == length and all(type(v) is int for v in x)):
+        if not (isinstance(x, (list, tuple)) and len(x) == length
+                and all(type(v) is int for v in x)):
             raise TypeError(f"{what} {i} is not a list of {length} ints: {x!r}")
         out.append(tuple(x))
     return out

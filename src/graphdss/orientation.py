@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
-from .graphs import Graph, degree_sequence
+from .graphs import Graph, degree_sequence, int_tuples
 
 
 class NotEulerianError(ValueError):
@@ -121,11 +121,17 @@ def load_orientation(g: Graph, arcs: Sequence[Tuple[int, int]]) -> OrientedGraph
     """Build an OrientedGraph from an explicit arc list, which pins down
     the orientations used by the worked examples.
 
-    The arcs must be a direction assignment of g's edges, in any order.
-    Their degrees are not checked here: `build_cubic`, which every use of
-    an orientation goes through, raises NotTwoInTwoOutError unless each
-    vertex has 2 in-arcs and 2 out-arcs.
+    Each arc must be a list or tuple of two ints (a bool is not an int
+    here), and the arcs a direction assignment of g's edges, in any order;
+    OrientationError names the first arc that is not.  Their degrees are
+    not checked here: `build_cubic`, which every use of an orientation goes
+    through, raises NotTwoInTwoOutError unless each vertex has 2 in-arcs
+    and 2 out-arcs.
     """
+    try:
+        arcs = int_tuples(arcs, 2, "arc")
+    except TypeError as exc:
+        raise OrientationError(str(exc)) from None
     remaining = {(min(u, v), max(u, v)) for u, v in g.edges}
     for t, h in arcs:
         key = (min(t, h), max(t, h))
@@ -134,4 +140,4 @@ def load_orientation(g: Graph, arcs: Sequence[Tuple[int, int]]) -> OrientedGraph
         remaining.remove(key)
     if remaining:
         raise OrientationError(f"{len(remaining)} edges left unoriented")
-    return OrientedGraph(g.vertex_count, tuple((t, h) for t, h in arcs))
+    return OrientedGraph(g.vertex_count, tuple(arcs))

@@ -87,10 +87,10 @@ def peel(sys: CubicSystem, erased: EdgeSubset,
     symbol transfers: at each step the recoverable edge whose parity check
     needs the fewest not-yet-read intact symbols is repaired (ties to the
     lowest vertex).  This walks along erased disk paths, so repairing
-    pairwise non-adjacent disks costs 4 transfers each; rounds count the
-    dependency depth of the chosen schedule.  Both rules leave the same
-    residual, the 2-core of the erased edges.  ValueError for a strategy
-    that is not a `RepairStrategy`.
+    disks pairwise non-adjacent in the block graph B costs 4 transfers
+    each; rounds count the dependency depth of the chosen schedule.  Both
+    rules leave the same residual, the 2-core of the erased edges.
+    ValueError for a strategy that is not a `RepairStrategy`.
 
     The engine is a work queue of parity vertices with exactly one
     unrecovered erased edge, seeded from `erased.indices()`.  Only erased
@@ -226,7 +226,8 @@ def repair_disks(sys: CubicSystem, disks: Iterable[int]) -> RepairReport:
     """Erase every block of the given disks and peel them under
     MIN_BANDWIDTH, the bandwidth-greedy sequential rule.
 
-    For pairwise non-adjacent disks the transfer count is 4 per disk.
+    For disks pairwise non-adjacent in the block graph B the transfer count
+    is 4 per disk.
     """
     edges: List[int] = []
     for d in disks:

@@ -7,7 +7,7 @@ import time
 import pytest
 
 from graphdss import analysis
-from graphdss.analysis import _girth_witness, profile, SystemProfile, verify_recovery_bound
+from graphdss.analysis import profile, SystemProfile, verify_recovery_bound
 from graphdss import cli, code, repair
 from graphdss.catalog import cage, complete_graph, k5_reference_system, random_4_regular
 from graphdss.code import derive_code
@@ -195,19 +195,19 @@ def _fewest_disks_with_a_cycle(sys):
 def test_min_disk_cycle_k5_variants():
     for variant in ("girth5", "girth3"):
         sys = k5_reference_system(variant)
-        assert _fewest_disks_with_a_cycle(sys) == len(_girth_witness(sys, K5)[1]) == 3
+        assert _fewest_disks_with_a_cycle(sys) == len(verify_recovery_bound(sys, K5)[1]) == 3
 
 
 def test_min_disk_cycle_k44():
     g = Graph(8, __import__("test_orientation").K44_REFERENCE_EDGES)
     sys = k44_reference_system()
-    assert _fewest_disks_with_a_cycle(sys) == len(_girth_witness(sys, g)[1]) == 4
+    assert _fewest_disks_with_a_cycle(sys) == len(verify_recovery_bound(sys, g)[1]) == 4
 
 
 @pytest.mark.parametrize("gg", [3, 4, 5, 6])
 def test_min_disk_cycle_cages(cage_systems, gg):
     sys, g = cage_systems[gg]
-    assert _fewest_disks_with_a_cycle(sys) == len(_girth_witness(sys, g)[1]) == girth(g)
+    assert _fewest_disks_with_a_cycle(sys) == len(verify_recovery_bound(sys, g)[1]) == girth(g)
 
 
 def test_has_cycle_agrees_with_two_core_and_peeling(cage_systems):
@@ -443,7 +443,7 @@ def test_recovery_bound_rejects_a_disk_that_is_not_a_block_graph_path(kwargs):
     # the arc names still lay out pg23, and the witness disks still form a
     # cycle, so the bound used to pass this system
     sys = _tour_system(_PG23, PairingMode.PARALLEL)
-    _, witness = _girth_witness(sys, _PG23)
+    witness = verify_recovery_bound(sys, _PG23)[1]
     d = min(set(range(len(sys.disks))) - witness)
     obj = json.loads(sys.to_json())
     _middle_edge_off_the_paths(obj, d)

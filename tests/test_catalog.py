@@ -178,6 +178,14 @@ def test_random_4_regular_minimum_size():
         random_4_regular(4, seed=0)
 
 
+def test_random_regular_gives_up_after_its_tries(monkeypatch):
+    # the configuration model almost never pairs 20 stubs into K5 at once
+    monkeypatch.setattr(graphdss.catalog, "RANDOM_REGULAR_TRIES", 1)
+    with pytest.raises(GenerationFailed) as info:
+        random_regular(4, 5, 0)
+    assert str(info.value) == "no simple connected 4-regular graph after 1 tries"
+
+
 def test_random_cubic_properties():
     for seed in range(5):
         g = random_cubic(10, seed=seed)

@@ -11,6 +11,7 @@ import graphdss.graphs
 import graphdss.state
 from graphdss.catalog import complete_graph
 from graphdss.cli import main
+from graphdss.repair import RepairStrategy
 
 from test_catalog import _GIRTH7_VOLTAGES, _k5_lift
 from test_cubic import (
@@ -153,6 +154,45 @@ def test_simulate_disjoint_disk_bandwidth(capsys):
     )
     assert code == 0
     assert "4x2: ok" in out
+
+
+def test_profile_table1_reports_a_row_that_differs_from_the_table(capsys, monkeypatch):
+    monkeypatch.delenv("GRAPHDSS_CAGE7_FILE", raising=False)
+    monkeypatch.setattr(graphdss.cli, "_TABLE1",
+                        {**graphdss.cli._TABLE1, 4: (8, 24, 3, 9, 24, 10)})
+    code, out, err = run(capsys, "profile", "--table1")
+    assert code == 1
+    row = next(line for line in out.splitlines() if line.startswith("8,24,"))
+    assert f"# MISMATCH for (4,4)-cage: row {row} does not start with (8, 24, 3, 9, 24, 10)\n" in err
+    assert err.count("MISMATCH") == 1
+
+
+@pytest.mark.parametrize("strategy", list(RepairStrategy), ids=lambda s: s.name)
+def test_simulate_measure_bandwidth_reports_a_wrong_price(capsys, monkeypatch, strategy):
+    real = graphdss.cli.repair_disk
+
+    def one_symbol_more(sys_, d, s):
+        r = real(sys_, d, s)
+        return r._replace(transferred_symbols=r.transferred_symbols + 1) if s is strategy else r
+
+    monkeypatch.setattr(graphdss.cli, "repair_disk", one_symbol_more)
+    code, out, err = run(
+        capsys, "simulate", "--catalog", "k5", "--exhaustive", "--measure-bandwidth")
+    assert code == 1
+    assert out.splitlines()[0] == ("per-disk bandwidth: min-bandwidth=4/3 rounds, "
+                                   "min-rounds=5/2 rounds: FAILED")
+
+
+def test_simulate_disks_reports_a_wrong_transfer_count(capsys, monkeypatch):
+    real = graphdss.cli.repair_disks
+    monkeypatch.setattr(graphdss.cli, "repair_disks",
+                        lambda sys_, disks: real(sys_, disks)._replace(transferred_symbols=0))
+    code, out, err = run(
+        capsys, "simulate", "--catalog", "k44", "--exhaustive",
+        "--disks", "2", "--seed", "1", "--trials", "20",
+    )
+    assert code == 1
+    assert out.startswith("disjoint 2-disk repairs measured: 20, expected transfer 4x2: FAILED\n")
 
 
 PG23_DISJOINT_STDOUT = """disjoint 2-disk repairs measured: 50, expected transfer 4x2: ok
@@ -383,6 +423,23 @@ def test_repair_rejects_non_integer_erased(tmp_path, capsys):
     code, err = _repair_lost_block_5(capsys, *_stored_k44(tmp_path, capsys), erased="5,x")
     assert code == 2
     assert "--erased" in err
+
+
+@pytest.mark.parametrize("erased,block", [("1_0", 10), ("+3", 3), ("\u0663", 3)],
+                         ids=["underscore", "sign", "arabic-indic-digit"])
+def test_repair_reads_erased_as_ascii_decimal_digits(tmp_path, capsys, erased, block):
+    # int() reads each of these as the index of the lost block
+    sys_file, state_dir = _stored_k44(tmp_path, capsys)
+    lost = state_dir / f"block_{block:05d}.bin"
+    lost.unlink()
+    argv = ["repair", "--system", str(sys_file), "--state", str(state_dir), "--erased"]
+    code, out, err = run(capsys, *argv, erased)
+    assert (code, out) == (2, "")
+    assert err == f"error: --erased must be comma-separated block indices, got {erased!r}\n"
+    assert not lost.exists()
+    # spaces around an item are read, as before
+    code, out, err = run(capsys, *argv, f" {block} ")
+    assert code == 0 and lost.exists()
 
 
 def test_repair_rejects_truncated_helper_block(tmp_path, capsys):
@@ -737,10 +794,16 @@ REJECTED_INPUTS = {
         2, "arcs"),
     "orientation-arc-not-a-list": (
         lambda t: ["build", "--catalog", "k5", "--orientation",
-                   _written(t, '{"arcs": [[0, 1], 5]}')], 2, "arc 1 is not a pair"),
+                   _written(t, '{"arcs": [[0, 1], 5]}')], 2, "arc 1 is not a list of 2 ints"),
     "orientation-arc-of-three": (
         lambda t: ["build", "--catalog", "k5", "--orientation",
-                   _written(t, '{"arcs": [[0, 1, 2]]}')], 2, "arc 0 is not a pair"),
+                   _written(t, '{"arcs": [[0, 1, 2]]}')], 2, "arc 0 is not a list of 2 ints"),
+    # True compares as 1, so these arcs orient K5 unless their types are checked
+    "orientation-arc-end-true": (
+        lambda t: ["build", "--catalog", "k5", "--orientation", _written(t, json.dumps(
+            {"arcs": [[True if v == 1 else v for v in a]
+                      for a in graphdss.catalog._K5_ORIENTATION.arcs]}))],
+        2, "arc 0 is not a list of 2 ints: [0, True]"),
     # the arcs orient K5, so `load_orientation` takes them; `build_cubic` does not
     "orientation-not-two-in-two-out": (
         lambda t: ["build", "--catalog", "k5", "--orientation",
@@ -753,6 +816,21 @@ REJECTED_INPUTS = {
         lambda t: ["build", "--catalog", "k5", "--policy", "crossed@99"], 2, "99"),
     "policy-negative-vertex": (
         lambda t: ["build", "--catalog", "k5", "--policy", "parallel,crossed@-1"], 2, "-1"),
+    # a token that would go unread, or a vertex int() reads but that is
+    # not written in decimal digits
+    "policy-second-base-mode": (
+        lambda t: ["build", "--catalog", "k5", "--policy", "parallel,crossed"], 2, "'crossed'"),
+    "policy-second-mode-for-a-vertex": (
+        lambda t: ["build", "--catalog", "k5", "--policy", "crossed@1,parallel@1"],
+        2, "'parallel@1'"),
+    "policy-vertex-with-prefix": (
+        lambda t: ["build", "--catalog", "k5", "--policy", "crossed@v1"], 2, "'v1'"),
+    "policy-vertex-with-sign": (
+        lambda t: ["build", "--catalog", "k5", "--policy", "crossed@+1"], 2, "'crossed@+1'"),
+    "policy-vertex-with-space": (
+        lambda t: ["build", "--catalog", "k5", "--policy", "crossed@ 1"], 2, "'crossed@ 1'"),
+    "policy-vertex-with-underscore": (
+        lambda t: ["build", "--catalog", "k5", "--policy", "crossed@0_1"], 2, "'crossed@0_1'"),
     "decompose-not-cubic": (lambda t: ["decompose", "--catalog", "k5"], 2, "3-regular"),
     "decompose-no-perfect-matching": (
         lambda t: ["decompose", "--input", _no_matching_graph(t)], 1, "perfect matching"),
@@ -763,7 +841,7 @@ REJECTED_INPUTS = {
 def test_rejected_input_gives_exit_code_and_message(tmp_path, capsys, case):
     argv, want_code, named = REJECTED_INPUTS[case]
     code, out, err = run(capsys, *argv(tmp_path))
-    assert code == want_code
+    assert (code, out) == (want_code, "")
     assert err.startswith("error:") and named in err
     assert not (tmp_path / "state").exists()
 

@@ -389,3 +389,7 @@ def test_dot_export_includes_edge_indices():
     dot = Graph(3, [(0, 1), (1, 2)]).to_dot()
     assert '0 -- 1 [label="0"]' in dot
     assert '1 -- 2 [label="1"]' in dot
+
+
+def test_graph_repr_gives_its_counts():
+    assert repr(complete_graph(5)) == "Graph(n=5, m=10)"

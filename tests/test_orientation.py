@@ -280,3 +280,19 @@ def test_load_rejects_foreign_arc():
     g = complete_graph(5)
     with pytest.raises(OrientationError):
         load_orientation(g, [(0, 1)] * 10)
+
+
+@pytest.mark.parametrize("end", [True, 1.0], ids=["bool", "float"])
+def test_load_rejects_an_arc_end_that_is_not_an_int(end):
+    # K5's reference arcs with vertex 1 written as `end`: True and 1.0 hash
+    # and compare as 1, so these arcs orient K5 unless their types are checked
+    arcs = [[end if v == 1 else v for v in arc] for arc in K5_REFERENCE_ARCS]
+    with pytest.raises(OrientationError) as info:
+        load_orientation(complete_graph(5), arcs)
+    assert str(info.value) == f"arc 0 is not a list of 2 ints: [0, {end!r}]"
+
+
+def test_load_takes_arcs_as_lists_or_tuples():
+    g = complete_graph(5)
+    lists = [list(arc) for arc in K5_REFERENCE_ARCS]
+    assert load_orientation(g, lists) == load_orientation(g, K5_REFERENCE_ARCS)

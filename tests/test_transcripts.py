@@ -22,6 +22,10 @@ output changed and why; list the row here too.  Changed so far:
   error-repair-inputs: `header.json` gains the `"system"` key, the digest
   of the block graph's edges and the disks; every step's exit code and
   output is unchanged, and without that key each row gives its old digest.
+- error-orientation: `load_orientation` checks that each arc is a pair of
+  ints, so its `o2.json` step reads `error: arc 0 is not a list of 2 ints:
+  [0, 1, 2]` in place of the CLI's own message, which named the file; the
+  other three steps are unchanged.
 """
 
 import hashlib
@@ -217,7 +221,7 @@ ROWS = {
          "build --catalog k5 --orientation o1.json",
          "build --catalog k5 --orientation o2.json",
          "build --catalog k5 --orientation o3.json"],
-        "d0d885496d241ba1d25be8ee09000fab4ee2c7a71806fbbdbd3248473ef5ffbf"),
+        "407766cc0be6386e7b300b943e09221835559b12e9be02d30c7f71061edad430"),
     "error-policy": (
         {}, ["build --catalog k5 --policy foo", "build --catalog k5 --policy crossed@x",
              "build --catalog k5 --policy crossed@99"],
