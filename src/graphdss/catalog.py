@@ -10,14 +10,14 @@ and sizes once.  The one graph read from outside the program, the
 from __future__ import annotations
 
 import itertools
-import json
 import os
 import random
 from dataclasses import dataclass
 from typing import List, Optional, Set
 
 from .cubic import CubicSystem, PairingMode, build_cubic
-from .graphs import Graph, declares_an_edgeless_vertex, degree_sequence, girth, is_connected
+from .graphs import (Graph, declares_an_edgeless_vertex, degree_sequence, girth, is_connected,
+                     parse_json)
 from .orientation import OrientedGraph
 
 CAGE7_ENV_VAR = "GRAPHDSS_CAGE7_FILE"
@@ -102,7 +102,7 @@ def cage(g: int) -> CatalogEntry:
                 f"set ${CAGE7_ENV_VAR}"
             )
         with open(path) as fh:
-            obj = json.load(fh)
+            obj = parse_json(fh.read())
         if declares_an_edgeless_vertex(obj):
             raise CatalogError("cage47: not 4-regular")
         graph = Graph.from_obj(obj)

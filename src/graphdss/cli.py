@@ -24,7 +24,8 @@ from .cubic import (
     build_cubic,
     decompose_p4,
 )
-from .graphs import Graph, declares_an_edgeless_vertex, degree_sequence, is_connected
+from .graphs import (Graph, declares_an_edgeless_vertex, degree_sequence, is_connected,
+                     parse_json)
 from .orientation import eulerian_tour, load_orientation, orient_from_tour
 from .repair import RepairStrategy, UnrecoverableError, repair_disk, repair_disks
 
@@ -45,7 +46,7 @@ def _load_graph(args, regular: bool) -> Graph:
         return cat.by_name(args.catalog).graph
     if args.input is not None:
         with open(args.input) as fh:
-            obj = json.load(fh)
+            obj = parse_json(fh.read())
         if regular and declares_an_edgeless_vertex(obj):
             n, m = obj["vertices"], len(obj["edges"])
             raise UsageError(f"input graph declares {n} vertices, but its {m} edges "
@@ -69,9 +70,9 @@ def _parse_policy(text: Optional[str], n: int) -> Tuple[PairingMode, ...]:
         mode_s, at, v_s = token.partition("@")
         mode, v = PairingMode(mode_s), None
         if at:
-            v = int(v_s)  # int() names an empty or non-numeric vertex itself
             if not (v_s.isascii() and v_s.isdigit()):
                 raise ValueError(f"policy token {token!r}: vertex {v_s!r} is not decimal digits")
+            v = int(v_s)
         if v in modes:
             what = "the base mode" if v is None else f"the mode of vertex {v}"
             raise ValueError(f"policy token {token!r} gives {what} a second time")
@@ -100,7 +101,7 @@ def _build_system(args) -> Tuple[CubicSystem, Graph]:
             og = cat._K5_ORIENTATION
         else:
             with open(args.orientation) as fh:
-                obj = json.load(fh)
+                obj = parse_json(fh.read())
             if not isinstance(obj, dict) or not isinstance(obj.get("arcs"), list):
                 raise UsageError(f'orientation file {args.orientation} has no "arcs" list')
             og = load_orientation(g, obj["arcs"])

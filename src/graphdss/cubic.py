@@ -15,9 +15,9 @@ import json
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
-from typing import Dict, List, Optional, Tuple, Union
+from typing import Dict, Iterator, List, Optional, Tuple, Union
 
-from .graphs import EdgeSubset, Graph, GraphError, degree_sequence, int_tuples
+from .graphs import EdgeSubset, Graph, GraphError, degree_sequence, int_tuples, parse_json
 from .orientation import OrientedGraph
 
 
@@ -133,7 +133,7 @@ class CubicSystem:
         The pairing builds no graph: the load builds only the block graph
         and the source graph."""
         try:
-            obj = json.loads(text)
+            obj = parse_json(text)
             vertex_count = obj["vertices"]
             edges = int_tuples(obj["edges"], 2, "edge")
             disks = tuple(int_tuples(obj["disks"], 4, "disk"))
@@ -310,26 +310,36 @@ def verify_disk_decomposition(sys: CubicSystem) -> bool:
 
 def _perfect_matching(g: Graph) -> Optional[List[int]]:
     """Perfect matching as a list of edge indices, by backtracking over the
-    lowest-index unmatched vertex; None if no perfect matching exists."""
-    matched = [False] * g.vertex_count
-
-    def extend(chosen: List[int]) -> Optional[List[int]]:
-        try:
-            u = matched.index(False)
-        except ValueError:
-            return chosen
-        for ei, v in g.incident(u):
+    lowest-index unmatched vertex, its incidences in edge-index order; None
+    if no perfect matching exists.  The search keeps its own stack, one
+    entry per matched edge, so no recursion limit bounds the graph's size,
+    and `low` moves back only when the search backtracks."""
+    n, incident = g.vertex_count, g.incident
+    matched = [False] * n
+    # (u, v, ei, rest): u matched to v along edge ei, and u's incidences
+    # that the search has not tried yet
+    stack: List[Tuple[int, int, int, Iterator[Tuple[int, int]]]] = []
+    low = 0  # every vertex below it is matched
+    rest = None  # None: the next vertex to match is the lowest unmatched one
+    while True:
+        if rest is None:
+            while low < n and matched[low]:
+                low += 1
+            if low == n:
+                return [ei for _, _, ei, _ in stack]
+            u, rest = low, iter(incident(low))
+        for ei, v in rest:
             if not matched[v]:
                 matched[u] = matched[v] = True
-                chosen.append(ei)
-                result = extend(chosen)
-                if result is not None:
-                    return result
-                chosen.pop()
-                matched[u] = matched[v] = False
-        return None
-
-    return extend([])
+                stack.append((u, v, ei, rest))
+                rest = None
+                break
+        else:
+            if not stack:
+                return None
+            u, v, _, rest = stack.pop()
+            matched[u] = matched[v] = False
+            low = u
 
 
 def decompose_p4(g: Graph) -> List[Tuple[int, int, int, int]]:

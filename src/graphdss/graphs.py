@@ -72,6 +72,16 @@ def int_tuples(items, length: int, what: str) -> List[Tuple[int, ...]]:
     return out
 
 
+def parse_json(text):
+    """`json.loads(text)`, but a document nested too deeply for the parser
+    raises ValueError, as any other document it cannot read does, in place
+    of RecursionError; so every file reader rejects it as a bad parse."""
+    try:
+        return json.loads(text)
+    except RecursionError:
+        raise ValueError("JSON nested too deeply to parse") from None
+
+
 def declares_an_edgeless_vertex(obj) -> bool:
     """True iff a parsed graph file declares an int count of vertices that
     exceeds the ends of its edge list, so that some vertex has no edge.

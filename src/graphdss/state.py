@@ -32,7 +32,7 @@ from typing import Iterable
 
 from .code import ParityCode, StorageState, derive_code, encode
 from .cubic import CubicSystem
-from .graphs import EdgeSubset
+from .graphs import EdgeSubset, parse_json
 from .repair import RepairReport, peel, repair_state
 
 
@@ -95,8 +95,8 @@ def repair(system: CubicSystem, directory: str, erased: Iterable[int]) -> Repair
     code = derive_code(system.cubic)
     with open(os.path.join(directory, "header.json"), "rb") as fh:
         try:
-            header = json.load(fh)
-        except ValueError as exc:  # JSONDecodeError or UnicodeDecodeError
+            header = parse_json(fh.read())
+        except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError or too deep
             raise StateError(f"state header is not valid JSON: {exc}")
     if not isinstance(header, dict):
         raise StateError("state header is not a JSON object")

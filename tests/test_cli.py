@@ -16,9 +16,11 @@ from graphdss.repair import RepairStrategy
 from test_catalog import _GIRTH7_VOLTAGES, _k5_lift
 from test_cubic import (
     _arc_out_of_range,
+    _assert_p4_cover,
     _cubic_without_perfect_matching,
     _random_system_with_k44_arcs,
     k44_reference_system,
+    prism,
 )
 from test_orientation import k5_arcs_all_into_vertex_0
 
@@ -26,6 +28,8 @@ from test_orientation import k5_arcs_all_into_vertex_0
 def run(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr()
+    # a command refuses its input before it prints its first line
+    assert code != 2 or out.out == "", f"exit 2 after printing {out.out!r}"
     return code, out.out, out.err
 
 
@@ -706,6 +710,15 @@ def test_decompose(capsys):
     assert len(json.loads(out)["paths"]) == 5
 
 
+def test_decompose_a_graph_deeper_than_the_recursion_limit(tmp_path, capsys):
+    # the recursive matching search went one call deeper per matched edge,
+    # so this 2 400-vertex prism ended in a RecursionError traceback
+    g = prism(1200)
+    code, out, err = run(capsys, "decompose", "--input", _written(tmp_path, g.to_json()))
+    assert code == 0
+    _assert_p4_cover(g, [tuple(p) for p in json.loads(out)["paths"]])
+
+
 _COMMANDS = ("build", "decompose", "profile", "simulate", "store", "repair", "export-dot")
 
 
@@ -811,20 +824,23 @@ REJECTED_INPUTS = {
         2, "digraph must have in-degree = out-degree = 2"),
     "policy-unknown-mode": (lambda t: ["build", "--catalog", "k5", "--policy", "foo"], 2, "foo"),
     "policy-non-integer-vertex": (
-        lambda t: ["build", "--catalog", "k5", "--policy", "crossed@x"], 2, "'x'"),
+        lambda t: ["build", "--catalog", "k5", "--policy", "crossed@x"],
+        2, "policy token 'crossed@x': vertex 'x' is not decimal digits"),
+    "policy-empty-vertex": (
+        lambda t: ["build", "--catalog", "k5", "--policy", "crossed@"],
+        2, "policy token 'crossed@': vertex '' is not decimal digits"),
     "policy-vertex-too-large": (
         lambda t: ["build", "--catalog", "k5", "--policy", "crossed@99"], 2, "99"),
     "policy-negative-vertex": (
         lambda t: ["build", "--catalog", "k5", "--policy", "parallel,crossed@-1"], 2, "-1"),
-    # a token that would go unread, or a vertex int() reads but that is
-    # not written in decimal digits
+    # a token that would go unread, or a vertex not written in decimal digits
     "policy-second-base-mode": (
         lambda t: ["build", "--catalog", "k5", "--policy", "parallel,crossed"], 2, "'crossed'"),
     "policy-second-mode-for-a-vertex": (
         lambda t: ["build", "--catalog", "k5", "--policy", "crossed@1,parallel@1"],
         2, "'parallel@1'"),
     "policy-vertex-with-prefix": (
-        lambda t: ["build", "--catalog", "k5", "--policy", "crossed@v1"], 2, "'v1'"),
+        lambda t: ["build", "--catalog", "k5", "--policy", "crossed@v1"], 2, "'crossed@v1'"),
     "policy-vertex-with-sign": (
         lambda t: ["build", "--catalog", "k5", "--policy", "crossed@+1"], 2, "'crossed@+1'"),
     "policy-vertex-with-space": (
@@ -844,6 +860,47 @@ def test_rejected_input_gives_exit_code_and_message(tmp_path, capsys, case):
     assert (code, out) == (want_code, "")
     assert err.startswith("error:") and named in err
     assert not (tmp_path / "state").exists()
+
+
+# id -> argv of a command that reads bad.json, or the state header
+# state/header.json, or with `--table1` the cage-7 file, which names bad.json
+MALFORMED_FILE_READERS = {
+    "build-input": ["build", "--input", "bad.json"],
+    "export-dot-input": ["export-dot", "--input", "bad.json"],
+    "decompose-input": ["decompose", "--input", "bad.json"],
+    "build-orientation": ["build", "--catalog", "k5", "--orientation", "bad.json"],
+    "profile-system": ["profile", "--system", "bad.json"],
+    "store-system": ["store", "--system", "bad.json", "--data", "sys.json", "--out", "state"],
+    "repair-system": ["repair", "--system", "bad.json", "--state", "state", "--erased", "0"],
+    "repair-header": ["repair", "--system", "sys.json", "--state", "state", "--erased", "0"],
+    "profile-table1-cage7": ["profile", "--table1"],
+}
+
+MALFORMED_CONTENTS = {
+    "empty": b"",
+    "null": b"null",
+    "empty-list": b"[]",
+    "string": b'"x"',
+    "nested-100000-deep": b"[" * 100_000 + b"]" * 100_000,
+    "not-utf8": b"\xff\xfe{",
+    "5000-digit-int": b"9" * 5000,
+    "nan-vertices": b'{"vertices": NaN, "edges": []}',
+}
+
+
+@pytest.mark.parametrize("content", sorted(MALFORMED_CONTENTS))
+@pytest.mark.parametrize("reader", sorted(MALFORMED_FILE_READERS))
+def test_every_file_reader_rejects_a_malformed_file(tmp_path, capsys, monkeypatch,
+                                                     reader, content):
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setenv(graphdss.catalog.CAGE7_ENV_VAR, "bad.json")
+    _k44_system_file(tmp_path)
+    (tmp_path / "state").mkdir()
+    for path in ("bad.json", "state/header.json"):
+        (tmp_path / path).write_bytes(MALFORMED_CONTENTS[content])
+    code, out, err = run(capsys, *MALFORMED_FILE_READERS[reader])
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
 
 
 # id -> (argv run in a directory that holds the k44 graph g.json and the

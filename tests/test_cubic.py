@@ -236,6 +236,62 @@ def test_decompose_random_cubic(seed):
     _assert_p4_cover(g, decompose_p4(g))
 
 
+def _p4_pinned_graph(name: str) -> Graph:
+    if name == "petersen":
+        return petersen().graph
+    if name.startswith("cage"):
+        g = cage(int(name[4])).graph
+        return build_cubic(orient_from_tour(g, eulerian_tour(g)), PairingMode.PARALLEL).cubic
+    return random_cubic(int(name.split("-")[1]), 1)
+
+
+# SHA-256 of json.dumps(decompose_p4(g)), taken from the recursive matching
+# search: the stack-based search must try matchings in the same order
+DECOMPOSE_P4_DIGESTS = {
+    "petersen": "b3e2109bd5ddeaef890ada7e5257ce4172a9d349296db2be88bee742484a951e",
+    "cage3-block": "cfb976ab932821817698b885ac4b976dcb8b1a1076655c38c77d2fe5c1b03427",
+    "cage4-block": "28bbb7f28f4195884d16f9ab79708d9d02eda34b868fff3ad3aae5c25c703925",
+    "cage5-block": "67f1c65eabc631ef3925ca9490e69c0d44d65035fa5f5a9838e3b729421434eb",
+    "cage6-block": "35c47cb32c1e5f3a0ef2dc4fd66a5ae25a92890707547dc27a6bd5b1654f2815",
+    "random-20": "b36f1210de35a03b3fead0a7576d5b9dd6e805da8db6e85677f21b1bc285dc5b",
+    "random-22": "98fc698d53643f6bfc83034b7e0ce686186e531160822add03fda12e160e68c4",
+    "random-24": "441c81c919efe1ba0bb8d4f8f09a542208f3d9eafd4eee5b28feab31017c8ce3",
+    "random-26": "aac0308d83d25ab86f07dcfb3366011f1eb293ecd08c1a93eed983acd5423522",
+    "random-28": "5dc2ad7e6cfbcc9b9e15e4d83f9b37e1aeec2f06fd06e03f85d9737444e0f1f2",
+    "random-30": "e0ab4404a4f27e9588fb553ff9db1ec14d7f7b6b871e03ad4676ef8d47d1c2dc",
+    "random-32": "5e5f4520a82048cf6d52ecf5421cb6951a93763c253d8e2a6a6f5c428c47eabc",
+    "random-34": "06c5e20f74bfa694b8fe95ee5e9e9508cc5251d38e6a925a5b9fc897c1c89bc5",
+    "random-36": "322f905e0e6852a69d81df8bdea7cb7ce71c1515e313e8b8f624f9453c44a7bb",
+    "random-38": "f7079baa51fe1589efcc89baf8bf6043af1a5262d1318f051b35eb560a1bb721",
+    "random-40": "624eeaa5882321ee9770be69be0b55e92a04974ebc845cf78669ac7eb1db2d0e",
+    "random-42": "c5a0cc595ea14f11a50cc777d93e7a17d955dadf644ca982a6ea50826322cc08",
+    "random-44": "1735a374315b109209be9cae55a833ec1fa960144e44399d9077e7557dade4da",
+    "random-46": "c62617c675801c664c25a3225b320a170aca62490d60aac4c81b2831db155eeb",
+    "random-48": "2f0f172786492982ac5263f69a5d79edb9940e3a9d953067543a42c14f17f5d6",
+    "random-50": "a11c6fc122f9bb01dd962ef4fb6f18ba15dca419df682cc4cd51d35737915c1b",
+    "random-52": "c9870fd8fc6b9af96b8b315e6ccbe19a140a11cc6c701af06895e6e08512b58e",
+    "random-54": "29831f3b6ce611ddba54b54cf60a50fdaa06429d7dcbdb1537ff87d538fa8b13",
+    "random-56": "58bb3c1c859b2f14e02209b3be5872188da56892138b493b6b293ce7953cc3a7",
+    "random-58": "4ad56bed2e76823a2511921cbe46bf8c04d3ce5c906e02ec5bca5a466373d3b1",
+    "random-60": "d5552ab838c8623ff58dc470c1a0b0ff7d21943441a7e7bf89ae04fe56345763",
+}
+
+
+@pytest.mark.parametrize("name", sorted(DECOMPOSE_P4_DIGESTS))
+def test_decompose_p4_output_is_pinned(name):
+    paths = decompose_p4(_p4_pinned_graph(name))
+    assert hashlib.sha256(json.dumps(paths).encode()).hexdigest() == DECOMPOSE_P4_DIGESTS[name]
+
+
+def prism(k: int) -> Graph:
+    """The prism C_k x K2: two k-cycles, vertex i of one joined to vertex i
+    of the other; cubic, with the perfect matching of its k rungs."""
+    edges = [(i, (i + 1) % k) for i in range(k)]
+    edges += [(k + u, k + v) for u, v in edges] + [(i, k + i) for i in range(k)]
+    return Graph(2 * k, edges)
+
+
+
 def test_system_json_round_trip():
     sys = k44_reference_system()
     back = CubicSystem.from_json(sys.to_json())

@@ -26,6 +26,11 @@ output changed and why; list the row here too.  Changed so far:
   ints, so its `o2.json` step reads `error: arc 0 is not a list of 2 ints:
   [0, 1, 2]` in place of the CLI's own message, which named the file; the
   other three steps are unchanged.
+- error-policy: a `--policy` vertex that is not decimal digits is refused
+  before `int()` reads it, so the `crossed@x` step reads `error: policy
+  token 'crossed@x': vertex 'x' is not decimal digits` in place of `int()`'s
+  message, which named neither the token nor `--policy`; the other two
+  steps are unchanged.
 """
 
 import hashlib
@@ -132,6 +137,11 @@ ROWS = {
         {}, ["build --catalog pg23 --policy crossed --output sys.json",
              "profile --system sys.json"],
         "f2ff77446d9035ba8d0c19d40ccd76b72fc9ff6ca7edaff9a68ceee2c71bf34a"),
+    # a file whose policy mixes modes loads and is profiled
+    "profile-system-mixed-policy": (
+        {}, ["build --catalog k44 --policy parallel,crossed@4 --output sys.json",
+             "profile --system sys.json"],
+        "f5fa0978b8a814b0d7415575d3fb7b56eda2f44efda88c56210875e7eea85862"),
     "profile-table1": (
         {}, ["profile --table1"],
         "7f1e881d42d318c8c9f484aa24ea45ed739729c4382e78c7f2506bf0a1532404"),
@@ -225,7 +235,7 @@ ROWS = {
     "error-policy": (
         {}, ["build --catalog k5 --policy foo", "build --catalog k5 --policy crossed@x",
              "build --catalog k5 --policy crossed@99"],
-        "8b860f8cc0509725d82fab9a80a048534f6c3d3a44e2628d95d091ac08aadc01"),
+        "b79c7e7a031d6667e8e5d2f778c3fed52eeed3bf5c6a5f8f919c2b7c7489a851"),
     "error-simulate-options": (
         {}, ["simulate --catalog k5 --trials 0 --seed 1", "simulate --catalog k5",
              "simulate --catalog k5 --disks 9 --seed 1", "simulate --catalog k5 --disks 2"],
@@ -298,6 +308,8 @@ def _run_row(capsys, files, steps) -> str:
             continue
         code = main(argv)
         out = capsys.readouterr()
+        # a command refuses its input before it prints its first line
+        assert code != 2 or out.out == "", f"{step!r} exited 2 after printing {out.out!r}"
         add(f"{step}\n{code}".encode())
         add(out.out.encode())
         add(out.err.encode())
