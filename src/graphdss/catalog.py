@@ -16,8 +16,7 @@ from dataclasses import dataclass
 from typing import List, Optional, Set
 
 from .cubic import CubicSystem, PairingMode, build_cubic
-from .graphs import (Graph, declares_an_edgeless_vertex, degree_sequence, girth, is_connected,
-                     parse_json)
+from .graphs import Graph, degree_sequence, girth, is_connected, read_graph_file
 from .orientation import OrientedGraph
 
 CAGE7_ENV_VAR = "GRAPHDSS_CAGE7_FILE"
@@ -80,11 +79,10 @@ def cage(g: int) -> CatalogEntry:
 
     g=7 needs an external adjacency file (JSON graph format) because the
     67-vertex cage listing is too long to embed; the environment variable
-    named by CAGE7_ENV_VAR gives its path.  The file's graph must be
-    4-regular, of girth 7, connected and on 67 vertices, checked in that
-    order.  A file that declares more vertices than its edges have ends
-    (`declares_an_edgeless_vertex`) has a vertex of degree 0, so it is
-    rejected as not 4-regular before a Graph of the declared size is built.
+    named by CAGE7_ENV_VAR gives its path.  `read_graph_file` reads it, and
+    its graph must be 4-regular, of girth 7, connected and on 67 vertices,
+    checked in that order; CatalogError, its message prefixed `cage47: `,
+    for the first rule the file breaks.
     """
     if g == 3:
         return CatalogEntry("k5", complete_graph(5))
@@ -101,11 +99,10 @@ def cage(g: int) -> CatalogEntry:
                 "the 67-vertex (4,7)-cage is loaded from a JSON graph file; "
                 f"set ${CAGE7_ENV_VAR}"
             )
-        with open(path) as fh:
-            obj = parse_json(fh.read())
-        if declares_an_edgeless_vertex(obj):
-            raise CatalogError("cage47: not 4-regular")
-        graph = Graph.from_obj(obj)
+        try:
+            graph = read_graph_file(path, "graph file")
+        except ValueError as exc:
+            raise CatalogError(f"cage47: {exc}") from exc
         if any(d != 4 for d in degree_sequence(graph)):
             raise CatalogError("cage47: not 4-regular")
         gv = girth(graph)

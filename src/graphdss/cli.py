@@ -24,8 +24,7 @@ from .cubic import (
     build_cubic,
     decompose_p4,
 )
-from .graphs import (Graph, declares_an_edgeless_vertex, degree_sequence, is_connected,
-                     parse_json)
+from .graphs import Graph, degree_sequence, is_connected, read_graph_file, read_json_file
 from .orientation import eulerian_tour, load_orientation, orient_from_tour
 from .repair import RepairStrategy, UnrecoverableError, repair_disk, repair_disks
 
@@ -34,25 +33,22 @@ class UsageError(Exception):
     pass
 
 
-def _load_graph(args, regular: bool) -> Graph:
-    """The --catalog graph or the --input file's; UsageError if both are
-    given, as they name two graphs.  A command that needs a
-    regular graph rejects a file that declares more vertices than its edges
-    have ends (`declares_an_edgeless_vertex`), before a Graph of the
-    declared size is built: some vertex would have no edge."""
+def _load_graph(args) -> Graph:
+    """The --catalog graph or the --input file's (`read_graph_file`);
+    UsageError if both are given, as they name two graphs."""
     if args.catalog and args.input is not None:
         raise UsageError("--input cannot be given with --catalog")
     if args.catalog:
         return cat.by_name(args.catalog).graph
     if args.input is not None:
-        with open(args.input) as fh:
-            obj = parse_json(fh.read())
-        if regular and declares_an_edgeless_vertex(obj):
-            n, m = obj["vertices"], len(obj["edges"])
-            raise UsageError(f"input graph declares {n} vertices, but its {m} edges "
-                             f"have {2 * m} ends, so some vertex has no edge")
-        return Graph.from_obj(obj)
+        return read_graph_file(args.input, "input graph")
     raise UsageError("need --catalog or --input")
+
+
+def _load_system(path: str) -> CubicSystem:
+    """The system of the --system file (`CubicSystem.from_json`)."""
+    with open(path) as fh:
+        return CubicSystem.from_json(fh.read())
 
 
 def _parse_policy(text: Optional[str], n: int) -> Tuple[PairingMode, ...]:
@@ -85,7 +81,7 @@ def _parse_policy(text: Optional[str], n: int) -> Tuple[PairingMode, ...]:
 
 
 def _build_system(args) -> Tuple[CubicSystem, Graph]:
-    g = _load_graph(args, True)
+    g = _load_graph(args)
     if g.vertex_count == 0:
         raise UsageError("input graph has no vertices")
     degs = degree_sequence(g)
@@ -100,8 +96,7 @@ def _build_system(args) -> Tuple[CubicSystem, Graph]:
                 raise UsageError("--orientation reference is only pinned for --catalog k5")
             og = cat._K5_ORIENTATION
         else:
-            with open(args.orientation) as fh:
-                obj = parse_json(fh.read())
+            obj = read_json_file(args.orientation, "orientation file")
             if not isinstance(obj, dict) or not isinstance(obj.get("arcs"), list):
                 raise UsageError(f'orientation file {args.orientation} has no "arcs" list')
             og = load_orientation(g, obj["arcs"])
@@ -125,7 +120,7 @@ def cmd_build(args) -> int:
 
 
 def cmd_decompose(args) -> int:
-    g = _load_graph(args, True)
+    g = _load_graph(args)
     paths = decompose_p4(g)
     print(json.dumps({"paths": [list(p) for p in paths]}, indent=2))
     return 0
@@ -170,8 +165,7 @@ def cmd_profile(args) -> int:
         return 0 if ok else 1
 
     if args.system is not None:
-        with open(args.system) as fh:
-            sys_ = CubicSystem.from_json(fh.read())
+        sys_ = _load_system(args.system)
         g = sys_.source_graph
     else:
         sys_, g = _build_system(args)
@@ -262,8 +256,7 @@ def _disjoint_disk_sampler(sys_: CubicSystem):
 def cmd_store(args) -> int:
     if args.block_size < 0:
         raise UsageError(f"--block-size must be at least 0, got {args.block_size}")
-    with open(args.system) as fh:
-        sys_ = CubicSystem.from_json(fh.read())
+    sys_ = _load_system(args.system)
     with open(args.data, "rb") as fh:
         payload = fh.read()
     state.store(sys_, payload, args.out, args.block_size)
@@ -272,8 +265,7 @@ def cmd_store(args) -> int:
 
 
 def cmd_repair(args) -> int:
-    with open(args.system) as fh:
-        sys_ = CubicSystem.from_json(fh.read())
+    sys_ = _load_system(args.system)
     m = sys_.cubic.edge_count
     items = [x.strip() for x in args.erased.split(",")]
     if not all(x.isascii() and x.isdigit() for x in items):
@@ -294,7 +286,7 @@ def cmd_repair(args) -> int:
 
 
 def cmd_export_dot(args) -> int:
-    g = _load_graph(args, False)
+    g = _load_graph(args)
     print(g.to_dot())
     return 0
 
@@ -359,8 +351,9 @@ def main(argv: Optional[List[str]] = None) -> int:
     try:
         return args.func(args)
     except (UsageError, OSError, ValueError) as exc:
-        # ValueError covers JSONDecodeError and every rejected-input error
-        # of the library (GraphError, InvalidSystemError, NotCubicError, ...)
+        # ValueError covers a file that is not UTF-8 or not JSON and every
+        # rejected-input error of the library (GraphError, InvalidSystemError,
+        # NotCubicError, ...)
         print(f"error: {exc}", file=_sys.stderr)
         return 2
     except (UnrecoverableError, DecompositionFailure) as exc:

@@ -60,9 +60,12 @@ class EdgeSubset:
 
 
 def int_tuples(items, length: int, what: str) -> List[Tuple[int, ...]]:
-    """The entries of a list as tuples; TypeError naming the first entry,
-    by index and value, that is not a list or tuple of exactly `length`
-    ints.  A bool is not an int here."""
+    """The entries of a list as tuples; TypeError if `items` is not a list
+    or tuple (an empty object or string would read as no entries), then
+    naming the first entry, by index and value, that is not a list or tuple
+    of exactly `length` ints.  A bool is not an int here."""
+    if not isinstance(items, (list, tuple)):
+        raise TypeError(f"{what} list is not a list: {items!r}")
     out = []
     for i, x in enumerate(items):
         if not (isinstance(x, (list, tuple)) and len(x) == length
@@ -82,14 +85,30 @@ def parse_json(text):
         raise ValueError("JSON nested too deeply to parse") from None
 
 
-def declares_an_edgeless_vertex(obj) -> bool:
-    """True iff a parsed graph file declares an int count of vertices that
-    exceeds the ends of its edge list, so that some vertex has no edge.
-    Read from the parsed object alone, before a Graph of the declared size
-    is built; False for a file too malformed to tell, which
-    `Graph.from_obj` then rejects."""
+def read_json_file(path: str, role: str):
+    """The parsed JSON document of the file at `path`.  OSError from opening
+    or reading the file passes through unchanged; a file that is not UTF-8
+    JSON raises ValueError naming the file's `role` and its path."""
+    with open(path) as fh:
+        try:
+            return parse_json(fh.read())
+        except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError or too deep
+            raise ValueError(f"{role} {path} is not valid JSON: {exc}") from None
+
+
+def read_graph_file(path: str, role: str) -> Graph:
+    """The graph of a JSON graph file from outside the program, the one
+    reader of `--input` and cage-7 files.  After `read_json_file`, a file
+    that declares an int count of vertices above the ends of its edge list
+    has a vertex with no edge, so GraphError refuses it from the counts
+    alone, before a Graph of the declared size is built; anything else is
+    left to `Graph.from_obj`."""
+    obj = read_json_file(path, role)
     n, edges = (obj.get("vertices"), obj.get("edges")) if isinstance(obj, dict) else (0, [])
-    return type(n) is int and isinstance(edges, list) and n > 2 * len(edges)
+    if type(n) is int and isinstance(edges, list) and n > 2 * len(edges):
+        raise GraphError(f"{role} declares {n} vertices, but its {len(edges)} edges have "
+                         f"{2 * len(edges)} ends, so some vertex has no edge")
+    return Graph.from_obj(obj)
 
 
 class Graph:

@@ -86,7 +86,9 @@ def test_cage7_rejects_a_file_with_more_vertices_than_edge_ends_before_building_
     path.write_text(json.dumps({"vertices": 10**9, "edges": [[0, 1]]}))
     monkeypatch.setenv("GRAPHDSS_CAGE7_FILE", str(path))
     monkeypatch.setattr(Graph, "__init__", no_graph)
-    with pytest.raises(CatalogError, match="^cage47: not 4-regular$"):
+    with pytest.raises(CatalogError, match=r"^cage47: graph file declares 1000000000 vertices, "
+                                           r"but its 1 edges have 2 ends, so some vertex has no "
+                                           r"edge$"):
         cage(7)
 
 

@@ -793,11 +793,11 @@ REJECTED_INPUTS = {
         lambda t: ["export-dot", "--input", _written(t, "not json")], 2, "Expecting"),
     "export-dot-label-not-a-string": (
         lambda t: ["export-dot", "--input", _written(
-            t, '{"vertices": 2, "edges": [], "vertex_labels": [null, {"x": 1}]}')],
+            t, '{"vertices": 2, "edges": [[0, 1]], "vertex_labels": [null, {"x": 1}]}')],
         2, "vertex label 0 is not a string: None"),
     "export-dot-labels-not-a-list": (
         lambda t: ["export-dot", "--input", _written(
-            t, '{"vertices": 2, "edges": [], "vertex_labels": "ab"}')],
+            t, '{"vertices": 2, "edges": [[0, 1]], "vertex_labels": "ab"}')],
         2, "vertex_labels is not a list: 'ab'"),
     "build-self-loop": (
         lambda t: ["build", "--input", _written(t, '{"vertices": 2, "edges": [[0, 0]]}')],
@@ -1001,6 +1001,10 @@ HUGE = 10**30
     (["simulate", "--input", "g.json", "--seed", "1"], f"declares {HUGE} vertices"),
     (["decompose", "--input", "g.json"], f"declares {HUGE} vertices"),
     (["profile", "--system", "sys.json"], f"2 disks need 4 graph vertices, not {HUGE}"),
+    (["export-dot", "--input", "g.json"], f"declares {HUGE} vertices, but its 2 edges have 4 ends"),
+    (["export-dot", "--input", "labelled.json"], f"declares {HUGE} vertices"),
+    # an edge list that is an object, not a list, has no ends to count
+    (["build", "--input", "object.json"], "edge list is not a list: {}"),
 ])
 def test_declared_vertex_count_is_checked_before_a_graph_is_built(
         tmp_path, capsys, monkeypatch, argv, named):
@@ -1016,6 +1020,9 @@ def test_declared_vertex_count_is_checked_before_a_graph_is_built(
     monkeypatch.setattr(graphdss.graphs.Graph, "__init__", small_only)
     monkeypatch.chdir(tmp_path)
     (tmp_path / "g.json").write_text('{"vertices": %d, "edges": [[0, 1], [1, 2]]}' % HUGE)
+    (tmp_path / "labelled.json").write_text(
+        '{"vertices": %d, "edges": [[0, 1], [1, 2]], "vertex_labels": ["a"]}' % HUGE)
+    (tmp_path / "object.json").write_text('{"vertices": %d, "edges": {}}' % HUGE)
     (tmp_path / "sys.json").write_text(json.dumps(
         {"vertices": HUGE, "edges": [[0, 1], [1, 2], [2, 3]],
          "disks": [[0, 1, 2, 3], [4, 5, 6, 7]], "disk_owner": [0, 1],
@@ -1023,3 +1030,20 @@ def test_declared_vertex_count_is_checked_before_a_graph_is_built(
     code, out, err = run(capsys, *argv)
     assert code == 2
     assert err.startswith("error:") and named in err
+
+
+@pytest.mark.parametrize("argv,named", [
+    (["build", "--input", "bad.json"], "input graph bad.json"),
+    (["export-dot", "--input", "bad.json"], "input graph bad.json"),
+    (["build", "--catalog", "k5", "--orientation", "bad.json"], "orientation file bad.json"),
+    (["profile", "--table1"], "cage47: graph file bad.json"),
+], ids=["build-input", "export-dot-input", "orientation", "profile-table1-cage7"])
+def test_a_file_that_is_not_json_is_named_with_its_role(tmp_path, capsys, monkeypatch,
+                                                        argv, named):
+    # json's own message named neither the file nor what it was read as
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setenv(graphdss.catalog.CAGE7_ENV_VAR, "bad.json")
+    (tmp_path / "bad.json").write_text("")
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err == f"error: {named} is not valid JSON: Expecting value: line 1 column 1 (char 0)\n"

@@ -10,8 +10,8 @@ from hypothesis import given, settings, strategies as st
 from graphdss.catalog import cage, complete_graph, petersen, random_4_regular, random_cubic
 from graphdss.cubic import PairingMode, build_cubic
 from graphdss.graphs import (
-    EdgeSubset, Graph, GraphError, declares_an_edgeless_vertex, degree_sequence, girth,
-    is_connected, shortest_cycle, two_core,
+    EdgeSubset, Graph, GraphError, degree_sequence, girth, is_connected, read_graph_file,
+    shortest_cycle, two_core,
 )
 
 from graphdss.orientation import eulerian_tour, orient_from_tour
@@ -33,8 +33,20 @@ PETERSEN = petersen().graph
     ({"edges": []}, False),
     ([5, []], False),
 ])
-def test_declares_an_edgeless_vertex(obj, edgeless):
-    assert declares_an_edgeless_vertex(obj) is edgeless
+def test_declares_an_edgeless_vertex(tmp_path, monkeypatch, obj, edgeless):
+    # the reader refuses a file whose declared vertices outnumber its edge
+    # ends from the counts alone; any other file goes to Graph.from_obj
+    passed = []
+    monkeypatch.setattr(Graph, "from_obj", classmethod(lambda cls, o: passed.append(o)))
+    path = tmp_path / "g.json"
+    path.write_text(json.dumps(obj))
+    if edgeless:
+        with pytest.raises(GraphError, match=f"^input graph declares {obj['vertices']} vertices, "
+                                             f"but its {len(obj['edges'])} edges"):
+            read_graph_file(str(path), "input graph")
+    else:
+        read_graph_file(str(path), "input graph")
+    assert passed == ([] if edgeless else [obj])
 
 
 def test_degree_sequence_k5():
@@ -308,6 +320,8 @@ NON_INT_GRAPH_FILES = [
     ('{"vertices": 5, "edges": [[0, 1.0]]}', "edge 0 is not a list of 2 ints: [0, 1.0]"),
     ('{"vertices": 3, "edges": [[true, 2]]}', "edge 0 is not a list of 2 ints: [True, 2]"),
     ('{"vertices": true, "edges": []}', "vertices is not an int: True"),
+    ('{"vertices": 3, "edges": {}}', "edge list is not a list: {}"),
+    ('{"vertices": 3, "edges": ""}', "edge list is not a list: ''"),
     ('{"vertices": 2, "edges": [], "vertex_labels": [null, {"x": 1}]}',
      "vertex label 0 is not a string: None"),
     ('{"vertices": 2, "edges": [], "vertex_labels": ["a", {"x": 1}]}',

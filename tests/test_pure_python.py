@@ -111,3 +111,23 @@ def test_blocks_convert_in_one_reader_and_one_writer():
     # fill_edges alone writes a block back to bytes
     calls = sorted(c for p in SOURCES for c in _byte_conversions(p))
     assert calls == [("code.py", "from_bytes"), ("code.py", "to_bytes")]
+
+
+def _called_names(path: Path):
+    """The name of the function or method of each call in a module."""
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if isinstance(node, ast.Call):
+            func = node.func
+            yield func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+
+
+def test_graph_files_are_parsed_by_one_reader():
+    # the CLI and the catalog read a graph file through
+    # graphs.read_graph_file, which refuses a declared vertex count above the
+    # edges' ends before Graph.from_obj builds anything; system files and
+    # state headers have their own readers
+    calls = sorted((p.name, name) for p in SOURCES for name in _called_names(p)
+                   if name in ("parse_json", "loads", "from_obj"))
+    assert calls == [("cubic.py", "parse_json"), ("graphs.py", "from_obj"),
+                     ("graphs.py", "loads"), ("graphs.py", "parse_json"),
+                     ("state.py", "parse_json")]

@@ -31,6 +31,14 @@ output changed and why; list the row here too.  Changed so far:
   token 'crossed@x': vertex 'x' is not decimal digits` in place of `int()`'s
   message, which named neither the token nor `--policy`; the other two
   steps are unchanged.
+- error-graph-json, error-graph-edges: every `--input` file is read by
+  `graphs.read_graph_file`, so `export-dot` applies the declared-count
+  rule of the other commands and a file that is not JSON is named: the
+  `a.json` step reads `error: input graph a.json is not valid JSON: ...`
+  in place of json's bare message, and the `export-dot --input c.json` and
+  `export-dot --input bool.json` steps read `error: input graph declares 3
+  vertices, but its 1 edges have 2 ends, so some vertex has no edge` in
+  place of the bad edge's message; the other steps are unchanged.
 """
 
 import hashlib
@@ -202,7 +210,7 @@ ROWS = {
          "d.json": b'{"vertices": 2, "edges": [[0, 0]]}'},
         ["build --input a.json", "build --input b.json", "export-dot --input c.json",
          "build --input d.json"],
-        "0743f348a78b2f3919bf6573b3c44ff8f25b1081f49217ba068105aef9413836"),
+        "c4b51931bdefbcbd837759a079d2244ece837e5cd9b7134fe6f2c314e916fcf3"),
     "error-graph-edges": (
         {"three.json": b'{"vertices": 5, "edges": [[0, 1, 2]]}',
          "one.json": b'{"vertices": 5, "edges": [[0]]}',
@@ -211,7 +219,7 @@ ROWS = {
          "sys.json": _k44_system_with_true().encode()},
         ["build --input three.json", "build --input one.json", "build --input float.json",
          "export-dot --input bool.json", "profile --system sys.json"],
-        "684b254780d6b4aef6e7685bde8985d264b7c60797c0f79f6060793ecd19c100"),
+        "bdb64ce4add2488e0f8b3dce0c416a8a19d980cde04d8ccde8daac49eabed112"),
     "error-graph-edges-within-count": (
         {"three.json": b'{"vertices": 2, "edges": [[0, 1, 2]]}',
          "float.json": b'{"vertices": 2, "edges": [[0, 1.0]]}',
