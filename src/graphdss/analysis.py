@@ -105,6 +105,13 @@ def profile(sys: CubicSystem, g4: Graph) -> SystemProfile:
     nonzero codeword is an edge-disjoint union of cycles, so the distance
     is girth(B).  For a connected B the incidence matrix has rank
     n_B - 1, so the dimension is m - n_B + 1 (as in `derive_code`).
+
+    Precondition, not checked: `sys` is a star layout of `g4` (what
+    `check_star_layout` proves), as for a system built from `g4` or one
+    paired with its `source_graph`.  The guarantee is read off girth(g4)
+    alone, so another graph gives a wrong row: the 5-disk K5 system with
+    the (4,5)-cage claims 4 disk erasures, where `verify_recovery_bound`
+    refuses the pair.
     """
     block = sys.cubic
     if block.vertex_count == 0:

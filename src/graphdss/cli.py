@@ -46,9 +46,8 @@ def _load_graph(args) -> Graph:
 
 
 def _load_system(path: str) -> CubicSystem:
-    """The system of the --system file (`CubicSystem.from_json`)."""
-    with open(path) as fh:
-        return CubicSystem.from_json(fh.read())
+    """The system of the --system file (`CubicSystem.from_obj`)."""
+    return CubicSystem.from_obj(read_json_file(path, "system file"))
 
 
 def _parse_policy(text: Optional[str], n: int) -> Tuple[PairingMode, ...]:

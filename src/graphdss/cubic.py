@@ -17,7 +17,7 @@ from enum import Enum
 from functools import cached_property
 from typing import Dict, Iterator, List, Optional, Tuple, Union
 
-from .graphs import EdgeSubset, Graph, GraphError, degree_sequence, int_tuples, parse_json
+from .graphs import EdgeSubset, Graph, GraphError, degree_sequence, int_tuples
 from .orientation import OrientedGraph
 
 
@@ -26,11 +26,6 @@ class PairingMode(Enum):
     # Crossed:  min-In with max-Out, max-In with min-Out.
     PARALLEL = "parallel"
     CROSSED = "crossed"
-
-
-# each mode by its value: a file's policy costs one dict hit per vertex,
-# where PairingMode(value) costs an enum call
-_MODES = {m.value: m for m in PairingMode}
 
 
 class NotTwoInTwoOutError(ValueError):
@@ -42,7 +37,7 @@ class NotCubicError(ValueError):
 
 
 class InvalidSystemError(ValueError):
-    """A system file that does not parse, whose disks do not decompose its
+    """A system file that is malformed, whose disks do not decompose its
     graph, or whose disks are not the ones its policy pairs."""
 
 
@@ -72,7 +67,7 @@ class CubicSystem:
 
         `build_cubic` fills every entry as it builds the system: it appends
         disk v's path pairs as edges 3v, 3v+1 and 3v+2, so the triples are
-        known without a lookup.  A system from `from_json` or the bare
+        known without a lookup.  A system from `from_obj` or the bare
         constructor starts empty, and `disk_edges(d)` looks disk d up on
         its first call.  Only lookups that succeed are kept, so a system
         whose disks are not paths of its graph still constructs, and its
@@ -114,7 +109,7 @@ class CubicSystem:
     def to_json(self) -> str:
         """The system file: the block graph's vertex count and edges, then
         the disks, owners, arc names and the policy, if any.  No vertex
-        labels: `from_json` reads none, and no block graph it or
+        labels: `from_obj` reads none, and no block graph it or
         `build_cubic` makes has any."""
         obj = {"vertices": self.cubic.vertex_count, "edges": self.cubic.edges,
                "disks": self.disks, "disk_owner": self.disk_owner, "arc_names": self.arc_names}
@@ -123,17 +118,17 @@ class CubicSystem:
         return json.dumps(obj, indent=2)
 
     @classmethod
-    def from_json(cls, text: str) -> "CubicSystem":
-        """Load a system file; InvalidSystemError unless it parses, its arc
-        names form a simple graph, `check_star_layout` proves it a star
-        layout of that graph, and, if it names a policy, each disk is, in
-        either direction, the disk that `_pair_arcs`, `build_cubic`'s own
-        pairing, gives its owner under that policy.  The star check has
-        shown every vertex 2 in-arcs and 2 out-arcs, so the pairing applies.
-        The pairing builds no graph: the load builds only the block graph
-        and the source graph."""
+    def from_obj(cls, obj) -> "CubicSystem":
+        """The system of a parsed system file (`graphs.read_json_file` reads
+        the file); InvalidSystemError unless its keys hold entries of the
+        right shape, its arc names form a simple graph, `check_star_layout`
+        proves it a star layout of that graph, and, if it names a policy,
+        each disk is, in either direction, the disk that `_pair_arcs`,
+        `build_cubic`'s own pairing, gives its owner under that policy.  The
+        star check has shown every vertex 2 in-arcs and 2 out-arcs, so the
+        pairing applies.  The pairing builds no graph: the load builds only
+        the block graph and the source graph."""
         try:
-            obj = parse_json(text)
             vertex_count = obj["vertices"]
             edges = int_tuples(obj["edges"], 2, "edge")
             disks = tuple(int_tuples(obj["disks"], 4, "disk"))
@@ -145,18 +140,15 @@ class CubicSystem:
             policy = None
             if "policy" in obj:
                 # PairingMode raises the ValueError for a value that is no mode
-                policy = tuple(_MODES[m] if type(m) is str and m in _MODES else PairingMode(m)
-                               for m in obj["policy"])
-            # checked before the graph is built, whose size it declares
+                policy = tuple(PairingMode(m) for m in obj["policy"])
+            # the count is checked before the graph is built, whose size it
+            # declares: no graph (None) for a count that is not 2n
             n = len(disks)
-            if vertex_count != 2 * n:
-                raise InvalidSystemError(
-                    f"{n} disks need {2 * n} graph vertices, not {vertex_count}")
-            g = Graph(vertex_count, edges)
-        except InvalidSystemError:
-            raise
+            g = Graph(vertex_count, edges) if vertex_count == 2 * n else None
         except (ValueError, KeyError, TypeError) as exc:
             raise InvalidSystemError(f"malformed system file: {exc!r}") from exc
+        if g is None:
+            raise InvalidSystemError(f"{n} disks need {2 * n} graph vertices, not {vertex_count}")
         system = cls(g, disks, disk_owner, arc_names, policy)
         try:
             system.source_graph  # built once here, and kept for the caller
@@ -185,7 +177,7 @@ def _pair_arcs(arcs: Tuple[Tuple[int, int], ...],
     middle pair {a,b} always exists; Parallel adds {a,c} and {b,d} (disk
     path c-a-b-d), Crossed adds {a,d} and {b,c}.  The path runs from its
     end arc with the smaller (tail, head).  The one pairing rule:
-    `build_cubic` builds from it and `CubicSystem.from_json` checks a
+    `build_cubic` builds from it and `CubicSystem.from_obj` checks a
     file's policy with it.
     """
     ins: List[List[int]] = [[] for _ in policy]

@@ -75,25 +75,22 @@ def int_tuples(items, length: int, what: str) -> List[Tuple[int, ...]]:
     return out
 
 
-def parse_json(text):
-    """`json.loads(text)`, but a document nested too deeply for the parser
-    raises ValueError, as any other document it cannot read does, in place
-    of RecursionError; so every file reader rejects it as a bad parse."""
-    try:
-        return json.loads(text)
-    except RecursionError:
-        raise ValueError("JSON nested too deeply to parse") from None
-
-
 def read_json_file(path: str, role: str):
-    """The parsed JSON document of the file at `path`.  OSError from opening
-    or reading the file passes through unchanged; a file that is not UTF-8
-    JSON raises ValueError naming the file's `role` and its path."""
-    with open(path) as fh:
-        try:
-            return parse_json(fh.read())
-        except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError or too deep
-            raise ValueError(f"{role} {path} is not valid JSON: {exc}") from None
+    """The parsed JSON document of the file at `path`, the one parse of a
+    JSON file from outside the program.  The bytes are decoded as UTF-8
+    (RFC 8259), so the locale decides nothing.  OSError from opening or
+    reading the file passes through unchanged; a file that is not UTF-8
+    JSON, or is nested too deeply for the parser, raises ValueError naming
+    the file's `role` and its path."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        return json.loads(data.decode("utf-8"))
+    except RecursionError:
+        reason = "JSON nested too deeply to parse"
+    except ValueError as exc:  # UnicodeDecodeError or JSONDecodeError
+        reason = str(exc)
+    raise ValueError(f"{role} {path} is not valid JSON: {reason}")
 
 
 def read_graph_file(path: str, role: str) -> Graph:

@@ -16,11 +16,11 @@ old contents or all of its new ones.  `store` removes a stale header
 first, then the block files of a longer stripe (every `block_NNNNN.bin`
 of index m or more, and no other name), writes the blocks next and the
 header last, so a directory without a header holds no complete stripe
-and a stored one holds no other stripe's blocks.  `repair` checks the
-header, then the size of every surviving block, then opens only the
-helper blocks that its peel schedule reads; it writes the erased blocks
-back only if the peel leaves no residual.  Every rejection is a
-`StateError`.
+and a stored one holds no other stripe's blocks.  `repair` reads the
+header through `graphs.read_json_file`, as UTF-8 JSON, and checks it,
+then the size of every surviving block, then opens only the helper
+blocks that its peel schedule reads; it writes the erased blocks back
+only if the peel leaves no residual.  Every rejection is a `StateError`.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ from typing import Iterable
 
 from .code import ParityCode, StorageState, derive_code, encode
 from .cubic import CubicSystem
-from .graphs import EdgeSubset, parse_json
+from .graphs import EdgeSubset, read_json_file
 from .repair import RepairReport, peel, repair_state
 
 
@@ -93,11 +93,10 @@ def store(system: CubicSystem, payload: bytes, directory: str, block_size: int) 
 def repair(system: CubicSystem, directory: str, erased: Iterable[int]) -> RepairReport:
     """Rebuild the `erased` blocks in `directory` and return the peel's report."""
     code = derive_code(system.cubic)
-    with open(os.path.join(directory, "header.json"), "rb") as fh:
-        try:
-            header = parse_json(fh.read())
-        except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError or too deep
-            raise StateError(f"state header is not valid JSON: {exc}")
+    try:
+        header = read_json_file(os.path.join(directory, "header.json"), "state header")
+    except ValueError as exc:
+        raise StateError(str(exc)) from None
     if not isinstance(header, dict):
         raise StateError("state header is not a JSON object")
     s = header.get("s")

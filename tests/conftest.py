@@ -33,7 +33,7 @@ PEEL_RULES = {"peel": RepairStrategy.MIN_ROUNDS,
 
 
 def load_by_rebuilding(text: str) -> CubicSystem:
-    """`CubicSystem.from_json` with its policy check as first written: the
+    """`CubicSystem.from_obj` with its policy check as first written: the
     file loads without its "policy" key, then `build_cubic` builds a whole
     second system from an `OrientedGraph` of the arc names under the
     policy, and each disk must equal, in either direction, the built disk
@@ -42,7 +42,7 @@ def load_by_rebuilding(text: str) -> CubicSystem:
     modes all parse."""
     obj = json.loads(text)
     modes = obj.pop("policy", None)
-    system = CubicSystem.from_json(json.dumps(obj))
+    system = CubicSystem.from_obj(obj)
     if modes is None:
         return system
     policy = tuple(PairingMode(m) for m in modes)

@@ -2,6 +2,8 @@ import argparse
 import json
 import os
 import random
+import subprocess
+import sys
 
 import pytest
 
@@ -299,7 +301,7 @@ def test_repair_reads_only_the_helper_blocks(tmp_path, capsys, monkeypatch):
     state_dir = tmp_path / "state"
     run(capsys, "store", "--system", str(sys_file), "--data", str(data_file),
         "--out", str(state_dir), "--block-size", "64")
-    sysm = CubicSystem.from_json(sys_file.read_text())
+    sysm = CubicSystem.from_obj(json.loads(sys_file.read_text()))
     lost = sysm.disk_edges(0)
     original = {e: (state_dir / f"block_{e:05d}.bin").read_bytes() for e in lost}
     for e in lost:
@@ -862,18 +864,24 @@ def test_rejected_input_gives_exit_code_and_message(tmp_path, capsys, case):
     assert not (tmp_path / "state").exists()
 
 
-# id -> argv of a command that reads bad.json, or the state header
-# state/header.json, or with `--table1` the cage-7 file, which names bad.json
+# id -> (argv of a command that reads bad.json, or the state header
+# state/header.json, or with `--table1` the cage-7 file, which names
+# bad.json; the role and path that its refusal of a file that is not JSON
+# names)
 MALFORMED_FILE_READERS = {
-    "build-input": ["build", "--input", "bad.json"],
-    "export-dot-input": ["export-dot", "--input", "bad.json"],
-    "decompose-input": ["decompose", "--input", "bad.json"],
-    "build-orientation": ["build", "--catalog", "k5", "--orientation", "bad.json"],
-    "profile-system": ["profile", "--system", "bad.json"],
-    "store-system": ["store", "--system", "bad.json", "--data", "sys.json", "--out", "state"],
-    "repair-system": ["repair", "--system", "bad.json", "--state", "state", "--erased", "0"],
-    "repair-header": ["repair", "--system", "sys.json", "--state", "state", "--erased", "0"],
-    "profile-table1-cage7": ["profile", "--table1"],
+    "build-input": (["build", "--input", "bad.json"], "input graph bad.json"),
+    "export-dot-input": (["export-dot", "--input", "bad.json"], "input graph bad.json"),
+    "decompose-input": (["decompose", "--input", "bad.json"], "input graph bad.json"),
+    "build-orientation": (["build", "--catalog", "k5", "--orientation", "bad.json"],
+                          "orientation file bad.json"),
+    "profile-system": (["profile", "--system", "bad.json"], "system file bad.json"),
+    "store-system": (["store", "--system", "bad.json", "--data", "sys.json", "--out", "state"],
+                     "system file bad.json"),
+    "repair-system": (["repair", "--system", "bad.json", "--state", "state", "--erased", "0"],
+                      "system file bad.json"),
+    "repair-header": (["repair", "--system", "sys.json", "--state", "state", "--erased", "0"],
+                      "state header " + os.path.join("state", "header.json")),
+    "profile-table1-cage7": (["profile", "--table1"], "cage47: graph file bad.json"),
 }
 
 MALFORMED_CONTENTS = {
@@ -887,6 +895,9 @@ MALFORMED_CONTENTS = {
     "nan-vertices": b'{"vertices": NaN, "edges": []}',
 }
 
+# the contents that no JSON parser reads, whatever the Python version
+NOT_JSON = {"empty", "nested-100000-deep", "not-utf8"}
+
 
 @pytest.mark.parametrize("content", sorted(MALFORMED_CONTENTS))
 @pytest.mark.parametrize("reader", sorted(MALFORMED_FILE_READERS))
@@ -898,9 +909,12 @@ def test_every_file_reader_rejects_a_malformed_file(tmp_path, capsys, monkeypatc
     (tmp_path / "state").mkdir()
     for path in ("bad.json", "state/header.json"):
         (tmp_path / path).write_bytes(MALFORMED_CONTENTS[content])
-    code, out, err = run(capsys, *MALFORMED_FILE_READERS[reader])
+    argv, named = MALFORMED_FILE_READERS[reader]
+    code, out, err = run(capsys, *argv)
     assert (code, out) == (2, "")
     assert err.startswith("error: ") and err.count("\n") == 1
+    if content in NOT_JSON:
+        assert err.startswith(f"error: {named} is not valid JSON: ")
 
 
 # id -> (argv run in a directory that holds the k44 graph g.json and the
@@ -1037,7 +1051,9 @@ def test_declared_vertex_count_is_checked_before_a_graph_is_built(
     (["export-dot", "--input", "bad.json"], "input graph bad.json"),
     (["build", "--catalog", "k5", "--orientation", "bad.json"], "orientation file bad.json"),
     (["profile", "--table1"], "cage47: graph file bad.json"),
-], ids=["build-input", "export-dot-input", "orientation", "profile-table1-cage7"])
+    (["profile", "--system", "bad.json"], "system file bad.json"),
+], ids=["build-input", "export-dot-input", "orientation", "profile-table1-cage7",
+        "profile-system"])
 def test_a_file_that_is_not_json_is_named_with_its_role(tmp_path, capsys, monkeypatch,
                                                         argv, named):
     # json's own message named neither the file nor what it was read as
@@ -1047,3 +1063,19 @@ def test_a_file_that_is_not_json_is_named_with_its_role(tmp_path, capsys, monkey
     code, out, err = run(capsys, *argv)
     assert (code, out) == (2, "")
     assert err == f"error: {named} is not valid JSON: Expecting value: line 1 column 1 (char 0)\n"
+
+
+def test_a_graph_file_is_read_as_utf8_whatever_the_locale(tmp_path):
+    """`build --input` of a UTF-8 K5 file with the label "é", in a fresh
+    interpreter under the C locale with UTF-8 mode off: a reader that
+    decoded by the locale would refuse it as ASCII."""
+    obj = json.loads(complete_graph(5).to_json())
+    obj["vertex_labels"] = ["é", "b", "c", "d", "e"]
+    path = tmp_path / "k5.json"
+    path.write_bytes(json.dumps(obj, ensure_ascii=False).encode("utf-8"))
+    env = dict(os.environ, LC_ALL="C", PYTHONCOERCECLOCALE="0", PYTHONUTF8="0",
+               PYTHONPATH=os.path.dirname(os.path.dirname(graphdss.__file__)))
+    done = subprocess.run([sys.executable, "-m", "graphdss.cli", "build", "--input", str(path)],
+                          env=env, capture_output=True)
+    assert done.returncode == 0, done.stderr
+    assert json.loads(done.stdout)["disk_owner"] == [0, 1, 2, 3, 4]

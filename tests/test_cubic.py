@@ -3,6 +3,7 @@ import functools
 import hashlib
 import json
 import random
+import re
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -16,7 +17,7 @@ from graphdss.catalog import (
     random_4_regular,
     random_cubic,
 )
-from graphdss.cli import _parse_policy
+from graphdss.cli import _load_system, _parse_policy
 from graphdss.cubic import (
     CubicSystem,
     DecompositionFailure,
@@ -294,7 +295,7 @@ def prism(k: int) -> Graph:
 
 def test_system_json_round_trip():
     sys = k44_reference_system()
-    back = CubicSystem.from_json(sys.to_json())
+    back = CubicSystem.from_obj(json.loads(sys.to_json()))
     assert back.disks == sys.disks
     assert back.arc_names == sys.arc_names
     assert back.cubic == sys.cubic
@@ -376,7 +377,7 @@ def test_system_json_rejects_inconsistent_system(corrupt):
     obj = json.loads(k44_reference_system().to_json())
     corrupt(obj)
     with pytest.raises(InvalidSystemError):
-        CubicSystem.from_json(json.dumps(obj))
+        CubicSystem.from_obj(obj)
 
 
 @pytest.mark.parametrize(
@@ -394,24 +395,24 @@ def test_system_json_star_check_message(corrupt, message):
     obj = json.loads(k44_reference_system().to_json())
     corrupt(obj)
     with pytest.raises(InvalidSystemError) as exc:
-        CubicSystem.from_json(json.dumps(obj))
+        CubicSystem.from_obj(obj)
     assert str(exc.value) == message
 
 
 def test_system_json_writes_no_vertex_labels():
     # no block graph that the library builds or loads has labels, and
-    # `from_json` reads none, so a bare system's labels are not written
+    # `from_obj` reads none, so a bare system's labels are not written
     sys = k44_reference_system()
     labelled = Graph(sys.cubic.vertex_count, sys.cubic.edges,
                      vertex_labels=[f"arc{i}" for i in range(sys.cubic.vertex_count)])
     text = CubicSystem(labelled, sys.disks, sys.disk_owner, sys.arc_names).to_json()
     assert "vertex_labels" not in json.loads(text)
-    assert CubicSystem.from_json(text).disks == sys.disks
+    assert CubicSystem.from_obj(json.loads(text)).disks == sys.disks
 
 
 def test_system_json_fills_the_disk_edge_table():
     # the star check looks each disk up once; pricing reuses the lookups
-    sys = CubicSystem.from_json(k44_reference_system().to_json())
+    sys = CubicSystem.from_obj(json.loads(k44_reference_system().to_json()))
     assert None not in sys._disk_edge_table
 
 
@@ -448,13 +449,16 @@ def test_system_json_names_a_malformed_entry(corrupt, named):
     obj = json.loads(k44_reference_system().to_json())
     corrupt(obj)
     with pytest.raises(InvalidSystemError, match="^malformed system file") as exc:
-        CubicSystem.from_json(json.dumps(obj))
+        CubicSystem.from_obj(obj)
     assert named in str(exc.value)
 
 
-def test_system_json_rejects_malformed_json():
-    with pytest.raises(InvalidSystemError):
-        CubicSystem.from_json(k44_reference_system().to_json()[:-2])
+def test_system_json_rejects_malformed_json(tmp_path):
+    # a system file is parsed by the one file reader, which names it
+    path = tmp_path / "sys.json"
+    path.write_bytes(k44_reference_system().to_json()[:-2].encode())
+    with pytest.raises(ValueError, match=f"^system file {re.escape(str(path))} is not valid JSON: "):
+        _load_system(str(path))
 
 
 @pytest.mark.parametrize(
@@ -468,7 +472,7 @@ def test_system_json_rejects_a_policy_its_disks_do_not_follow(modes, message):
     obj = json.loads(k5_reference_system("girth3").to_json())
     obj["policy"] = modes
     with pytest.raises(InvalidSystemError) as exc:
-        CubicSystem.from_json(json.dumps(obj))
+        CubicSystem.from_obj(obj)
     assert str(exc.value) == message
 
 
@@ -476,7 +480,7 @@ def test_system_json_accepts_its_policy_in_either_direction():
     sys = k5_reference_system("girth5")
     obj = json.loads(sys.to_json())
     obj["disks"] = [d[::-1] for d in obj["disks"]]
-    back = CubicSystem.from_json(json.dumps(obj))
+    back = CubicSystem.from_obj(obj)
     assert back.policy == sys.policy
     assert [d[::-1] for d in back.disks] == list(sys.disks)
 
@@ -486,7 +490,7 @@ def test_system_json_accepts_every_built_system():
         g = random_4_regular(12, seed)
         for mode in PairingMode:
             sys = build_cubic(orient_from_tour(g, eulerian_tour(g)), mode)
-            assert CubicSystem.from_json(sys.to_json()).disks == sys.disks
+            assert CubicSystem.from_obj(json.loads(sys.to_json())).disks == sys.disks
 
 
 def test_system_json_checks_its_policy_without_building_a_second_system(monkeypatch):
@@ -507,7 +511,7 @@ def test_system_json_checks_its_policy_without_building_a_second_system(monkeypa
     monkeypatch.setattr(Graph, "__init__", counting)
     monkeypatch.setattr(cubic, "build_cubic", refuse)
     monkeypatch.setattr(OrientedGraph, "__init__", refuse)
-    back = CubicSystem.from_json(text)
+    back = CubicSystem.from_obj(json.loads(text))
     assert built == [back.cubic, back.source_graph]
     assert back.policy[:4] == (PairingMode.CROSSED, PairingMode.PARALLEL, PairingMode.PARALLEL,
                                PairingMode.CROSSED)
@@ -548,7 +552,8 @@ def _verdict(load, text):
 @given(policy_files())
 @settings(max_examples=300, derandomize=True, deadline=None)
 def test_system_json_policy_check_matches_a_rebuilt_system(text):
-    assert _verdict(CubicSystem.from_json, text) == _verdict(load_by_rebuilding, text)
+    assert (_verdict(lambda t: CubicSystem.from_obj(json.loads(t)), text)
+            == _verdict(load_by_rebuilding, text))
 
 
 @pytest.mark.parametrize("vertex", [-1, 5])

@@ -42,7 +42,7 @@ def test_demo_runs(name, capsys):
 
 
 def test_readme_library_quick_start_runs(capsys):
-    text = (ROOT / "README.md").read_text()
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
     section = text[text.index("## Library quick start"):]
     block = re.search(r"```python\n(.*?)```", section, re.S).group(1)
     scope = {}

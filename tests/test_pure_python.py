@@ -121,13 +121,28 @@ def _called_names(path: Path):
             yield func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
 
 
-def test_graph_files_are_parsed_by_one_reader():
-    # the CLI and the catalog read a graph file through
-    # graphs.read_graph_file, which refuses a declared vertex count above the
-    # edges' ends before Graph.from_obj builds anything; system files and
-    # state headers have their own readers
-    calls = sorted((p.name, name) for p in SOURCES for name in _called_names(p)
-                   if name in ("parse_json", "loads", "from_obj"))
-    assert calls == [("cubic.py", "parse_json"), ("graphs.py", "from_obj"),
-                     ("graphs.py", "loads"), ("graphs.py", "parse_json"),
-                     ("state.py", "parse_json")]
+def _open_modes(path: Path):
+    """The mode of each `open(...)` call in a module: its second argument or
+    its `mode=` keyword, "r" if it has neither, None if it is not a string
+    literal."""
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "open":
+            mode = node.args[1] if len(node.args) > 1 else next(
+                (k.value for k in node.keywords if k.arg == "mode"), ast.Constant("r"))
+            yield mode.value if isinstance(mode, ast.Constant) else None
+
+
+def test_files_are_parsed_by_one_reader():
+    # graphs.read_json_file is the one parse of a JSON file from outside the
+    # program (graph, orientation, cage-7 and system files, state headers):
+    # it reads bytes and decodes them as UTF-8, and no file is read in text
+    # mode, whose decoding the locale would choose
+    names = [(p.name, name) for p in SOURCES for name in _called_names(p)]
+    assert sorted(c for c in names if c[1] in ("loads", "parse_json", "from_json")) == [
+        ("graphs.py", "loads")]
+    assert not [c for c in names if c[1] == "read_text"]
+    modes = [(p.name, mode) for p in SOURCES for mode in _open_modes(p)]
+    assert ("graphs.py", "rb") in modes
+    text_reads = [(name, mode) for name, mode in modes if mode is None or (
+        ("+" in mode or not set(mode) & set("wax")) and "b" not in mode)]
+    assert text_reads == []

@@ -94,7 +94,7 @@ def _shuffled_file_system():
     rng = random.Random("shuffled-edges")
     rng.shuffle(obj["edges"])
     obj["edges"] = [e[::-1] if rng.random() < 0.5 else e for e in obj["edges"]]
-    return CubicSystem.from_json(json.dumps(obj))
+    return CubicSystem.from_obj(obj)
 
 
 def _p4_system(g):

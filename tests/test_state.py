@@ -105,6 +105,22 @@ def test_a_header_without_the_system_key_is_checked_as_before(tmp_path):
     assert (tmp_path / "block_00000.bin").read_bytes() == stored
 
 
+@pytest.mark.parametrize("encode", [lambda text: b"\xff\xfe{",
+                                    lambda text: b"\xff\xfe" + text.encode("utf-16-le")],
+                         ids=["not-utf8", "utf16-header"])
+def test_a_header_that_is_not_utf8_json_is_a_state_error_naming_it(tmp_path, encode):
+    # the header is read as UTF-8 JSON, as every other file is; json's own
+    # guess of UTF-16 or UTF-32 from the bytes is not used
+    sys = _k44()
+    store(sys, _payload(9 * 8), str(tmp_path), 8)
+    header = tmp_path / "header.json"
+    header.write_bytes(encode(header.read_text()))
+    with pytest.raises(StateError) as exc:
+        repair(sys, str(tmp_path), [0])
+    assert str(exc.value).startswith(f"state header {header} is not valid JSON: 'utf-8' codec "
+                                     "can't decode byte 0xff in position 0")
+
+
 def test_an_unrecoverable_repair_returns_the_residual_and_writes_nothing(tmp_path):
     sys, _ = system_from_cage(3)
     store(sys, _payload(6 * 8), str(tmp_path), 8)
