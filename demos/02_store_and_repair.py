@@ -33,10 +33,11 @@ def main():
     print()
 
     victim = 3
+    lost = sysm.disk_edges(victim)
     broken = StorageState(state.block_size, dict(state.symbols))
-    for e in sysm.disk_edges(victim):
+    for e in lost:
         del broken.symbols[e]
-    print(f"disk {victim} failed, losing blocks {sysm.disk_edges(victim)}")
+    print(f"disk {victim} failed, losing blocks {', '.join(map(str, lost))}")
 
     report = repair_disk(sysm, victim, RepairStrategy.MIN_BANDWIDTH)
     print(f"repair schedule reads {report.transferred_symbols} intact blocks "

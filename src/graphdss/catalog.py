@@ -130,7 +130,7 @@ def petersen() -> CatalogEntry:
 
 # the pinned 5-disk example: one Eulerian orientation of K5 (0-indexed);
 # tier-1 tests prove it an orientation of complete_graph(5)
-_K5_ORIENTATION = OrientedGraph(5, (
+K5_ORIENTATION = OrientedGraph(5, (
     (0, 1), (0, 3), (1, 2), (1, 4), (2, 0),
     (2, 3), (3, 1), (3, 4), (4, 0), (4, 2),
 ))
@@ -153,7 +153,7 @@ def k5_reference_system(variant: str) -> CubicSystem:
         policy = PairingMode.PARALLEL
     else:
         raise CatalogError(f"unknown variant {variant!r}")
-    return build_cubic(_K5_ORIENTATION, policy)
+    return build_cubic(K5_ORIENTATION, policy)
 
 
 _CATALOG_BUILDERS = {

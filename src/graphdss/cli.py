@@ -93,7 +93,7 @@ def _build_system(args) -> Tuple[CubicSystem, Graph]:
         if args.orientation == "reference":
             if args.catalog != "k5":
                 raise UsageError("--orientation reference is only pinned for --catalog k5")
-            og = cat._K5_ORIENTATION
+            og = cat.K5_ORIENTATION
         else:
             obj = read_json_file(args.orientation, "orientation file")
             if not isinstance(obj, dict) or not isinstance(obj.get("arcs"), list):
@@ -285,8 +285,16 @@ def cmd_repair(args) -> int:
 
 
 def cmd_export_dot(args) -> int:
-    g = _load_graph(args)
-    print(g.to_dot())
+    # DOT text is UTF-8, so its bytes go out as UTF-8, whatever encoding the
+    # locale gives stdout; a stream with no byte buffer (a StringIO) takes
+    # the text
+    text = _load_graph(args).to_dot() + "\n"
+    out = _sys.stdout
+    if hasattr(out, "buffer"):
+        out.flush()
+        out.buffer.write(text.encode("utf-8"))
+    else:
+        out.write(text)
     return 0
 
 

@@ -41,6 +41,11 @@ class InvalidSystemError(ValueError):
     graph, or whose disks are not the ones its policy pairs."""
 
 
+class InvalidDiskError(IndexError, ValueError):
+    """A disk index outside 0..n-1: an IndexError of the disk table, and a
+    ValueError of the rejected input."""
+
+
 class DecompositionFailure(Exception):
     """The cubic graph has no perfect matching, hence no P4 decomposition."""
 
@@ -71,11 +76,11 @@ class CubicSystem:
         constructor starts empty, and `disk_edges(d)` looks disk d up on
         its first call.  Only lookups that succeed are kept, so a system
         whose disks are not paths of its graph still constructs, and its
-        bad disks raise on every call."""
+        bad disks raise on every call.  `disk_edges` is its one reader."""
         return [None] * len(self.disks)
 
     @cached_property
-    def _empty_edges(self) -> EdgeSubset:
+    def empty_edges(self) -> EdgeSubset:
         """The empty subset of the block graph's edges: one object, shared
         as the residual of every `repair_disk` report of this system."""
         return EdgeSubset(self.cubic.edge_count, 0)
@@ -85,18 +90,18 @@ class CubicSystem:
         """The source graph as the arc names give it: edge i is arc i."""
         return Graph(len(self.disks), self.arc_names)
 
-    def disk_edges(self, d: int) -> List[int]:
-        """The 3 cubic-graph edge indices of disk d, in path order;
-        IndexError naming d unless 0 <= d < the disk count."""
-        if not 0 <= d < len(self.disks):
-            raise IndexError(f"no disk {d}; disks are 0..{len(self.disks) - 1}")
-        p = self.disks[d]
-        edges = self._disk_edge_table[d]
+    def disk_edges(self, d: int) -> Tuple[int, int, int]:
+        """The 3 cubic-graph edge indices of disk d, in path order: the
+        triple the disk-edge table holds, not a copy.  InvalidDiskError
+        naming d unless 0 <= d < the disk count."""
+        table = self._disk_edge_table
+        if not 0 <= d < len(table):
+            raise InvalidDiskError(f"no disk {d}; disks are 0..{len(table) - 1}")
+        edges = table[d]
         if edges is None:
-            index = self.cubic.edge_index
-            edges = self._disk_edge_table[d] = (index(p[0], p[1]), index(p[1], p[2]),
-                                                index(p[2], p[3]))
-        return list(edges)
+            p, index = self.disks[d], self.cubic.edge_index
+            edges = table[d] = (index(p[0], p[1]), index(p[1], p[2]), index(p[2], p[3]))
+        return edges
 
     def edge_owner(self) -> List[int]:
         """Map cubic edge index -> owning disk index."""
@@ -241,13 +246,8 @@ def check_star_layout(sys: CubicSystem, g4: Graph) -> None:
     2n end and 2n middle slots once, and the arc names are g4's edges, each
     one once.  So a disk's 4 vertices differ and no 2 arcs lie on the same
     2 disks: the 3n path pairs are distinct, hence the block graph's 3n
-    edges, each on one disk.  The pass looks up only the disks whose triple
-    the system's disk-edge table does not hold yet.  A triple that
-    `build_cubic` filed is sound without a lookup: it appended exactly
-    those pairs as those edges, and `Graph` kept them in order; a triple
-    that `disk_edges` filed is one it found.  The message names the first
-    disk that fails.  O(n); the state is one bytearray and the system's
-    disk-edge table.
+    edges, each on one disk.  The message names the first disk that fails.
+    O(n); the state is one bytearray and the system's disk-edge table.
     """
     n, names, m = len(sys.disks), sys.arc_names, len(sys.arc_names)
     if len(sys.disk_owner) != n:
@@ -258,7 +258,7 @@ def check_star_layout(sys: CubicSystem, g4: Graph) -> None:
     if sys.cubic.edge_count != 3 * n:
         raise InvalidSystemError(
             f"{n} disks of 3 edges cannot cover a block graph of {sys.cubic.edge_count} edges")
-    owned, filed = bytearray(n), sys._disk_edge_table
+    owned = bytearray(n)
     for d, (path, v) in enumerate(zip(sys.disks, sys.disk_owner)):
         if len(path) != 4:
             raise InvalidSystemError(f"disk {d} has {len(path)} vertices, not 4: {list(path)}")
@@ -277,12 +277,11 @@ def check_star_layout(sys: CubicSystem, g4: Graph) -> None:
                 names[c][1], names[e][1], names[a][0], names[b][0]}:
             raise InvalidSystemError(
                 f"disk {d}: its arcs are not the 4 edges at vertex {v} of the source graph")
-        if filed[d] is None:
-            try:
-                sys.disk_edges(d)
-            except GraphError as exc:
-                raise InvalidSystemError(
-                    f"disk {d} is not a path of the block graph: {exc}") from exc
+        try:
+            sys.disk_edges(d)
+        except GraphError as exc:
+            raise InvalidSystemError(
+                f"disk {d} is not a path of the block graph: {exc}") from exc
 
 
 def verify_disk_decomposition(sys: CubicSystem) -> bool:

@@ -32,10 +32,6 @@ from .cubic import CubicSystem
 from .graphs import EdgeSubset
 
 
-class InvalidDiskError(ValueError):
-    pass
-
-
 class UnrecoverableError(Exception):
     """Erasure pattern contains a cycle; exact repair is impossible."""
 
@@ -183,8 +179,8 @@ def repair_disk(sys: CubicSystem, disk: int, strategy: RepairStrategy) -> Repair
     p0, p1, p3 they are p0-p1 and the chords p0-p3 and p1-p3 if present.
     So the count is the degree sum, less 2 disk edges (MIN_BANDWIDTH) or 1
     (MIN_ROUNDS), less each chord present, less 3.  The disk's 3 edges
-    come from the system's disk-edge table, which `build_cubic` fills, or
-    from one `disk_edges` lookup, which fills it.
+    are `sys.disk_edges(disk)`, which raises InvalidDiskError for a disk
+    outside the system.
 
     On a system of a simple G built by `build_cubic`, that count is 4 under
     MIN_BANDWIDTH and 5 under MIN_ROUNDS for every disk.  A disk is the
@@ -199,11 +195,8 @@ def repair_disk(sys: CubicSystem, disk: int, strategy: RepairStrategy) -> Repair
     min_bandwidth = strategy is RepairStrategy.MIN_BANDWIDTH
     if not min_bandwidth and strategy is not RepairStrategy.MIN_ROUNDS:
         raise ValueError(f"not a repair strategy: {strategy!r}")
-    if not 0 <= disk < len(sys.disks):
-        raise InvalidDiskError(f"no disk {disk}")
     g = sys.cubic
-    # the cached triple, or the first lookup, which fills the cache
-    e1, e2, e3 = sys._disk_edge_table[disk] or sys.disk_edges(disk)
+    e1, e2, e3 = sys.disk_edges(disk)
     p0, p1, p2, p3 = sys.disks[disk]
     at0, at1 = g.incident(p0), g.incident(p1)
     if min_bandwidth:
@@ -218,7 +211,7 @@ def repair_disk(sys: CubicSystem, disk: int, strategy: RepairStrategy) -> Repair
         for _, x in at0 + at1:  # the chords p0-p3 and p1-p3
             if x == p3:
                 reads -= 1
-    return RepairReport(schedule, reads, rounds, sys._empty_edges,
+    return RepairReport(schedule, reads, rounds, sys.empty_edges,
                         EdgeSubset(g.edge_count, 1 << e1 | 1 << e2 | 1 << e3))
 
 
@@ -229,11 +222,7 @@ def repair_disks(sys: CubicSystem, disks: Iterable[int]) -> RepairReport:
     For disks pairwise non-adjacent in the block graph B the transfer count
     is 4 per disk.
     """
-    edges: List[int] = []
-    for d in disks:
-        if not 0 <= d < len(sys.disks):
-            raise InvalidDiskError(f"no disk {d}")
-        edges.extend(sys.disk_edges(d))
+    edges = [e for d in disks for e in sys.disk_edges(d)]
     erased = EdgeSubset.from_indices(sys.cubic.edge_count, edges)
     return peel(sys, erased, RepairStrategy.MIN_BANDWIDTH)
 

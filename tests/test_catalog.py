@@ -7,7 +7,7 @@ import pytest
 
 import graphdss.catalog
 from graphdss.catalog import (
-    _K5_ORIENTATION,
+    K5_ORIENTATION,
     CatalogError,
     GenerationFailed,
     MissingDataFileError,
@@ -143,8 +143,8 @@ def test_hard_coded_graphs_are_what_the_catalog_claims(name, regularity, girth_,
 
 
 def test_pinned_k5_orientation_orients_k5():
-    assert load_orientation(complete_graph(5), _K5_ORIENTATION.arcs) == _K5_ORIENTATION
-    assert _K5_ORIENTATION.is_two_in_two_out()
+    assert load_orientation(complete_graph(5), K5_ORIENTATION.arcs) == K5_ORIENTATION
+    assert K5_ORIENTATION.is_two_in_two_out()
 
 
 def test_hard_coded_entries_are_built_without_checks(monkeypatch):

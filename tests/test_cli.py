@@ -817,7 +817,7 @@ REJECTED_INPUTS = {
     "orientation-arc-end-true": (
         lambda t: ["build", "--catalog", "k5", "--orientation", _written(t, json.dumps(
             {"arcs": [[True if v == 1 else v for v in a]
-                      for a in graphdss.catalog._K5_ORIENTATION.arcs]}))],
+                      for a in graphdss.catalog.K5_ORIENTATION.arcs]}))],
         2, "arc 0 is not a list of 2 ints: [0, True]"),
     # the arcs orient K5, so `load_orientation` takes them; `build_cubic` does not
     "orientation-not-two-in-two-out": (
@@ -1065,17 +1065,29 @@ def test_a_file_that_is_not_json_is_named_with_its_role(tmp_path, capsys, monkey
     assert err == f"error: {named} is not valid JSON: Expecting value: line 1 column 1 (char 0)\n"
 
 
-def test_a_graph_file_is_read_as_utf8_whatever_the_locale(tmp_path):
-    """`build --input` of a UTF-8 K5 file with the label "é", in a fresh
-    interpreter under the C locale with UTF-8 mode off: a reader that
-    decoded by the locale would refuse it as ASCII."""
+def _run_on_a_utf8_k5_file_in_the_c_locale(tmp_path, command):
+    """`graphdss <command> --input` of a UTF-8 K5 file with the label "é",
+    in a fresh interpreter under the C locale with UTF-8 mode off, whose
+    stdout and file reads would encode and decode as ASCII."""
     obj = json.loads(complete_graph(5).to_json())
     obj["vertex_labels"] = ["é", "b", "c", "d", "e"]
     path = tmp_path / "k5.json"
     path.write_bytes(json.dumps(obj, ensure_ascii=False).encode("utf-8"))
     env = dict(os.environ, LC_ALL="C", PYTHONCOERCECLOCALE="0", PYTHONUTF8="0",
                PYTHONPATH=os.path.dirname(os.path.dirname(graphdss.__file__)))
-    done = subprocess.run([sys.executable, "-m", "graphdss.cli", "build", "--input", str(path)],
+    return subprocess.run([sys.executable, "-m", "graphdss.cli", command, "--input", str(path)],
                           env=env, capture_output=True)
+
+
+def test_a_graph_file_is_read_as_utf8_whatever_the_locale(tmp_path):
+    # a reader that decoded by the locale would refuse the file as ASCII
+    done = _run_on_a_utf8_k5_file_in_the_c_locale(tmp_path, "build")
     assert done.returncode == 0, done.stderr
     assert json.loads(done.stdout)["disk_owner"] == [0, 1, 2, 3, 4]
+
+
+def test_export_dot_writes_utf8_whatever_the_locale(tmp_path):
+    # a print through the locale's stdout would refuse the label as ASCII
+    done = _run_on_a_utf8_k5_file_in_the_c_locale(tmp_path, "export-dot")
+    assert done.returncode == 0, done.stderr
+    assert '  0 [label="é"];' in done.stdout.decode("utf-8").splitlines()

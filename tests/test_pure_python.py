@@ -95,6 +95,37 @@ def test_only_graphs_reads_the_private_incidence():
     assert readers == set()
 
 
+def _private_reads_of_other_modules(path: Path):
+    """(module file, line, name) for each `x._name` load and each
+    `from ... import _name` in a module whose private name the module does
+    not define or assign itself: a function, class or method name, a
+    name assigned or an attribute stored."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    own = set()
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            own.add(node.name)
+        elif isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Load):
+            own.add(node.id)
+        elif isinstance(node, ast.Attribute) and not isinstance(node.ctx, ast.Load):
+            own.add(node.attr)
+    reads = [(node.lineno, node.attr) for node in ast.walk(tree)
+             if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)]
+    reads += [(node.lineno, alias.name) for node in ast.walk(tree)
+              if isinstance(node, ast.ImportFrom) for alias in node.names]
+    return {(path.name, line, name) for line, name in reads
+            if name.startswith("_") and not name.startswith("__") and name not in own}
+
+
+def test_no_module_reads_another_modules_private_names():
+    # a name with one leading underscore belongs to the module that defines
+    # it: `CubicSystem.disk_edges` is the one reader of the disk-edge
+    # table, and another module asks it, `empty_edges` or `K5_ORIENTATION`
+    assert SOURCES
+    reads = set().union(*(_private_reads_of_other_modules(p) for p in SOURCES))
+    assert reads == set()
+
+
 def _byte_conversions(path: Path):
     """(module file, method) for each call of `int.from_bytes` or of a
     `.to_bytes` method in a module."""

@@ -8,11 +8,10 @@ from hypothesis import given, settings, strategies as st
 
 from graphdss.catalog import complete_graph, k5_reference_system, random_4_regular, random_cubic
 from graphdss.code import StorageState, derive_code, encode
-from graphdss.cubic import CubicSystem, PairingMode, build_cubic, decompose_p4
+from graphdss.cubic import CubicSystem, InvalidDiskError, PairingMode, build_cubic, decompose_p4
 from graphdss.graphs import EdgeSubset, Graph, two_core
 from graphdss.orientation import eulerian_tour, orient_from_tour
 from graphdss.repair import (
-    InvalidDiskError,
     RepairReport,
     RepairStrategy,
     UnrecoverableError,
@@ -136,7 +135,7 @@ def test_repair_disk_equals_the_session_counter(name):
     sys = _oracle_system(name)
     g = sys.cubic
     if name == "shuffled-file":
-        assert any(sys.disk_edges(d) != [3 * d, 3 * d + 1, 3 * d + 2]
+        assert any(sys.disk_edges(d) != (3 * d, 3 * d + 1, 3 * d + 2)
                    for d in range(len(sys.disks)))
     if name == "k4-p4":
         assert [_chords(g, p) for p in sys.disks] == [3, 3]
@@ -218,14 +217,40 @@ def test_every_disk_of_a_simple_graph_prices_4_in_3_and_5_in_2(n, seed, data):
 
 def test_repair_disk_invalid_index():
     for disk in (99, 5, -1):
-        with pytest.raises(InvalidDiskError, match=f"^no disk {disk}$"):
+        with pytest.raises(InvalidDiskError, match=f"^no disk {disk}; disks are 0..4$"):
             repair_disk(k5_reference_system("girth5"), disk, RepairStrategy.MIN_BANDWIDTH)
 
 
 @pytest.mark.parametrize("disks, bad", [([0, 5], 5), ([-1], -1)])
 def test_repair_disks_rejects_an_unknown_disk(disks, bad):
-    with pytest.raises(InvalidDiskError, match=f"^no disk {bad}$"):
+    with pytest.raises(InvalidDiskError, match=f"^no disk {bad}; disks are 0..4$"):
         repair_disks(k5_reference_system("girth5"), disks)
+
+
+DISK_READERS = {
+    "disk_edges": lambda sys, d: sys.disk_edges(d),
+    "repair_disk": lambda sys, d: repair_disk(sys, d, RepairStrategy.MIN_ROUNDS),
+    "repair_disks": lambda sys, d: repair_disks(sys, [0, d]),
+}
+
+
+@pytest.mark.parametrize("reader", DISK_READERS)
+@pytest.mark.parametrize("built", [True, False], ids=["built", "loaded"])
+def test_every_disk_reader_refuses_an_index_outside_the_system(reader, built):
+    """`CubicSystem.disk_edges` owns the one range rule: each entry point
+    raises its InvalidDiskError, both an IndexError and a ValueError, for
+    -1 (which a list would read as the last disk) and for n, on a built
+    system and on a loaded one, and a valid disk's triple is one object."""
+    sys = k44_reference_system()
+    if not built:
+        sys = CubicSystem.from_obj(json.loads(sys.to_json()))
+    n = len(sys.disks)
+    for d in (-1, n):
+        with pytest.raises(InvalidDiskError) as exc:
+            DISK_READERS[reader](sys, d)
+        assert isinstance(exc.value, IndexError) and isinstance(exc.value, ValueError)
+        assert str(exc.value) == f"no disk {d}; disks are 0..{n - 1}"
+    assert sys.disk_edges(n - 1) is sys.disk_edges(n - 1)
 
 
 @pytest.mark.parametrize("rule", PEEL_RULES)
