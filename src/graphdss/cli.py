@@ -4,13 +4,15 @@ recovery bound, and store/repair real payloads.
 Exit codes: 0 success/verified, 1 a checked property failed, a pattern
 was unrecoverable or a graph has no P4 decomposition, 2 usage error or
 rejected input (a missing file, malformed JSON, an invalid graph, system
-file or option).
+file or option), 141 stdout was closed before the output was written (the
+status a shell gives a command killed by SIGPIPE, 128 + 13).
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import random
 import sys as _sys
 from typing import Dict, List, Optional, Tuple
@@ -20,6 +22,7 @@ from .analysis import profile, verdict_json, verify_recovery_bound
 from .cubic import (
     CubicSystem,
     DecompositionFailure,
+    InvalidDiskError,
     PairingMode,
     build_cubic,
     decompose_p4,
@@ -263,17 +266,35 @@ def cmd_store(args) -> int:
     return 0
 
 
+def _parse_indices(text: str, option: str, what: str) -> List[int]:
+    """The distinct indices of a comma-separated list, ascending; UsageError
+    naming `option` unless every item is ASCII decimal digits (spaces
+    around an item are read)."""
+    items = [x.strip() for x in text.split(",")]
+    if not all(x.isascii() and x.isdigit() for x in items):
+        raise UsageError(f"{option} must be comma-separated {what} indices, got {text!r}")
+    return sorted({int(x) for x in items})
+
+
 def cmd_repair(args) -> int:
+    if args.erased is not None and args.disks is not None:
+        raise UsageError("--disks cannot be given with --erased")
+    if args.erased is None and args.disks is None:
+        raise UsageError("need --erased or --disks")
     sys_ = _load_system(args.system)
     m = sys_.cubic.edge_count
-    items = [x.strip() for x in args.erased.split(",")]
-    if not all(x.isascii() and x.isdigit() for x in items):
-        raise UsageError(f"--erased must be comma-separated block indices, got {args.erased!r}")
-    erased = sorted({int(x) for x in items})
-    bad = [ei for ei in erased if not 0 <= ei < m]
-    if bad:
-        raise UsageError(f"--erased: no block {bad[0]}; blocks are 0..{m - 1}")
-    report = state.repair(sys_, args.state, erased)
+    if args.disks is not None:
+        try:
+            erased = sorted(e for d in _parse_indices(args.disks, "--disks", "disk")
+                            for e in sys_.disk_edges(d))
+        except InvalidDiskError as exc:
+            raise UsageError(f"--disks: {exc}") from None
+    else:
+        erased = _parse_indices(args.erased, "--erased", "block")
+        bad = [ei for ei in erased if not 0 <= ei < m]
+        if bad:
+            raise UsageError(f"--erased: no block {bad[0]}; blocks are 0..{m - 1}")
+    report = state.repair(sys_, args.state, erased, RepairStrategy(args.strategy))
     if len(report.residual):
         print(f"unrecoverable: residual cycle on edges {report.residual.indices()}")
         print(report.to_json())
@@ -344,7 +365,12 @@ def make_parser() -> argparse.ArgumentParser:
     rp = sub.add_parser("repair", help="rebuild erased blocks of a state directory")
     rp.add_argument("--system", required=True)
     rp.add_argument("--state", required=True)
-    rp.add_argument("--erased", required=True, help="comma-separated edge indices")
+    rp.add_argument("--erased", help="comma-separated block (edge) indices")
+    rp.add_argument("--disks", help="comma-separated failed disks; every block of each is erased")
+    rp.add_argument("--strategy", choices=[s.value for s in RepairStrategy],
+                    default=RepairStrategy.MIN_ROUNDS.value,
+                    help="peeling rule; one lost disk costs 5 symbols in 2 rounds under "
+                         "min-rounds (the default) and 4 in 3 under min-bandwidth")
     rp.set_defaults(func=cmd_repair)
 
     ex = sub.add_parser("export-dot", parents=[source], help="DOT output of a graph")
@@ -356,7 +382,20 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser = make_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        # buffered output is written here, not at exit, so a closed stdout
+        # raises below rather than as an "Exception ignored" at shutdown
+        _sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # the reader left: not rejected input, so no message and the
+        # status of a command killed by SIGPIPE; the output still buffered
+        # goes to devnull, so the flush at exit cannot fail again (Python's
+        # note on SIGPIPE)
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, _sys.stdout.fileno())
+        os.close(devnull)
+        return 141
     except (UsageError, OSError, ValueError) as exc:
         # ValueError covers a file that is not UTF-8 or not JSON and every
         # rejected-input error of the library (GraphError, InvalidSystemError,

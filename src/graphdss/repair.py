@@ -7,15 +7,18 @@ is recoverable iff its erased edges form a forest.  The block-graph edges of
 a cycle span at least girth(G) disks of the source graph G, so any
 girth(G) - 1 failed disks are recoverable.
 
-One engine, `peel`, computes the peeling schedule of either
-`RepairStrategy` and prices it as it goes: each distinct intact edge is
-read once per repair session; edges recovered earlier in the session are
-internal and free.  `repair_disk` writes out its two fixed schedules and
-prices one disk from its path with the same rule, as the edges at its 3
-parity vertices less the 3 of the disk, counted by inclusion-exclusion
-over their degrees.  A priced disk builds one
-`EdgeSubset`, its erased edges, and one `RepairReport`, a named tuple;
-its empty residual is the one its system keeps.  The test oracle
+One private engine, `_peel`, computes the peeling schedule of either
+`RepairStrategy` from a list of lost edges and prices it as it goes: each
+distinct intact edge is read once per repair session; edges recovered
+earlier in the session are internal and free.  `peel` seeds it from
+`erased.indices()`, and `repair_disks` from the edge list of its failed
+disks, with no walk over bits.  `repair_disk` writes out its two fixed
+schedules and prices one disk from its path with the same rule, as the
+edges at its 3 parity vertices less the 3 of the disk, counted by
+inclusion-exclusion over their degrees.  A priced disk builds one
+`EdgeSubset`, its erased edges, and one `RepairReport`, a named tuple.
+The empty residual of a priced disk, and of every peel that recovers all
+its lost edges, is the one its system keeps.  The test oracle
 `session_report` (tests/conftest.py) counts every report again from its
 schedule alone.
 """
@@ -86,74 +89,98 @@ def peel(sys: CubicSystem, erased: EdgeSubset,
     disks pairwise non-adjacent in the block graph B costs 4 transfers
     each; rounds count the dependency depth of the chosen schedule.  Both
     rules leave the same residual, the 2-core of the erased edges.
-    ValueError for a strategy that is not a `RepairStrategy`.
+    ValueError for a strategy that is not a `RepairStrategy`, then for a
+    subset sized for another graph.
 
-    The engine is a work queue of parity vertices with exactly one
-    unrecovered erased edge, seeded from `erased.indices()`.  Only erased
-    edges and their endpoints are touched, so the work is
-    O(|erased| log |erased|), whatever the size of the graph.  Under either
-    rule a recovery's round is 1 + the highest round among the other erased
-    edges at its parity vertex.  The heap key is the choice rule:
-    (round, edge, vertex) replays the round-synchronous schedule, and
-    (new reads, vertex) the bandwidth-greedy one.  Each vertex keeps its
-    pending edges, the highest round recovered at it and, for the greedy
-    rule, its intact edges not yet read, so no key needs an incidence scan.
-    A round key is fixed once its vertex has one pending edge, so it is
-    pushed once, then.  A greedy key only falls, and each fall pushes a
-    fresh entry, which pops before the older ones of its vertex; so under
-    either rule the first entry of a vertex to pop while it has one
-    pending edge carries its current key, and every later one finds the
-    vertex done and is skipped.  The report's transfers are the reads, its
-    rounds the deepest schedule entry, and its residual the erased edges
-    the schedule does not recover.
+    The work is done by the module's one peel engine, seeded from
+    `erased.indices()`; `repair_disks` seeds the same engine from its own
+    edge list.  See `_peel` for how it keeps its queue.
     """
     if not isinstance(strategy, RepairStrategy):
         raise ValueError(f"not a repair strategy: {strategy!r}")
+    if erased.size != sys.cubic.edge_count:
+        raise ValueError("erased subset sized for a different graph")
+    return _peel(sys, erased.indices(), erased, strategy)
+
+
+def _peel(sys: CubicSystem, lost_edges: Iterable[int], erased: EdgeSubset,
+          strategy: RepairStrategy) -> RepairReport:
+    """The peel engine: `lost_edges` lists the edges of `erased`, in any
+    order and possibly with repeats, and `erased`, sized for the block
+    graph, is the report's.
+
+    The engine is a work queue of parity vertices with exactly one
+    unrecovered erased edge.  Only erased edges and their endpoints are
+    touched, so the work is O(|erased| log |erased|), whatever the size of
+    the graph.  Under either rule a recovery's round is 1 + the highest
+    round among the other erased edges at its parity vertex.  The heap key
+    is the choice rule: (round, edge, vertex) replays the round-synchronous
+    schedule, and (new reads, vertex) the bandwidth-greedy one.  Each
+    vertex keeps its pending edges, the highest round recovered at it and,
+    for the greedy rule, its intact edges not yet read, so no key needs an
+    incidence scan.  A round key is fixed once its vertex has one pending
+    edge, so it is pushed once, then.  A greedy key only falls, and each
+    fall pushes a fresh entry, which pops before the older ones of its
+    vertex; so under either rule the first entry of a vertex to pop while
+    it has one pending edge carries its current key, and every later one
+    finds the vertex done and is skipped.  The report's transfers are the
+    reads, its rounds the deepest schedule entry, and its residual the
+    erased edges the schedule does not recover: the system's shared empty
+    subset when it recovers them all.
+    """
     min_bandwidth = strategy is RepairStrategy.MIN_BANDWIDTH
     g = sys.cubic
-    if erased.size != g.edge_count:
-        raise ValueError("erased subset sized for a different graph")
-    lost = set(erased.indices())
+    edges, incident = g.edges, g.incident
+    heappop, heappush = heapq.heappop, heapq.heappush
+    lost = set(lost_edges)
     pending: Dict[int, List[int]] = {}  # vertex -> erased edges not yet recovered
     for e in lost:
-        for x in g.edges[e]:
-            pending.setdefault(x, []).append(e)
+        for x in edges[e]:
+            left = pending.get(x)
+            if left is None:
+                pending[x] = [e]
+            else:
+                left.append(e)
     depth: Dict[int, int] = {}  # vertex -> highest round recovered at it
-    # vertex -> intact edges not yet read, for the greedy rule's key
-    cost = {x: len(g.incident(x)) - len(p) for x, p in pending.items()} if min_bandwidth else {}
-    heap = [(cost[x], x) if min_bandwidth else (1, p[0], x)
-            for x, p in pending.items() if len(p) == 1]
+    if min_bandwidth:
+        # vertex -> intact edges not yet read, the greedy rule's key
+        cost = {x: len(incident(x)) - len(p) for x, p in pending.items()}
+        heap = [(cost[x], x) for x, p in pending.items() if len(p) == 1]
+    else:
+        cost = {}
+        heap = [(1, p[0], x) for x, p in pending.items() if len(p) == 1]
     heapq.heapify(heap)
     reads: Set[int] = set()
     schedule: List[Tuple[int, int, int]] = []
+    rounds = 0
     while heap:
-        key = heapq.heappop(heap)
-        v = key[-1]
-        if len(pending[v]) != 1:
+        v = heappop(heap)[-1]
+        left = pending[v]
+        if len(left) != 1:
             continue  # recovered here or at its other end since this entry
-        e, rnd = pending[v][0], depth.get(v, 0) + 1
+        e, rnd = left[0], depth.get(v, 0) + 1
         schedule.append((e, v, rnd))
-        for x in g.edges[e]:
+        if rnd > rounds:
+            rounds = rnd
+        for x in edges[e]:
             left = pending[x]
             left.remove(e)
             if left:
                 d = depth[x] = max(depth.get(x, 0), rnd)
                 if len(left) == 1:
-                    heapq.heappush(heap, (cost[x], x) if min_bandwidth else (d + 1, left[0], x))
-        for ei, x in g.incident(v):
+                    heappush(heap, (cost[x], x) if min_bandwidth else (d + 1, left[0], x))
+        for ei, x in incident(v):
             if ei not in lost and ei not in reads:
                 reads.add(ei)
                 if x in cost:
                     c = cost[x] = cost[x] - 1
                     if len(pending[x]) == 1:
-                        heapq.heappush(heap, (c, x))
-    return RepairReport(
-        recovered=tuple(schedule),
-        transferred_symbols=len(reads),
-        rounds=max((r for _, _, r in schedule), default=0),
-        residual=EdgeSubset.from_indices(erased.size, lost - {e for e, _, _ in schedule}),
-        erased=erased,
-    )
+                        heappush(heap, (c, x))
+    if len(schedule) == len(lost):
+        residual = sys.empty_edges
+    else:
+        residual = EdgeSubset.from_indices(erased.size, lost - {e for e, _, _ in schedule})
+    return RepairReport(tuple(schedule), len(reads), rounds, residual, erased)
 
 
 def repair_disk(sys: CubicSystem, disk: int, strategy: RepairStrategy) -> RepairReport:
@@ -219,12 +246,14 @@ def repair_disks(sys: CubicSystem, disks: Iterable[int]) -> RepairReport:
     """Erase every block of the given disks and peel them under
     MIN_BANDWIDTH, the bandwidth-greedy sequential rule.
 
-    For disks pairwise non-adjacent in the block graph B the transfer count
-    is 4 per disk.
+    The report equals `peel` of the same blocks under MIN_BANDWIDTH; the
+    engine is seeded from the disks' edge list, not from the bits of the
+    report's `erased` subset.  For disks pairwise non-adjacent in the block
+    graph B the transfer count is 4 per disk.
     """
     edges = [e for d in disks for e in sys.disk_edges(d)]
     erased = EdgeSubset.from_indices(sys.cubic.edge_count, edges)
-    return peel(sys, erased, RepairStrategy.MIN_BANDWIDTH)
+    return _peel(sys, edges, erased, RepairStrategy.MIN_BANDWIDTH)
 
 
 def repair_state(code: ParityCode, state: StorageState, report: RepairReport) -> StorageState:

@@ -33,7 +33,7 @@ from typing import Iterable
 from .code import ParityCode, StorageState, derive_code, encode
 from .cubic import CubicSystem
 from .graphs import EdgeSubset, read_json_file
-from .repair import RepairReport, peel, repair_state
+from .repair import RepairReport, RepairStrategy, peel, repair_state
 
 
 class StateError(ValueError):
@@ -90,8 +90,10 @@ def store(system: CubicSystem, payload: bytes, directory: str, block_size: int) 
     _write_atomic(header, json.dumps(_header(system, code, s)).encode())
 
 
-def repair(system: CubicSystem, directory: str, erased: Iterable[int]) -> RepairReport:
-    """Rebuild the `erased` blocks in `directory` and return the peel's report."""
+def repair(system: CubicSystem, directory: str, erased: Iterable[int],
+           strategy: RepairStrategy = RepairStrategy.MIN_ROUNDS) -> RepairReport:
+    """Rebuild the `erased` blocks in `directory` and return the report of
+    the peel under `strategy`."""
     code = derive_code(system.cubic)
     try:
         header = read_json_file(os.path.join(directory, "header.json"), "state header")
@@ -118,7 +120,7 @@ def repair(system: CubicSystem, directory: str, erased: Iterable[int]) -> Repair
             size = os.stat(_block(directory, e)).st_size
             if size != s:
                 raise StateError(f"block {e} has {size} bytes, the header says {s}")
-    report = peel(system, EdgeSubset.from_indices(code.length, lost))
+    report = peel(system, EdgeSubset.from_indices(code.length, lost), strategy)
     if len(report.residual):
         return report
     state = StorageState(s, {})

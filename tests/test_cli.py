@@ -289,9 +289,11 @@ def test_store_and_repair_round_trip(tmp_path, capsys):
     assert (state_dir / "block_00005.bin").read_bytes() == original
 
 
-def test_repair_reads_only_the_helper_blocks(tmp_path, capsys, monkeypatch):
-    """Repairing pg23's disk 0 reads the 5 helper blocks of its schedule,
-    not the 75 surviving block files."""
+def _repair_pg23_disk_0(tmp_path, capsys, monkeypatch, *options):
+    """Store a pg23 stripe, delete disk 0's block files and run `repair`
+    with `options`; return the exit code, stdout, the block files opened
+    for reading in the order opened, the helper blocks of the printed
+    schedule, and whether every lost block holds its bytes again."""
     from graphdss.cubic import CubicSystem
 
     sys_file = tmp_path / "sys.json"
@@ -318,19 +320,51 @@ def test_repair_reads_only_the_helper_blocks(tmp_path, capsys, monkeypatch):
 
     monkeypatch.setattr(graphdss.state, "open", recording_open, raising=False)
     code, out, err = run(
-        capsys, "repair", "--system", str(sys_file), "--state", str(state_dir),
-        "--erased", ",".join(map(str, lost)),
-    )
+        capsys, "repair", "--system", str(sys_file), "--state", str(state_dir), *options)
+    report = json.JSONDecoder().raw_decode(out)[0] if code == 0 else {"recovered": []}
+    helpers = {ei for _, v, _ in report["recovered"] for ei, _ in sysm.cubic.incident(v)}
+    restored = all((state_dir / f"block_{e:05d}.bin").read_bytes() == original[e] for e in lost)
+    return code, out, read, helpers - set(lost), restored
+
+
+def test_repair_reads_only_the_helper_blocks(tmp_path, capsys, monkeypatch):
+    """Repairing pg23's disk 0 reads the 5 helper blocks of its schedule,
+    not the 75 surviving block files."""
+    code, out, read, helpers, restored = _repair_pg23_disk_0(
+        tmp_path, capsys, monkeypatch, "--erased", "0,1,2")
     assert code == 0
     report = {"recovered": [[0, 0, 1], [2, 2, 1], [1, 1, 2]], "transferred": 5,
               "rounds": 2, "residual": []}
     assert out == (json.dumps(report, indent=2) + "\n"
                    "repaired 3 blocks, transferred 5 symbols in 2 rounds\n")
-    helpers = {ei for _, v, _ in report["recovered"] for ei, _ in sysm.cubic.incident(v)}
-    helpers -= set(lost)
     assert sorted(read) == sorted(helpers)
     assert len(read) == report["transferred"]
-    assert all((state_dir / f"block_{e:05d}.bin").read_bytes() == original[e] for e in lost)
+    assert restored
+
+
+def test_repair_a_disk_under_min_bandwidth_reads_4_blocks(tmp_path, capsys, monkeypatch):
+    """`--disks 0 --strategy min-bandwidth` erases disk 0's 3 blocks and
+    peels them along the path: 4 symbols in 3 rounds, and exactly the 4
+    helper block files are opened."""
+    code, out, read, helpers, restored = _repair_pg23_disk_0(
+        tmp_path, capsys, monkeypatch, "--disks", "0", "--strategy", "min-bandwidth")
+    assert code == 0
+    report = {"recovered": [[0, 0, 1], [1, 1, 2], [2, 3, 3]], "transferred": 4,
+              "rounds": 3, "residual": []}
+    assert out == (json.dumps(report, indent=2) + "\n"
+                   "repaired 3 blocks, transferred 4 symbols in 3 rounds\n")
+    assert len(read) == 4 and sorted(read) == sorted(helpers)
+    assert restored
+
+
+def test_repair_disks_default_strategy_is_min_rounds(tmp_path, capsys, monkeypatch):
+    # --disks erases the same blocks as --erased of the disk's edges
+    (tmp_path / "a").mkdir()
+    (tmp_path / "b").mkdir()
+    _, by_disk, _, _, _ = _repair_pg23_disk_0(tmp_path / "a", capsys, monkeypatch, "--disks", "0")
+    _, by_block, _, _, _ = _repair_pg23_disk_0(tmp_path / "b", capsys, monkeypatch,
+                                               "--erased", "2,1,0", "--strategy", "min-rounds")
+    assert by_disk == by_block and "transferred 5 symbols in 2 rounds" in by_disk
 
 
 def _stored_k44(tmp_path, capsys):
@@ -446,6 +480,49 @@ def test_repair_reads_erased_as_ascii_decimal_digits(tmp_path, capsys, erased, b
     # spaces around an item are read, as before
     code, out, err = run(capsys, *argv, f" {block} ")
     assert code == 0 and lost.exists()
+
+
+@pytest.mark.parametrize("options, message", [
+    ([], "need --erased or --disks"),
+    (["--erased", "3", "--disks", "0"], "--disks cannot be given with --erased"),
+    (["--disks", "0,x"], "--disks must be comma-separated disk indices, got '0,x'"),
+    (["--disks="], "--disks must be comma-separated disk indices, got ''"),
+    (["--disks", "1,8"], "--disks: no disk 8; disks are 0..7"),
+], ids=["neither", "both", "not-digits", "empty", "no-such-disk"])
+def test_repair_takes_exactly_one_of_erased_and_disks(tmp_path, capsys, options, message):
+    sys_file, state_dir = _stored_k44(tmp_path, capsys)
+    (state_dir / "block_00003.bin").unlink()
+    code, out, err = run(capsys, "repair", "--system", str(sys_file), "--state", str(state_dir),
+                         *options)
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+    assert not (state_dir / "block_00003.bin").exists()
+
+
+def test_repair_refuses_an_unknown_strategy(tmp_path, capsys):
+    sys_file, state_dir = _stored_k44(tmp_path, capsys)
+    with pytest.raises(SystemExit) as exc:
+        main(["repair", "--system", str(sys_file), "--state", str(state_dir),
+              "--disks", "0", "--strategy", "fastest"])
+    assert exc.value.code == 2
+    assert "invalid choice: 'fastest'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["build", "export-dot"])
+def test_a_closed_stdout_exits_141_quietly(command):
+    """A reader that left before the output was written is not rejected
+    input: the command exits 141, as if SIGPIPE had killed it, printing no
+    error, traceback or "Exception ignored" line."""
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(graphdss.__file__)))
+    try:
+        done = subprocess.run([sys.executable, "-m", "graphdss.cli", command, "--catalog", "pg23"],
+                              stdout=write_end, stderr=subprocess.PIPE, env=env, timeout=60)
+    finally:
+        os.close(write_end)
+    assert done.returncode == 141
+    assert b"Traceback" not in done.stderr and b"Exception ignored" not in done.stderr
+    assert b"error" not in done.stderr
 
 
 def test_repair_rejects_truncated_helper_block(tmp_path, capsys):

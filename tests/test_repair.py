@@ -285,6 +285,66 @@ def test_repair_two_disjoint_disks_costs_eight():
     assert found > 0
 
 
+@pytest.fixture(scope="module")
+def disk_systems(cage_systems):
+    """The Table-1 systems at hand (cages of girth 3-6) and a 200-disk one."""
+    g = random_4_regular(200, 1)
+    return {**{f"cage{gg}": s for gg, (s, _) in cage_systems.items()},
+            "random200": build_cubic(orient_from_tour(g, eulerian_tour(g)), PairingMode.PARALLEL)}
+
+
+@pytest.mark.parametrize("name", ["cage3", "cage4", "cage5", "cage6", "random200"])
+@given(data=st.data())
+@settings(max_examples=40, derandomize=True, deadline=None)
+def test_repair_disks_equals_the_bandwidth_peel_of_their_blocks(disk_systems, name, data):
+    """`repair_disks` feeds the peel engine its own edge list; its report
+    is, field for field, that of `peel` under MIN_BANDWIDTH on the bitset
+    of the same blocks, for any disk set, repeats and cycles included."""
+    sys = disk_systems[name]
+    n, m = len(sys.disks), sys.cubic.edge_count
+    disks = data.draw(st.lists(st.integers(0, n - 1), max_size=8))
+    want = peel(sys, EdgeSubset.from_indices(m, [e for d in disks for e in sys.disk_edges(d)]),
+                RepairStrategy.MIN_BANDWIDTH)
+    got = repair_disks(sys, disks)
+    for field in _REPORT_FIELDS:
+        assert getattr(got, field) == getattr(want, field), field
+    assert got.to_json() == want.to_json()
+
+
+def test_repair_disks_walks_no_bits(monkeypatch):
+    """The disks' edge list reaches the engine as it is: no report of
+    `repair_disks`, recovered or not, reads back the bits of its erased
+    subset, while `peel` reads them once."""
+    sys = k44_reference_system()
+    calls = 0
+    indices = EdgeSubset.indices
+
+    def counting(self):
+        nonlocal calls
+        calls += 1
+        return indices(self)
+
+    monkeypatch.setattr(EdgeSubset, "indices", counting)
+    reports = [repair_disks(sys, disks) for disks in ([3], [0, 5], range(8))]
+    assert calls == 0
+    assert not len(reports[0].residual) and len(reports[2].residual)
+    peel(sys, reports[1].erased, RepairStrategy.MIN_BANDWIDTH)
+    assert calls == 1
+
+
+def test_fully_recovered_reports_share_the_systems_empty_residual():
+    """Every report that recovers all its lost blocks carries the one
+    empty subset its system keeps, as `repair_disk`'s do; a stuck one
+    builds its own."""
+    sys = k5_reference_system("girth5")
+    reports = [peel(sys, EdgeSubset.from_indices(15, [4])),
+               peel(sys, EdgeSubset.from_indices(15, [0, 1]), RepairStrategy.MIN_BANDWIDTH),
+               peel(sys, EdgeSubset(15, 0)), repair_disks(sys, [1])]
+    assert all(r.residual is sys.empty_edges for r in reports)
+    stuck = repair_disks(k5_reference_system("girth3"), range(5))
+    assert len(stuck.residual) and stuck.residual is not sys.empty_edges
+
+
 def test_repair_single_disk_via_disks():
     sys = k44_reference_system()
     r = repair_disks(sys, [3])

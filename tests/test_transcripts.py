@@ -197,6 +197,22 @@ ROWS = {
             "rm state/block_00000.bin state/block_00003.bin state/block_00006.bin",
             "repair --system sys.json --state state --erased 0,3,6"],
         "fc1719678985044d04d1cb85b90c8048d07b117f0c85097154b31af6419e11cd"),
+    # --disks erases whole disks; the same stripe repaired under both rules
+    "store-repair-pg23-disks-both-strategies": (
+        PG23_DATA, _stored("pg23") + [
+            "rm state/block_00000.bin state/block_00001.bin state/block_00002.bin "
+            "state/block_00015.bin state/block_00016.bin state/block_00017.bin",
+            "repair --system sys.json --state state --disks 0,5 --strategy min-bandwidth",
+            "rm state/block_00000.bin state/block_00001.bin state/block_00002.bin",
+            "repair --system sys.json --state state --disks 0"],
+        "306dcdb62d7ff948c355c6b78541b18378a73cb7dd1f3e1d4c1ca05eeffeef97"),
+    "store-repair-k44-strategy": (
+        K44_DATA, _stored("k44") + [
+            "rm state/block_00003.bin state/block_00004.bin state/block_00005.bin",
+            "repair --system sys.json --state state --erased 3,4,5 --strategy min-bandwidth",
+            "rm state/block_00003.bin state/block_00004.bin state/block_00005.bin",
+            "repair --system sys.json --state state --disks 1,1 --strategy min-rounds"],
+        "0c12f3668907a27c53d943715592f5289a9429e1811eae82adbc2478a7aff286"),
     # exit 2, one row per message family
     "error-missing-file": (
         {}, ["profile --system nosuch.json", "build --input nosuch.json"],
@@ -286,6 +302,15 @@ ROWS = {
             "build --catalog k5 --output k5.json",
             "repair --system k5.json --state state --erased 3"],
         "9ac02955c4383621128c1b5200c42a49c1b0a12fbac7d16035d2ad600fa8e6a8"),
+    "error-repair-disks": (
+        K44_DATA, _stored("k44") + [
+            "rm state/block_00003.bin",
+            "repair --system sys.json --state state",
+            "repair --system sys.json --state state --erased 3 --disks 1",
+            "repair --system sys.json --state state --disks 1,x",
+            "repair --system sys.json --state state --disks=",
+            "repair --system sys.json --state state --disks 1,8"],
+        "72137feb1d1c3e8b6b6493d0413937c9f5e42463231bf080529138fbc9ec3d07"),
     # k44 under these pairings has the same m and information set as
     # parallel k44, so only the header's system digest tells them apart
     "error-repair-foreign-system": (
