@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from typing import Optional, Set, Tuple
 
 from .code import DisconnectedError
-from .cubic import CubicSystem, check_star_layout
+from .cubic import CubicSystem, check_layout_counts, check_star_layout
 from .graphs import Graph, girth, is_connected, shortest_cycle
 
 
@@ -106,13 +106,15 @@ def profile(sys: CubicSystem, g4: Graph) -> SystemProfile:
     is girth(B).  For a connected B the incidence matrix has rank
     n_B - 1, so the dimension is m - n_B + 1 (as in `derive_code`).
 
-    Precondition, not checked: `sys` is a star layout of `g4` (what
-    `check_star_layout` proves), as for a system built from `g4` or one
-    paired with its `source_graph`.  The guarantee is read off girth(g4)
-    alone, so another graph gives a wrong row: the 5-disk K5 system with
-    the (4,5)-cage claims 4 disk erasures, where `verify_recovery_bound`
-    refuses the pair.
+    The guarantee is read off girth(g4) alone, so `g4` must be the graph
+    that `sys` lays out, as for a system built from `g4` or one paired with
+    its `source_graph`.  `check_layout_counts` refuses, with
+    InvalidSystemError, a graph whose vertex count cannot be that graph's
+    (the 5-disk K5 system with the (4,5)-cage); a graph of the right size
+    with other edges is not checked (`check_star_layout` proves the whole
+    layout, at O(n)).
     """
+    check_layout_counts(sys, g4)
     block = sys.cubic
     if block.vertex_count == 0:
         raise DisconnectedError("empty graph")

@@ -60,18 +60,29 @@ _ROBERTSON_EDGES = [
 ]
 
 
-def _pg23_incidence() -> Graph:
-    """Point-line incidence graph of the projective plane over the field
-    with 3 elements: 13 points, 13 lines, a point on a line iff the dot
-    product of homogeneous coordinates is zero mod 3.
-
-    A point is a nonzero triple whose first nonzero coordinate is 1;
-    `x or y or z` is that coordinate, and 0 for the zero triple."""
-    triples = [t for t in itertools.product(range(3), repeat=3) if (t[0] or t[1] or t[2]) == 1]
-    edges = [(p, 13 + l) for p, (a, b, c) in enumerate(triples)
-             for l, (x, y, z) in enumerate(triples) if (a * x + b * y + c * z) % 3 == 0]
-    names = [str(t) for t in triples]
-    return Graph(26, edges, vertex_labels=["p" + t for t in names] + ["l" + t for t in names])
+# (4,6)-cage on 26 vertices: the point-line incidence graph of PG(2,3).
+# Points 0..12 and lines 13..25 are the 13 nonzero triples over GF(3) whose
+# first nonzero coordinate is 1, in lexicographic order; a point lies on a
+# line iff their dot product is 0 mod 3.  The tier-1 oracle
+# `pg23_incidence_oracle` builds it from the coordinates and proves this
+# list, edge order and labels included
+_PG23_EDGES = (
+    (0, 14), (0, 17), (0, 20), (0, 23), (1, 13), (1, 17), (1, 18), (1, 19),
+    (2, 16), (2, 17), (2, 22), (2, 24), (3, 15), (3, 17), (3, 21), (3, 25),
+    (4, 13), (4, 14), (4, 15), (4, 16), (5, 14), (5, 19), (5, 22), (5, 25),
+    (6, 14), (6, 18), (6, 21), (6, 24), (7, 13), (7, 23), (7, 24), (7, 25),
+    (8, 16), (8, 19), (8, 21), (8, 23), (9, 15), (9, 18), (9, 22), (9, 23),
+    (10, 13), (10, 20), (10, 21), (10, 22), (11, 15), (11, 19), (11, 20),
+    (11, 24), (12, 16), (12, 18), (12, 20), (12, 25),
+)
+_PG23_LABELS = (
+    "p(0, 0, 1)", "p(0, 1, 0)", "p(0, 1, 1)", "p(0, 1, 2)", "p(1, 0, 0)",
+    "p(1, 0, 1)", "p(1, 0, 2)", "p(1, 1, 0)", "p(1, 1, 1)", "p(1, 1, 2)",
+    "p(1, 2, 0)", "p(1, 2, 1)", "p(1, 2, 2)",
+    "l(0, 0, 1)", "l(0, 1, 0)", "l(0, 1, 1)", "l(0, 1, 2)", "l(1, 0, 0)",
+    "l(1, 0, 1)", "l(1, 0, 2)", "l(1, 1, 0)", "l(1, 1, 1)", "l(1, 1, 2)",
+    "l(1, 2, 0)", "l(1, 2, 1)", "l(1, 2, 2)",
+)
 
 
 def cage(g: int) -> CatalogEntry:
@@ -91,7 +102,7 @@ def cage(g: int) -> CatalogEntry:
     if g == 5:
         return CatalogEntry("robertson", Graph(19, _ROBERTSON_EDGES))
     if g == 6:
-        return CatalogEntry("pg23", _pg23_incidence())
+        return CatalogEntry("pg23", Graph(26, _PG23_EDGES, _PG23_LABELS))
     if g == 7:
         path = os.environ.get(CAGE7_ENV_VAR)
         if not path or not os.path.exists(path):

@@ -232,6 +232,16 @@ def build_cubic(
     return system
 
 
+def check_layout_counts(sys: CubicSystem, g4: Graph) -> None:
+    """Raise InvalidSystemError unless the counts allow `sys` to lay out
+    `g4`: a star layout has one disk per vertex of `g4` and one arc per
+    edge, so n disks and 2n arcs lay out a graph on n vertices.  O(1)."""
+    n, m = len(sys.disks), len(sys.arc_names)
+    if (g4.vertex_count, m) != (n, 2 * n):
+        raise InvalidSystemError(
+            f"{n} disks and {m} arcs cannot lay out a graph on {g4.vertex_count} vertices")
+
+
 def check_star_layout(sys: CubicSystem, g4: Graph) -> None:
     """Raise InvalidSystemError unless `sys` is a star layout of `g4`: disk
     d is the path of the 4 arcs at its owner, in the block graph.
@@ -252,9 +262,7 @@ def check_star_layout(sys: CubicSystem, g4: Graph) -> None:
     n, names, m = len(sys.disks), sys.arc_names, len(sys.arc_names)
     if len(sys.disk_owner) != n:
         raise InvalidSystemError(f"{len(sys.disk_owner)} disk owners for {n} disks")
-    if (g4.vertex_count, m) != (n, 2 * n):
-        raise InvalidSystemError(
-            f"{n} disks and {m} arcs cannot lay out a graph on {g4.vertex_count} vertices")
+    check_layout_counts(sys, g4)
     if sys.cubic.edge_count != 3 * n:
         raise InvalidSystemError(
             f"{n} disks of 3 edges cannot cover a block graph of {sys.cubic.edge_count} edges")

@@ -125,11 +125,14 @@ class Graph:
         # incidence[v] = list of (edge index, other endpoint).  The u < v
         # and v < u branches order the ends for the range test and the key;
         # neither holds for a self-loop.  A duplicate's key leaves `seen`
-        # no larger than the i edges before it
+        # no larger than the i edges before it.  An edge given as an exact
+        # tuple is immutable and is kept as it came; any other pair is
+        # stored as the tuple (u, v)
         seen = set()  # u * n + v with u < v, per edge
         edge_list = []
         inc: List[List[Tuple[int, int]]] = [[] for _ in range(n)]
-        for i, (u, v) in enumerate(edges):
+        for i, e in enumerate(edges):
+            u, v = e
             if u < v:
                 if u < 0 or v >= n:
                     raise GraphError(f"edge ({u},{v}) has endpoint out of range")
@@ -142,7 +145,7 @@ class Graph:
                 raise GraphError(f"self-loop at vertex {u}")
             if len(seen) == i:
                 raise GraphError(f"duplicate edge ({u},{v})")
-            edge_list.append((u, v))
+            edge_list.append(e if type(e) is tuple else (u, v))
             inc[u].append((i, v))
             inc[v].append((i, u))
         self.edges: Tuple[Tuple[int, int], ...] = tuple(edge_list)

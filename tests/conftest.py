@@ -336,9 +336,11 @@ def brute_force_min_weight(basis) -> int:
 # and the same exception type and message, on every input.
 
 def pg23_incidence_oracle() -> Graph:
-    """`catalog._pg23_incidence` as first written: a generator finds each
-    triple's first nonzero coordinate, and a generator inside `sum` takes
-    each of the 169 dot products."""
+    """The point-line incidence graph of PG(2,3) from homogeneous
+    coordinates, the construction that `catalog.cage(6)`'s pinned edge and
+    label lists were taken from: a generator finds each triple's first
+    nonzero coordinate, and a generator inside `sum` takes each of the 169
+    dot products."""
     triples = []
     for x in itertools.product(range(3), repeat=3):
         if x == (0, 0, 0):

@@ -487,6 +487,18 @@ def test_profile_k5():
     assert prof.code_distance_cubic_girth == 5
 
 
+def test_profile_refuses_a_graph_of_another_size():
+    # the 5-disk K5 system with the 19-vertex (4,5)-cage: the row used to
+    # claim 4 disk erasures, read off the cage's girth; profile now refuses
+    # the pair with the count rule and message of the star check
+    sys, g = k5_reference_system("girth5"), cage(5).graph
+    message = "^5 disks and 10 arcs cannot lay out a graph on 19 vertices$"
+    with pytest.raises(InvalidSystemError, match=message):
+        profile(sys, g)
+    with pytest.raises(InvalidSystemError, match=message):
+        check_star_layout(sys, g)
+
+
 def rate_function(n: int) -> float:
     """Cycle-space rate of any connected cubic graph on n vertices."""
     return 1 - (n - 1) / (3 * n / 2)

@@ -1,4 +1,6 @@
 import functools
+import hashlib
+import json
 import random
 
 import pytest
@@ -83,6 +85,31 @@ def test_rank_is_vertices_minus_one(cage_systems):
         assert code.rank == g.vertex_count - 1
         # independent confirmation with a fresh row reduction
         assert gf2_rank(parity_rows(code)) == g.vertex_count - 1
+
+
+# sha256 of json.dumps([information_set, tree_order]) of derive_code on the
+# block graph of "<source>" under the tour orientation and PARALLEL pairing:
+# the state header records the information set, so a construction change
+# that moves it must show here
+DERIVE_CODE_DIGESTS = {
+    "cage3": "0bcc55199e3d24d8bd78f0bb0848cd90384f39ecbea4340f22890df6dc6c8352",
+    "cage4": "23cb9361624a2694ec3d13a7ac31c4eec0b7098687a2366a3503308dba765b27",
+    "cage5": "df67f77fb55f378762b8dfd69da26b074e598656a19e6f2afb424eae9a39eec0",
+    "cage6": "c52f2f816d8bb7ab4a53a40be89ac6ea108d02076c9005972f7e05068b32cc6f",
+    "rr4-1000-1": "eb559f86ce18dd49b8f953be8562a8d54dad656bafe93aaa64d2869a40ee3755",
+}
+
+
+@pytest.mark.parametrize("source", sorted(DERIVE_CODE_DIGESTS))
+def test_derive_code_keeps_its_output(source):
+    if source.startswith("cage"):
+        block = system_from_cage(int(source[4:]))[0].cubic
+    else:
+        g = random_4_regular(1000, 1)
+        block = build_cubic(orient_from_tour(g, eulerian_tour(g)), PairingMode.PARALLEL).cubic
+    code = derive_code(block)
+    text = json.dumps([code.information_set, code.tree_order])
+    assert hashlib.sha256(text.encode()).hexdigest() == DERIVE_CODE_DIGESTS[source]
 
 
 def test_derive_rejects_disconnected():

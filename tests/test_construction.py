@@ -1,10 +1,11 @@
 """The construction routines against the loops they replaced.
 
-`catalog._pg23_incidence`, `orientation.eulerian_tour`, the edge loop of
-`Graph.__init__` and `code.derive_code` were rewritten to take fewer
-Python steps per element.  Their first versions live on in conftest as
-oracles; each property here asks for the same output, or the same
-exception type and message, on the same input.
+`orientation.eulerian_tour`, the edge loop of `Graph.__init__` and
+`code.derive_code` were rewritten to take fewer Python steps per element,
+and `catalog.cage(6)` builds PG(2,3) from a pinned edge and label list.
+The first versions live on in conftest as oracles; each property here
+asks for the same output, or the same exception type and message, on the
+same input.
 """
 
 import itertools
@@ -12,7 +13,7 @@ import itertools
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from graphdss.catalog import _pg23_incidence, random_4_regular, random_cubic
+from graphdss.catalog import cage, random_4_regular, random_cubic
 from graphdss.code import derive_code
 from graphdss.cubic import PairingMode, build_cubic
 from graphdss.graphs import Graph
@@ -75,7 +76,7 @@ GRAPHS = st.one_of(st.sampled_from(sorted(NAMED_GRAPHS)).map(NAMED_GRAPHS.get),
 
 
 def test_pg23_incidence_matches_the_oracle():
-    g, want = _pg23_incidence(), pg23_incidence_oracle()
+    g, want = cage(6).graph, pg23_incidence_oracle()
     assert (g.vertex_count, g.edges, g.vertex_labels) == (
         want.vertex_count, want.edges, want.vertex_labels)
 
@@ -97,13 +98,16 @@ def test_graph_tables_match_the_oracle_on_named_graphs(name):
     g = NAMED_GRAPHS[name]
     built = Graph(g.vertex_count, g.edges)
     assert (built.edges, built._incidence) == graph_tables_oracle(g.vertex_count, g.edges)
+    # the edge tuples are kept as given, not rebuilt
+    assert all(kept is given for kept, given in zip(built.edges, g.edges))
 
 
 @st.composite
 def edge_lists(draw):
     """(vertex count, edges) with some bad edges: self-loops, ends below 0
     or at n and beyond, and repeats of earlier edges in either order.  Most
-    lists hold several bad edges, so the first one must be the one named."""
+    lists hold several bad edges, so the first one must be the one named.
+    Each edge comes as a tuple or as a list."""
     n = draw(st.integers(-1, 9))
     inside = st.integers(0, n - 1) if n > 0 else st.nothing()
     outside = st.one_of(st.integers(-3, -1), st.integers(max(n, 0), max(n, 0) + 3))
@@ -121,7 +125,7 @@ def edge_lists(draw):
             edges.append(tuple(draw(st.permutations(ends))))
         else:
             edges.append(tuple(draw(st.lists(inside, min_size=2, max_size=2, unique=True))))
-    return n, edges
+    return n, [list(e) if draw(st.booleans()) else e for e in edges]
 
 
 @settings(max_examples=1000, derandomize=True, deadline=None)
@@ -133,4 +137,9 @@ def test_graph_tables_match_the_oracle_on_malformed_edge_lists(case):
         g = Graph(n, edges)
         return g.edges, g._incidence
 
-    assert outcome(tables) == outcome(lambda: graph_tables_oracle(n, edges))
+    got = outcome(tables)
+    assert got == outcome(lambda: graph_tables_oracle(n, edges))
+    if type(got) is tuple and type(got[0]) is tuple:
+        # a tuple edge is kept as the same object, a list edge becomes a tuple
+        assert all(kept is given if type(given) is tuple else type(kept) is tuple
+                   for kept, given in zip(got[0], edges))
