@@ -31,13 +31,13 @@ def main():
         print(row.format(
             p.disk_count, p.block_count, p.max_guaranteed_disk_erasures,
             p.blocks_recoverable, p.code_length, p.code_dimension,
-            p.code_distance_source_girth, p.code_distance_cubic_girth,
+            p.girth_source, p.girth_cubic,
         ))
         systems.append((g_target, sysm, graph))
     print()
 
     for g_target, sysm, graph in systems:
-        ok, witness = verify_recovery_bound(sysm, graph, mode="exhaustive")
+        ok, witness = verify_recovery_bound(sysm, graph)
         print(f"girth-{g_target} system: every set of {g_target - 1} failed disks "
               f"recovers: {ok}; an unrecoverable set of {len(witness)} disks "
               f"exists: {sorted(witness)}")

@@ -36,7 +36,6 @@ class GenerationFailed(RuntimeError):
 
 @dataclass(frozen=True)
 class CatalogEntry:
-    name: str
     graph: Graph
 
 
@@ -96,13 +95,13 @@ def cage(g: int) -> CatalogEntry:
     for the first rule the file breaks.
     """
     if g == 3:
-        return CatalogEntry("k5", complete_graph(5))
+        return CatalogEntry(complete_graph(5))
     if g == 4:
-        return CatalogEntry("k44", complete_bipartite(4, 4))
+        return CatalogEntry(complete_bipartite(4, 4))
     if g == 5:
-        return CatalogEntry("robertson", Graph(19, _ROBERTSON_EDGES))
+        return CatalogEntry(Graph(19, _ROBERTSON_EDGES))
     if g == 6:
-        return CatalogEntry("pg23", Graph(26, _PG23_EDGES, _PG23_LABELS))
+        return CatalogEntry(Graph(26, _PG23_EDGES, _PG23_LABELS))
     if g == 7:
         path = os.environ.get(CAGE7_ENV_VAR)
         if not path or not os.path.exists(path):
@@ -123,7 +122,7 @@ def cage(g: int) -> CatalogEntry:
             raise CatalogError("cage47: disconnected")
         if graph.vertex_count != 67:
             raise CatalogError(f"cage47: {graph.vertex_count} vertices, the (4,7)-cage has 67")
-        return CatalogEntry("cage47", graph)
+        return CatalogEntry(graph)
     raise CatalogError(f"no (4,{g})-cage in the catalog")
 
 
@@ -136,7 +135,7 @@ _PETERSEN_EDGES = [
 
 
 def petersen() -> CatalogEntry:
-    return CatalogEntry("petersen", Graph(10, _PETERSEN_EDGES))
+    return CatalogEntry(Graph(10, _PETERSEN_EDGES))
 
 
 # the pinned 5-disk example: one Eulerian orientation of K5 (0-indexed);

@@ -18,7 +18,7 @@ import sys as _sys
 from typing import Dict, List, Optional, Tuple
 
 from . import catalog as cat, state
-from .analysis import profile, verdict_json, verify_recovery_bound
+from .analysis import SystemProfile, profile, verdict_json, verify_recovery_bound
 from .cubic import (
     CubicSystem,
     DecompositionFailure,
@@ -148,13 +148,13 @@ def cmd_profile(args) -> int:
         # every cage is loaded before the first line is printed, so a
         # rejected cage-7 file leaves stdout empty
         cages = {}
-        for gg in (3, 4, 5, 6, 7):
+        for gg in _TABLE1:
             try:
                 cages[gg] = cat.cage(gg).graph
             except cat.MissingDataFileError:
                 print(f"# (4,{gg})-cage skipped: data file not available", file=_sys.stderr)
         ok = True
-        print("disks,blocks,disks_recoverable,blocks_recoverable,length,dimension,d_source_girth,d_block_girth,rate")
+        print(SystemProfile.CSV_HEADER)
         for gg, g in cages.items():
             sys_ = build_cubic(orient_from_tour(g, eulerian_tour(g)), PairingMode.PARALLEL)
             prof = profile(sys_, g)
@@ -225,9 +225,8 @@ def cmd_simulate(args) -> int:
 
     for line in lines:
         print(line)
-    all_ok, witness = verify_recovery_bound(sys_, g)
-    ok = ok and all_ok
-    print(verdict_json(all_ok, witness))
+    _, witness = verify_recovery_bound(sys_, g)
+    print(verdict_json(witness))
     return 0 if ok else 1
 
 

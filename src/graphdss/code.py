@@ -30,10 +30,12 @@ class ParityCode:
 
     length: int
     vertex_edges: Tuple[Tuple[int, ...], ...]  # edge indices at each vertex
-    rank: int
-    dimension: int
     information_set: Tuple[int, ...]
     tree_order: Tuple[Tuple[int, int], ...]  # (tree edge, child vertex), leaf-up
+
+    @property
+    def dimension(self) -> int:
+        return len(self.information_set)
 
 
 @dataclass
@@ -52,7 +54,8 @@ def derive_code(g: Graph) -> ParityCode:
     so the non-tree edges are an information set.  The incidence matrix H
     of a connected graph has rank n - 1 over GF(2) (its rows sum to zero,
     and any n - 1 of them are independent); the BFS tree proves
-    connectivity, so rank(H) = n - 1 and k = m - n + 1 with no elimination.
+    connectivity, so rank(H) = n - 1 and k = m - n + 1, the size of the
+    information set, with no elimination.
     The tests keep a row reduction and the fundamental-cycle basis as
     independent oracles.
     """
@@ -68,12 +71,9 @@ def derive_code(g: Graph) -> ParityCode:
     for ei, _ in parent_pairs:
         in_tree[ei] = True
 
-    rank = g.vertex_count - 1
     return ParityCode(
         length=m,
         vertex_edges=vertex_edges,
-        rank=rank,
-        dimension=m - rank,
         information_set=tuple([ei for ei in range(m) if not in_tree[ei]]),
         tree_order=tuple(parent_pairs[::-1]),
     )

@@ -430,12 +430,9 @@ def derive_code_oracle(g: Graph) -> ParityCode:
         raise DisconnectedError("graph is disconnected")
     tree_set = {ei for ei, _ in parent_pairs}
     info_set = [ei for ei in range(m) if ei not in tree_set]
-    rank = g.vertex_count - 1
     return ParityCode(
         length=m,
         vertex_edges=vertex_edges,
-        rank=rank,
-        dimension=m - rank,
         information_set=tuple(info_set),
         tree_order=tuple(reversed(parent_pairs)),
     )

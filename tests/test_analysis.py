@@ -483,8 +483,8 @@ def test_profile_k5():
     assert prof.blocks_recoverable == 6
     assert (prof.code_length, prof.code_dimension) == (15, 6)
     assert prof.rate == pytest.approx(0.4)
-    assert prof.code_distance_source_girth == 3
-    assert prof.code_distance_cubic_girth == 5
+    assert prof.girth_source == 3
+    assert prof.girth_cubic == 5
 
 
 def test_profile_refuses_a_graph_of_another_size():
@@ -533,9 +533,7 @@ def _profile_oracle(sys, g):
     assert k == c.dimension
     g_src = int(girth(g))
     d = minimum_distance(c, sys.cubic)
-    n = len(sys.disks)
-    return SystemProfile(n, 3 * n, g_src, d, g_src - 1, 3 * (g_src - 1), c.length, k,
-                         g_src, d, k / c.length)
+    return SystemProfile(len(sys.disks), g_src, d, c.length, k)
 
 
 def _profile_cases():
@@ -549,10 +547,37 @@ def _profile_cases():
     return cases
 
 
+# every column of each case's Table-1 row, as `csv_row` prints it
+_PROFILE_ROWS = {
+    "cage3": "5,15,2,6,15,6,3,3,0.400000",
+    "cage4": "8,24,3,9,24,9,4,4,0.375000",
+    "cage5": "19,57,4,12,57,20,5,5,0.350877",
+    "cage6": "26,78,5,15,78,27,6,6,0.346154",
+    "k5-girth3": "5,15,2,6,15,6,3,3,0.400000",
+    "k5-girth5": "5,15,2,6,15,6,3,5,0.400000",
+    "rr4-200-1-crossed": "200,600,2,6,600,201,3,4,0.335000",
+    "rr4-200-1-parallel": "200,600,2,6,600,201,3,4,0.335000",
+}
+
+# `text_report` with the row's columns in csv order
+_TEXT_REPORT = """\
+disks:                  {0}
+blocks:                 {1}
+disks recoverable:      {2}
+blocks recoverable:     {3}
+code:                   [{4}, {5}]
+girth of source graph:  {6}
+girth of block graph:   {7}
+rate:                   {8}"""
+
+
 @pytest.mark.parametrize("name,case", sorted(_profile_cases().items()))
 def test_profile_matches_the_derived_code(name, case):
     sys, g = case
-    assert profile(sys, g) == _profile_oracle(sys, g)
+    prof = profile(sys, g)
+    assert prof == _profile_oracle(sys, g)
+    assert prof.csv_row() == _PROFILE_ROWS[name]
+    assert prof.text_report() == _TEXT_REPORT.format(*_PROFILE_ROWS[name].split(","))
 
 
 def test_profile_derives_no_code(monkeypatch):

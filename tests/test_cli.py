@@ -1,4 +1,6 @@
 import argparse
+import contextlib
+import io
 import json
 import os
 import random
@@ -1168,3 +1170,12 @@ def test_export_dot_writes_utf8_whatever_the_locale(tmp_path):
     done = _run_on_a_utf8_k5_file_in_the_c_locale(tmp_path, "export-dot")
     assert done.returncode == 0, done.stderr
     assert '  0 [label="é"];' in done.stdout.decode("utf-8").splitlines()
+
+
+def test_export_dot_to_a_stdout_with_no_byte_buffer():
+    # a text stream such as a StringIO takes the DOT text itself
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(["export-dot", "--catalog", "pg23"])
+    assert code == 0
+    assert out.getvalue() == graphdss.catalog.cage(6).graph.to_dot() + "\n"

@@ -37,8 +37,8 @@ TRIANGLE = Graph(3, [(0, 1), (1, 2), (2, 0)])
 
 def test_rank_of_triangle_incidence():
     code = derive_code(TRIANGLE)
-    assert code.rank == 2
-    assert code.dimension == 1
+    assert gf2_rank(parity_rows(code)) == 2
+    assert code.dimension == code.length - 2 == 1
     assert fundamental_cycle_basis(TRIANGLE) == [0b111]
 
 
@@ -82,9 +82,9 @@ def test_rank_is_vertices_minus_one(cage_systems):
     graphs += [sysm.cubic for sysm, _ in cage_systems.values()]
     for g in graphs:
         code = derive_code(g)
-        assert code.rank == g.vertex_count - 1
-        # independent confirmation with a fresh row reduction
+        # the rank by a fresh row reduction, and the dimension it leaves
         assert gf2_rank(parity_rows(code)) == g.vertex_count - 1
+        assert code.dimension == code.length - (g.vertex_count - 1)
 
 
 # sha256 of json.dumps([information_set, tree_order]) of derive_code on the
