@@ -36,16 +36,23 @@ class UsageError(Exception):
     pass
 
 
+def _one_of(args, *names: str) -> str:
+    """The one option of `names` that is given (a value other than None or
+    False); UsageError if none is, or if a second one is, since it would
+    go unread.  The error names the options in the order of `names`."""
+    given = [name for name in names if vars(args)[name] not in (None, False)]
+    if not given:
+        raise UsageError("need --" + " or --".join(names))
+    if len(given) > 1:
+        raise UsageError(f"--{given[1]} cannot be given with --{given[0]}")
+    return given[0]
+
+
 def _load_graph(args) -> Graph:
-    """The --catalog graph or the --input file's (`read_graph_file`);
-    UsageError if both are given, as they name two graphs."""
-    if args.catalog and args.input is not None:
-        raise UsageError("--input cannot be given with --catalog")
-    if args.catalog:
+    """The --catalog graph or the --input file's (`read_graph_file`)."""
+    if _one_of(args, "catalog", "input") == "catalog":
         return cat.by_name(args.catalog).graph
-    if args.input is not None:
-        return read_graph_file(args.input, "input graph")
-    raise UsageError("need --catalog or --input")
+    return read_graph_file(args.input, "input graph")
 
 
 def _load_system(path: str) -> CubicSystem:
@@ -138,12 +145,9 @@ _TABLE1 = {
 
 
 def cmd_profile(args) -> int:
-    # --table1 and --system each fix the systems to profile: the other, or a
-    # source or layout option, would go unread, so it is refused
-    given = [f"--{name}" for name in ("table1", "system", "catalog", "input", "orientation",
-                                      "policy") if vars(args)[name] not in (None, False)]
-    if (args.table1 or args.system is not None) and len(given) > 1:
-        raise UsageError(f"{given[1]} cannot be given with {given[0]}")
+    if args.table1 or args.system is not None:
+        # each fixes the systems to profile, so any other of these would go unread
+        _one_of(args, "table1", "system", "catalog", "input", "orientation", "policy")
     if args.table1:
         # every cage is loaded before the first line is printed, so a
         # rejected cage-7 file leaves stdout empty
@@ -276,24 +280,18 @@ def _parse_indices(text: str, option: str, what: str) -> List[int]:
 
 
 def cmd_repair(args) -> int:
-    if args.erased is not None and args.disks is not None:
-        raise UsageError("--disks cannot be given with --erased")
-    if args.erased is None and args.disks is None:
-        raise UsageError("need --erased or --disks")
+    lost_by = _one_of(args, "erased", "disks")
     sys_ = _load_system(args.system)
-    m = sys_.cubic.edge_count
-    if args.disks is not None:
-        try:
+    try:
+        if lost_by == "disks":
             erased = sorted(e for d in _parse_indices(args.disks, "--disks", "disk")
                             for e in sys_.disk_edges(d))
-        except InvalidDiskError as exc:
-            raise UsageError(f"--disks: {exc}") from None
-    else:
-        erased = _parse_indices(args.erased, "--erased", "block")
-        bad = [ei for ei in erased if not 0 <= ei < m]
-        if bad:
-            raise UsageError(f"--erased: no block {bad[0]}; blocks are 0..{m - 1}")
-    report = state.repair(sys_, args.state, erased, RepairStrategy(args.strategy))
+        else:
+            erased = _parse_indices(args.erased, "--erased", "block")
+        report = state.repair(sys_, args.state, erased, RepairStrategy(args.strategy))
+    except (InvalidDiskError, state.InvalidBlockError) as exc:
+        # the library's range rules; the error is prefixed with the option it refuses
+        raise UsageError(f"--{lost_by}: {exc}") from None
     if len(report.residual):
         print(f"unrecoverable: residual cycle on edges {report.residual.indices()}")
         print(report.to_json())

@@ -16,8 +16,11 @@ old contents or all of its new ones.  `store` removes a stale header
 first, then the block files of a longer stripe (every `block_NNNNN.bin`
 of index m or more, and no other name), writes the blocks next and the
 header last, so a directory without a header holds no complete stripe
-and a stored one holds no other stripe's blocks.  `repair` reads the
-header through `graphs.read_json_file`, as UTF-8 JSON, and checks it,
+and a stored one holds no other stripe's blocks.  `repair` refuses an
+erased block outside 0..m-1 (`InvalidBlockError`) before it reads any
+file, as `CubicSystem.disk_edges` refuses a disk outside the system
+(`cubic.InvalidDiskError`).  It reads the header through
+`graphs.read_json_file`, as UTF-8 JSON, and checks it,
 then the size of every surviving block, then opens only the helper
 blocks that its peel schedule reads; it writes the erased blocks back
 only if the peel leaves no residual.  Every rejection is a `StateError`.
@@ -37,7 +40,12 @@ from .repair import RepairReport, RepairStrategy, peel, repair_state
 
 
 class StateError(ValueError):
-    """A payload, state header or block file that does not fit the system."""
+    """A payload, state header, block file or erased block that does not fit the system."""
+
+
+class InvalidBlockError(StateError, IndexError):
+    """An erased block outside 0..m-1: a StateError of the rejected input,
+    and an IndexError of the stripe."""
 
 
 def _block(directory: str, e: int) -> str:
@@ -94,6 +102,10 @@ def repair(system: CubicSystem, directory: str, erased: Iterable[int],
            strategy: RepairStrategy = RepairStrategy.MIN_ROUNDS) -> RepairReport:
     """Rebuild the `erased` blocks in `directory` and return the report of
     the peel under `strategy`."""
+    lost, m = set(erased), system.cubic.edge_count
+    outside = [e for e in lost if not 0 <= e < m]
+    if outside:
+        raise InvalidBlockError(f"no block {min(outside)}; blocks are 0..{m - 1}")
     code = derive_code(system.cubic)
     try:
         header = read_json_file(os.path.join(directory, "header.json"), "state header")
@@ -114,7 +126,6 @@ def repair(system: CubicSystem, directory: str, erased: Iterable[int],
                          f"but the system's digest is {want['system']}")
     if type(s) is not int or s < 0:
         raise StateError(f"state header has an invalid block size s={s!r}")
-    lost = set(erased)
     for e in range(code.length):
         if e not in lost:
             size = os.stat(_block(directory, e)).st_size

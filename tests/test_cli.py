@@ -1048,6 +1048,12 @@ def test_an_option_that_would_be_ignored_is_refused(tmp_path, capsys, monkeypatc
     assert (code, out, err) == (2, "", f"error: {refused} cannot be given with {kept}\n")
 
 
+@pytest.mark.parametrize("command", ["build", "decompose", "export-dot", "simulate", "profile"])
+def test_a_command_without_a_graph_source_is_refused(capsys, command):
+    code, out, err = run(capsys, command)
+    assert (code, out, err) == (2, "", "error: need --catalog or --input\n")
+
+
 @pytest.mark.parametrize("argv", [
     ["build", "--input", ""], ["build", "--catalog", "k5", "--orientation", ""],
     ["build", "--catalog", "k5", "--output", ""], ["profile", "--system", "", "--csv"]],

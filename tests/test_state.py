@@ -11,7 +11,7 @@ from graphdss.cubic import PairingMode, build_cubic
 from graphdss.graphs import EdgeSubset
 from graphdss.orientation import eulerian_tour, orient_from_tour
 from graphdss.repair import peel
-from graphdss.state import StateError, repair, store, system_digest
+from graphdss.state import InvalidBlockError, StateError, repair, store, system_digest
 
 from conftest import system_from_cage
 
@@ -90,6 +90,25 @@ def test_repair_rejects_another_system_before_it_touches_a_block_file(tmp_path):
         repair(other, str(tmp_path), [0])
     assert str(exc.value) == (f"state header names system {system_digest(sys)}, "
                               f"but the system's digest is {system_digest(other)}")
+    assert _files(tmp_path) == before
+
+
+@pytest.mark.parametrize("erased, named", [([24], 24), ([999], 999), ([-1], -1),
+                                           ([3, 30, 25], 25)],
+                         ids=["one-past-the-end", "far-past-the-end", "negative", "smallest"])
+@pytest.mark.parametrize("stored", [True, False], ids=["stored", "no-header"])
+def test_repair_refuses_a_block_outside_the_stripe_before_it_reads_a_file(
+        tmp_path, erased, named, stored):
+    """With no header.json, reading the header would raise
+    FileNotFoundError, not this error."""
+    sys = _k44()
+    if stored:
+        store(sys, _payload(9 * 8), str(tmp_path), 8)
+    before = _files(tmp_path)
+    with pytest.raises(InvalidBlockError) as exc:
+        repair(sys, str(tmp_path), erased)
+    assert isinstance(exc.value, StateError) and isinstance(exc.value, IndexError)
+    assert str(exc.value) == f"no block {named}; blocks are 0..23"
     assert _files(tmp_path) == before
 
 
