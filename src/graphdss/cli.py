@@ -29,7 +29,7 @@ from .cubic import (
 )
 from .graphs import Graph, degree_sequence, is_connected, read_graph_file, read_json_file
 from .orientation import eulerian_tour, load_orientation, orient_from_tour
-from .repair import RepairStrategy, UnrecoverableError, repair_disk, repair_disks
+from .repair import RepairStrategy, repair_disk, repair_disks
 
 
 class UsageError(Exception):
@@ -399,7 +399,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         # NotCubicError, ...)
         print(f"error: {exc}", file=_sys.stderr)
         return 2
-    except (UnrecoverableError, DecompositionFailure) as exc:
+    except DecompositionFailure as exc:
         print(f"error: {exc}", file=_sys.stderr)
         return 1
 

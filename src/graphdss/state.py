@@ -23,7 +23,11 @@ file, as `CubicSystem.disk_edges` refuses a disk outside the system
 `graphs.read_json_file`, as UTF-8 JSON, and checks it,
 then the size of every surviving block, then opens only the helper
 blocks that its peel schedule reads; it writes the erased blocks back
-only if the peel leaves no residual.  Every rejection is a `StateError`.
+only if the peel leaves no residual.  Every rejection is a `StateError`:
+one `try` around these reads turns an `OSError` (a missing or unreadable
+header or block, a state path that is missing or not a directory) or a
+header that is not JSON into a `StateError` of the same message, with the
+original chained as its `__cause__`.
 """
 
 from __future__ import annotations
@@ -107,37 +111,40 @@ def repair(system: CubicSystem, directory: str, erased: Iterable[int],
     if outside:
         raise InvalidBlockError(f"no block {min(outside)}; blocks are 0..{m - 1}")
     code = derive_code(system.cubic)
+    # before the try: peel's ValueError for a strategy is no state rejection
+    report = peel(system, EdgeSubset.from_indices(code.length, lost), strategy)
     try:
         header = read_json_file(os.path.join(directory, "header.json"), "state header")
-    except ValueError as exc:
-        raise StateError(str(exc)) from None
-    if not isinstance(header, dict):
-        raise StateError("state header is not a JSON object")
-    s = header.get("s")
-    want = _header(system, code, s)
-    if header.get("m") != want["m"]:
-        raise StateError(f"state header has m={header.get('m')!r}, "
-                         f"but the system's code has length {code.length}")
-    if header.get("information_set") != want["information_set"]:
-        raise StateError("state header's information set differs from the system's code's, "
-                         "so the state was stored under another system")
-    if header.get("system", want["system"]) != want["system"]:
-        raise StateError(f"state header names system {header['system']}, "
-                         f"but the system's digest is {want['system']}")
-    if type(s) is not int or s < 0:
-        raise StateError(f"state header has an invalid block size s={s!r}")
-    for e in range(code.length):
-        if e not in lost:
-            size = os.stat(_block(directory, e)).st_size
-            if size != s:
-                raise StateError(f"block {e} has {size} bytes, the header says {s}")
-    report = peel(system, EdgeSubset.from_indices(code.length, lost), strategy)
-    if len(report.residual):
-        return report
-    state = StorageState(s, {})
-    for e in {e for _, v, _ in report.recovered for e, _ in system.cubic.incident(v)} - lost:
-        with open(_block(directory, e), "rb") as fh:
-            state.symbols[e] = fh.read()
+        if not isinstance(header, dict):
+            raise StateError("state header is not a JSON object")
+        s = header.get("s")
+        want = _header(system, code, s)
+        if header.get("m") != want["m"]:
+            raise StateError(f"state header has m={header.get('m')!r}, "
+                             f"but the system's code has length {code.length}")
+        if header.get("information_set") != want["information_set"]:
+            raise StateError("state header's information set differs from the system's code's, "
+                             "so the state was stored under another system")
+        if header.get("system", want["system"]) != want["system"]:
+            raise StateError(f"state header names system {header['system']}, "
+                             f"but the system's digest is {want['system']}")
+        if type(s) is not int or s < 0:
+            raise StateError(f"state header has an invalid block size s={s!r}")
+        for e in range(code.length):
+            if e not in lost:
+                size = os.stat(_block(directory, e)).st_size
+                if size != s:
+                    raise StateError(f"block {e} has {size} bytes, the header says {s}")
+        if len(report.residual):
+            return report
+        state = StorageState(s, {})
+        for e in {e for _, v, _ in report.recovered for e, _ in system.cubic.incident(v)} - lost:
+            with open(_block(directory, e), "rb") as fh:
+                state.symbols[e] = fh.read()
+    except StateError:
+        raise
+    except (OSError, ValueError) as exc:  # a file it cannot read, or a header that is not JSON
+        raise StateError(str(exc)) from exc
     repair_state(code, state, report)
     for e in sorted(lost):
         _write_atomic(_block(directory, e), state.symbols[e])

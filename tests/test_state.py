@@ -3,14 +3,19 @@ repair, with the header checked against the system."""
 
 import hashlib
 import json
+import shutil
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import settings, strategies as st
+from hypothesis.stateful import RuleBasedStateMachine, initialize, rule, run_state_machine_as_test
 
 from graphdss.catalog import by_name
 from graphdss.cubic import PairingMode, build_cubic
 from graphdss.graphs import EdgeSubset
 from graphdss.orientation import eulerian_tour, orient_from_tour
-from graphdss.repair import peel
+from graphdss.repair import RepairStrategy, peel
 from graphdss.state import InvalidBlockError, StateError, repair, store, system_digest
 
 from conftest import system_from_cage
@@ -155,3 +160,127 @@ def test_store_rejects_a_payload_of_the_wrong_size_and_writes_nothing(tmp_path):
     with pytest.raises(StateError, match=r"^data must be exactly k\*s = 9\*8 = 72 bytes, got 71$"):
         store(_k44(), _payload(71), str(tmp_path / "state"), 8)
     assert not (tmp_path / "state").exists()
+
+
+def _tree(directory):
+    """Every path under `directory`, with the bytes of each file."""
+    return {str(p.relative_to(directory)): p.read_bytes() if p.is_file() else None
+            for p in directory.rglob("*")}
+
+
+def _no_header(state):
+    (state / "header.json").unlink()
+    return state / "header.json"
+
+
+def _header_is_a_directory(state):
+    (state / "header.json").unlink()
+    (state / "header.json").mkdir()
+    return state / "header.json"
+
+
+def _surviving_block_missing(state):
+    (state / "block_00006.bin").unlink()
+    return state / "block_00006.bin"
+
+
+def _no_state_directory(state):
+    for path in state.iterdir():
+        path.unlink()
+    state.rmdir()
+    return state / "header.json"
+
+
+def _state_path_is_a_file(state):
+    _no_state_directory(state)
+    state.write_bytes(b"not a directory")
+    return state / "header.json"
+
+
+@pytest.mark.parametrize("spoil, error", [
+    (_no_header, FileNotFoundError),
+    (_header_is_a_directory, IsADirectoryError),
+    (_surviving_block_missing, FileNotFoundError),
+    (_no_state_directory, FileNotFoundError),
+    (_state_path_is_a_file, NotADirectoryError),
+], ids=["no-header", "header-is-a-directory", "surviving-block-missing",
+        "no-state-directory", "state-path-is-a-file"])
+def test_a_file_that_repair_cannot_read_is_a_state_error_with_the_os_error_chained(
+        tmp_path, spoil, error):
+    sys, state = _k44(), tmp_path / "state"
+    store(sys, _payload(9 * 8), str(state), 8)
+    (state / "block_00005.bin").unlink()
+    unreadable = spoil(state)
+    before = _tree(tmp_path)
+    with pytest.raises(StateError) as exc:
+        repair(sys, str(state), [5])
+    cause = exc.value.__cause__
+    assert type(cause) is error and cause.filename == str(unreadable)
+    assert str(exc.value) == str(cause) == f"[Errno {cause.errno}] {cause.strerror}: '{unreadable}'"
+    assert _tree(tmp_path) == before
+
+
+class StateDirectoryMachine(RuleBasedStateMachine):
+    """A k44 state directory (s = 8) against a model that holds each
+    block's bytes as `store` last wrote them.  Files are deleted or
+    truncated, never rewritten with other bytes of the same size: a helper
+    block changed in place is not yet detected (ROADMAP item 21)."""
+
+    def __init__(self):
+        super().__init__()
+        self.sys = _k44()
+        self.dir = Path(tempfile.mkdtemp())
+        self.blocks = {}
+
+    def teardown(self):
+        shutil.rmtree(self.dir)
+
+    def _block(self, e):
+        return self.dir / f"block_{e:05d}.bin"
+
+    @initialize(payload=st.binary(min_size=72, max_size=72))
+    def store_first(self, payload):
+        self.store_again(payload)
+
+    @rule(payload=st.binary(min_size=72, max_size=72))
+    def store_again(self, payload):
+        store(self.sys, payload, str(self.dir), 8)
+        self.blocks = {e: self._block(e).read_bytes() for e in range(24)}
+
+    @rule(e=st.integers(0, 23))
+    def delete_block(self, e):
+        self._block(e).unlink(missing_ok=True)
+
+    @rule(d=st.integers(0, 7))
+    def erase_disk(self, d):
+        for e in self.sys.disk_edges(d):
+            self._block(e).unlink(missing_ok=True)
+
+    @rule()
+    def delete_header(self):
+        (self.dir / "header.json").unlink(missing_ok=True)
+
+    @rule(e=st.integers(0, 23))
+    def truncate_block(self, e):
+        if self._block(e).exists():
+            self._block(e).write_bytes(self._block(e).read_bytes()[:-1])
+
+    @rule(strategy=st.sampled_from(RepairStrategy))
+    def repair_the_missing_blocks(self, strategy):
+        missing = [e for e in range(24) if not self._block(e).exists()]
+        before = _tree(self.dir)
+        try:
+            report = repair(self.sys, str(self.dir), missing, strategy)
+        except StateError:
+            assert _tree(self.dir) == before
+            return
+        if len(report.residual):
+            assert _tree(self.dir) == before
+        else:
+            rebuilt = {f"block_{e:05d}.bin": self.blocks[e] for e in missing}
+            assert _tree(self.dir) == {**before, **rebuilt}
+
+
+def test_repair_rebuilds_the_stored_bytes_or_refuses():
+    run_state_machine_as_test(StateDirectoryMachine, settings=settings(
+        max_examples=60, stateful_step_count=15, derandomize=True, deadline=None))
