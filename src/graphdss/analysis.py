@@ -12,9 +12,9 @@ import json
 from dataclasses import dataclass
 from typing import Optional, Set, Tuple
 
-from .code import DisconnectedError
+from .code import derive_code
 from .cubic import CubicSystem, check_layout_counts, check_star_layout
-from .graphs import Graph, girth, is_connected, shortest_cycle
+from .graphs import Graph, girth, shortest_cycle
 
 
 @dataclass(frozen=True)
@@ -121,33 +121,28 @@ def verify_recovery_bound(
 def profile(sys: CubicSystem, g4: Graph) -> SystemProfile:
     """Fill the summary row for a system and its source graph.
 
-    The code parameters follow by theorem, without deriving the code.  A
-    cycle of the block graph B is a codeword of its cycle code, and every
-    nonzero codeword is an edge-disjoint union of cycles, so the distance
-    is girth(B).  For a connected B the incidence matrix has rank
-    n_B - 1, so the dimension is m - n_B + 1 (as in `derive_code`).
+    The code's length and dimension are those of `derive_code` on the
+    block graph B, which owns the code's rules: an empty or disconnected
+    B raises its `DisconnectedError`.  A cycle of B is a codeword of its
+    cycle code, and every nonzero codeword is an edge-disjoint union of
+    cycles, so the distance is girth(B).
 
     The guarantee is read off girth(g4) alone, so `g4` must be the graph
     that `sys` lays out, as for a system built from `g4` or one paired with
     its `source_graph`.  `check_layout_counts` refuses, with
-    InvalidSystemError, a graph whose vertex count cannot be that graph's
-    (the 5-disk K5 system with the (4,5)-cage); a graph of the right size
-    with other edges is not checked (`check_star_layout` proves the whole
-    layout, at O(n)).
+    InvalidSystemError, a graph whose vertex or edge count cannot be that
+    graph's (the 5-disk K5 system with the (4,5)-cage, or the k44 system
+    with K8); a graph of the right size with other edges is not checked
+    (`check_star_layout` proves the whole layout, at O(n)).
     """
     check_layout_counts(sys, g4)
-    block = sys.cubic
-    if block.vertex_count == 0:
-        raise DisconnectedError("empty graph")
-    if not is_connected(block):
-        raise DisconnectedError("graph is disconnected")
-    m = block.edge_count
+    code = derive_code(sys.cubic)
     return SystemProfile(
         disk_count=len(sys.disks),
         girth_source=int(girth(g4)),
-        girth_cubic=int(girth(block)),
-        code_length=m,
-        code_dimension=m - block.vertex_count + 1,
+        girth_cubic=int(girth(sys.cubic)),
+        code_length=code.length,
+        code_dimension=code.dimension,
     )
 
 

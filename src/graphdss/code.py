@@ -3,8 +3,9 @@
 Coordinates are edges; each vertex contributes the parity check "incident
 edges XOR to zero".  The kernel is spanned by the fundamental cycles of a
 spanning tree, so a connected graph with n vertices and m edges gives an
-[m, m-n+1] code whose minimum weight is the girth.  The code is kept as
-its edge lists: the check at vertex v is `vertex_edges[v]`.
+[m, m-n+1] code whose minimum weight is the girth.  The code is its
+graph: the check at vertex v is the incidence pairs `graph.incident(v)`,
+(edge, neighbour), and no second copy of them is kept.
 """
 
 from __future__ import annotations
@@ -25,13 +26,17 @@ class EncodingError(ValueError):
 
 @dataclass(frozen=True)
 class ParityCode:
-    """Cycle-space code data: the edges at each vertex, whose blocks XOR to
-    zero, and a systematic information set (the non-tree edges)."""
+    """The cycle-space code of `graph`, the graph it was derived from: the
+    blocks on the edges at each vertex XOR to zero, and the non-tree edges
+    are a systematic information set.  Unhashable, as `Graph` is."""
 
-    length: int
-    vertex_edges: Tuple[Tuple[int, ...], ...]  # edge indices at each vertex
+    graph: Graph
     information_set: Tuple[int, ...]
     tree_order: Tuple[Tuple[int, int], ...]  # (tree edge, child vertex), leaf-up
+
+    @property
+    def length(self) -> int:
+        return self.graph.edge_count
 
     @property
     def dimension(self) -> int:
@@ -61,29 +66,23 @@ def derive_code(g: Graph) -> ParityCode:
     """
     if g.vertex_count == 0:
         raise DisconnectedError("empty graph")
-    m, incident = g.edge_count, g.incident
-    vertex_edges = tuple([tuple([ei for ei, _ in incident(v)]) for v in range(g.vertex_count)])
-
     parent_pairs = bfs_tree(g, 0)
     if len(parent_pairs) != g.vertex_count - 1:
         raise DisconnectedError("graph is disconnected")
-    in_tree = [False] * m
+    in_tree = [False] * g.edge_count
     for ei, _ in parent_pairs:
         in_tree[ei] = True
-
-    return ParityCode(
-        length=m,
-        vertex_edges=vertex_edges,
-        information_set=tuple([ei for ei in range(m) if not in_tree[ei]]),
-        tree_order=tuple(parent_pairs[::-1]),
-    )
+    return ParityCode(g, tuple([ei for ei, t in enumerate(in_tree) if not t]),
+                      tuple(parent_pairs[::-1]))
 
 
 def _xor_blocks(state: StorageState, left: Union[Dict[int, int], bytearray],
-                ints: Dict[int, int], edges: Sequence[int], skip: Optional[int]) -> int:
-    """The one block reader: the XOR of the blocks on `edges` other than
-    `skip`, as an int; 0 if there are none.  The XOR starts from the first
-    block read, not from 0, so no block is copied.
+                ints: Dict[int, int], pairs: Sequence[Tuple[int, int]],
+                skip: Optional[int]) -> int:
+    """The one block reader: the XOR of the blocks on the edges of the
+    incidence pairs `pairs`, (edge, neighbour) as `Graph.incident` gives
+    them, other than edge `skip`, as an int; 0 if there are none.  The XOR
+    starts from the first block read, not from 0, so no block is copied.
 
     `left[e]` counts the reads of edge e still to come, and `ints` holds
     the int of each edge with reads left: a read takes the edge's int out
@@ -92,7 +91,7 @@ def _xor_blocks(state: StorageState, left: Union[Dict[int, int], bytearray],
     read must be in `ints` or `state` and hold `block_size` bytes;
     otherwise `EncodingError` names its edge."""
     symbols, size, acc = state.symbols, state.block_size, None
-    for e in edges:
+    for e, _ in pairs:
         if e == skip:
             continue
         x = ints.pop(e, None)
@@ -115,29 +114,31 @@ def fill_edges(code: ParityCode, state: StorageState, steps: Iterable[Tuple[int,
     of the other blocks at the vertex (locality 2).
 
     Every step is checked before any block is written: a vertex outside
-    the code, or an edge not at its vertex, raises `EncodingError` naming
-    the step.  A block read must be present, or set by an earlier step, and
-    hold `block_size` bytes; otherwise `EncodingError` names its edge.
+    the code, or an edge not at its vertex (an index outside 0..m-1 is at
+    none), raises `EncodingError` naming the step.  A block read must be
+    present, or set by an earlier step, and hold `block_size` bytes;
+    otherwise `EncodingError` names its edge.
 
     The same pass counts the reads of each edge to come, for the block
     reader `_xor_blocks`; a block written with reads left is kept as its
     int.
     """
     steps = tuple(steps)
+    g = code.graph
+    n, m, ends, incident = g.vertex_count, g.edge_count, g.edges, g.incident
     left: Dict[int, int] = {}
     for e, v in steps:
-        if not 0 <= v < len(code.vertex_edges):
+        if not 0 <= v < n:
             raise EncodingError(f"step ({e}, {v}): no vertex {v}")
-        edges = code.vertex_edges[v]
-        if e not in edges:
+        if not (0 <= e < m and v in ends[e]):
             raise EncodingError(f"step ({e}, {v}): edge {e} is not at vertex {v}")
-        for ei in edges:
+        for ei, _ in incident(v):
             if ei != e:
                 left[ei] = left.get(ei, 0) + 1
     symbols, size = state.symbols, state.block_size
     ints: Dict[int, int] = {}
     for e, v in steps:
-        acc = _xor_blocks(state, left, ints, code.vertex_edges[v], e)
+        acc = _xor_blocks(state, left, ints, incident(v), e)
         if left.get(e):
             ints[e] = acc
         symbols[e] = acc.to_bytes(size, "little")
@@ -174,13 +175,14 @@ def verify_state(code: ParityCode, state: StorageState) -> bool:
     `_xor_blocks`, the reader of `fill_edges`, each edge counted for its
     read at either end; a missing or mis-sized block is the reader's
     `EncodingError`."""
-    if len(state.symbols) != code.length:
+    g = code.graph
+    if len(state.symbols) != g.edge_count:
         return False
-    left, ints = bytearray([2]) * code.length, {}
+    left, ints = bytearray([2]) * g.edge_count, {}
     try:
-        for edges in code.vertex_edges:
-            if edges and (_xor_blocks(state, left, ints, edges, edges[-1])
-                          != _xor_blocks(state, left, ints, edges[-1:], None)):
+        for pairs in map(g.incident, range(g.vertex_count)):
+            if pairs and (_xor_blocks(state, left, ints, pairs, pairs[-1][0])
+                          != _xor_blocks(state, left, ints, pairs[-1:], None)):
                 return False
     except EncodingError:
         return False

@@ -208,7 +208,9 @@ def build_cubic(
     """Construct the cubic graph and its disks from a 2-in-2-out digraph:
     vertex i of the cubic graph is arc i, disk v pairs vertex v's arcs
     under its mode (see `_pair_arcs`), and the block graph's edges are the
-    disks' path pairs, disk by disk.
+    disks' path pairs, disk by disk.  A policy entry that is not a
+    `PairingMode` is refused, before any pairing, with a ValueError that
+    names its vertex and value.
     """
     if not gd.is_two_in_two_out():
         raise NotTwoInTwoOutError("digraph must have in-degree = out-degree = 2")
@@ -216,6 +218,9 @@ def build_cubic(
     policy = (policy,) * n if isinstance(policy, PairingMode) else tuple(policy)
     if len(policy) != n:
         raise ValueError("policy must assign one mode per vertex")
+    for v, mode in enumerate(policy):
+        if not isinstance(mode, PairingMode):
+            raise ValueError(f"policy of vertex {v} is not a pairing mode: {mode!r}")
     disks = _pair_arcs(gd.arcs, policy)
     pairs = []
     for c, a, b, d in disks:
@@ -235,11 +240,14 @@ def build_cubic(
 def check_layout_counts(sys: CubicSystem, g4: Graph) -> None:
     """Raise InvalidSystemError unless the counts allow `sys` to lay out
     `g4`: a star layout has one disk per vertex of `g4` and one arc per
-    edge, so n disks and 2n arcs lay out a graph on n vertices.  O(1)."""
+    edge, so n disks and 2n arcs lay out a graph on n vertices and 2n
+    edges.  O(1)."""
     n, m = len(sys.disks), len(sys.arc_names)
     if (g4.vertex_count, m) != (n, 2 * n):
         raise InvalidSystemError(
             f"{n} disks and {m} arcs cannot lay out a graph on {g4.vertex_count} vertices")
+    if g4.edge_count != m:
+        raise InvalidSystemError(f"{m} arcs cannot lay out a graph of {g4.edge_count} edges")
 
 
 def check_star_layout(sys: CubicSystem, g4: Graph) -> None:

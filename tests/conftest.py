@@ -261,8 +261,9 @@ class AcyclicError(ValueError):
 
 def parity_rows(code):
     """The parity-check matrix of a derived code, one edge bitset per
-    vertex, built from `vertex_edges`; the library keeps only the lists."""
-    return [sum(1 << ei for ei in edges) for edges in code.vertex_edges]
+    vertex, built from the code's graph; the library keeps only the graph."""
+    return [sum(1 << ei for ei, _ in code.graph.incident(v))
+            for v in range(code.graph.vertex_count)]
 
 
 def is_codeword(code, word: int) -> bool:
@@ -423,16 +424,13 @@ def derive_code_oracle(g: Graph) -> ParityCode:
     and a set of tree edges scanned once per edge."""
     if g.vertex_count == 0:
         raise DisconnectedError("empty graph")
-    m = g.edge_count
-    vertex_edges = tuple(tuple(ei for ei, _ in g.incident(v)) for v in range(g.vertex_count))
     parent_pairs = bfs_tree(g, 0)
     if len(parent_pairs) != g.vertex_count - 1:
         raise DisconnectedError("graph is disconnected")
     tree_set = {ei for ei, _ in parent_pairs}
-    info_set = [ei for ei in range(m) if ei not in tree_set]
+    info_set = [ei for ei in range(g.edge_count) if ei not in tree_set]
     return ParityCode(
-        length=m,
-        vertex_edges=vertex_edges,
+        graph=g,
         information_set=tuple(info_set),
         tree_order=tuple(reversed(parent_pairs)),
     )

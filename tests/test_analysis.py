@@ -22,6 +22,7 @@ from conftest import (
     _fewest_cyclic_disks, _paths_contain_cycle, all_simple_cycles, gf2_rank, has_cycle,
     minimum_distance, parity_rows, system_from_cage
 )
+from test_cli import _two_k5_systems
 from test_cubic import _middle_edge_off_the_paths, k44_reference_system
 
 
@@ -499,6 +500,17 @@ def test_profile_refuses_a_graph_of_another_size():
         check_star_layout(sys, g)
 
 
+def test_profile_refuses_a_graph_with_another_edge_count():
+    # the 8-disk k44 system with K8: 8 vertices, but 28 edges for 16 arcs;
+    # the row used to claim 2 disk erasures, read off K8's girth 3
+    sys = system_from_cage(4)[0]
+    message = "^16 arcs cannot lay out a graph of 28 edges$"
+    with pytest.raises(InvalidSystemError, match=message):
+        profile(sys, complete_graph(8))
+    with pytest.raises(InvalidSystemError, match=message):
+        check_star_layout(sys, complete_graph(8))
+
+
 def rate_function(n: int) -> float:
     """Cycle-space rate of any connected cubic graph on n vertices."""
     return 1 - (n - 1) / (3 * n / 2)
@@ -580,18 +592,25 @@ def test_profile_matches_the_derived_code(name, case):
     assert prof.text_report() == _TEXT_REPORT.format(*_PROFILE_ROWS[name].split(","))
 
 
-def test_profile_derives_no_code(monkeypatch):
+def test_profile_derives_the_code_once(monkeypatch):
+    # `code` owns the code's rules: profile reads length and dimension off
+    # one derive_code of the block graph, and restates none of its checks
     calls = []
-
-    def counted(name, fn):
-        def wrapper(*args, **kwargs):
-            calls.append(name)
-            return fn(*args, **kwargs)
-        return wrapper
-
-    for module in (code, analysis):
-        if hasattr(module, "derive_code"):
-            monkeypatch.setattr(module, "derive_code", counted("derive_code", module.derive_code))
+    derive = analysis.derive_code
+    monkeypatch.setattr(analysis, "derive_code", lambda g: calls.append(g) or derive(g))
     sys, g = system_from_cage(6)
-    assert profile(sys, g).code_dimension == 27
-    assert calls == []
+    prof = profile(sys, g)
+    assert (prof.code_length, prof.code_dimension) == (78, 27)
+    assert len(calls) == 1 and calls[0] is sys.cubic
+    assert not hasattr(analysis, "is_connected") and not hasattr(analysis, "DisconnectedError")
+
+
+def test_profile_refuses_a_block_graph_without_one_component():
+    # the two rules and texts of derive_code, for two disjoint K5 systems
+    # and for the system of no disks
+    two = CubicSystem.from_obj(json.loads(_two_k5_systems()))
+    empty = CubicSystem(Graph(0, []), (), (), ())
+    for sys, message in ((two, "graph is disconnected"), (empty, "empty graph")):
+        with pytest.raises(code.DisconnectedError) as exc:
+            profile(sys, sys.source_graph)
+        assert str(exc.value) == message

@@ -1,3 +1,4 @@
+import dataclasses
 import functools
 import hashlib
 import json
@@ -10,6 +11,7 @@ from graphdss.catalog import k5_reference_system, petersen, random_4_regular
 from graphdss.code import (
     DisconnectedError,
     EncodingError,
+    ParityCode,
     StorageState,
     derive_code,
     encode,
@@ -57,13 +59,28 @@ def test_parity_rows_have_three_ones_on_cubic_graph():
     assert all(bin(r).count("1") == 3 for r in parity_rows(code))
 
 
-def test_vertex_edges_are_the_parity_row_supports():
+def test_the_code_is_its_graph(monkeypatch):
+    # the code keeps the graph it was derived from, not a copy of its
+    # incidence: derive_code reads no vertex's incidence pairs
     g = k44_reference_system().cubic
+    calls = []
+    incident = Graph.incident
+    monkeypatch.setattr(Graph, "incident", lambda self, v: calls.append(v) or incident(self, v))
     code = derive_code(g)
-    assert len(code.vertex_edges) == g.vertex_count
-    for v, (row, edges) in enumerate(zip(parity_rows(code), code.vertex_edges)):
-        assert sorted(edges) == [j for j in range(code.length) if (row >> j) & 1]
-        assert sorted(edges) == [j for j, e in enumerate(g.edges) if v in e]
+    assert calls == []
+    assert [f.name for f in dataclasses.fields(ParityCode)] == [
+        "graph", "information_set", "tree_order"]
+    assert code.graph is g
+    assert (code.length, code.dimension) == (g.edge_count, g.edge_count - g.vertex_count + 1)
+    with pytest.raises(TypeError, match="unhashable"):
+        hash(code)
+    # the parity rows, built from the graph's incidence, have as supports
+    # the edges whose ends hold the vertex
+    rows = parity_rows(code)
+    assert len(rows) == g.vertex_count
+    for v, row in enumerate(rows):
+        assert [j for j in range(code.length) if (row >> j) & 1] == [
+            j for j, e in enumerate(g.edges) if v in e]
 
 
 def test_generators_satisfy_all_parity_rows():
@@ -258,20 +275,20 @@ def _cage_code(name):
 def _parities_hold(code, state) -> bool:
     """verify_state's contract, byte by byte: a block on each edge
     0..length-1 and on no other key, each block_size bytes long, and at
-    every vertex the blocks XOR to zero in every byte position."""
+    every vertex the blocks XOR to zero in every byte position.  Each
+    edge's block is XORed into the columns of its two ends, read from the
+    graph's edge list, not its incidence pairs."""
     blocks, size = state.symbols, state.block_size
     if set(blocks) != set(range(code.length)):
         return False
     if any(len(blk) != size for blk in blocks.values()):
         return False
-    for edges in code.vertex_edges:
-        column = [0] * size
-        for e in edges:
+    columns = [[0] * size for _ in range(code.graph.vertex_count)]
+    for e, ends in enumerate(code.graph.edges):
+        for v in ends:
             for i, byte in enumerate(blocks[e]):
-                column[i] ^= byte
-        if any(column):
-            return False
-    return True
+                columns[v][i] ^= byte
+    return not any(any(column) for column in columns)
 
 
 @given(
@@ -335,11 +352,17 @@ def test_kernel_at_degree_one_and_zero():
         ((0, 10), r"step \(0, 10\): no vertex 10"),
         # a negative vertex would index the edge lists from the end
         ((0, -1), r"step \(0, -1\): no vertex -1"),
+        # the block graph has 15 edges, and edge -1 would index the edge
+        # list from the end, to (3, 9), the last edge, which is at vertex 3
+        ((-1, 3), r"step \(-1, 3\): edge -1 is not at vertex 3"),
+        ((15, 3), r"step \(15, 3\): edge 15 is not at vertex 3"),
     ],
-    ids=["edge-not-at-vertex", "vertex-past-the-end", "negative-vertex"],
+    ids=["edge-not-at-vertex", "vertex-past-the-end", "negative-vertex",
+         "negative-edge", "edge-past-the-end"],
 )
 def test_fill_edges_rejects_a_malformed_step_before_writing(bad, message):
     code = derive_code(k5_reference_system("girth5").cubic)
+    assert (code.length, code.graph.edges[-1]) == (15, (3, 9))
     rng = random.Random(3)
     state = encode(code, [rng.randbytes(4) for _ in range(code.dimension)])
     e, v = code.tree_order[0]

@@ -123,6 +123,24 @@ def test_build_cubic_error_messages_are_pinned(digraph, policy, error, message):
     assert type(exc.value) is error and str(exc.value) == message
 
 
+@pytest.mark.parametrize("policy, message", [
+    # a string is an iterable of letters, 8 of them for 8 vertices
+    ("parallel", "policy of vertex 0 is not a pairing mode: 'p'"),
+    ([None] * 8, "policy of vertex 0 is not a pairing mode: None"),
+    ((PairingMode.CROSSED,) * 5 + ("parallel", None, None),
+     "policy of vertex 5 is not a pairing mode: 'parallel'"),
+], ids=["string", "nones", "name-at-vertex-5"])
+def test_build_cubic_refuses_a_policy_entry_that_is_not_a_mode(monkeypatch, policy, message):
+    # unchecked, every mode but PARALLEL pairs as crossed, so these would
+    # build the all-crossed system, whose to_json raises AttributeError
+    g = cage(4).graph
+    og = orient_from_tour(g, eulerian_tour(g))
+    monkeypatch.setattr(cubic, "_pair_arcs", None)  # refused before any pairing
+    with pytest.raises(ValueError) as exc:
+        build_cubic(og, policy)
+    assert type(exc.value) is ValueError and str(exc.value) == message
+
+
 @pytest.mark.parametrize("name", [-1, 5])
 def test_build_cubic_rejects_an_arc_outside_the_vertex_range(name):
     """K5's reference arcs with vertex 4 renamed: -1 must not count as
