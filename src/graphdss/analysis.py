@@ -2,8 +2,9 @@
 
 Covers the correspondence between disk cycles of the block graph and
 cycles of the source 4-regular graph, the girth-minus-one disk-erasure
-guarantee with an explicit unrecoverable witness, and rate / parameter
-profiling against the cage catalog table.
+guarantee with an explicit unrecoverable witness, and the rate /
+parameter profile of one system (`cli.cmd_profile --table1` compares the
+profiles of the cages with the catalog table).
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from dataclasses import dataclass
 from typing import Optional, Set, Tuple
 
 from .code import derive_code
-from .cubic import CubicSystem, check_layout_counts, check_star_layout
+from .cubic import CubicSystem, check_star_layout
 from .graphs import Graph, girth, shortest_cycle
 
 
@@ -129,13 +130,14 @@ def profile(sys: CubicSystem, g4: Graph) -> SystemProfile:
 
     The guarantee is read off girth(g4) alone, so `g4` must be the graph
     that `sys` lays out, as for a system built from `g4` or one paired with
-    its `source_graph`.  `check_layout_counts` refuses, with
-    InvalidSystemError, a graph whose vertex or edge count cannot be that
-    graph's (the 5-disk K5 system with the (4,5)-cage, or the k44 system
-    with K8); a graph of the right size with other edges is not checked
-    (`check_star_layout` proves the whole layout, at O(n)).
+    its `source_graph`.  `check_star_layout`, the rule that
+    `verify_recovery_bound` runs too, proves that layout at O(n) or raises
+    InvalidSystemError with the bound's own text: for a graph of another
+    size (the 5-disk K5 system with the (4,5)-cage, or the k44 system with
+    K8) and for one of the right size with other edges (the k44 system
+    with the circulant C8(1,2)).
     """
-    check_layout_counts(sys, g4)
+    check_star_layout(sys, g4)
     code = derive_code(sys.cubic)
     return SystemProfile(
         disk_count=len(sys.disks),

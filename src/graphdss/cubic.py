@@ -237,40 +237,36 @@ def build_cubic(
     return system
 
 
-def check_layout_counts(sys: CubicSystem, g4: Graph) -> None:
-    """Raise InvalidSystemError unless the counts allow `sys` to lay out
-    `g4`: a star layout has one disk per vertex of `g4` and one arc per
-    edge, so n disks and 2n arcs lay out a graph on n vertices and 2n
-    edges.  O(1)."""
-    n, m = len(sys.disks), len(sys.arc_names)
-    if (g4.vertex_count, m) != (n, 2 * n):
-        raise InvalidSystemError(
-            f"{n} disks and {m} arcs cannot lay out a graph on {g4.vertex_count} vertices")
-    if g4.edge_count != m:
-        raise InvalidSystemError(f"{m} arcs cannot lay out a graph of {g4.edge_count} edges")
-
-
 def check_star_layout(sys: CubicSystem, g4: Graph) -> None:
     """Raise InvalidSystemError unless `sys` is a star layout of `g4`: disk
-    d is the path of the 4 arcs at its owner, in the block graph.
+    d is the path of the 4 arcs at its owner, in the block graph.  It is
+    the one layout rule: `CubicSystem.from_obj` runs it on every loaded
+    system, and `analysis.profile` and `analysis.verify_recovery_bound`
+    on the pair they are given.
 
-    After the counts (the block graph's 3n edges among them), one pass asks
-    of each disk in turn that its end arcs leave its owner and its middle
-    arcs enter it, that no earlier disk has the same owner, that the other
-    ends of its 4 arcs be the 4 neighbours of its owner in `g4`, and that
-    `disk_edges` find its 3 path pairs in the block graph.  An arc then
+    The counts come first: one owner per disk, one disk per vertex of `g4`
+    and one arc per edge (so n disks and 2n arcs lay out a graph on n
+    vertices and 2n edges), and the block graph's 3n edges.  Then one pass
+    asks of each disk in turn that its end arcs leave its owner and its
+    middle arcs enter it, that no earlier disk has the same owner, that the
+    other ends of its 4 arcs be the 4 neighbours of its owner in `g4`, and
+    that `disk_edges` find its 3 path pairs in the block graph.  An arc then
     fills only end slots of its tail's disk and middle slots of its head's,
-    and the 2 arcs of a slot pair differ, so the 2n arcs fill each of the
-    2n end and 2n middle slots once, and the arc names are g4's edges, each
-    one once.  So a disk's 4 vertices differ and no 2 arcs lie on the same
-    2 disks: the 3n path pairs are distinct, hence the block graph's 3n
-    edges, each on one disk.  The message names the first disk that fails.
+    and the 2 arcs of a slot pair differ, so the 2n arcs fill each of the 2n
+    end and 2n middle slots once, and the arc names are g4's edges, each one
+    once.  So a disk's 4 vertices differ and no 2 arcs lie on the same 2
+    disks: the 3n path pairs are distinct, hence the block graph's 3n edges,
+    each on one disk.  The message names the first disk that fails.
     O(n); the state is one bytearray and the system's disk-edge table.
     """
     n, names, m = len(sys.disks), sys.arc_names, len(sys.arc_names)
     if len(sys.disk_owner) != n:
         raise InvalidSystemError(f"{len(sys.disk_owner)} disk owners for {n} disks")
-    check_layout_counts(sys, g4)
+    if (g4.vertex_count, m) != (n, 2 * n):
+        raise InvalidSystemError(
+            f"{n} disks and {m} arcs cannot lay out a graph on {g4.vertex_count} vertices")
+    if g4.edge_count != m:
+        raise InvalidSystemError(f"{m} arcs cannot lay out a graph of {g4.edge_count} edges")
     if sys.cubic.edge_count != 3 * n:
         raise InvalidSystemError(
             f"{n} disks of 3 edges cannot cover a block graph of {sys.cubic.edge_count} edges")

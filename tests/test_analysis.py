@@ -8,7 +8,7 @@ import pytest
 
 from graphdss import analysis
 from graphdss.analysis import profile, SystemProfile, verify_recovery_bound
-from graphdss import cli, code, repair
+from graphdss import cli, code, cubic, repair
 from graphdss.catalog import cage, complete_graph, k5_reference_system, random_4_regular
 from graphdss.code import derive_code
 from graphdss.cubic import (
@@ -509,6 +509,75 @@ def test_profile_refuses_a_graph_with_another_edge_count():
         profile(sys, complete_graph(8))
     with pytest.raises(InvalidSystemError, match=message):
         check_star_layout(sys, complete_graph(8))
+
+
+def _circulant(n, *steps):
+    """C_n(steps): vertex i joined to i + s and i - s, mod n, for each step."""
+    return Graph(n, [(i, (i + s) % n) for s in steps for i in range(n)])
+
+
+def test_profile_refuses_a_graph_of_the_right_size_with_other_edges():
+    # the k44 system with the 4-regular C8(1,2): 8 vertices and 16 edges,
+    # but girth 3; the row used to claim 2 disk erasures where k44's says 3
+    sys = system_from_cage(4)[0]
+    message = "disk 0: its arcs are not the 4 edges at vertex 0 of the source graph"
+    with pytest.raises(InvalidSystemError) as exc:
+        profile(sys, _circulant(8, 1, 2))
+    assert str(exc.value) == message
+
+
+# each tour system with its own graph: its row and the bound's witness
+_OWN_GRAPH = {
+    "k44": ("8,24,3,9,24,9,4,4,0.375000", {0, 1, 4, 5}),
+    "robertson": ("19,57,4,12,57,20,5,5,0.350877", {0, 1, 2, 5, 8}),
+    "pg23": ("26,78,5,15,78,27,6,6,0.346154", {0, 1, 4, 13, 14, 17}),
+    "rr4-50-1": ("50,150,2,6,150,51,3,3,0.340000", {3, 19, 45}),
+    "rr4-50-2": ("50,150,2,6,150,51,3,3,0.340000", {4, 36, 41}),
+    "rr4-200-1": ("200,600,2,6,600,201,3,4,0.335000", {21, 40, 160}),
+    "rr4-200-2": ("200,600,2,6,600,201,3,4,0.335000", {13, 65, 161}),
+}
+
+
+def _one_rule_cases():
+    """(system name, its own graph, other 4-regular graphs on as many
+    vertices).  K5 is left out: it is the only 4-regular graph on 5
+    vertices.  C8(1,3) is K4,4 with other labels, so the rule is about the
+    labelled graph."""
+    cases = [("k44", cage(4).graph, [_circulant(8, 1, 2), _circulant(8, 1, 3)]),
+             ("robertson", cage(5).graph, [_circulant(19, 1, 2)]),
+             ("pg23", _PG23, [_circulant(26, 1, 2)])]
+    for n in (50, 200):
+        for s in (1, 2):
+            cases.append((f"rr4-{n}-{s}", random_4_regular(n, s),
+                          [_circulant(n, 1, 2), random_4_regular(n, s + 1)]))
+    return [pytest.param(*case, id=case[0]) for case in cases]
+
+
+@pytest.mark.parametrize("name,g4,others", _one_rule_cases())
+def test_profile_and_the_bound_share_one_layout_rule(name, g4, others):
+    sys = _tour_system(g4, PairingMode.PARALLEL)
+    row, witness = _OWN_GRAPH[name]
+    assert profile(sys, g4).csv_row() == row
+    assert verify_recovery_bound(sys, g4) == (True, witness)
+    for other in others:
+        assert other.vertex_count == g4.vertex_count and other.edge_count == g4.edge_count
+        texts = []
+        for check in (profile, verify_recovery_bound):
+            with pytest.raises(InvalidSystemError) as exc:
+                check(sys, other)
+            texts.append(str(exc.value))
+        assert texts[0] == texts[1]
+
+
+def test_profile_runs_the_star_check_once(monkeypatch):
+    calls = []
+    star = analysis.check_star_layout
+    monkeypatch.setattr(analysis, "check_star_layout",
+                        lambda s, g: calls.append((s, g)) or star(s, g))
+    sys, g = system_from_cage(6)
+    profile(sys, g)
+    assert len(calls) == 1 and calls[0][0] is sys and calls[0][1] is g
+    assert not hasattr(cubic, "check_layout_counts")
 
 
 def rate_function(n: int) -> float:

@@ -1,8 +1,12 @@
 """`tools/code_lines.py`, the counter behind the code-line figures of
-CHANGES.md and ROADMAP.md, and `tools/dead_names.py`, the list of library
-names that nothing calls."""
+CHANGES.md and ROADMAP.md, `tools/dead_names.py`, the list of library
+names that nothing calls, and `tools/bench_record.py`, the recorder of the
+benchmark's end-to-end metrics."""
 
 import importlib.util
+import json
+import subprocess
+import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -79,3 +83,55 @@ def test_dead_names_counts_names_and_attributes_but_not_dunders_or_init(tmp_path
         "    def n(self):\n        pass\n")
     (callers / "run.py").write_text("from pkg.mod import C, used\nused()\nC().m()\n")
     assert _tool("dead_names").dead_names(package, [callers]) == ["mod.C.n", "mod.unused"]
+
+
+_E2E = {m["name"] for m in json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]}
+_SUMMARY = {"median", "q1", "q3", "min", "max", "values"}
+
+
+def _bench_record(*args):
+    return subprocess.run([sys.executable, str(ROOT / "tools" / "bench_record.py"), *args],
+                          cwd=ROOT, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+                          check=False)
+
+
+def test_bench_record_writes_a_record_of_this_checkout(tmp_path):
+    out = tmp_path / "bench.json"
+    proc = _bench_record("--out", str(out), "--workload", "certify", "--runs", "1",
+                         "--seconds", "0", "--seed", "3")
+    assert proc.returncode == 0, proc.stderr
+    record = json.loads(out.read_text())
+    assert set(record) == {"commit", "python", "runs", "seed", "seconds", "code_lines",
+                           "workloads"}
+    assert set(record["commit"]) == {"head", "dirty"}
+    assert (record["runs"], record["seed"], record["seconds"]) == (1, 3, 0)
+    assert record["code_lines"] > 0
+    assert set(record["workloads"]) == {"certify"}
+    for metric in record["workloads"]["certify"].values():
+        assert set(metric) == _SUMMARY and len(metric["values"]) == 1
+    assert set(record["workloads"]["certify"]) == _E2E
+
+
+def test_bench_record_pairs_a_tree_with_itself():
+    proc = _bench_record("--pairs", str(ROOT), str(ROOT), "--workload", "certify",
+                         "--runs", "1", "--seconds", "0")
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout.strip().splitlines()[-1])
+    assert (result["workload"], result["pairs"]) == ("certify", 1)
+    assert set(result["metrics"]) == _E2E
+    for metric in result["metrics"].values():
+        assert set(metric) == {"parent", "change", "change_won"}
+        assert set(metric["parent"]) == set(metric["change"]) == _SUMMARY
+        assert 0 <= metric["change_won"] <= 1
+
+
+def test_bench_record_refuses_a_run_that_is_not_correct(tmp_path):
+    # a tree whose benchmark reports one failed operation
+    (tmp_path / "perfbench").mkdir()
+    (tmp_path / "perfbench" / "run.py").write_text(
+        "import json\nprint(json.dumps({'correct': False, 'attempted': 1, 'failed': 1,"
+        " 'metrics': {}}))\n")
+    proc = _bench_record("--pairs", str(tmp_path), str(ROOT), "--workload", "certify",
+                         "--runs", "1", "--seconds", "0")
+    assert proc.returncode == 1
+    assert "refused, a run failed" in proc.stderr

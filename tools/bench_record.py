@@ -1,0 +1,157 @@
+"""Record the benchmark's end-to-end metrics, or compare two trees by them.
+
+Run, from the root of the checkout:
+
+    python3 tools/bench_record.py --out BENCH.json [--runs R] [--seed S] [--seconds T]
+    python3 tools/bench_record.py --pairs PARENT_TREE CHANGE_TREE --workload W [--runs R] ...
+
+Each run is a fresh process of a tree's own, unchanged `perfbench/run.py`
+at `--trace 0`, with `PYTHONPATH` set to that tree's `src`, and is read by
+its last line, the JSON object of `correct`, `attempted`, `failed` and
+`metrics`.  The workloads and metrics are those that `BENCHMARK.json`
+gates.
+
+`--out` runs every workload (or each `--workload` given) R times, the
+workloads interleaved, at one seed and duration.  It writes, per workload
+and end-to-end metric, the median, quartiles, min, max and the values,
+with the commit (`git rev-parse HEAD` and a dirty flag), the Python
+version, R, the seed, the seconds and the code-line total of
+`src/graphdss` as `tools/code_lines.py` counts it.
+
+`--pairs` runs one workload R times in each tree, alternating: the parent
+first in odd pairs, the change first in even ones.  It prints, per metric,
+each tree's median and quartiles and the number of pairs the change won,
+and then the same as one JSON line.
+
+Both modes exit 1, and `--out` writes nothing, if any run is not `correct`
+or has a failed operation.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import platform
+import statistics
+import subprocess
+import sys
+from pathlib import Path
+from typing import Dict, List
+
+from code_lines import code_lines
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+class RunFailed(Exception):
+    pass
+
+
+def run_once(tree: Path, workload: str, args) -> Dict[str, float]:
+    """One fresh run of `tree`'s benchmark: its end-to-end metric values."""
+    env = dict(os.environ, PYTHONPATH=str(tree / "src"))
+    proc = subprocess.run(
+        [sys.executable, str(tree / "perfbench" / "run.py"), "--workload", workload,
+         "--seed", str(args.seed), "--seconds", str(args.seconds), "--trace", "0"],
+        cwd=tree, env=env, stdout=subprocess.PIPE, text=True, check=False)
+    lines = proc.stdout.strip().splitlines()
+    try:
+        last = json.loads(lines[-1]) if proc.returncode == 0 and lines else {}
+    except ValueError:
+        last = {}
+    if last.get("correct") is not True or last.get("failed") != 0:
+        raise RunFailed(f"{tree} {workload}: exit {proc.returncode}, last line "
+                        f"{lines[-1] if lines else '(none)'}")
+    return {name: last["metrics"][name]["value"] for name in args.better}
+
+
+def summary(values: List[float]) -> Dict[str, object]:
+    """Median, quartiles (inclusive method), min, max and the values."""
+    q1, median, q3 = (statistics.quantiles(values, n=4, method="inclusive")
+                      if len(values) > 1 else values * 3)
+    return {"median": median, "q1": q1, "q3": q3, "min": min(values), "max": max(values),
+            "values": values}
+
+
+def _git(tree: Path, *args: str) -> str:
+    proc = subprocess.run(["git", "-C", str(tree), *args], stdout=subprocess.PIPE,
+                          stderr=subprocess.DEVNULL, text=True, check=False)
+    return proc.stdout.strip() if proc.returncode == 0 else ""
+
+
+def record(args) -> int:
+    workloads = args.workload or args.workloads
+    values = {w: {m: [] for m in args.better} for w in workloads}
+    for r in range(args.runs):
+        for w in workloads:
+            for m, v in run_once(ROOT, w, args).items():
+                values[w][m].append(v)
+            print(f"# run {r + 1}/{args.runs} {w}: correct", flush=True)
+    lines = sum(code_lines(p.read_text(encoding="utf-8"))
+                for p in sorted((ROOT / "src" / "graphdss").rglob("*.py")))
+    result = {
+        "commit": {"head": _git(ROOT, "rev-parse", "HEAD") or None,
+                   "dirty": bool(_git(ROOT, "status", "--porcelain"))},
+        "python": platform.python_version(),
+        "runs": args.runs, "seed": args.seed, "seconds": args.seconds,
+        "code_lines": lines,
+        "workloads": {w: {m: summary(v) for m, v in values[w].items()} for w in workloads},
+    }
+    Path(args.out).write_text(json.dumps(result, indent=2) + "\n", encoding="utf-8")
+    return 0
+
+
+def pairs(args) -> int:
+    workload = args.workload[0]
+    trees = {"parent": Path(args.pairs[0]).resolve(), "change": Path(args.pairs[1]).resolve()}
+    values = {side: {m: [] for m in args.better} for side in trees}
+    for i in range(1, args.runs + 1):
+        order = ("parent", "change") if i % 2 else ("change", "parent")
+        for side in order:
+            for m, v in run_once(trees[side], workload, args).items():
+                values[side][m].append(v)
+        print(f"# pair {i}/{args.runs}: {' then '.join(order)}", flush=True)
+    result = {"workload": workload, "pairs": args.runs, "seed": args.seed,
+              "seconds": args.seconds, "metrics": {}}
+    for m, better in args.better.items():
+        parent, change = values["parent"][m], values["change"][m]
+        won = sum((c < p) if better == "lower" else (c > p) for p, c in zip(parent, change))
+        result["metrics"][m] = {"parent": summary(parent), "change": summary(change),
+                                "change_won": won}
+        ps, cs = result["metrics"][m]["parent"], result["metrics"][m]["change"]
+        print(f"{m:16s} parent {ps['median']:.6g} [{ps['q1']:.6g}, {ps['q3']:.6g}]"
+              f"  change {cs['median']:.6g} [{cs['q1']:.6g}, {cs['q3']:.6g}]"
+              f"  change won {won}/{args.runs}")
+    print(json.dumps(result))
+    return 0
+
+
+def main(argv=None) -> int:
+    benchmark = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
+    workloads = [w["name"] for w in benchmark["workloads"]]
+    p = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    mode = p.add_mutually_exclusive_group(required=True)
+    mode.add_argument("--out", help="write the record of this checkout to this file")
+    mode.add_argument("--pairs", nargs=2, metavar=("PARENT_TREE", "CHANGE_TREE"))
+    p.add_argument("--workload", action="append", choices=workloads,
+                   help="a workload to run (repeatable); --out defaults to all")
+    p.add_argument("--runs", type=int, default=10, help="runs per workload and tree")
+    p.add_argument("--seed", type=int, default=1)
+    p.add_argument("--seconds", type=float, default=benchmark["run_seconds"])
+    args = p.parse_args(argv)
+    args.workloads = workloads
+    args.better = {m["name"]: m["better"] for m in benchmark["end_to_end"]}
+    if args.runs < 1:
+        p.error("--runs must be at least 1")
+    if args.pairs and len(args.workload or ()) != 1:
+        p.error("--pairs takes exactly one --workload")
+    try:
+        return record(args) if args.out else pairs(args)
+    except RunFailed as exc:
+        print(f"bench_record: refused, a run failed: {exc}", file=sys.stderr)
+        return 1
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())
