@@ -89,7 +89,9 @@ def _parse_policy(text: Optional[str], n: int) -> Tuple[PairingMode, ...]:
     return tuple(modes.get(v, base) for v in range(n))
 
 
-def _build_system(args) -> Tuple[CubicSystem, Graph]:
+def _build_system(args) -> CubicSystem:
+    """The system the layout options build; its G is `source_graph`, the
+    graph its arcs name, which is the graph the verdicts read."""
     g = _load_graph(args)
     if g.vertex_count == 0:
         raise UsageError("input graph has no vertices")
@@ -112,12 +114,12 @@ def _build_system(args) -> Tuple[CubicSystem, Graph]:
     else:
         og = orient_from_tour(g, eulerian_tour(g))
     policy = _parse_policy(args.policy, g.vertex_count)
-    return build_cubic(og, policy), g
+    return build_cubic(og, policy)
 
 
 def cmd_build(args) -> int:
-    sys_, g = _build_system(args)
-    n = g.vertex_count
+    sys_ = _build_system(args)
+    n = len(sys_.disks)
     text = sys_.to_json()
     if args.output is not None:
         with open(args.output, "w") as fh:
@@ -161,8 +163,7 @@ def cmd_profile(args) -> int:
         print(SystemProfile.CSV_HEADER)
         for gg, g in cages.items():
             sys_ = build_cubic(orient_from_tour(g, eulerian_tour(g)), PairingMode.PARALLEL)
-            prof = profile(sys_, g)
-            row = prof.csv_row()
+            row = profile(sys_, sys_.source_graph).csv_row()
             print(row)
             if tuple(map(int, row.split(",")[:6])) != _TABLE1[gg]:
                 ok = False
@@ -170,12 +171,8 @@ def cmd_profile(args) -> int:
                       f"{_TABLE1[gg]}", file=_sys.stderr)
         return 0 if ok else 1
 
-    if args.system is not None:
-        sys_ = _load_system(args.system)
-        g = sys_.source_graph
-    else:
-        sys_, g = _build_system(args)
-    prof = profile(sys_, g)
+    sys_ = _load_system(args.system) if args.system is not None else _build_system(args)
+    prof = profile(sys_, sys_.source_graph)
     if args.csv:
         print(prof.csv_row())
     else:
@@ -184,7 +181,7 @@ def cmd_profile(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    sys_, g = _build_system(args)
+    sys_ = _build_system(args)
     n = len(sys_.disks)
     if args.trials < 1:
         raise UsageError(f"--trials must be at least 1, got {args.trials}")
@@ -229,7 +226,7 @@ def cmd_simulate(args) -> int:
 
     for line in lines:
         print(line)
-    _, witness = verify_recovery_bound(sys_, g)
+    _, witness = verify_recovery_bound(sys_, sys_.source_graph)
     print(verdict_json(witness))
     return 0 if ok else 1
 

@@ -702,6 +702,52 @@ def test_profile_system_builds_the_source_graph_once(tmp_path, capsys, monkeypat
     assert built.count(8) == 1, built
 
 
+def _k44_reversed_and_shuffled(tmp_path):
+    # the edges of k44, each written head first, in a shuffled order
+    edges = [(v, u) for u, v in graphdss.catalog.by_name("k44").graph.edges]
+    random.Random(45).shuffle(edges)
+    return _written(tmp_path, json.dumps({"vertices": 8, "edges": edges}))
+
+
+@pytest.mark.parametrize("argv", [
+    lambda t: ["profile", "--catalog", "k44"],
+    lambda t: ["profile", "--input", _k44_reversed_and_shuffled(t)],
+    lambda t: ["profile", "--system", _k44_system_file(t)],
+    lambda t: ["profile", "--table1"],
+    lambda t: ["simulate", "--catalog", "k44", "--exhaustive"],
+], ids=["profile-catalog", "profile-input", "profile-system", "profile-table1", "simulate"])
+def test_every_verdict_reads_g_off_its_system(tmp_path, capsys, monkeypatch, argv):
+    # no CLI path keeps a graph beside its system: G is the system's own
+    calls = []
+    for name in ("profile", "verify_recovery_bound"):
+        def recorded(sys_, g, *rest, _f=getattr(graphdss.cli, name)):
+            calls.append((sys_, g))
+            return _f(sys_, g, *rest)
+        monkeypatch.setattr(graphdss.cli, name, recorded)
+    assert run(capsys, *argv(tmp_path))[0] == 0
+    assert calls
+    for sys_, g in calls:
+        assert g is sys_.source_graph
+
+
+def test_simulate_names_the_disks_of_the_system_build_writes(tmp_path, capsys):
+    # an orientation file whose arcs are not in the input graph's edge order:
+    # simulate reads G off the system, as a load of the built file does
+    sys_file = tmp_path / "sys.json"
+    assert run(capsys, "build", "--catalog", "k44", "--output", str(sys_file))[0] == 0
+    arcs = json.loads(sys_file.read_text())["arc_names"][::-1]
+    rev = _written(tmp_path, json.dumps({"arcs": arcs}))
+    code, out, _ = run(capsys, "simulate", "--catalog", "k44", "--orientation", rev,
+                       "--exhaustive")
+    assert code == 0
+    assert json.loads(out)["witness"] == [0, 3, 6, 7]
+    assert run(capsys, "build", "--catalog", "k44", "--orientation", rev,
+               "--output", str(sys_file))[0] == 0
+    loaded = graphdss.cli._load_system(str(sys_file))
+    _, witness = graphdss.cli.verify_recovery_bound(loaded, loaded.source_graph)
+    assert sorted(witness) == [0, 3, 6, 7]
+
+
 @pytest.mark.parametrize("fault", ["duplicate", "vertex99"])
 def test_store_rejects_bad_system_file(tmp_path, capsys, fault):
     sys_file = tmp_path / "sys.json"

@@ -102,7 +102,7 @@ def test_bench_record_writes_a_record_of_this_checkout(tmp_path):
     assert proc.returncode == 0, proc.stderr
     record = json.loads(out.read_text())
     assert set(record) == {"commit", "python", "runs", "seed", "seconds", "code_lines",
-                           "workloads"}
+                           "probe_ms", "workloads"}
     assert set(record["commit"]) == {"head", "dirty"}
     assert (record["runs"], record["seed"], record["seconds"]) == (1, 3, 0)
     assert record["code_lines"] > 0
@@ -110,6 +110,9 @@ def test_bench_record_writes_a_record_of_this_checkout(tmp_path):
     for metric in record["workloads"]["certify"].values():
         assert set(metric) == _SUMMARY and len(metric["values"]) == 1
     assert set(record["workloads"]["certify"]) == _E2E
+    assert set(record["probe_ms"]) == {"certify"}
+    probe = record["probe_ms"]["certify"]
+    assert set(probe) == _SUMMARY and len(probe["values"]) == 1 and probe["median"] > 0
 
 
 def test_bench_record_pairs_a_tree_with_itself():
@@ -123,6 +126,9 @@ def test_bench_record_pairs_a_tree_with_itself():
         assert set(metric) == {"parent", "change", "change_won"}
         assert set(metric["parent"]) == set(metric["change"]) == _SUMMARY
         assert 0 <= metric["change_won"] <= 1
+    assert set(result["probe_ms"]) == {"parent", "change"}
+    for probe in result["probe_ms"].values():
+        assert set(probe) == _SUMMARY and len(probe["values"]) == 1
 
 
 def test_bench_record_refuses_a_run_that_is_not_correct(tmp_path):
@@ -135,3 +141,15 @@ def test_bench_record_refuses_a_run_that_is_not_correct(tmp_path):
                          "--runs", "1", "--seconds", "0")
     assert proc.returncode == 1
     assert "refused, a run failed" in proc.stderr
+
+
+def test_bench_record_refuses_a_run_without_a_probe_median(tmp_path):
+    # a correct run whose first line does not give the speed probe's median
+    (tmp_path / "perfbench").mkdir()
+    (tmp_path / "perfbench" / "run.py").write_text(
+        "import json\nprint('# certify  seed=1  ops=1  failed=0  trace=0')\n"
+        "print(json.dumps({'correct': True, 'attempted': 1, 'failed': 0, 'metrics': {}}))\n")
+    proc = _bench_record("--pairs", str(tmp_path), str(ROOT), "--workload", "certify",
+                         "--runs", "1", "--seconds", "0")
+    assert proc.returncode == 1
+    assert "no probe_ms_median=" in proc.stderr

@@ -8,23 +8,25 @@ Run, from the root of the checkout:
 Each run is a fresh process of a tree's own, unchanged `perfbench/run.py`
 at `--trace 0`, with `PYTHONPATH` set to that tree's `src`, and is read by
 its last line, the JSON object of `correct`, `attempted`, `failed` and
-`metrics`.  The workloads and metrics are those that `BENCHMARK.json`
-gates.
+`metrics`, and by the `probe_ms_median=` of its first line, the median
+of the speed probe (`perfbench/speed.py`) that the run scales its timings
+by.  The workloads and metrics are those that `BENCHMARK.json` gates.
 
 `--out` runs every workload (or each `--workload` given) R times, the
 workloads interleaved, at one seed and duration.  It writes, per workload
 and end-to-end metric, the median, quartiles, min, max and the values,
-with the commit (`git rev-parse HEAD` and a dirty flag), the Python
-version, R, the seed, the seconds and the code-line total of
-`src/graphdss` as `tools/code_lines.py` counts it.
+the same summary of the probe medians per workload (`probe_ms`), with
+the commit (`git rev-parse HEAD` and a dirty flag), the Python version,
+R, the seed, the seconds and the code-line total of `src/graphdss` as
+`tools/code_lines.py` counts it.
 
 `--pairs` runs one workload R times in each tree, alternating: the parent
 first in odd pairs, the change first in even ones.  It prints, per metric,
 each tree's median and quartiles and the number of pairs the change won,
-and then the same as one JSON line.
+then each tree's probe summary, and then the same as one JSON line.
 
-Both modes exit 1, and `--out` writes nothing, if any run is not `correct`
-or has a failed operation.
+Both modes exit 1, and `--out` writes nothing, if any run is not `correct`,
+has a failed operation or has no probe median on its first line.
 """
 
 from __future__ import annotations
@@ -33,11 +35,12 @@ import argparse
 import json
 import os
 import platform
+import re
 import statistics
 import subprocess
 import sys
 from pathlib import Path
-from typing import Dict, List
+from typing import Dict, List, Tuple
 
 from code_lines import code_lines
 
@@ -48,8 +51,9 @@ class RunFailed(Exception):
     pass
 
 
-def run_once(tree: Path, workload: str, args) -> Dict[str, float]:
-    """One fresh run of `tree`'s benchmark: its end-to-end metric values."""
+def run_once(tree: Path, workload: str, args) -> Tuple[Dict[str, float], float]:
+    """One fresh run of `tree`'s benchmark: its end-to-end metric values and
+    its probe median in ms."""
     env = dict(os.environ, PYTHONPATH=str(tree / "src"))
     proc = subprocess.run(
         [sys.executable, str(tree / "perfbench" / "run.py"), "--workload", workload,
@@ -63,7 +67,11 @@ def run_once(tree: Path, workload: str, args) -> Dict[str, float]:
     if last.get("correct") is not True or last.get("failed") != 0:
         raise RunFailed(f"{tree} {workload}: exit {proc.returncode}, last line "
                         f"{lines[-1] if lines else '(none)'}")
-    return {name: last["metrics"][name]["value"] for name in args.better}
+    probe = re.search(r"\bprobe_ms_median=(\d+(?:\.\d*)?)", lines[0])
+    if probe is None:
+        raise RunFailed(f"{tree} {workload}: no probe_ms_median= on the first line {lines[0]}")
+    return ({name: last["metrics"][name]["value"] for name in args.better},
+            float(probe.group(1)))
 
 
 def summary(values: List[float]) -> Dict[str, object]:
@@ -83,10 +91,13 @@ def _git(tree: Path, *args: str) -> str:
 def record(args) -> int:
     workloads = args.workload or args.workloads
     values = {w: {m: [] for m in args.better} for w in workloads}
+    probes: Dict[str, List[float]] = {w: [] for w in workloads}
     for r in range(args.runs):
         for w in workloads:
-            for m, v in run_once(ROOT, w, args).items():
+            metrics, probe = run_once(ROOT, w, args)
+            for m, v in metrics.items():
                 values[w][m].append(v)
+            probes[w].append(probe)
             print(f"# run {r + 1}/{args.runs} {w}: correct", flush=True)
     lines = sum(code_lines(p.read_text(encoding="utf-8"))
                 for p in sorted((ROOT / "src" / "graphdss").rglob("*.py")))
@@ -96,33 +107,42 @@ def record(args) -> int:
         "python": platform.python_version(),
         "runs": args.runs, "seed": args.seed, "seconds": args.seconds,
         "code_lines": lines,
+        "probe_ms": {w: summary(probes[w]) for w in workloads},
         "workloads": {w: {m: summary(v) for m, v in values[w].items()} for w in workloads},
     }
     Path(args.out).write_text(json.dumps(result, indent=2) + "\n", encoding="utf-8")
     return 0
 
 
+def _sides(by_side: Dict[str, Dict]) -> str:
+    """The parent's and the change's median [quartiles] in `by_side`."""
+    return "  ".join(f"{side} {by_side[side]['median']:.6g} [{by_side[side]['q1']:.6g}, "
+                     f"{by_side[side]['q3']:.6g}]" for side in ("parent", "change"))
+
+
 def pairs(args) -> int:
     workload = args.workload[0]
     trees = {"parent": Path(args.pairs[0]).resolve(), "change": Path(args.pairs[1]).resolve()}
     values = {side: {m: [] for m in args.better} for side in trees}
+    probes: Dict[str, List[float]] = {side: [] for side in trees}
     for i in range(1, args.runs + 1):
         order = ("parent", "change") if i % 2 else ("change", "parent")
         for side in order:
-            for m, v in run_once(trees[side], workload, args).items():
+            metrics, probe = run_once(trees[side], workload, args)
+            for m, v in metrics.items():
                 values[side][m].append(v)
+            probes[side].append(probe)
         print(f"# pair {i}/{args.runs}: {' then '.join(order)}", flush=True)
     result = {"workload": workload, "pairs": args.runs, "seed": args.seed,
-              "seconds": args.seconds, "metrics": {}}
+              "seconds": args.seconds, "metrics": {},
+              "probe_ms": {side: summary(probes[side]) for side in trees}}
     for m, better in args.better.items():
         parent, change = values["parent"][m], values["change"][m]
         won = sum((c < p) if better == "lower" else (c > p) for p, c in zip(parent, change))
         result["metrics"][m] = {"parent": summary(parent), "change": summary(change),
                                 "change_won": won}
-        ps, cs = result["metrics"][m]["parent"], result["metrics"][m]["change"]
-        print(f"{m:16s} parent {ps['median']:.6g} [{ps['q1']:.6g}, {ps['q3']:.6g}]"
-              f"  change {cs['median']:.6g} [{cs['q1']:.6g}, {cs['q3']:.6g}]"
-              f"  change won {won}/{args.runs}")
+        print(f"{m:16s} {_sides(result['metrics'][m])}  change won {won}/{args.runs}")
+    print(f"{'probe_ms':16s} {_sides(result['probe_ms'])}")
     print(json.dumps(result))
     return 0
 
