@@ -12,7 +12,7 @@ of one mode per vertex.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
 from typing import Dict, Iterator, List, Optional, Tuple, Union
@@ -58,6 +58,9 @@ class CubicSystem:
     disks[d]: ordered 4 vertices of the d-th P4 path.
     disk_owner[d]: the source-graph vertex whose arcs make up disk d.
     arc_names[i]: (tail, head) of arc i, for display and golden comparisons.
+
+    Every system, the bare constructor's included, is made of P4 paths of
+    its block graph: `__post_init__` refuses any other disk.
     """
 
     cubic: Graph
@@ -66,18 +69,38 @@ class CubicSystem:
     arc_names: Tuple[Tuple[int, int], ...]
     policy: Optional[Tuple[PairingMode, ...]] = None
 
-    @cached_property
-    def _disk_edge_table(self) -> List[Optional[Tuple[int, int, int]]]:
-        """Disk d's 3 edge indices, in path order, or None until known.
+    # disk d's 3 edge indices, in path order; `__post_init__` files them
+    _disk_edge_table: List[Tuple[int, int, int]] = field(
+        init=False, repr=False, default_factory=list)
 
-        `build_cubic` fills every entry as it builds the system: it appends
-        disk v's path pairs as edges 3v, 3v+1 and 3v+2, so the triples are
-        known without a lookup.  A system from `from_obj` or the bare
-        constructor starts empty, and `disk_edges(d)` looks disk d up on
-        its first call.  Only lookups that succeed are kept, so a system
-        whose disks are not paths of its graph still constructs, and its
-        bad disks raise on every call.  `disk_edges` is its one reader."""
-        return [None] * len(self.disks)
+    def __post_init__(self):
+        """Prove that each disk is a path of the block graph on 4 distinct
+        vertices, or raise InvalidSystemError naming the first disk that is
+        not, and file its 3 edges.  Disk d's pairs are read first at edges
+        3d..3d+2, where `build_cubic` and `to_json` file them; a disk filed
+        elsewhere takes a range check and one `Graph.edge_index` per pair.
+        The pairs are edges of a simple graph, so the 4 vertices differ
+        unless an end repeats the vertex 2 steps away or the other end."""
+        edges, m, index = self.cubic.edges, self.cubic.vertex_count, self.cubic.edge_index
+        top, add = len(edges) - 2, self._disk_edge_table.append
+        for d, path in enumerate(self.disks):
+            if len(path) != 4:
+                raise InvalidSystemError(f"disk {d} has {len(path)} vertices, not 4: {list(path)}")
+            c, a, b, e = path
+            i = 3 * d
+            if i < top and edges[i] == (c, a) and edges[i + 1] == (a, b) and edges[i + 2] == (b, e):
+                add((i, i + 1, i + 2))
+            elif not (0 <= c < m and 0 <= a < m and 0 <= b < m and 0 <= e < m):
+                raise InvalidSystemError(f"disk {d} names a vertex outside the graph: {list(path)}")
+            else:
+                try:
+                    add((index(c, a), index(a, b), index(b, e)))
+                except GraphError as exc:
+                    raise InvalidSystemError(
+                        f"disk {d} is not a path of the block graph: {exc}") from exc
+            if c == b or a == e or c == e:
+                raise InvalidSystemError(
+                    f"disk {d} is not a path of the block graph: {list(path)} repeats a vertex")
 
     @cached_property
     def empty_edges(self) -> EdgeSubset:
@@ -97,11 +120,7 @@ class CubicSystem:
         table = self._disk_edge_table
         if not 0 <= d < len(table):
             raise InvalidDiskError(f"no disk {d}; disks are 0..{len(table) - 1}")
-        edges = table[d]
-        if edges is None:
-            p, index = self.disks[d], self.cubic.edge_index
-            edges = table[d] = (index(p[0], p[1]), index(p[1], p[2]), index(p[2], p[3]))
-        return edges
+        return table[d]
 
     def edge_owner(self) -> List[int]:
         """Map cubic edge index -> owning disk index."""
@@ -225,16 +244,13 @@ def build_cubic(
     pairs = []
     for c, a, b, d in disks:
         pairs += (c, a), (a, b), (b, d)
-    system = CubicSystem(
+    return CubicSystem(
         cubic=Graph(2 * n, pairs),
         disks=tuple(disks),
         disk_owner=tuple(range(n)),
         arc_names=gd.arcs,
         policy=policy,
     )
-    # disk v's path pairs are edges 3v, 3v+1 and 3v+2, in path order
-    vars(system)["_disk_edge_table"] = [(e, e + 1, e + 2) for e in range(0, 3 * n, 3)]
-    return system
 
 
 def check_star_layout(sys: CubicSystem, g4: Graph) -> None:
@@ -246,18 +262,19 @@ def check_star_layout(sys: CubicSystem, g4: Graph) -> None:
 
     The counts come first: one owner per disk, one disk per vertex of `g4`
     and one arc per edge (so n disks and 2n arcs lay out a graph on n
-    vertices and 2n edges), and the block graph's 3n edges.  Then one pass
-    asks of each disk in turn that its end arcs leave its owner and its
-    middle arcs enter it, that no earlier disk has the same owner, that the
-    other ends of its 4 arcs be the 4 neighbours of its owner in `g4`, and
-    that `disk_edges` find its 3 path pairs in the block graph.  An arc then
-    fills only end slots of its tail's disk and middle slots of its head's,
-    and the 2 arcs of a slot pair differ, so the 2n arcs fill each of the 2n
-    end and 2n middle slots once, and the arc names are g4's edges, each one
-    once.  So a disk's 4 vertices differ and no 2 arcs lie on the same 2
-    disks: the 3n path pairs are distinct, hence the block graph's 3n edges,
-    each on one disk.  The message names the first disk that fails.
-    O(n); the state is one bytearray and the system's disk-edge table.
+    vertices and 2n edges), one arc per block-graph vertex, and the block
+    graph's 3n edges.  The constructor has proven each disk a path of the
+    block graph on 4 distinct vertices.  Then one pass asks of each disk
+    in turn that its end arcs leave its owner and its middle arcs enter
+    it, that no earlier disk has the same owner, and that the other ends of
+    its 4 arcs be the 4 neighbours of its owner in `g4`.  An arc then fills
+    only end slots of its tail's disk and middle slots of its head's, and
+    the 2 arcs of a slot pair differ, so the 2n arcs fill each of the 2n
+    end and 2n middle slots once, and the arc names are g4's edges, each
+    one once.  So no 2 arcs lie on the same 2 disks: the 3n path pairs are
+    distinct, hence the block graph's 3n edges, each on one disk.  The
+    message names the first disk that fails.  O(n); the state is one
+    bytearray.
     """
     n, names, m = len(sys.disks), sys.arc_names, len(sys.arc_names)
     if len(sys.disk_owner) != n:
@@ -267,16 +284,13 @@ def check_star_layout(sys: CubicSystem, g4: Graph) -> None:
             f"{n} disks and {m} arcs cannot lay out a graph on {g4.vertex_count} vertices")
     if g4.edge_count != m:
         raise InvalidSystemError(f"{m} arcs cannot lay out a graph of {g4.edge_count} edges")
+    if sys.cubic.vertex_count != m:
+        raise InvalidSystemError(f"{m} arcs but a block graph on {sys.cubic.vertex_count} vertices")
     if sys.cubic.edge_count != 3 * n:
         raise InvalidSystemError(
             f"{n} disks of 3 edges cannot cover a block graph of {sys.cubic.edge_count} edges")
     owned = bytearray(n)
-    for d, (path, v) in enumerate(zip(sys.disks, sys.disk_owner)):
-        if len(path) != 4:
-            raise InvalidSystemError(f"disk {d} has {len(path)} vertices, not 4: {list(path)}")
-        c, a, b, e = path
-        if not (0 <= c < m and 0 <= a < m and 0 <= b < m and 0 <= e < m):
-            raise InvalidSystemError(f"disk {d} names a vertex outside the graph: {list(path)}")
+    for d, ((c, a, b, e), v) in enumerate(zip(sys.disks, sys.disk_owner)):
         if names[c][0] != v or names[e][0] != v or names[a][1] != v or names[b][1] != v:
             raise InvalidSystemError(
                 f"disk {d}: its end arcs must leave vertex {v} and its middle arcs enter it")
@@ -289,25 +303,14 @@ def check_star_layout(sys: CubicSystem, g4: Graph) -> None:
                 names[c][1], names[e][1], names[a][0], names[b][0]}:
             raise InvalidSystemError(
                 f"disk {d}: its arcs are not the 4 edges at vertex {v} of the source graph")
-        try:
-            sys.disk_edges(d)
-        except GraphError as exc:
-            raise InvalidSystemError(
-                f"disk {d} is not a path of the block graph: {exc}") from exc
 
 
 def verify_disk_decomposition(sys: CubicSystem) -> bool:
-    """True iff the disks are vertex-paths on 3 edges, pairwise edge-disjoint,
-    and together cover every edge of the cubic graph: the 3 edges that
-    `disk_edges` gives for each disk are 3 per disk and all of them."""
-    seen = set()
-    for d, path in enumerate(sys.disks):
-        if len(path) != 4 or len(set(path)) != 4:
-            return False
-        try:
-            seen.update(sys.disk_edges(d))
-        except GraphError:
-            return False
+    """True iff the disks, each a path of the block graph on 3 edges by
+    construction, are pairwise edge-disjoint and together cover every edge
+    of the cubic graph: the 3n edges that `disk_edges` gives are distinct
+    and all of them."""
+    seen = {e for d in range(len(sys.disks)) for e in sys.disk_edges(d)}
     return len(seen) == 3 * len(sys.disks) == sys.cubic.edge_count
 
 

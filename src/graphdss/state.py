@@ -3,13 +3,14 @@
 A stripe is the edges of the block graph, each edge one block on the disk
 whose P4 path holds it.  Block e lives in `block_{e:05d}.bin`, and
 `header.json` holds the code length `m`, the block size `s`, the
-information set and `system`, the system's digest: the SHA-256, in hex,
-of the JSON text `[edges, disks]` without spaces, the block graph's edges
-and the disks in file order, which fix which XOR rebuilds which block.
-`_header` builds the header: `store` writes it, and `repair` checks a
-header against it, so the writer and the reader cannot drift apart.  A
-header without `system`, stored before the key existed, is checked on its
-other keys.
+information set, `system`, the system's digest: the SHA-256, in hex, of
+the JSON text `[edges, disks]` without spaces, the block graph's edges
+and the disks in file order, which fix which XOR rebuilds which block,
+and `crc32`, the `zlib.crc32` of each block's bytes, in block order.
+`_header` builds the header's system keys: `store` writes them, and
+`repair` checks a header against them, so the writer and the reader
+cannot drift apart.  A header without `system` or `crc32`, stored before
+the key existed, is checked on its other keys.
 
 Every file is written as `<file>.tmp` and renamed, so it holds either its
 old contents or all of its new ones.  `store` removes a stale header
@@ -22,12 +23,15 @@ file, as `CubicSystem.disk_edges` refuses a disk outside the system
 (`cubic.InvalidDiskError`).  It reads the header through
 `graphs.read_json_file`, as UTF-8 JSON, and checks it,
 then the size of every surviving block, then opens only the helper
-blocks that its peel schedule reads; it writes the erased blocks back
-only if the peel leaves no residual.  Every rejection is a `StateError`:
-one `try` around these reads turns an `OSError` (a missing or unreadable
-header or block, a state path that is missing or not a directory) or a
-header that is not JSON into a `StateError` of the same message, with the
-original chained as its `__cause__`.
+blocks that its peel schedule reads, each checked against its checksum
+as it is read.  It writes the erased blocks back only if the peel leaves
+no residual and every rebuilt block matches its checksum: a block that
+does not is a `StateError` naming it, and no file is written.  A checksum
+finds accidental corruption, not an adversary's.  Every rejection is a
+`StateError`: one `try` around these reads turns an `OSError` (a missing
+or unreadable header or block, a state path that is missing or not a
+directory) or a header that is not JSON into a `StateError` of the same
+message, with the original chained as its `__cause__`.
 """
 
 from __future__ import annotations
@@ -35,6 +39,7 @@ from __future__ import annotations
 import json
 import os
 import re
+import zlib
 from typing import Iterable
 
 from .code import ParityCode, StorageState, derive_code, encode
@@ -69,6 +74,13 @@ def _header(system: CubicSystem, code: ParityCode, s) -> dict:
             "system": system_digest(system)}
 
 
+def _check_crc32(crc32, state: StorageState, e: int, what: str) -> None:
+    """StateError naming block e unless its bytes match the header's
+    checksum; a header without checksums (None) checks nothing."""
+    if crc32 is not None and zlib.crc32(state.symbols[e]) != crc32[e]:
+        raise StateError(f"{what} {e} does not match its crc32 in the state header")
+
+
 def _write_atomic(path: str, data: bytes) -> None:
     tmp = path + ".tmp"
     try:
@@ -99,7 +111,8 @@ def store(system: CubicSystem, payload: bytes, directory: str, block_size: int) 
             os.remove(os.path.join(directory, name))
     for e in range(code.length):
         _write_atomic(_block(directory, e), state.symbols[e])
-    _write_atomic(header, json.dumps(_header(system, code, s)).encode())
+    crc32 = [zlib.crc32(state.symbols[e]) for e in range(code.length)]
+    _write_atomic(header, json.dumps({**_header(system, code, s), "crc32": crc32}).encode())
 
 
 def repair(system: CubicSystem, directory: str, erased: Iterable[int],
@@ -130,6 +143,11 @@ def repair(system: CubicSystem, directory: str, erased: Iterable[int],
                              f"but the system's digest is {want['system']}")
         if type(s) is not int or s < 0:
             raise StateError(f"state header has an invalid block size s={s!r}")
+        crc32 = header.get("crc32")
+        if "crc32" in header and not (isinstance(crc32, list) and len(crc32) == code.length
+                                      and all(type(c) is int and 0 <= c < 1 << 32 for c in crc32)):
+            raise StateError(f"state header's crc32 is not a list of {code.length} ints "
+                             "in 0..2**32-1")
         for e in range(code.length):
             if e not in lost:
                 size = os.stat(_block(directory, e)).st_size
@@ -141,11 +159,14 @@ def repair(system: CubicSystem, directory: str, erased: Iterable[int],
         for e in {e for _, v, _ in report.recovered for e, _ in system.cubic.incident(v)} - lost:
             with open(_block(directory, e), "rb") as fh:
                 state.symbols[e] = fh.read()
+            _check_crc32(crc32, state, e, "block")
     except StateError:
         raise
     except (OSError, ValueError) as exc:  # a file it cannot read, or a header that is not JSON
         raise StateError(str(exc)) from exc
     repair_state(code, state, report)
+    for e in sorted(lost):
+        _check_crc32(crc32, state, e, "rebuilt block")
     for e in sorted(lost):
         _write_atomic(_block(directory, e), state.symbols[e])
     return report

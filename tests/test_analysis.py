@@ -387,11 +387,12 @@ def test_the_witness_peels_to_its_two_core(name):
 @pytest.mark.parametrize("kwargs", _BOUND_MODES)
 @pytest.mark.parametrize("length", [3, 5])
 def test_recovery_bound_rejects_a_disk_of_the_wrong_length(length, kwargs):
-    # a disk of 3 or 5 vertices used to end in a plain unpacking ValueError
+    # a disk of 3 or 5 vertices used to end in a plain unpacking ValueError;
+    # the constructor refuses it, so no such system reaches the bound
     sys = k5_reference_system("girth5")
     path = (sys.disks[0] + sys.disks[1])[:length]
-    broken = CubicSystem(sys.cubic, (path,) + sys.disks[1:], sys.disk_owner, sys.arc_names)
     with pytest.raises(InvalidSystemError, match=f"^disk 0 has {length} vertices, not 4"):
+        broken = CubicSystem(sys.cubic, (path,) + sys.disks[1:], sys.disk_owner, sys.arc_names)
         verify_recovery_bound(broken, K5, **kwargs)
 
 
@@ -425,11 +426,13 @@ def test_recovery_bound_rejects_a_graph_that_is_not_the_arc_graph(cage_systems, 
 
 def test_star_check_names_the_first_disk_that_fails(cage_systems):
     # a neighbour fault at disk 0 (the two-switched graph breaks disks 0,
-    # 1, 13 and 14) and a slot fault at disk 25: one pass over the disks
-    # names disk 0, as the oracle does
+    # 1, 13 and 14) and a slot fault at disk 25, which is shifted one step
+    # along the block graph, so it is still a path of it: one pass over
+    # the disks names disk 0, as the oracle does
     sys, g4 = cage_systems[6]
-    p = sys.disks[25]
-    swapped = CubicSystem(sys.cubic, sys.disks[:25] + ((p[1], p[0], p[2], p[3]),),
+    c, a, b, _ = sys.disks[25]
+    x = next(w for _, w in sys.cubic.incident(c) if w not in (a, b))
+    swapped = CubicSystem(sys.cubic, sys.disks[:25] + ((x, c, a, b),),
                           sys.disk_owner, sys.arc_names)
     with pytest.raises(InvalidSystemError, match="^disk 25: its end arcs must leave"):
         check_star_layout(swapped, g4)
@@ -442,15 +445,16 @@ def test_star_check_names_the_first_disk_that_fails(cage_systems):
 @pytest.mark.parametrize("kwargs", _BOUND_MODES)
 def test_recovery_bound_rejects_a_disk_that_is_not_a_block_graph_path(kwargs):
     # the arc names still lay out pg23, and the witness disks still form a
-    # cycle, so the bound used to pass this system
+    # cycle, so the bound used to pass this system; the constructor now
+    # refuses it, so it never reaches the bound
     sys = _tour_system(_PG23, PairingMode.PARALLEL)
     witness = verify_recovery_bound(sys, _PG23)[1]
     d = min(set(range(len(sys.disks))) - witness)
     obj = json.loads(sys.to_json())
     _middle_edge_off_the_paths(obj, d)
-    broken = CubicSystem(Graph(obj["vertices"], [tuple(e) for e in obj["edges"]]),
-                         sys.disks, sys.disk_owner, sys.arc_names)
     with pytest.raises(InvalidSystemError, match=f"^disk {d} is not a path of the block graph"):
+        broken = CubicSystem(Graph(obj["vertices"], [tuple(e) for e in obj["edges"]]),
+                             sys.disks, sys.disk_owner, sys.arc_names)
         verify_recovery_bound(broken, _PG23, **kwargs)
 
 

@@ -537,6 +537,19 @@ def test_repair_rejects_truncated_helper_block(tmp_path, capsys):
     assert "5 bytes" in err
 
 
+def test_repair_refuses_a_flipped_helper_block(tmp_path, capsys):
+    # store k44 with s = 32, delete block 5 and flip bit 0 of block 4, a
+    # helper that block 5's schedule reads: repair used to exit 0 with a
+    # wrong block 5, and now refuses, naming block 4
+    sys_file, state_dir = _stored_k44(tmp_path, capsys)
+    helper = state_dir / "block_00004.bin"
+    data = bytearray(helper.read_bytes())
+    data[0] ^= 1
+    helper.write_bytes(bytes(data))
+    code, err = _repair_lost_block_5(capsys, sys_file, state_dir)
+    assert (code, err) == (2, "error: block 4 does not match its crc32 in the state header\n")
+
+
 def test_repair_rejects_header_of_another_code_length(tmp_path, capsys):
     sys_file, state_dir = _stored_k44(tmp_path, capsys)
     header = json.loads((state_dir / "header.json").read_text())

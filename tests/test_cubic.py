@@ -4,6 +4,7 @@ import hashlib
 import json
 import random
 import re
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -30,7 +31,7 @@ from graphdss.cubic import (
     decompose_p4,
     verify_disk_decomposition,
 )
-from graphdss.graphs import Graph, GraphError, degree_sequence, girth, is_connected
+from graphdss.graphs import Graph, degree_sequence, girth, is_connected
 from graphdss.orientation import OrientedGraph, eulerian_tour, load_orientation, orient_from_tour
 from graphdss.repair import RepairStrategy, repair_disk, repair_disks
 
@@ -167,18 +168,40 @@ def test_build_invariants_random_graphs(mode, seed):
 
 
 def test_verify_rejects_missing_edge():
+    # without its last edge the block graph has no path for the last disk,
+    # so no system is made; with one edge more the disks no longer cover it
     sys = k44_reference_system()
     g = sys.cubic
-    pruned = Graph(g.vertex_count, g.edges[:-1])
-    broken = CubicSystem(pruned, sys.disks, sys.disk_owner, sys.arc_names)
-    assert not verify_disk_decomposition(broken)
+    last = sys.disks[-1]
+    with pytest.raises(InvalidSystemError) as exc:
+        CubicSystem(Graph(g.vertex_count, g.edges[:-1]), sys.disks, sys.disk_owner, sys.arc_names)
+    assert str(exc.value) == f"disk 7 is not a path of the block graph: no edge ({last[2]},{last[3]})"
+    obj = json.loads(sys.to_json())
+    _extra_block_edge(obj)
+    extra = Graph(g.vertex_count, [tuple(e) for e in obj["edges"]])
+    assert not verify_disk_decomposition(
+        CubicSystem(extra, sys.disks, sys.disk_owner, sys.arc_names))
 
 
 def test_verify_rejects_non_path_disk():
+    # a disk whose pairs are no edges, one whose pairs are edges but that
+    # walks back along one of them, and a triangle filed where `build_cubic`
+    # files a disk's edges: none is a path on 4 distinct vertices
     sys = k44_reference_system()
-    bad_disk = (sys.disks[0][0],) * 4
-    broken = CubicSystem(sys.cubic, (bad_disk,) + sys.disks[1:], sys.disk_owner, sys.arc_names)
-    assert not verify_disk_decomposition(broken)
+    x = sys.disks[0][0]
+    with pytest.raises(InvalidSystemError) as exc:
+        CubicSystem(sys.cubic, ((x,) * 4,) + sys.disks[1:], sys.disk_owner, sys.arc_names)
+    assert str(exc.value) == f"disk 0 is not a path of the block graph: no edge ({x},{x})"
+    c, a, _, _ = sys.disks[0]
+    y = next(w for _, w in sys.cubic.incident(c) if w != a)
+    with pytest.raises(InvalidSystemError) as exc:
+        CubicSystem(sys.cubic, ((c, a, c, y),) + sys.disks[1:], sys.disk_owner, sys.arc_names)
+    assert str(exc.value) == (
+        f"disk 0 is not a path of the block graph: {[c, a, c, y]} repeats a vertex")
+    triangle = Graph(3, [(0, 1), (1, 2), (2, 0)])
+    with pytest.raises(InvalidSystemError) as exc:
+        CubicSystem(triangle, ((0, 1, 2, 0),), (0,), ((0, 0),) * 3)
+    assert str(exc.value) == "disk 0 is not a path of the block graph: [0, 1, 2, 0] repeats a vertex"
 
 
 def test_verify_rejects_a_negative_vertex_alias():
@@ -186,11 +209,9 @@ def test_verify_rejects_a_negative_vertex_alias():
     list index; a disk path through it is no path of the graph."""
     sys = k5_reference_system("girth5")
     assert sys.disks[0] == (0, 8, 4, 1)
-    broken = CubicSystem(sys.cubic, ((-10, 8, 4, 1),) + sys.disks[1:], sys.disk_owner,
-                         sys.arc_names)
-    assert not verify_disk_decomposition(broken)
-    with pytest.raises(GraphError, match="out of range"):
-        broken.disk_edges(0)
+    with pytest.raises(InvalidSystemError) as exc:
+        CubicSystem(sys.cubic, ((-10, 8, 4, 1),) + sys.disks[1:], sys.disk_owner, sys.arc_names)
+    assert str(exc.value) == "disk 0 names a vertex outside the graph: [-10, 8, 4, 1]"
 
 
 def _assert_p4_cover(g, paths):
@@ -638,60 +659,76 @@ def _edge_owner_oracle(sys):
 
 
 def _broken_systems():
-    """Broken systems built with the bare constructor: the two of the
+    """(name, constructor arguments) of broken systems: the two of the
     verify tests, then each corrupted k44 file of
     `test_system_json_rejects_inconsistent_system` that still has disks."""
     sys = k44_reference_system()
     g = sys.cubic
-    yield "missing-edge", CubicSystem(
+    yield "missing-edge", (
         Graph(g.vertex_count, g.edges[:-1]), sys.disks, sys.disk_owner, sys.arc_names)
-    yield "non-path", CubicSystem(
+    yield "non-path", (
         g, ((sys.disks[0][0],) * 4,) + sys.disks[1:], sys.disk_owner, sys.arc_names)
     disks = list(sys.disks)
     disks[1] = (99,) + disks[1][1:]
     disks[2] = disks[2][:3]
-    yield "outside-and-short", CubicSystem(g, tuple(disks), sys.disk_owner, sys.arc_names)
+    yield "outside-and-short", (g, tuple(disks), sys.disk_owner, sys.arc_names)
     for corrupt in (_vertex_99, _short_arc_names, _short_disk_owner, _duplicate_disk,
                     _random_system_with_k44_arcs, _arc_out_of_range, _swapped_owners,
                     _repeated_owner, _extra_arc_on_an_isolated_vertex):
         obj = json.loads(sys.to_json())
         corrupt(obj)
-        yield corrupt.__name__, CubicSystem(
+        yield corrupt.__name__, (
             Graph(obj["vertices"], [tuple(e) for e in obj["edges"]]),
             tuple(tuple(p) for p in obj["disks"]), tuple(obj["disk_owner"]),
             tuple(tuple(a) for a in obj["arc_names"]))
 
 
 def test_verify_rejects_the_broken_systems_that_are_no_decomposition():
-    # `_duplicate_disk` repeats 3 edges; the systems not listed decompose
-    # the block graph and fail only the star-layout check
-    rejected = {name for name, sys in _broken_systems() if not verify_disk_decomposition(sys)}
-    assert rejected == {"missing-edge", "non-path", "outside-and-short", "_vertex_99",
-                        "_duplicate_disk"}
+    # the constructor refuses the systems with a disk that is no path of
+    # the block graph; of the rest, `_duplicate_disk` repeats 3 edges, and
+    # the systems not listed decompose the block graph and fail only the
+    # star-layout check
+    k44 = k44_reference_system()
+    last = k44.disks[-1]
+    refused, rejected = {}, set()
+    for name, args in _broken_systems():
+        try:
+            sys = CubicSystem(*args)
+        except InvalidSystemError as exc:
+            refused[name] = str(exc)
+            continue
+        if not verify_disk_decomposition(sys):
+            rejected.add(name)
+    assert refused == {
+        "missing-edge": f"disk 7 is not a path of the block graph: no edge ({last[2]},{last[3]})",
+        "non-path": f"disk 0 is not a path of the block graph: no edge "
+                    f"({k44.disks[0][0]},{k44.disks[0][0]})",
+        "outside-and-short": "disk 1 names a vertex outside the graph: "
+                             f"{[99, *k44.disks[1][1:]]}",
+        "_vertex_99": "disk 1 names a vertex outside the graph: [0, 1, 2, 99]",
+    }
+    assert rejected == {"_duplicate_disk"}
 
 
 def test_disk_edges_of_broken_systems_match_the_edge_index_walk():
-    """disk_edges and edge_owner return or raise what one `edge_index` per
-    path edge gives, on every call."""
-    raised = {}
-    for name, sys in _broken_systems():
-        for d in range(len(sys.disks)):
-            want = outcome(lambda: _path_edges(sys, d))
-            for _ in range(2):  # a kept lookup and a bad disk's second raise
-                assert outcome(lambda: sys.disk_edges(d)) == want, (name, d)
-            if isinstance(want[0], type):  # (type, message) of a raise
-                raised[name, d] = want
-        want = outcome(lambda: _edge_owner_oracle(sys))
-        assert outcome(sys.edge_owner) == want, name
-    k44 = k44_reference_system()
-    last = k44.disks[-1]
-    assert raised == {
-        ("missing-edge", 7): (GraphError, f"no edge ({last[2]},{last[3]})"),
-        ("non-path", 0): (GraphError, f"no edge ({k44.disks[0][0]},{k44.disks[0][0]})"),
-        ("outside-and-short", 1): (GraphError, f"edge (99,{k44.disks[1][1]}) has endpoint out of range"),
-        ("outside-and-short", 2): (IndexError, "tuple index out of range"),
-        ("_vertex_99", 1): (GraphError, "no edge (0,1)"),
-    }
+    """A broken system is made exactly when one `edge_index` per path edge
+    finds every disk, and then disk_edges and edge_owner give what that
+    walk gives; otherwise the constructor names the first disk whose walk
+    fails."""
+    made = 0
+    for name, args in _broken_systems():
+        shell = SimpleNamespace(cubic=args[0], disks=args[1])
+        walks = [outcome(lambda: _path_edges(shell, d)) for d in range(len(shell.disks))]
+        bad = next((d for d, w in enumerate(walks) if isinstance(w[0], type)), None)
+        if bad is not None:
+            with pytest.raises(InvalidSystemError, match=f"^disk {bad} "):
+                CubicSystem(*args)
+            continue
+        sys = CubicSystem(*args)
+        made += 1
+        assert [sys.disk_edges(d) for d in range(len(sys.disks))] == walks, name
+        assert sys.edge_owner() == _edge_owner_oracle(sys), name
+    assert made == 8
 
 
 @pytest.mark.parametrize("d", [-1, -5, 5, 99])
@@ -721,10 +758,53 @@ SEEDED_SYSTEMS = ([f"cage{gg}:{mode.value}" for gg in (3, 4, 5, 6) for mode in P
                   + ["k5:girth5", "k5:girth3", "rr4-200-1:mixed"])
 
 
+def _walk(sys):
+    return [_path_edges(sys, d) for d in range(len(sys.disks))]
+
+
+def _counting_edge_index(monkeypatch):
+    """Patch `Graph.edge_index` to record each call; the list of calls."""
+    calls, lookup = [], Graph.edge_index
+    monkeypatch.setattr(Graph, "edge_index",
+                        lambda self, u, v: calls.append((u, v)) or lookup(self, u, v))
+    return calls
+
+
 @pytest.mark.parametrize("name", SEEDED_SYSTEMS)
-def test_build_cubic_files_the_edge_index_walk(name):
+def test_build_cubic_files_the_edge_index_walk(name, monkeypatch):
+    # a built system and the load of its file, whose disk d has its path
+    # pairs at edges 3d..3d+2, file the triples the walk finds without a lookup
     sys, _ = _seeded_system(name)
-    assert sys._disk_edge_table == [_path_edges(sys, d) for d in range(len(sys.disks))]
+    calls = _counting_edge_index(monkeypatch)
+    loaded = CubicSystem.from_obj(json.loads(sys.to_json()))
+    assert calls == []
+    assert sys._disk_edge_table == loaded._disk_edge_table == _walk(sys) == _walk(loaded)
+
+
+@pytest.mark.parametrize("name", ["cage3:parallel", "cage6:crossed", "k5:girth3",
+                                  "rr4-200-1:mixed"])
+def test_a_system_file_out_of_disk_order_files_the_same_table(name, monkeypatch):
+    """A file whose edges are shuffled, some of them reversed, has disks
+    whose pairs are not at 3d..3d+2; each such disk is looked up with 3
+    `edge_index` calls, and the table is the walk of the file: the same
+    edges, by their ends, as the built system's table."""
+    sys, _ = _seeded_system(name)
+    obj = json.loads(sys.to_json())
+    rng = random.Random(name)
+    order = list(range(len(obj["edges"])))
+    rng.shuffle(order)
+    obj["edges"] = [obj["edges"][i][::rng.choice((1, -1))] for i in order]
+    calls = _counting_edge_index(monkeypatch)
+    loaded = CubicSystem.from_obj(obj)
+    moved = [d for d, (c, a, b, e) in enumerate(sys.disks)
+             if loaded.cubic.edges[3 * d: 3 * d + 3] != ((c, a), (a, b), (b, e))]
+    assert moved and len(calls) == 3 * len(moved)
+    assert loaded._disk_edge_table == _walk(loaded)
+
+    def ends(system):
+        return [[set(system.cubic.edges[e]) for e in t] for t in system._disk_edge_table]
+
+    assert ends(loaded) == ends(sys)
 
 
 @pytest.mark.parametrize("name", SEEDED_SYSTEMS)

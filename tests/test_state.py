@@ -3,8 +3,10 @@ repair, with the header checked against the system."""
 
 import hashlib
 import json
+import re
 import shutil
 import tempfile
+import zlib
 from pathlib import Path
 
 import pytest
@@ -71,7 +73,9 @@ def test_the_header_names_the_system(tmp_path):
     store(sys, _payload(9 * 8), str(tmp_path), 8)
     header = json.loads((tmp_path / "header.json").read_text())
     assert header == {"m": 24, "s": 8, "information_set": [3, 5, 8, 9, 11, 17, 18, 20, 23],
-                      "system": system_digest(sys)}
+                      "system": system_digest(sys),
+                      "crc32": [zlib.crc32((tmp_path / f"block_{e:05d}.bin").read_bytes())
+                                for e in range(24)]}
 
 
 def test_system_digest_is_the_sha256_of_the_edges_and_disks_in_file_order():
@@ -127,6 +131,69 @@ def test_a_header_without_the_system_key_is_checked_as_before(tmp_path):
     (tmp_path / "block_00000.bin").unlink()
     repair(sys, str(tmp_path), [0])
     assert (tmp_path / "block_00000.bin").read_bytes() == stored
+
+
+def test_a_header_without_checksums_repairs_as_before(tmp_path):
+    sys = _k44()
+    store(sys, _payload(9 * 8), str(tmp_path), 8)
+    stored = (tmp_path / "block_00005.bin").read_bytes()
+    header = json.loads((tmp_path / "header.json").read_text())
+    del header["crc32"]
+    (tmp_path / "header.json").write_text(json.dumps(header))
+    (tmp_path / "block_00005.bin").unlink()
+    repair(sys, str(tmp_path), [5])
+    assert (tmp_path / "block_00005.bin").read_bytes() == stored
+
+
+def _flip_bit_0(path):
+    data = bytearray(path.read_bytes())
+    data[0] ^= 1
+    path.write_bytes(bytes(data))
+
+
+_BAD_CRC32 = "state header's crc32 is not a list of 24 ints in 0..2**32-1"
+
+
+@pytest.mark.parametrize("spoil, message", [
+    (lambda crc: crc[:5] + [crc[5] ^ 1] + crc[6:],
+     "rebuilt block 5 does not match its crc32 in the state header"),
+    (lambda crc: None, _BAD_CRC32),
+    (lambda crc: "0", _BAD_CRC32),
+    (lambda crc: crc[:-1], _BAD_CRC32),
+    (lambda crc: [-1] + crc[1:], _BAD_CRC32),
+    (lambda crc: [1 << 32] + crc[1:], _BAD_CRC32),
+    (lambda crc: [True] + crc[1:], _BAD_CRC32),
+    (lambda crc: [1.0] + crc[1:], _BAD_CRC32),
+], ids=["rebuilt-differs", "null", "string", "short", "negative", "too-large", "bool", "float"])
+def test_repair_checks_the_header_checksums_and_writes_nothing_on_a_mismatch(
+        tmp_path, spoil, message):
+    """A `crc32` key that is not 24 ints in 0..2**32-1 is refused with the
+    header; a checksum that no rebuild of block 5 can match names the
+    rebuilt block, after the helpers pass theirs."""
+    sys = _k44()
+    store(sys, _payload(9 * 8), str(tmp_path), 8)
+    header = json.loads((tmp_path / "header.json").read_text())
+    header["crc32"] = spoil(header["crc32"])
+    (tmp_path / "header.json").write_text(json.dumps(header))
+    (tmp_path / "block_00005.bin").unlink()
+    before = _files(tmp_path)
+    with pytest.raises(StateError) as exc:
+        repair(sys, str(tmp_path), [5])
+    assert str(exc.value) == message
+    assert _files(tmp_path) == before
+
+
+def test_repair_names_a_flipped_helper_block_and_writes_nothing(tmp_path):
+    # block 5's schedule reads helper 4; without checksums the flipped bit
+    # gave a wrong block 5 and exit 0
+    sys = _k44()
+    store(sys, _payload(9 * 8), str(tmp_path), 8)
+    (tmp_path / "block_00005.bin").unlink()
+    _flip_bit_0(tmp_path / "block_00004.bin")
+    before = _files(tmp_path)
+    with pytest.raises(StateError, match="^block 4 does not match its crc32 in the state header$"):
+        repair(sys, str(tmp_path), [5])
+    assert _files(tmp_path) == before
 
 
 @pytest.mark.parametrize("encode", [lambda text: b"\xff\xfe{",
@@ -222,9 +289,10 @@ def test_a_file_that_repair_cannot_read_is_a_state_error_with_the_os_error_chain
 
 class StateDirectoryMachine(RuleBasedStateMachine):
     """A k44 state directory (s = 8) against a model that holds each
-    block's bytes as `store` last wrote them.  Files are deleted or
-    truncated, never rewritten with other bytes of the same size: a helper
-    block changed in place is not yet detected (ROADMAP item 21)."""
+    block's bytes as `store` last wrote them.  Files are deleted,
+    truncated, or have one bit flipped outside the model; the header's
+    checksums must turn a flipped helper into a refusal that names a block
+    whose file differs from the model, never into a wrong rebuilt block."""
 
     def __init__(self):
         super().__init__()
@@ -265,14 +333,26 @@ class StateDirectoryMachine(RuleBasedStateMachine):
         if self._block(e).exists():
             self._block(e).write_bytes(self._block(e).read_bytes()[:-1])
 
+    @rule(e=st.integers(0, 23), bit=st.integers(0, 63))
+    def flip_a_bit(self, e, bit):
+        if self._block(e).exists():
+            data = bytearray(self._block(e).read_bytes())
+            if bit < 8 * len(data):
+                data[bit // 8] ^= 1 << bit % 8
+                self._block(e).write_bytes(bytes(data))
+
     @rule(strategy=st.sampled_from(RepairStrategy))
     def repair_the_missing_blocks(self, strategy):
         missing = [e for e in range(24) if not self._block(e).exists()]
         before = _tree(self.dir)
         try:
             report = repair(self.sys, str(self.dir), missing, strategy)
-        except StateError:
+        except StateError as exc:
             assert _tree(self.dir) == before
+            named = re.search(r"block (\d+) does not match its crc32", str(exc))
+            if named:
+                e = int(named[1])
+                assert self._block(e).exists() and self._block(e).read_bytes() != self.blocks[e]
             return
         if len(report.residual):
             assert _tree(self.dir) == before

@@ -39,6 +39,13 @@ output changed and why; list the row here too.  Changed so far:
   `export-dot --input bool.json` steps read `error: input graph declares 3
   vertices, but its 1 edges have 2 ends, so some vertex has no edge` in
   place of the bad edge's message; the other steps are unchanged.
+- store-repair-k44, store-repair-pg23-crossed, repair-unrecoverable-k5,
+  error-repair-inputs, and the four rows added after the `system` key
+  (store-repair-k44-strategy, store-repair-pg23-disks-both-strategies,
+  error-repair-disks, error-repair-foreign-system): `header.json` gains
+  the `"crc32"` key, one `zlib.crc32` per block; every step's exit code
+  and output is unchanged, and without that key each row gives its old
+  digest.
 """
 
 import hashlib
@@ -185,18 +192,18 @@ ROWS = {
         K44_DATA, _stored("k44") + [
             "rm state/block_00003.bin state/block_00004.bin state/block_00005.bin",
             "repair --system sys.json --state state --erased 3,4,5"],
-        "554183689858e2e88aa062eb33548d1795f532153fcff94b12fd95c68f139459"),
+        "80d9a600d09ba113e97fc3e07f2a4fc83dc7621750158db562cdeae37f4bd243"),
     "store-repair-pg23-crossed": (
         PG23_DATA, _stored("pg23", "crossed") + [
             "rm state/block_00000.bin state/block_00001.bin state/block_00002.bin "
             "state/block_00040.bin",
             "repair --system sys.json --state state --erased 0,1,2,40"],
-        "99e4d97a3187d307744215cd0dee33139674cf877f907175ea9340712272ce42"),
+        "34f88783896cdf5627ba2a495e3a690f4196e21e86298f77c9193c55636cb408"),
     "repair-unrecoverable-k5": (
         K5_DATA, _stored("k5") + [
             "rm state/block_00000.bin state/block_00003.bin state/block_00006.bin",
             "repair --system sys.json --state state --erased 0,3,6"],
-        "fc1719678985044d04d1cb85b90c8048d07b117f0c85097154b31af6419e11cd"),
+        "6736512a947020a7ac87c00b18b504785b95a78014e3bdbfe3a937fb98d719ad"),
     # --disks erases whole disks; the same stripe repaired under both rules
     "store-repair-pg23-disks-both-strategies": (
         PG23_DATA, _stored("pg23") + [
@@ -205,14 +212,14 @@ ROWS = {
             "repair --system sys.json --state state --disks 0,5 --strategy min-bandwidth",
             "rm state/block_00000.bin state/block_00001.bin state/block_00002.bin",
             "repair --system sys.json --state state --disks 0"],
-        "306dcdb62d7ff948c355c6b78541b18378a73cb7dd1f3e1d4c1ca05eeffeef97"),
+        "11dc93fe5a22735a975cf151956e2c361116b1bcb43be32f5f48978db5bf414e"),
     "store-repair-k44-strategy": (
         K44_DATA, _stored("k44") + [
             "rm state/block_00003.bin state/block_00004.bin state/block_00005.bin",
             "repair --system sys.json --state state --erased 3,4,5 --strategy min-bandwidth",
             "rm state/block_00003.bin state/block_00004.bin state/block_00005.bin",
             "repair --system sys.json --state state --disks 1,1 --strategy min-rounds"],
-        "0c12f3668907a27c53d943715592f5289a9429e1811eae82adbc2478a7aff286"),
+        "17041d084c58b010adbc6b8daa7f14ff3eca51643e4e3befe8b50801dfe03d3f"),
     # exit 2, one row per message family
     "error-missing-file": (
         {}, ["profile --system nosuch.json", "build --input nosuch.json"],
@@ -301,7 +308,7 @@ ROWS = {
             "repair --system sys.json --state state --erased 3",
             "build --catalog k5 --output k5.json",
             "repair --system k5.json --state state --erased 3"],
-        "9ac02955c4383621128c1b5200c42a49c1b0a12fbac7d16035d2ad600fa8e6a8"),
+        "460b32f64be7a49af853a90fd372cbe8b6dfbc95d7f0ae7426861599cab12dfb"),
     "error-repair-disks": (
         K44_DATA, _stored("k44") + [
             "rm state/block_00003.bin",
@@ -310,7 +317,7 @@ ROWS = {
             "repair --system sys.json --state state --disks 1,x",
             "repair --system sys.json --state state --disks=",
             "repair --system sys.json --state state --disks 1,8"],
-        "72137feb1d1c3e8b6b6493d0413937c9f5e42463231bf080529138fbc9ec3d07"),
+        "ef00abab2297effa077179d1aa97b62978904016496a7173799ee90b24f6299f"),
     # k44 under these pairings has the same m and information set as
     # parallel k44, so only the header's system digest tells them apart
     "error-repair-foreign-system": (
@@ -319,7 +326,7 @@ ROWS = {
             "--output other.json",
             "rm state/block_00000.bin",
             "repair --system other.json --state state --erased 0"],
-        "cddb51b69ea61b7d9e4bfe04ff8a622549e479c371516e79852f5603aa94b0f9"),
+        "0563fc4cd67af48237e3eaa0bf3144d36d83a8f337c772aa67bf7320bce70e95"),
 }
 
 
