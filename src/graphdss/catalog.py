@@ -194,44 +194,33 @@ def catalog_names() -> List[str]:
 RANDOM_REGULAR_TRIES = 2000
 
 
-def _fisher_yates_runs(top: int):
-    """The steps i = top, ..., 0 of a Fisher-Yates shuffle as runs of
-    (k, steps) that share the draw width k = (i + 1).bit_length(), the
-    width `random.shuffle` draws with on CPython 3.10-3.13.  Step 0 is not a
-    shuffle step: it draws `getrandbits(0)`, which is 0 and consumes no
-    state, and only makes position 0 final."""
-    while top > 0:
-        k = (top + 1).bit_length()
-        low = (1 << (k - 1)) - 1
-        yield k, range(top, low - 1, -1)
-        top = low - 1
-    yield 0, range(top, -1, -1)
-
-
-def _draw_only(getrandbits, top: int) -> None:
-    """Make the draws of the shuffle steps top, ..., 1 and nothing else, so
-    the next try sees the random stream that a full shuffle leaves."""
-    for k, steps in _fisher_yates_runs(top):
-        for i in steps:
-            while getrandbits(k) > i:
-                pass
-
-
 def _simple_pairing(getrandbits, stubs: List[int], n: int) -> Optional[Set[int]]:
     """Shuffle `stubs` with the draws of `random.shuffle` and pair positions
     (0, 1), (2, 3), ...; return the pairs as keys u * n + v with u < v, or
-    None at the first loop or repeated pair.
+    None if a loop or a repeated pair comes up.
 
     Step i draws j = getrandbits(k) again while j > i, then fixes position i,
     so pair (i, i + 1) is checked as soon as step i, for even i, is done.  A
-    rejected pairing only draws the steps it has left (`_draw_only`).  A
     final position is never read again: its stub is kept in u or v, and
-    only the stub it displaces is written, to position j.
+    only the stub it displaces is written, to position j.  From the first
+    loop or repeated pair on, `keys` is None and the steps left only draw,
+    with no swap and no set insert, so the next try sees the random stream
+    that a full shuffle leaves.
     """
     keys = set()
     v = 0
-    for k, steps in _fisher_yates_runs(len(stubs) - 1):
-        for i in steps:
+    top = len(stubs) - 1
+    while top >= 0:
+        # steps top, ..., end share the draw width k = (i + 1).bit_length()
+        # that random.shuffle uses on CPython 3.10-3.13; step 0 is no shuffle
+        # step and draws getrandbits(0), which is 0 and uses no state
+        k = (top + 1).bit_length() if top else 0
+        end = (1 << k - 1) - 1 if top else 0
+        for i in range(top, end - 1, -1):
+            if keys is None:
+                while getrandbits(k) > i:
+                    pass
+                continue
             j = getrandbits(k)
             while j > i:
                 j = getrandbits(k)
@@ -243,9 +232,10 @@ def _simple_pairing(getrandbits, stubs: List[int], n: int) -> Optional[Set[int]]
             stubs[j] = stubs[i]
             key = u * n + v if u < v else v * n + u
             if u == v or key in keys:
-                _draw_only(getrandbits, i - 1)
-                return None
-            keys.add(key)
+                keys = None
+            else:
+                keys.add(key)
+        top = end - 1
     return keys
 
 

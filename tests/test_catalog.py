@@ -233,16 +233,33 @@ def _outcome(gen, d, n, seed):
 
 GENERATOR_ORACLE_CASES = [
     (d, n, seed) for d in (3, 4) for n in range(d + 1, 41) for seed in range(5)
+] + [
+    # short stub lists walk every run boundary: runs of one step, the step-0
+    # draw of width 0, and (d = 1, n >= 4) rejects in every try
+    (d, n, seed) for d, sizes in ((1, range(2, 9)), (2, range(3, 17)))
+    for n in sizes for seed in range(5)
 ] + [(4, 200, s) for s in (0, 1, 2)] + [(4, 1000, s) for s in (1, 6)] + [
     (4, 3000, s) for s in (1, 2)] + [(3, 1000, s) for s in (0, 7)]
 
 
 def test_random_regular_matches_the_shuffle_oracle():
-    # every small size of both degrees, odd n*d included, plus large graphs
-    # whose generation takes from a few to 80 tries
+    # every small size of degrees 1 to 4, odd n*d included, plus large
+    # graphs whose generation takes from a few to 80 tries
     for d, n, seed in GENERATOR_ORACLE_CASES:
         assert _outcome(random_regular, d, n, seed) == _outcome(
             random_regular_oracle, d, n, seed), (d, n, seed)
+
+
+def test_random_regular_with_no_regular_graph_to_make():
+    # an empty stub list pairs into no edges: one vertex is connected, three
+    # are not, and no 1-regular graph on 4 vertices is connected
+    g = random_regular(0, 1, 0)
+    assert (g.vertex_count, g.edges) == (1, ())
+    for d, n in ((0, 3), (1, 4)):
+        with pytest.raises(GenerationFailed) as info:
+            random_regular(d, n, 0)
+        assert str(info.value) == (f"no simple connected {d}-regular graph after "
+                                   f"{graphdss.catalog.RANDOM_REGULAR_TRIES} tries")
 
 
 def test_rejected_tries_cost_only_their_draws():

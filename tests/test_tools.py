@@ -9,6 +9,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parent.parent
 
 
@@ -122,10 +124,15 @@ def test_bench_record_pairs_a_tree_with_itself():
     result = json.loads(proc.stdout.strip().splitlines()[-1])
     assert (result["workload"], result["pairs"]) == ("certify", 1)
     assert set(result["metrics"]) == _E2E
+    verdicts = [line.split() for line in proc.stdout.splitlines() if line.startswith("verdict ")]
+    assert [name for _, name, _ in verdicts] == list(result["metrics"])
     for metric in result["metrics"].values():
-        assert set(metric) == {"parent", "change", "change_won"}
+        assert set(metric) == {"parent", "change", "change_won", "verdict"}
         assert set(metric["parent"]) == set(metric["change"]) == _SUMMARY
         assert 0 <= metric["change_won"] <= 1
+        assert metric["verdict"] in {"gain", "worse", "unresolved", "same"}
+    assert {name: v for _, name, v in verdicts} == {
+        name: metric["verdict"] for name, metric in result["metrics"].items()}
     assert set(result["probe_ms"]) == {"parent", "change"}
     for probe in result["probe_ms"].values():
         assert set(probe) == _SUMMARY and len(probe["values"]) == 1
@@ -153,3 +160,22 @@ def test_bench_record_refuses_a_run_without_a_probe_median(tmp_path):
                          "--runs", "1", "--seconds", "0")
     assert proc.returncode == 1
     assert "no probe_ms_median=" in proc.stderr
+
+
+_WIDE = [5, 15] * 5  # median 10, quartiles 5 and 15
+
+
+@pytest.mark.parametrize("parent, change, better, expected", [
+    # won 10 of 10, and the medians differ by 3, more than the parent's IQR
+    ([10, 11, 12, 10, 11, 12, 10, 11, 12, 11], [8] * 10, "lower", "gain"),
+    ([10] * 10, [9] * 9 + [10], "lower", "gain"),  # 9 of 10 is enough
+    ([10] * 10, [9] * 8 + [10] * 2, "lower", "same"),  # ties count for neither
+    ([10, 10.1] * 5, [12.6] * 10, "lower", "worse"),  # 25 % over a 24 % bound
+    ([1.0] * 10, [0.7] * 10, "higher", "worse"),
+    (_WIDE, [10] * 10, "lower", "unresolved"),  # an IQR of 100 % of the median
+    (_WIDE, [4] * 10, "lower", "same"),  # every change run beats every parent run
+    ([10] * 10, [10.5] * 10, "lower", "same"),
+])
+def test_bench_record_verdicts(monkeypatch, parent, change, better, expected):
+    monkeypatch.syspath_prepend(str(ROOT / "tools"))
+    assert _tool("bench_record").verdict(parent, change, better, 0.24) == expected

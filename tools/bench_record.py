@@ -23,7 +23,8 @@ R, the seed, the seconds and the code-line total of `src/graphdss` as
 `--pairs` runs one workload R times in each tree, alternating: the parent
 first in odd pairs, the change first in even ones.  It prints, per metric,
 each tree's median and quartiles and the number of pairs the change won,
-then each tree's probe summary, and then the same as one JSON line.
+then each tree's probe summary, then one verdict per metric (`verdict`),
+and then the same as one JSON line.
 
 Both modes exit 1, and `--out` writes nothing, if any run is not `correct`,
 has a failed operation or has no probe median on its first line.
@@ -120,6 +121,33 @@ def _sides(by_side: Dict[str, Dict]) -> str:
                      f"{by_side[side]['q3']:.6g}]" for side in ("parent", "change"))
 
 
+def _beats(better: str, value: float, other: float) -> bool:
+    return value < other if better == "lower" else value > other
+
+
+def verdict(parent: List[float], change: List[float], better: str, bound: float) -> str:
+    """The verdict on one metric of a pairs run, `parent[i]` and `change[i]`
+    being pair i, by the rule of a gain claim and the metric's relative bound
+    in BENCHMARK.json: `gain` if the change won at least 9 of 10 pairs (ties
+    count for neither) and the medians differ in its favour by more than the
+    parent's interquartile range; else `worse` if the change's median is
+    worse than the parent's by more than bound times the parent's median;
+    else `unresolved` if the parent's interquartile range is wider than that,
+    unless every change run beats every parent run; else `same`."""
+    p, c = summary(parent), summary(change)
+    iqr = p["q3"] - p["q1"]
+    ahead = (p["median"] - c["median"]) * (1 if better == "lower" else -1)
+    won = sum(_beats(better, cv, pv) for pv, cv in zip(parent, change))
+    if 10 * won >= 9 * len(parent) and ahead > iqr:
+        return "gain"
+    allowed = bound * abs(p["median"])
+    if -ahead > allowed:
+        return "worse"
+    if iqr > allowed and not all(_beats(better, cv, pv) for pv in parent for cv in change):
+        return "unresolved"
+    return "same"
+
+
 def pairs(args) -> int:
     workload = args.workload[0]
     trees = {"parent": Path(args.pairs[0]).resolve(), "change": Path(args.pairs[1]).resolve()}
@@ -138,11 +166,14 @@ def pairs(args) -> int:
               "probe_ms": {side: summary(probes[side]) for side in trees}}
     for m, better in args.better.items():
         parent, change = values["parent"][m], values["change"][m]
-        won = sum((c < p) if better == "lower" else (c > p) for p, c in zip(parent, change))
+        won = sum(_beats(better, c, p) for p, c in zip(parent, change))
         result["metrics"][m] = {"parent": summary(parent), "change": summary(change),
-                                "change_won": won}
+                                "change_won": won,
+                                "verdict": verdict(parent, change, better, args.bound[m])}
         print(f"{m:16s} {_sides(result['metrics'][m])}  change won {won}/{args.runs}")
     print(f"{'probe_ms':16s} {_sides(result['probe_ms'])}")
+    for m, row in result["metrics"].items():
+        print(f"verdict {m:16s} {row['verdict']}")
     print(json.dumps(result))
     return 0
 
@@ -162,6 +193,7 @@ def main(argv=None) -> int:
     args = p.parse_args(argv)
     args.workloads = workloads
     args.better = {m["name"]: m["better"] for m in benchmark["end_to_end"]}
+    args.bound = {m["name"]: m["bound"] for m in benchmark["end_to_end"]}
     if args.runs < 1:
         p.error("--runs must be at least 1")
     if args.pairs and len(args.workload or ()) != 1:
