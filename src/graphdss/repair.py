@@ -13,7 +13,7 @@ distinct intact edge is read once per repair session; edges recovered
 earlier in the session are internal and free.  `peel` seeds it from
 `erased.indices()`, and `repair_disks` from the edge list of its failed
 disks, with no walk over bits.  `repair_disk` writes out its two fixed
-schedules and prices one disk from its path with the same rule, as the
+schedules and prices either from the disk's path with one rule, as the
 edges at its 3 parity vertices less the 3 of the disk, counted by
 inclusion-exclusion over their degrees.  A priced disk builds one
 `EdgeSubset`, its erased edges, and one `RepairReport`, a named tuple.
@@ -191,53 +191,50 @@ def repair_disk(sys: CubicSystem, disk: int, strategy: RepairStrategy) -> Repair
     2 rounds).  The report is priced from the path alone: its 3 edges form
     a forest, so nothing is left over, and the residual is the system's
     shared empty subset.  The transfers are the distinct edges at the
-    schedule's 3 parity vertices other than the disk's own.  On the path
-    p0-p1-p2-p3 the edge p0-p1 lies at p0, p1-p2 at p1, and p2-p3 at p2
-    under MIN_BANDWIDTH or at p3 under MIN_ROUNDS.  So the union of the
-    incidences at those vertices holds all 3 disk edges, which differ
-    because the path's 4 vertices do, and its size minus 3 is the count.
+    schedule's 3 parity vertices p0, p1 and x other than the disk's own,
+    where x is p2 under MIN_BANDWIDTH and p3 under MIN_ROUNDS.  On the
+    path p0-p1-p2-p3 the edge p0-p1 lies at p0, p1-p2 at p1, and p2-p3 at
+    x, so the union of the incidences at those vertices holds all 3 disk
+    edges, which differ because the path's 4 vertices do, and its size
+    minus 3 is the count.  The disk's 3 edges are `sys.disk_edges(disk)`,
+    which raises InvalidDiskError for a disk outside the system; then
     ValueError for a strategy that is not a `RepairStrategy`.
 
-    The union is counted by inclusion-exclusion, with no set: the degree
-    sum of the 3 vertices counts an edge twice iff it joins two of them,
-    and once otherwise, since a simple graph has at most one edge between
-    two vertices and no edge has 3 ends.  The edges among p0, p1, p2 are
-    the disk edges p0-p1 and p1-p2 and the chord p0-p2 if present; among
-    p0, p1, p3 they are p0-p1 and the chords p0-p3 and p1-p3 if present.
-    So the count is the degree sum, less 2 disk edges (MIN_BANDWIDTH) or 1
-    (MIN_ROUNDS), less each chord present, less 3.  The disk's 3 edges
-    are `sys.disk_edges(disk)`, which raises InvalidDiskError for a disk
-    outside the system.
+    One rule counts the union under both strategies, by inclusion-exclusion
+    with no set: the degree sum of the 3 vertices counts an edge twice iff
+    it joins two of them, and once otherwise, since a simple graph has at
+    most one edge between two vertices and no edge has 3 ends.  So the
+    count is deg(p0) + deg(p1) + deg(x) - 4, less one for each edge at x
+    whose other end is p0 or p1: the -4 is the disk edge p0-p1, counted
+    twice, and the disk's 3 edges.  Under MIN_BANDWIDTH those edges at x
+    are the disk edge p1-p2 and the chord p0-p2 if present; under
+    MIN_ROUNDS the chords p0-p3 and p1-p3 if present.
 
-    On a system of a simple G built by `build_cubic`, that count is 4 under
-    MIN_BANDWIDTH and 5 under MIN_ROUNDS for every disk.  A disk is the
-    path c-a-b-d of the arcs at its owner v: end arc c leaves v for w,
-    middle arcs a and b enter v from x and u, and end arc d leaves v for z.
-    The other block edges at c lie on w's disk (2 of them), at a on x's
-    (1), at b on u's (1) and at d on z's (2).  Two of them coincide only if
-    two of w, x, u and z are one vertex joined to v by two arcs, a parallel
-    edge of G.  So MIN_BANDWIDTH, at c, a and b, reads 7 - 3 = 4 blocks and
-    MIN_ROUNDS, at c, a and d, reads 8 - 3 = 5.
+    On a system of a simple G built by `build_cubic`, the rule gives 4
+    under MIN_BANDWIDTH and 5 under MIN_ROUNDS for every disk: each block
+    vertex has degree 3, so the count is 9 - 4 = 5 less the edges at x to
+    p0 or p1, and p2 touches p1 while p3 touches neither, because the path
+    has no chord.  A disk is the path c-a-b-d of the arcs at its owner v:
+    end arc c leaves v for w, middle arcs a and b enter v from y and u, and
+    end arc d leaves v for z.  The other block edges at c lie on w's disk,
+    at a on y's, at b on u's and at d on z's, and two of them coincide, as
+    a chord would, only if two of w, y, u and z are one vertex joined to v
+    by two arcs, a parallel edge of G.
     """
-    min_bandwidth = strategy is RepairStrategy.MIN_BANDWIDTH
-    if not min_bandwidth and strategy is not RepairStrategy.MIN_ROUNDS:
-        raise ValueError(f"not a repair strategy: {strategy!r}")
     g = sys.cubic
     e1, e2, e3 = sys.disk_edges(disk)
     p0, p1, p2, p3 = sys.disks[disk]
-    at0, at1 = g.incident(p0), g.incident(p1)
-    if min_bandwidth:
-        schedule, rounds = ((e1, p0, 1), (e2, p1, 2), (e3, p2, 3)), 3
-        reads = len(at0) + len(at1) + len(g.incident(p2)) - 2 - 3
-        for _, x in at0:  # the chord p0-p2
-            if x == p2:
-                reads -= 1
+    if strategy is RepairStrategy.MIN_BANDWIDTH:
+        schedule, rounds, x = ((e1, p0, 1), (e2, p1, 2), (e3, p2, 3)), 3, p2
+    elif strategy is RepairStrategy.MIN_ROUNDS:
+        schedule, rounds, x = ((e1, p0, 1), (e3, p3, 1), (e2, p1, 2)), 2, p3
     else:
-        schedule, rounds = ((e1, p0, 1), (e3, p3, 1), (e2, p1, 2)), 2
-        reads = len(at0) + len(at1) + len(g.incident(p3)) - 1 - 3
-        for _, x in at0 + at1:  # the chords p0-p3 and p1-p3
-            if x == p3:
-                reads -= 1
+        raise ValueError(f"not a repair strategy: {strategy!r}")
+    at_x = g.incident(x)
+    reads = len(g.incident(p0)) + len(g.incident(p1)) + len(at_x) - 4
+    for _, y in at_x:  # p1-p2 and the chords p0-p2, p0-p3 and p1-p3
+        if y == p0 or y == p1:
+            reads -= 1
     return RepairReport(schedule, reads, rounds, sys.empty_edges,
                         EdgeSubset(g.edge_count, 1 << e1 | 1 << e2 | 1 << e3))
 

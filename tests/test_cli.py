@@ -4,10 +4,15 @@ import io
 import json
 import os
 import random
+import shutil
 import subprocess
 import sys
+import tempfile
+import time
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import graphdss.catalog
 import graphdss.cli
@@ -1244,3 +1249,84 @@ def test_export_dot_to_a_stdout_with_no_byte_buffer():
         code = main(["export-dot", "--catalog", "pg23"])
     assert code == 0
     assert out.getvalue() == graphdss.catalog.cage(6).graph.to_dot() + "\n"
+
+
+# the values a fuzzed system file puts in place of a key's value, a list
+# entry or an int inside one: no value, a negative, a huge and a float
+# number, two strings, two empty containers and a bool (an int to Python)
+FUZZ_VALUES = [None, -1, 2**70, 1.5, "x", "", [], {}, True]
+
+
+@st.composite
+def _mutated_k44_system(draw):
+    """The object of the k44 system file with one mutation: a top-level key
+    deleted or its value replaced; or, in a list, an entry dropped,
+    duplicated or replaced, or an int of a nested entry replaced."""
+    obj = json.loads(k44_reference_system().to_json())
+    key = draw(st.sampled_from(sorted(obj)))
+    value = obj[key]
+    kinds = ["delete key", "replace key"]
+    if isinstance(value, list):
+        kinds += ["drop entry", "duplicate entry", "replace entry"]
+        if isinstance(value[0], list):
+            kinds.append("replace nested int")
+    kind = draw(st.sampled_from(kinds))
+    if kind == "delete key":
+        del obj[key]
+    elif kind == "replace key":
+        obj[key] = draw(st.sampled_from(FUZZ_VALUES))
+    else:
+        i = draw(st.integers(0, len(value) - 1))
+        if kind == "drop entry":
+            del value[i]
+        elif kind == "duplicate entry":
+            value.insert(i, value[i])
+        elif kind == "replace entry":
+            value[i] = draw(st.sampled_from(FUZZ_VALUES))
+        else:
+            value[i][draw(st.integers(0, len(value[i]) - 1))] = draw(st.sampled_from(FUZZ_VALUES))
+    return obj
+
+
+@pytest.fixture(scope="module")
+def stored_k44(tmp_path_factory):
+    """A payload of 9 blocks of 32 bytes and the k44 state stored from it,
+    made once; each fuzz case copies the state before it repairs it."""
+    root = tmp_path_factory.mktemp("stored-k44")
+    (root / "sys.json").write_text(k44_reference_system().to_json())
+    data = root / "data.bin"
+    data.write_bytes(bytes(i % 251 for i in range(9 * 32)))
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        assert main(["store", "--system", str(root / "sys.json"), "--data", str(data),
+                     "--out", str(root / "state"), "--block-size", "32"]) == 0
+    return data, root / "state"
+
+
+@settings(max_examples=150, derandomize=True, deadline=None)
+@given(obj=_mutated_k44_system())
+def test_a_mutated_system_file_gets_an_exit_code_not_a_traceback(stored_k44, obj):
+    """`profile`, `store` and `repair`, in-process, on a mutated k44 system
+    file: no exception escapes `cli.main`, the exit code is 0, 1 or 2, exit
+    2 prints nothing on stdout, and the three commands take under 2 s."""
+    data, stored = stored_k44
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        sys_file = tmp / "sys.json"
+        sys_file.write_text(json.dumps(obj))
+        state = tmp / "state"
+        shutil.copytree(stored, state)
+        (state / "block_00005.bin").unlink()
+        start = time.perf_counter()
+        for argv in (["profile", "--system", sys_file],
+                     ["store", "--system", sys_file, "--data", data, "--out", tmp / "out",
+                      "--block-size", "32"],
+                     ["repair", "--system", sys_file, "--state", state, "--erased", "5"]):
+            out, err = io.StringIO(), io.StringIO()
+            try:
+                with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                    code = main([str(a) for a in argv])
+            except (Exception, SystemExit) as exc:
+                pytest.fail(f"{argv[0]} raised {exc!r}")
+            assert code in (0, 1, 2), (argv[0], code, err.getvalue())
+            assert code != 2 or out.getvalue() == "", (argv[0], out.getvalue())
+        assert time.perf_counter() - start < 2

@@ -103,21 +103,30 @@ def _p4_system(g):
     return CubicSystem(g, paths, tuple(range(len(paths))), ())
 
 
+def _chord_pattern(g, p):
+    """Which of the pairs p0-p2, p0-p3 and p1-p3 of a path are edges, 1 or 0
+    each."""
+    ends = {frozenset(e) for e in g.edges}
+    return tuple(int(frozenset((p[i], p[j])) in ends) for i, j in ((0, 2), (0, 3), (1, 3)))
+
+
 def _chords(g, p):
     """How many of the pairs p0-p2, p0-p3 and p1-p3 of a path are edges."""
-    ends = {frozenset(e) for e in g.edges}
-    return sum(frozenset((p[i], p[j])) in ends for i, j in ((0, 2), (0, 3), (1, 3)))
+    return sum(_chord_pattern(g, p))
 
 
 def _oracle_system(name):
     """"cage<g>:<pairing>", "rr4-200-1", "shuffled-file", or the P4
-    decomposition of K4 ("k4-p4") or of random_cubic(20, 1) ("rc20-1-p4")."""
+    decomposition of K4 ("k4-p4"), of random_cubic(20, 1) ("rc20-1-p4") or
+    of random_cubic(10, 3) ("rc10-3-p4")."""
     if name == "shuffled-file":
         return _shuffled_file_system()
     if name == "k4-p4":
         return _p4_system(complete_graph(4))
     if name == "rc20-1-p4":
         return _p4_system(random_cubic(20, 1))
+    if name == "rc10-3-p4":
+        return _p4_system(random_cubic(10, 3))
     if name == "rr4-200-1":
         g, mode = random_4_regular(200, seed=1), PairingMode.PARALLEL
     else:
@@ -127,11 +136,13 @@ def _oracle_system(name):
 
 @pytest.mark.parametrize(
     "name", [f"cage{gg}:{mode.value}" for gg in (3, 4, 5, 6) for mode in PairingMode]
-    + ["rr4-200-1", "shuffled-file", "k4-p4", "rc20-1-p4"])
+    + ["rr4-200-1", "shuffled-file", "k4-p4", "rc20-1-p4", "rc10-3-p4"])
 def test_repair_disk_equals_the_session_counter(name):
     """repair_disk prices a disk from its path; `session_report` on the
     same schedule is the oracle for every field.  The P4 systems reach
-    the chord terms of its count: every path of K4 has all three."""
+    each term of its count's loop: every path of K4 has all three chords,
+    and rc10-3 has a path with the chord p0-p2 alone, one with p0-p3 alone
+    and one with p1-p3 alone."""
     sys = _oracle_system(name)
     g = sys.cubic
     if name == "shuffled-file":
@@ -141,6 +152,9 @@ def test_repair_disk_equals_the_session_counter(name):
         assert [_chords(g, p) for p in sys.disks] == [3, 3]
     if name == "rc20-1-p4":
         assert any(_chords(g, p) for p in sys.disks)
+    if name == "rc10-3-p4":
+        assert [_chord_pattern(g, p) for p in sys.disks] == [
+            (0, 0, 0), (0, 0, 1), (1, 0, 0), (0, 0, 0), (0, 1, 0)]
     for d, p in enumerate(sys.disks):
         e1, e2, e3 = (g.edge_index(p[i], p[i + 1]) for i in range(3))
         lost = {e1, e2, e3}
@@ -203,8 +217,9 @@ def test_pricing_builds_one_edge_subset_per_report(monkeypatch):
 @settings(max_examples=100, derandomize=True, deadline=None)
 def test_every_disk_of_a_simple_graph_prices_4_in_3_and_5_in_2(n, seed, data):
     """The star-layout price theorem: on a simple G every disk reads
-    7 - 3 = 4 blocks in 3 rounds under MIN_BANDWIDTH and 8 - 3 = 5 in 2
-    under MIN_ROUNDS, whatever each vertex's pairing."""
+    9 - 4 - 1 = 4 blocks in 3 rounds under MIN_BANDWIDTH (p2 touches p1)
+    and 9 - 4 = 5 in 2 under MIN_ROUNDS (p3 touches neither p0 nor p1),
+    whatever each vertex's pairing."""
     g = random_4_regular(n, seed)
     modes = data.draw(st.lists(st.sampled_from(PairingMode), min_size=n, max_size=n))
     sys = build_cubic(orient_from_tour(g, eulerian_tour(g)), tuple(modes))
