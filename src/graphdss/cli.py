@@ -3,9 +3,10 @@ recovery bound, and store/repair real payloads.
 
 Exit codes: 0 success/verified, 1 a checked property failed, a pattern
 was unrecoverable or a graph has no P4 decomposition, 2 usage error or
-rejected input (a missing file, malformed JSON, an invalid graph, system
-file or option), 141 stdout was closed before the output was written (the
-status a shell gives a command killed by SIGPIPE, 128 + 13).
+rejected input (a missing file, malformed JSON, a file too large to hold
+in memory, an invalid graph, system file or option), 141 stdout was
+closed before the output was written (the status a shell gives a command
+killed by SIGPIPE, 128 + 13).
 """
 
 from __future__ import annotations
@@ -122,8 +123,7 @@ def cmd_build(args) -> int:
     n = len(sys_.disks)
     text = sys_.to_json()
     if args.output is not None:
-        with open(args.output, "w") as fh:
-            fh.write(text)
+        state.write_atomic(args.output, text.encode())
     else:
         print(text)
     print(f"disks: {n}  block-graph vertices: {2 * n}  blocks: {3 * n}", file=_sys.stderr)
@@ -390,15 +390,13 @@ def main(argv: Optional[List[str]] = None) -> int:
         os.dup2(devnull, _sys.stdout.fileno())
         os.close(devnull)
         return 141
-    except (UsageError, OSError, ValueError) as exc:
+    except (UsageError, OSError, ValueError, MemoryError, DecompositionFailure) as exc:
         # ValueError covers a file that is not UTF-8 or not JSON and every
         # rejected-input error of the library (GraphError, InvalidSystemError,
-        # NotCubicError, ...)
-        print(f"error: {exc}", file=_sys.stderr)
-        return 2
-    except DecompositionFailure as exc:
-        print(f"error: {exc}", file=_sys.stderr)
-        return 1
+        # NotCubicError, ...); a MemoryError, a file too large to hold, has
+        # no text of its own
+        print(f"error: {str(exc) or 'out of memory'}", file=_sys.stderr)
+        return 1 if isinstance(exc, DecompositionFailure) else 2
 
 
 if __name__ == "__main__":

@@ -12,8 +12,9 @@ and `crc32`, the `zlib.crc32` of each block's bytes, in block order.
 cannot drift apart.  A header without `system` or `crc32`, stored before
 the key existed, is checked on its other keys.
 
-Every file is written as `<file>.tmp` and renamed, so it holds either its
-old contents or all of its new ones.  `store` removes a stale header
+Every file is written as `<file>.tmp` and renamed (`write_atomic`, which
+also writes the CLI's `build --output`), so it holds either its old
+contents or all of its new ones.  `store` removes a stale header
 first, then the block files of a longer stripe (every `block_NNNNN.bin`
 of index m or more, and no other name), writes the blocks next and the
 header last, so a directory without a header holds no complete stripe
@@ -81,7 +82,9 @@ def _check_crc32(crc32, state: StorageState, e: int, what: str) -> None:
         raise StateError(f"{what} {e} does not match its crc32 in the state header")
 
 
-def _write_atomic(path: str, data: bytes) -> None:
+def write_atomic(path: str, data: bytes) -> None:
+    """Write `data` to `path` as `<path>.tmp` renamed over it, so `path`
+    holds its old bytes or all of `data`; a failure leaves no `.tmp`."""
     tmp = path + ".tmp"
     try:
         with open(tmp, "wb") as fh:
@@ -110,9 +113,9 @@ def store(system: CubicSystem, payload: bytes, directory: str, block_size: int) 
         if match and int(match[1]) >= code.length:
             os.remove(os.path.join(directory, name))
     for e in range(code.length):
-        _write_atomic(_block(directory, e), state.symbols[e])
+        write_atomic(_block(directory, e), state.symbols[e])
     crc32 = [zlib.crc32(state.symbols[e]) for e in range(code.length)]
-    _write_atomic(header, json.dumps({**_header(system, code, s), "crc32": crc32}).encode())
+    write_atomic(header, json.dumps({**_header(system, code, s), "crc32": crc32}).encode())
 
 
 def repair(system: CubicSystem, directory: str, erased: Iterable[int],
@@ -168,5 +171,5 @@ def repair(system: CubicSystem, directory: str, erased: Iterable[int],
     for e in sorted(lost):
         _check_crc32(crc32, state, e, "rebuilt block")
     for e in sorted(lost):
-        _write_atomic(_block(directory, e), state.symbols[e])
+        write_atomic(_block(directory, e), state.symbols[e])
     return report

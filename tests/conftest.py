@@ -131,6 +131,32 @@ def has_cycle(g: Graph, edges) -> bool:
     return False
 
 
+def owners_induce_cycle(g: Graph, owners) -> bool:
+    """True iff the vertices `owners` induce a subgraph of G with a cycle:
+    `has_cycle` over the edges of G with both ends among them.  Oracle for
+    the theorem in `verify_recovery_bound`'s docstring: a set of lost disks
+    loses data iff its owners induce a cycle of G."""
+    inside = set(owners)
+    return has_cycle(g, sorted({ei for u in inside for ei, v in g.incident(u) if v in inside}))
+
+
+def count_cycles(g: Graph, length: int) -> int:
+    """The number of simple cycles of `length` >= 3 edges in a simple graph,
+    by DFS from each vertex as the least of its cycle, no deeper than
+    `length`; each cycle is walked in both directions, hence the halving."""
+    count = 0
+    for start in range(g.vertex_count):
+        stack = [(start, (start,))]
+        while stack:
+            u, path = stack.pop()
+            if len(path) == length:
+                count += sum(v == start for _, v in g.incident(u))
+                continue
+            stack.extend((v, path + (v,)) for _, v in g.incident(u)
+                         if v > start and v not in path)
+    return count // 2
+
+
 def _fewest_cyclic_disks(sys) -> float:
     """The fewest disks whose block edges contain a cycle; math.inf if none.
 

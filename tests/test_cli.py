@@ -20,6 +20,7 @@ import graphdss.graphs
 import graphdss.state
 from graphdss.catalog import complete_graph
 from graphdss.cli import main
+from graphdss.orientation import eulerian_tour, orient_from_tour
 from graphdss.repair import RepairStrategy
 
 from test_catalog import _GIRTH7_VOLTAGES, _k5_lift
@@ -446,6 +447,21 @@ def test_failed_block_write_leaves_no_partial_block(tmp_path, capsys, monkeypatc
     assert all(original[name] == b for name, b in blocks.items())
     # a store directory, fresh or not, gets its header only after every block
     assert (state_dir / "header.json").exists() == (command == "repair")
+
+
+def test_failed_build_output_leaves_the_old_file(tmp_path, capsys, monkeypatch):
+    # the system file is written as sys.json.tmp and renamed over sys.json
+    out = tmp_path / "sys.json"
+    out.write_bytes(b"old bytes")
+
+    def failing_replace(src, dst):
+        raise OSError("injected rename failure")
+
+    monkeypatch.setattr(graphdss.state.os, "replace", failing_replace)
+    code, _, err = run(capsys, "build", "--catalog", "k44", "--output", str(out))
+    assert (code, err) == (2, "error: injected rename failure\n")
+    assert out.read_bytes() == b"old bytes"
+    assert [p.name for p in tmp_path.iterdir()] == ["sys.json"]
 
 
 def _repair_lost_block_5(capsys, sys_file, state_dir, erased="5"):
@@ -1195,6 +1211,34 @@ def test_declared_vertex_count_is_checked_before_a_graph_is_built(
     assert err.startswith("error:") and named in err
 
 
+@pytest.mark.skipif(not sys.platform.startswith("linux"),
+                    reason="sparse files and RLIMIT_AS as Linux gives them")
+@pytest.mark.parametrize("argv", [
+    ["store", "--system", "sys.json", "--data", "big", "--out", "state"],
+    ["profile", "--system", "big"],
+    ["build", "--input", "big"],
+], ids=["store-data", "profile-system", "build-input"])
+def test_a_file_too_large_to_hold_exits_2_not_a_traceback(tmp_path, argv):
+    """A 3 GiB sparse file read by a CLI with 1 GiB of address space: the
+    MemoryError of the read is one `error:` line and exit 2."""
+    import resource  # a Unix module
+
+    def limit_address_space_to_1_gib():
+        hard = resource.getrlimit(resource.RLIMIT_AS)[1]
+        cap = 2**30 if hard == resource.RLIM_INFINITY else min(hard, 2**30)
+        resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
+
+    with open(tmp_path / "big", "wb") as fh:
+        fh.truncate(3 * 2**30)
+    (tmp_path / "sys.json").write_text(k44_reference_system().to_json())
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(graphdss.__file__)))
+    done = subprocess.run([sys.executable, "-m", "graphdss.cli", *argv], cwd=tmp_path, env=env,
+                          capture_output=True, preexec_fn=limit_address_space_to_1_gib)
+    assert (done.returncode, done.stdout) == (2, b""), done.stderr
+    assert done.stderr == b"error: out of memory\n"
+    assert not (tmp_path / "state").exists()
+
+
 @pytest.mark.parametrize("argv,named", [
     (["build", "--input", "bad.json"], "input graph bad.json"),
     (["export-dot", "--input", "bad.json"], "input graph bad.json"),
@@ -1258,15 +1302,15 @@ FUZZ_VALUES = [None, -1, 2**70, 1.5, "x", "", [], {}, True]
 
 
 @st.composite
-def _mutated_k44_system(draw):
-    """The object of the k44 system file with one mutation: a top-level key
+def _mutated(draw, base):
+    """A copy of the JSON object `base` with one mutation: a top-level key
     deleted or its value replaced; or, in a list, an entry dropped,
     duplicated or replaced, or an int of a nested entry replaced."""
-    obj = json.loads(k44_reference_system().to_json())
+    obj = json.loads(json.dumps(base))
     key = draw(st.sampled_from(sorted(obj)))
     value = obj[key]
     kinds = ["delete key", "replace key"]
-    if isinstance(value, list):
+    if isinstance(value, list) and value:
         kinds += ["drop entry", "duplicate entry", "replace entry"]
         if isinstance(value[0], list):
             kinds.append("replace nested int")
@@ -1288,6 +1332,23 @@ def _mutated_k44_system(draw):
     return obj
 
 
+def _run_fuzz_case(*argvs):
+    """Run each command line through `cli.main` in-process and assert the
+    rules of a mutated file: no exception escapes, the exit code is 0, 1 or
+    2, exit 2 prints nothing on stdout, and the commands take under 2 s."""
+    start = time.perf_counter()
+    for argv in argvs:
+        out, err = io.StringIO(), io.StringIO()
+        try:
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = main([str(a) for a in argv])
+        except (Exception, SystemExit) as exc:
+            pytest.fail(f"{argv[0]} raised {exc!r}")
+        assert code in (0, 1, 2), (argv[0], code, err.getvalue())
+        assert code != 2 or out.getvalue() == "", (argv[0], out.getvalue())
+    assert time.perf_counter() - start < 2
+
+
 @pytest.fixture(scope="module")
 def stored_k44(tmp_path_factory):
     """A payload of 9 blocks of 32 bytes and the k44 state stored from it,
@@ -1303,11 +1364,10 @@ def stored_k44(tmp_path_factory):
 
 
 @settings(max_examples=150, derandomize=True, deadline=None)
-@given(obj=_mutated_k44_system())
+@given(obj=_mutated(json.loads(k44_reference_system().to_json())))
 def test_a_mutated_system_file_gets_an_exit_code_not_a_traceback(stored_k44, obj):
     """`profile`, `store` and `repair`, in-process, on a mutated k44 system
-    file: no exception escapes `cli.main`, the exit code is 0, 1 or 2, exit
-    2 prints nothing on stdout, and the three commands take under 2 s."""
+    file, by the rules of `_run_fuzz_case`."""
     data, stored = stored_k44
     with tempfile.TemporaryDirectory() as tmp:
         tmp = Path(tmp)
@@ -1316,17 +1376,67 @@ def test_a_mutated_system_file_gets_an_exit_code_not_a_traceback(stored_k44, obj
         state = tmp / "state"
         shutil.copytree(stored, state)
         (state / "block_00005.bin").unlink()
-        start = time.perf_counter()
-        for argv in (["profile", "--system", sys_file],
-                     ["store", "--system", sys_file, "--data", data, "--out", tmp / "out",
-                      "--block-size", "32"],
-                     ["repair", "--system", sys_file, "--state", state, "--erased", "5"]):
-            out, err = io.StringIO(), io.StringIO()
-            try:
-                with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-                    code = main([str(a) for a in argv])
-            except (Exception, SystemExit) as exc:
-                pytest.fail(f"{argv[0]} raised {exc!r}")
-            assert code in (0, 1, 2), (argv[0], code, err.getvalue())
-            assert code != 2 or out.getvalue() == "", (argv[0], out.getvalue())
-        assert time.perf_counter() - start < 2
+        _run_fuzz_case(["profile", "--system", sys_file],
+                       ["store", "--system", sys_file, "--data", data, "--out", tmp / "out",
+                        "--block-size", "32"],
+                       ["repair", "--system", sys_file, "--state", state, "--erased", "5"])
+
+
+# the bases stay at 10 vertices or fewer, so that `decompose`'s backtracking
+# matcher cannot reach the time bound on any mutation of them
+_K44 = graphdss.catalog.by_name("k44").graph
+_K44_GRAPH = json.loads(_K44.to_json())
+_PETERSEN_GRAPH = json.loads(graphdss.catalog.by_name("petersen").graph.to_json())
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(k44=_mutated(_K44_GRAPH), petersen=_mutated(_PETERSEN_GRAPH))
+def test_a_mutated_graph_file_gets_an_exit_code_not_a_traceback(k44, petersen):
+    """`build`, `profile --csv` and `simulate --exhaustive` on a mutated k44
+    graph file, and `decompose` and `export-dot` on a mutated Petersen
+    graph file, by the rules of `_run_fuzz_case`."""
+    with tempfile.TemporaryDirectory() as tmp:
+        g, cubic = Path(tmp) / "k44.json", Path(tmp) / "petersen.json"
+        g.write_text(json.dumps(k44))
+        cubic.write_text(json.dumps(petersen))
+        _run_fuzz_case(["build", "--input", g], ["profile", "--input", g, "--csv"],
+                       ["simulate", "--input", g, "--exhaustive"],
+                       ["decompose", "--input", cubic], ["export-dot", "--input", cubic])
+
+
+_K44_TOUR_ARCS = {"arcs": [list(arc) for arc in orient_from_tour(_K44, eulerian_tour(_K44)).arcs]}
+
+
+@settings(max_examples=400, derandomize=True, deadline=None)
+@given(obj=_mutated(_K44_TOUR_ARCS))
+def test_a_mutated_orientation_file_gets_an_exit_code_not_a_traceback(obj):
+    """`build` and `simulate --exhaustive` on k44 with a mutated file of its
+    tour's arcs, by the rules of `_run_fuzz_case`."""
+    with tempfile.TemporaryDirectory() as tmp:
+        arcs = Path(tmp) / "arcs.json"
+        arcs.write_text(json.dumps(obj))
+        _run_fuzz_case(["build", "--catalog", "k44", "--orientation", arcs],
+                       ["simulate", "--catalog", "k44", "--orientation", arcs, "--exhaustive"])
+
+
+@settings(max_examples=100, derandomize=True, deadline=None)
+@given(data=st.data())
+def test_a_mutated_state_header_gets_an_exit_code_not_a_traceback(stored_k44, data):
+    """`repair --erased 5` and `repair --disks 1` on the stored k44 state
+    with a mutated header, each on its own copy of the state with its lost
+    blocks deleted, by the rules of `_run_fuzz_case`."""
+    _, stored = stored_k44
+    header = data.draw(_mutated(json.loads((stored / "header.json").read_text())))
+    disk_1 = k44_reference_system().disk_edges(1)
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        argvs = []
+        for option, value, lost in (("--erased", "5", [5]), ("--disks", "1", disk_1)):
+            state = tmp / option[2:]
+            shutil.copytree(stored, state)
+            (state / "header.json").write_text(json.dumps(header))
+            for e in lost:
+                (state / f"block_{e:05d}.bin").unlink()
+            argvs.append(["repair", "--system", stored.parent / "sys.json", "--state", state,
+                          option, value])
+        _run_fuzz_case(*argvs)

@@ -6,10 +6,11 @@ import re
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from graphdss.catalog import complete_graph, k5_reference_system, random_4_regular, random_cubic
+from graphdss.catalog import (by_name, complete_graph, k5_reference_system, random_4_regular,
+                              random_cubic)
 from graphdss.code import StorageState, derive_code, encode
 from graphdss.cubic import CubicSystem, InvalidDiskError, PairingMode, build_cubic, decompose_p4
-from graphdss.graphs import EdgeSubset, Graph, two_core
+from graphdss.graphs import EdgeSubset, Graph, girth, two_core
 from graphdss.orientation import eulerian_tour, orient_from_tour
 from graphdss.repair import (
     RepairReport,
@@ -21,7 +22,8 @@ from graphdss.repair import (
     repair_state,
 )
 
-from conftest import PEEL_RULES, copy_state, session_report, system_from_cage
+from conftest import (PEEL_RULES, copy_state, count_cycles, owners_induce_cycle, session_report,
+                      system_from_cage)
 from test_cubic import k44_reference_system
 
 
@@ -549,3 +551,38 @@ def test_peel_residual_equals_two_core_on_600_edges(rule):
         assert residual.bits == two_core(g, s).bits
         stuck += bool(len(residual))
     assert stuck >= 150
+
+
+def _tour_system(name, mode):
+    g = by_name(name).graph
+    return build_cubic(orient_from_tour(g, eulerian_tour(g)), mode), g
+
+
+@pytest.mark.parametrize("mode", list(PairingMode), ids=lambda m: m.value)
+@pytest.mark.parametrize("name", ["k5", "k44", "robertson", "pg23"])
+def test_disks_lose_data_iff_their_owners_induce_a_cycle_of_g(name, mode):
+    """`repair_disks` leaves a residual iff the union-find oracle finds a
+    cycle among the owners: on every disk set of k5 and k44, and on 1 000
+    seeded sets of robertson and pg23, each of a size drawn from 1..n."""
+    sys, g = _tour_system(name, mode)
+    n = len(sys.disks)
+    if n <= 8:
+        sets = [d for size in range(n + 1) for d in itertools.combinations(range(n), size)]
+    else:
+        rng = random.Random(f"disk-loss:{name}:{mode.value}")
+        sets = [rng.sample(range(n), rng.randint(1, n)) for _ in range(1000)]
+    outcomes = set()
+    for disks in sets:
+        lost = len(repair_disks(sys, disks).residual) > 0
+        assert lost == owners_induce_cycle(g, [sys.disk_owner[d] for d in disks]), disks
+        outcomes.add(lost)
+    assert outcomes == {False, True}
+
+
+@pytest.mark.parametrize("name, cycles", [("k44", 36), ("robertson", 54)])
+def test_the_disk_sets_of_girth_size_that_lose_data_are_as_many_as_the_girth_cycles(name, cycles):
+    sys, g = _tour_system(name, PairingMode.PARALLEL)
+    size = girth(g)
+    lost = sum(len(repair_disks(sys, disks).residual) > 0
+               for disks in itertools.combinations(range(len(sys.disks)), size))
+    assert lost == count_cycles(g, size) == cycles

@@ -162,6 +162,23 @@ def test_bench_record_refuses_a_run_without_a_probe_median(tmp_path):
     assert "no probe_ms_median=" in proc.stderr
 
 
+def test_bench_record_refuses_pairs_of_an_unknown_workload():
+    # --pairs runs any workload of the trees' harness, cli-4k too; a name
+    # that the harness does not know is a run that fails
+    proc = _bench_record("--pairs", str(ROOT), str(ROOT), "--workload", "no-such-workload",
+                         "--runs", "1", "--seconds", "0")
+    assert proc.returncode == 1
+    assert "bench_record: refused, a run failed" in proc.stderr
+
+
+def test_bench_record_records_only_the_gated_workloads(tmp_path):
+    out = tmp_path / "bench.json"
+    proc = _bench_record("--out", str(out), "--workload", "cli-4k", "--runs", "1")
+    assert proc.returncode == 2
+    assert "--out records only the gated workloads" in proc.stderr
+    assert not out.exists()
+
+
 _WIDE = [5, 15] * 5  # median 10, quartiles 5 and 15
 
 

@@ -46,6 +46,11 @@ output changed and why; list the row here too.  Changed so far:
   the `"crc32"` key, one `zlib.crc32` per block; every step's exit code
   and output is unchanged, and without that key each row gives its old
   digest.
+- error-empty-options: `build --output` writes through `state.write_atomic`,
+  as `<file>.tmp` renamed over the file, so its `--output=` step fails at
+  the rename and reads `error: [Errno 2] No such file or directory: '.tmp'
+  -> ''` in place of the open's `... directory: ''`; no `.tmp` is left,
+  and the other five steps are unchanged.
 """
 
 import hashlib
@@ -279,12 +284,13 @@ ROWS = {
          "profile --table1 --system sys.json", "profile --table1 --csv --policy crossed",
          "build --catalog k5 --input g.json", "export-dot --catalog k5 --input g.json"],
         "a64e347e1e61a68026bdc020f504e19c89c5a7c7aa893ddae905d2e679c90cf2"),
-    # an option given as the empty string, written `--name=`, is read or refused
+    # an option given as the empty string, written `--name=`, is read or refused;
+    # `--output=` fails at `state.write_atomic`'s rename of `.tmp` onto ''
     "error-empty-options": (
         {}, ["build --catalog k44 --output sys.json", "build --catalog k5 --input=",
              "profile --system sys.json --policy= --csv", "build --input=",
              "build --catalog k5 --orientation=", "build --catalog k5 --output="],
-        "8db9d381643851e40186a27d4abd13868ac2cf6751187506aead1861d89f85ce"),
+        "827310f6d7db76ceda0d310fc77f22065cb4ac3878f1da030dc30e007000d80b"),
     "error-decompose": (
         {}, ["decompose --catalog k5"],
         "e408af65418c4706cedcbd98c8882804ec061770e5c137d6c3fee88e07e8c0bb"),

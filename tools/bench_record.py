@@ -10,7 +10,11 @@ at `--trace 0`, with `PYTHONPATH` set to that tree's `src`, and is read by
 its last line, the JSON object of `correct`, `attempted`, `failed` and
 `metrics`, and by the `probe_ms_median=` of its first line, the median
 of the speed probe (`perfbench/speed.py`) that the run scales its timings
-by.  The workloads and metrics are those that `BENCHMARK.json` gates.
+by.  The metrics are the end-to-end metrics that `BENCHMARK.json` gates.
+`--out` records only the workloads it gates; `--pairs` runs any workload
+of the tree's `perfbench/run.py`, such as cli-4k, the one that runs
+`cli.main` and `state`, and a name that the tree does not know is a run
+that fails.
 
 `--out` runs every workload (or each `--workload` given) R times, the
 workloads interleaved, at one seed and duration.  It writes, per workload
@@ -185,8 +189,8 @@ def main(argv=None) -> int:
     mode = p.add_mutually_exclusive_group(required=True)
     mode.add_argument("--out", help="write the record of this checkout to this file")
     mode.add_argument("--pairs", nargs=2, metavar=("PARENT_TREE", "CHANGE_TREE"))
-    p.add_argument("--workload", action="append", choices=workloads,
-                   help="a workload to run (repeatable); --out defaults to all")
+    p.add_argument("--workload", action="append",
+                   help="a workload to run (repeatable); --out defaults to every gated one")
     p.add_argument("--runs", type=int, default=10, help="runs per workload and tree")
     p.add_argument("--seed", type=int, default=1)
     p.add_argument("--seconds", type=float, default=benchmark["run_seconds"])
@@ -198,6 +202,8 @@ def main(argv=None) -> int:
         p.error("--runs must be at least 1")
     if args.pairs and len(args.workload or ()) != 1:
         p.error("--pairs takes exactly one --workload")
+    if args.out and not set(args.workload or ()) <= set(workloads):
+        p.error(f"--out records only the gated workloads: {', '.join(workloads)}")
     try:
         return record(args) if args.out else pairs(args)
     except RunFailed as exc:
