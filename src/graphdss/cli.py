@@ -294,8 +294,8 @@ def cmd_repair(args) -> int:
         print(report.to_json())
         return 1
     print(report.to_json())
-    print(f"repaired {len(erased)} blocks, transferred {report.transferred_symbols} symbols "
-          f"in {report.rounds} rounds")
+    print(f"repaired {len(report.recovered)} blocks, "
+          f"transferred {report.transferred_symbols} symbols in {report.rounds} rounds")
     return 0
 
 

@@ -33,6 +33,7 @@ from test_cubic import (
     prism,
 )
 from test_orientation import k5_arcs_all_into_vertex_0
+from test_state import _flip_bit_0
 
 
 def run(capsys, *argv):
@@ -322,7 +323,7 @@ def _repair_pg23_disk_0(tmp_path, capsys, monkeypatch, *options):
 
     def recording_open(path, mode="r", *args, **kwargs):
         name = os.path.basename(path)
-        if "w" not in mode and name.startswith("block_") and name.endswith(".bin"):
+        if "r" in mode and name.startswith("block_") and name.endswith(".bin"):
             read.append(int(name[len("block_"):-len(".bin")]))
         return real_open(path, mode, *args, **kwargs)
 
@@ -413,7 +414,7 @@ def _fail_kth_block_write(monkeypatch, k):
 
     def failing_open(path, mode="r", *args, **kwargs):
         fh = real_open(path, mode, *args, **kwargs)
-        if "w" in mode and os.path.basename(path).startswith("block_"):
+        if mode in ("wb", "xb") and os.path.basename(path).startswith("block_"):
             opened.append(path)
             if len(opened) == k:
                 return HalfWrite(fh)
@@ -558,17 +559,74 @@ def test_repair_rejects_truncated_helper_block(tmp_path, capsys):
     assert "5 bytes" in err
 
 
-def test_repair_refuses_a_flipped_helper_block(tmp_path, capsys):
+def test_repair_rebuilds_a_flipped_helper_block(tmp_path, capsys):
     # store k44 with s = 32, delete block 5 and flip bit 0 of block 4, a
     # helper that block 5's schedule reads: repair used to exit 0 with a
-    # wrong block 5, and now refuses, naming block 4
+    # wrong block 5; block 4 now fails its checksum, joins the erased set,
+    # and both are rebuilt
     sys_file, state_dir = _stored_k44(tmp_path, capsys)
-    helper = state_dir / "block_00004.bin"
-    data = bytearray(helper.read_bytes())
-    data[0] ^= 1
-    helper.write_bytes(bytes(data))
+    stored = {p.name: p.read_bytes() for p in state_dir.iterdir()}
+    (state_dir / "block_00005.bin").unlink()
+    _flip_bit_0(state_dir / "block_00004.bin")
+    code, out, err = run(capsys, "repair", "--system", str(sys_file), "--state", str(state_dir),
+                         "--erased", "5")
+    assert (code, err) == (0, "")
+    report = json.JSONDecoder().raw_decode(out)[0]
+    assert sorted(e for e, _, _ in report["recovered"]) == [4, 5]
+    assert out.endswith(f"repaired 2 blocks, transferred {report['transferred']} symbols "
+                        f"in {report['rounds']} rounds\n")
+    assert {p.name: p.read_bytes() for p in state_dir.iterdir()} == stored
+
+
+def test_repair_refuses_a_header_without_its_crc32_key(tmp_path, capsys):
+    # the same flipped helper, under a header without checksums: repair used
+    # to exit 0 and write a wrong block 5
+    sys_file, state_dir = _stored_k44(tmp_path, capsys)
+    header = json.loads((state_dir / "header.json").read_text())
+    del header["crc32"]
+    (state_dir / "header.json").write_text(json.dumps(header))
+    _flip_bit_0(state_dir / "block_00004.bin")
     code, err = _repair_lost_block_5(capsys, sys_file, state_dir)
-    assert (code, err) == (2, "error: block 4 does not match its crc32 in the state header\n")
+    assert (code, err) == (2, "error: state header's crc32 is not a list of 24 ints "
+                              "in 0..2**32-1\n")
+
+
+def test_a_flipped_helper_that_closes_a_cycle_exits_1_and_writes_nothing(tmp_path, capsys):
+    # blocks 0, 3 and 12 peel, reading helper 15; flipped, 15 joins them in
+    # a 4-cycle of the block graph of k44's tour layout
+    sys_file, state_dir = _stored_k44(tmp_path, capsys)
+    for e in (0, 3, 12):
+        (state_dir / f"block_{e:05d}.bin").unlink()
+    _flip_bit_0(state_dir / "block_00015.bin")
+    before = {p.name: p.read_bytes() for p in state_dir.iterdir()}
+    code, out, err = run(capsys, "repair", "--system", str(sys_file), "--state", str(state_dir),
+                         "--erased", "0,3,12")
+    assert (code, err) == (1, "")
+    assert out.startswith("unrecoverable: residual cycle on edges [0, 3, 12, 15]\n")
+    assert {p.name: p.read_bytes() for p in state_dir.iterdir()} == before
+
+
+def test_a_file_that_holds_a_tmp_name_is_refused_and_left_as_it_was(tmp_path, capsys):
+    # every file is written as <file>.tmp, created exclusively: a user's
+    # file of that name used to be overwritten and then renamed away
+    sys_tmp = tmp_path / "sys.json.tmp"
+    sys_tmp.write_bytes(b"the user's sys.json.tmp")
+    code, _, err = run(capsys, "build", "--catalog", "k44", "--output", str(tmp_path / "sys.json"))
+    assert (code, err) == (2, f"error: [Errno 17] File exists: '{sys_tmp}'\n")
+    assert sys_tmp.read_bytes() == b"the user's sys.json.tmp"
+    assert not (tmp_path / "sys.json").exists()
+    sys_tmp.unlink()
+    sys_file, state_dir = _stored_k44(tmp_path, capsys)
+    block_tmp = state_dir / "block_00005.bin.tmp"
+    block_tmp.write_bytes(b"the user's block_00005.bin.tmp")
+    (state_dir / "block_00005.bin").unlink()
+    for argv in (["repair", "--system", sys_file, "--state", state_dir, "--erased", "5"],
+                 ["store", "--system", sys_file, "--data", tmp_path / "data.bin",
+                  "--out", state_dir, "--block-size", "32"]):
+        code, _, err = run(capsys, *map(str, argv))
+        assert (code, err) == (2, f"error: [Errno 17] File exists: '{block_tmp}'\n")
+        assert block_tmp.read_bytes() == b"the user's block_00005.bin.tmp"
+        assert not (state_dir / "block_00005.bin").exists()
 
 
 def test_repair_rejects_header_of_another_code_length(tmp_path, capsys):
@@ -1335,8 +1393,10 @@ def _mutated(draw, base):
 def _run_fuzz_case(*argvs):
     """Run each command line through `cli.main` in-process and assert the
     rules of a mutated file: no exception escapes, the exit code is 0, 1 or
-    2, exit 2 prints nothing on stdout, and the commands take under 2 s."""
+    2, exit 2 prints nothing on stdout, and the commands take under 2 s.
+    Return each command's exit code and stdout."""
     start = time.perf_counter()
+    results = []
     for argv in argvs:
         out, err = io.StringIO(), io.StringIO()
         try:
@@ -1346,7 +1406,19 @@ def _run_fuzz_case(*argvs):
             pytest.fail(f"{argv[0]} raised {exc!r}")
         assert code in (0, 1, 2), (argv[0], code, err.getvalue())
         assert code != 2 or out.getvalue() == "", (argv[0], out.getvalue())
+        results.append((code, out.getvalue()))
     assert time.perf_counter() - start < 2
+    return results
+
+
+def _assert_recovered_blocks_are_stored(results, states, stored):
+    """The exit-0 rule of `repair`: every block that the printed report
+    recovered holds its stored bytes again."""
+    for (code, out), state in zip(results, states):
+        if code == 0:
+            for e, _, _ in json.JSONDecoder().raw_decode(out)[0]["recovered"]:
+                name = f"block_{e:05d}.bin"
+                assert (state / name).read_bytes() == (stored / name).read_bytes(), name
 
 
 @pytest.fixture(scope="module")
@@ -1419,24 +1491,68 @@ def test_a_mutated_orientation_file_gets_an_exit_code_not_a_traceback(obj):
                        ["simulate", "--catalog", "k44", "--orientation", arcs, "--exhaustive"])
 
 
+def _repair_cases(stored, tmp):
+    """Two copies in `tmp` of the stored k44 state, one without block 5 and
+    one without disk 1's blocks, and the `repair --erased 5` and `repair
+    --disks 1` command lines of the two: (command lines, state directories)."""
+    argvs, states = [], []
+    for option, value, lost in (("--erased", "5", [5]),
+                                ("--disks", "1", k44_reference_system().disk_edges(1))):
+        state = tmp / option[2:]
+        shutil.copytree(stored, state)
+        for e in lost:
+            (state / f"block_{e:05d}.bin").unlink()
+        argvs.append(["repair", "--system", stored.parent / "sys.json", "--state", state,
+                      option, value])
+        states.append(state)
+    return argvs, states
+
+
 @settings(max_examples=100, derandomize=True, deadline=None)
 @given(data=st.data())
 def test_a_mutated_state_header_gets_an_exit_code_not_a_traceback(stored_k44, data):
     """`repair --erased 5` and `repair --disks 1` on the stored k44 state
     with a mutated header, each on its own copy of the state with its lost
-    blocks deleted, by the rules of `_run_fuzz_case`."""
+    blocks deleted, by the rules of `_run_fuzz_case` and
+    `_assert_recovered_blocks_are_stored`."""
     _, stored = stored_k44
     header = data.draw(_mutated(json.loads((stored / "header.json").read_text())))
-    disk_1 = k44_reference_system().disk_edges(1)
     with tempfile.TemporaryDirectory() as tmp:
-        tmp = Path(tmp)
-        argvs = []
-        for option, value, lost in (("--erased", "5", [5]), ("--disks", "1", disk_1)):
-            state = tmp / option[2:]
-            shutil.copytree(stored, state)
+        argvs, states = _repair_cases(stored, Path(tmp))
+        for state in states:
             (state / "header.json").write_text(json.dumps(header))
-            for e in lost:
-                (state / f"block_{e:05d}.bin").unlink()
-            argvs.append(["repair", "--system", stored.parent / "sys.json", "--state", state,
-                          option, value])
-        _run_fuzz_case(*argvs)
+        _assert_recovered_blocks_are_stored(_run_fuzz_case(*argvs), states, stored)
+
+
+def _alter_block(path, how, bit):
+    """Make the block file at `path` one byte short or long, empty, a
+    directory, or deleted, or flip its bit `bit` if it has one; a missing
+    file only becomes a directory, and a directory stays one."""
+    if how == "directory" and not path.is_dir():
+        path.unlink(missing_ok=True)
+        path.mkdir()
+    elif how == "deleted" and not path.is_dir():
+        path.unlink(missing_ok=True)
+    elif path.is_file():
+        data = bytearray(path.read_bytes())
+        if how == "flipped" and bit < 8 * len(data):
+            data[bit // 8] ^= 1 << bit % 8
+        path.write_bytes({"short": data[:-1], "long": data + b"\0", "empty": b""}.get(how, data))
+
+
+@settings(max_examples=100, derandomize=True, deadline=None)
+@given(alterations=st.lists(st.tuples(
+    st.integers(0, 23),
+    st.sampled_from(["short", "long", "empty", "directory", "flipped", "deleted"]),
+    st.integers(0, 255)), min_size=1, max_size=3))
+def test_altered_block_files_get_an_exit_code_and_never_a_wrong_block(stored_k44, alterations):
+    """`repair --erased 5` and `repair --disks 1` on the stored k44 state
+    with up to 3 block files altered (`_alter_block`), by the rules of
+    `_run_fuzz_case` and `_assert_recovered_blocks_are_stored`."""
+    _, stored = stored_k44
+    with tempfile.TemporaryDirectory() as tmp:
+        argvs, states = _repair_cases(stored, Path(tmp))
+        for state in states:
+            for e, how, bit in alterations:
+                _alter_block(state / f"block_{e:05d}.bin", how, bit)
+        _assert_recovered_blocks_are_stored(_run_fuzz_case(*argvs), states, stored)
