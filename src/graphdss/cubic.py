@@ -15,7 +15,7 @@ import json
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
-from typing import Dict, Iterator, List, Optional, Tuple, Union
+from typing import Iterator, List, Optional, Tuple, Union
 
 from .graphs import EdgeSubset, Graph, GraphError, degree_sequence, int_tuples
 from .orientation import OrientedGraph
@@ -315,36 +315,36 @@ def verify_disk_decomposition(sys: CubicSystem) -> bool:
 
 
 def _perfect_matching(g: Graph) -> Optional[List[int]]:
-    """Perfect matching as a list of edge indices, by backtracking over the
-    lowest-index unmatched vertex, its incidences in edge-index order; None
-    if no perfect matching exists.  The search keeps its own stack, one
-    entry per matched edge, so no recursion limit bounds the graph's size,
-    and `low` moves back only when the search backtracks."""
+    """Perfect matching as `mate`, mate[v] the vertex matched to v, by
+    backtracking over the lowest-index unmatched vertex, its incidences in
+    edge-index order; None if no perfect matching exists.  The search keeps
+    its own stack, one entry per matched pair, so no recursion limit bounds
+    the graph's size, and `low` moves back only when the search backtracks."""
     n, incident = g.vertex_count, g.incident
-    matched = [False] * n
-    # (u, v, ei, rest): u matched to v along edge ei, and u's incidences
+    mate = [None] * n  # None: unmatched; an int at every vertex once returned
+    # (u, rest): u matched to the higher vertex mate[u], and u's incidences
     # that the search has not tried yet
-    stack: List[Tuple[int, int, int, Iterator[Tuple[int, int]]]] = []
+    stack: List[Tuple[int, Iterator[Tuple[int, int]]]] = []
     low = 0  # every vertex below it is matched
     rest = None  # None: the next vertex to match is the lowest unmatched one
     while True:
         if rest is None:
-            while low < n and matched[low]:
+            while low < n and mate[low] is not None:
                 low += 1
             if low == n:
-                return [ei for _, _, ei, _ in stack]
+                return mate
             u, rest = low, iter(incident(low))
-        for ei, v in rest:
-            if not matched[v]:
-                matched[u] = matched[v] = True
-                stack.append((u, v, ei, rest))
+        for _, v in rest:
+            if mate[v] is None:
+                mate[u], mate[v] = v, u
+                stack.append((u, rest))
                 rest = None
                 break
         else:
             if not stack:
                 return None
-            u, v, _, rest = stack.pop()
-            matched[u] = matched[v] = False
+            u, rest = stack.pop()
+            mate[mate[u]] = mate[u] = None
             low = u
 
 
@@ -352,40 +352,31 @@ def decompose_p4(g: Graph) -> List[Tuple[int, int, int, int]]:
     """Decompose a 3-regular graph into edge-disjoint paths on 3 edges.
 
     Kotzig (1957): a cubic graph has a decomposition into paths on 3 edges
-    iff it has a perfect matching.  So find a perfect matching; the
-    complement is a 2-factor; orient each of its cycles and, for each
-    matching edge {u,v}, take the path succ(u)-u-v-succ(v).  The matching
-    search is exhaustive, so when it finds none, no decomposition exists
-    either and DecompositionFailure is raised.
+    iff it has a perfect matching.  So find a perfect matching, `mate`; the
+    complement is a 2-factor, the two edges at each u other than the one to
+    mate[u]; orient each of its cycles and, for each matched pair u < v,
+    take the path succ(u)-u-v-succ(v), smaller end vertex first, in
+    ascending u, the order in which the search matched the pairs.  The
+    matching search is exhaustive, so when it finds none, no decomposition
+    exists either and DecompositionFailure is raised.
     """
     if any(d != 3 for d in degree_sequence(g)):
         raise NotCubicError("graph is not 3-regular")
 
-    matching = _perfect_matching(g)
-    if matching is None:
+    mate = _perfect_matching(g)
+    if mate is None:
         raise DecompositionFailure("no perfect matching, so no P4 decomposition (Kotzig)")
-    in_matching = set(matching)
-    cycle_adj = [
-        [w for ei, w in g.incident(u) if ei not in in_matching]
-        for u in range(g.vertex_count)
-    ]
-    # orient every cycle of the 2-factor; cycles have length >= 3
-    succ: Dict[int, int] = {}
-    visited = [False] * g.vertex_count
+    incident = g.incident
+    # orient every cycle of the 2-factor from its lowest vertex, towards
+    # that vertex's first cycle neighbour in edge-index order; cycles have
+    # length >= 3, and succ[u] is -1 until the walk leaves u
+    succ = [-1] * g.vertex_count
     for start in range(g.vertex_count):
-        if visited[start]:
-            continue
         prev, u = -1, start
-        while True:
-            visited[u] = True
-            w = cycle_adj[u][0] if cycle_adj[u][0] != prev else cycle_adj[u][1]
-            succ[u] = w
-            prev, u = u, w
-            if u == start:
-                break
-    paths = []
-    for ei in matching:
-        u, v = g.edges[ei]
-        paths.append((succ[u], u, v, succ[v]))
-    # canonical direction: smaller end vertex first
-    return [tuple(reversed(p)) if p[-1] < p[0] else tuple(p) for p in paths]
+        while succ[u] < 0:
+            for _, w in incident(u):
+                if w != prev and w != mate[u]:
+                    break
+            succ[u], prev, u = w, u, w
+    return [(succ[u], u, v, succ[v]) if succ[u] < succ[v] else (succ[v], v, u, succ[u])
+            for u, v in enumerate(mate) if u < v]

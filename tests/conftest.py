@@ -2,6 +2,7 @@
 import itertools
 import json
 import random
+import re
 from collections import deque
 
 import pytest
@@ -460,3 +461,138 @@ def derive_code_oracle(g: Graph) -> ParityCode:
         information_set=tuple(info_set),
         tree_order=tuple(reversed(parent_pairs)),
     )
+
+
+# Every P4 decomposition of a small cubic graph (Kotzig's correspondence),
+# and the related graph G' of each: the oracle of the paper's optimality
+# claim over every decomposition.
+
+def perfect_matchings(g: Graph):
+    """Every perfect matching of `g`, as a list of tuples of pairs (u, v):
+    u the lowest vertex that the pairs before it leave unmatched, v one of
+    its unmatched neighbours, in edge-index order.  A recursive search of
+    its own, apart from `cubic._perfect_matching`; only for small graphs."""
+    n = g.vertex_count
+    found, pairs, matched = [], [], [False] * n
+
+    def search(low: int) -> None:
+        while low < n and matched[low]:
+            low += 1
+        if low == n:
+            found.append(tuple(pairs))
+            return
+        matched[low] = True
+        for _, v in g.incident(low):
+            if not matched[v]:
+                matched[v] = True
+                pairs.append((low, v))
+                search(low + 1)
+                pairs.pop()
+                matched[v] = False
+        matched[low] = False
+
+    search(0)
+    return found
+
+
+def two_factor_cycles(g: Graph, pairs):
+    """The cycles of the 2-factor g - M of the perfect matching `pairs` of
+    the cubic graph `g`, each a vertex list walked from its lowest vertex."""
+    mate = [None] * g.vertex_count
+    for u, v in pairs:
+        mate[u], mate[v] = v, u
+    around = [[w for _, w in g.incident(u) if w != mate[u]] for u in range(g.vertex_count)]
+    seen, cycles = [False] * g.vertex_count, []
+    for start in range(g.vertex_count):
+        cycle, prev, u = [], -1, start
+        while not seen[u]:
+            seen[u] = True
+            cycle.append(u)
+            a, b = around[u]
+            prev, u = u, (b if a == prev else a)
+        if cycle:
+            cycles.append(cycle)
+    return cycles
+
+
+def p4_decompositions(g: Graph):
+    """Every P4 decomposition of the cubic graph `g`, as (pairs, paths): each
+    perfect matching M (`perfect_matchings`), whose pairs are the middle
+    edges, with each orientation of each cycle of the 2-factor g - M; the
+    i-th path is succ(u)-u-v-succ(v) for the i-th pair (u, v).  Every
+    decomposition arises once: its middle edges form a perfect matching,
+    and each path's ends give the successor of each middle on its cycle.
+    So there are sum over M of 2^c(M), c(M) the cycles of g - M."""
+    for pairs in perfect_matchings(g):
+        ways = []
+        for cycle in two_factor_cycles(g, pairs):
+            ahead = cycle[1:] + cycle[:1]
+            ways.append((dict(zip(cycle, ahead)), dict(zip(ahead, cycle))))
+        for orientation in itertools.product(*ways):
+            succ = {}
+            for part in orientation:
+                succ.update(part)
+            yield pairs, [(succ[u], u, v, succ[v]) for u, v in pairs]
+
+
+def related_graph(paths):
+    """The related graph G' of a P4 decomposition of a cubic graph on
+    2 len(paths) vertices: block vertex x becomes the arc (the path where x
+    is an end, the path where x is a middle), in vertex order.  ValueError
+    unless each vertex is the middle of exactly one path and an end of
+    exactly one: the 2 len(paths) end and middle slots each fill every
+    vertex once."""
+    n = 2 * len(paths)
+    end, middle = [-1] * n, [-1] * n
+    for d, (a, b, c, e) in enumerate(paths):
+        end[a] = end[e] = middle[b] = middle[c] = d
+    if -1 in end or -1 in middle:
+        raise ValueError("a vertex is not the middle of one path and an end of one")
+    return list(zip(end, middle))
+
+
+def related_girth(arcs, disks: int, known: dict) -> float:
+    """girth(G') of the related graph on `disks` vertices with `arcs`: 2 if
+    two arcs join the same two disks, either way round, else the girth of
+    the simple graph they form.  `known` memoizes the girth by edge set."""
+    edges = frozenset((a, b) if a < b else (b, a) for a, b in arcs)
+    if len(edges) < len(arcs):
+        return 2
+    if edges not in known:
+        known[edges] = girth(Graph(disks, sorted(edges)))
+    return known[edges]
+
+
+# The grammars of the CLI's list-valued options, written apart from
+# `cli._parse_policy` and `cli._parse_indices`: a command that reads such
+# an option may exit 0 only if its value is in the grammar.
+
+_SPACE = "[ \t\n]*"
+
+
+def index_list_is_valid(text: str, count: int) -> bool:
+    """`repair --erased` and `--disks`: one or more comma-separated items,
+    each ASCII decimal digits with spaces around them allowed, each an
+    index below `count`."""
+    items = text.split(",")
+    return all(re.fullmatch(f"{_SPACE}[0-9]+{_SPACE}", x) for x in items) and all(
+        int(x) < count for x in items)
+
+
+def policy_is_valid(text: str, n: int) -> bool:
+    """`--policy` on a graph of `n` vertices: comma-separated tokens, each
+    empty, a mode, or a mode, `@` and an ASCII decimal vertex below n, with
+    spaces around a token allowed; the base mode and each vertex's mode are
+    given at most once."""
+    given = set()
+    for token in text.split(","):
+        match = re.fullmatch(f"{_SPACE}(?:(parallel|crossed)(?:@([0-9]+))?)?{_SPACE}", token)
+        if match is None:
+            return False
+        if match.group(1) is None:
+            continue
+        v = None if match.group(2) is None else int(match.group(2))
+        if v in given or (v is not None and v >= n):
+            return False
+        given.add(v)
+    return True

@@ -23,6 +23,7 @@ from graphdss.cli import main
 from graphdss.orientation import eulerian_tour, orient_from_tour
 from graphdss.repair import RepairStrategy
 
+from conftest import index_list_is_valid, policy_is_valid
 from test_catalog import _GIRTH7_VOLTAGES, _k5_lift
 from test_cubic import (
     _arc_out_of_range,
@@ -1556,3 +1557,59 @@ def test_altered_block_files_get_an_exit_code_and_never_a_wrong_block(stored_k44
             for e, how, bit in alterations:
                 _alter_block(state / f"block_{e:05d}.bin", how, bit)
         _assert_recovered_blocks_are_stored(_run_fuzz_case(*argvs), states, stored)
+
+
+# the items a fuzzed option value is joined from: empty text, whitespace,
+# a negative, a huge and a float number, non-ASCII digits (Arabic-Indic 1
+# and 32), a stray separator, and the tokens of valid values; joined by a
+# comma, items such as "" and "," give repeated commas
+OPTION_ITEMS = ["", " ", "\t", "-1", "0", "1", "5", "32", str(2**70), "1.5", "١", "٣٢",
+                "@", ",", "parallel", "crossed", "crossed@1", "1_0", "+3"]
+_option_value = st.builds(str.join, st.sampled_from([",", ""]),
+                          st.lists(st.sampled_from(OPTION_ITEMS), min_size=1, max_size=3))
+
+
+def _exit_and_stdout(argv):
+    """The exit code and stdout of one command line: argparse's refusal,
+    its SystemExit(2) with nothing on stdout, counts as exit 2; any other
+    line runs through `_run_fuzz_case`."""
+    out = io.StringIO()
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+            graphdss.cli.make_parser().parse_args([str(a) for a in argv])
+    except SystemExit as exc:
+        assert (exc.code, out.getvalue()) == (2, ""), argv[0]
+        return 2, ""
+    return _run_fuzz_case(argv)[0]
+
+
+@settings(max_examples=100, derandomize=True, deadline=None)
+@given(policy=_option_value, erased=_option_value, disks=_option_value,
+       block_size=_option_value, trials=_option_value, seed=_option_value)
+def test_fuzzed_option_values_exit_0_only_inside_the_grammar(
+        stored_k44, policy, erased, disks, block_size, trials, seed):
+    """`build --policy`, `repair --erased`, `repair --disks`, `store
+    --block-size` and `simulate --trials --seed` on k44 with fuzzed values,
+    by the rules of `_run_fuzz_case` and `_assert_recovered_blocks_are_stored`
+    on copies of the stored state; a command that reads a list-valued
+    option exits 0 only if the grammar validator of `tests/conftest.py`
+    accepts its value."""
+    data, stored = stored_k44
+    system = stored.parent / "sys.json"
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        states = [tmp / "erased", tmp / "disks"]
+        for state in states:
+            shutil.copytree(stored, state)
+        results = [_exit_and_stdout(argv) for argv in (
+            ["build", "--catalog", "k44", "--policy", policy],
+            ["repair", "--system", system, "--state", states[0], "--erased", erased],
+            ["repair", "--system", system, "--state", states[1], "--disks", disks],
+            ["store", "--system", system, "--data", data, "--out", tmp / "out",
+             "--block-size", block_size],
+            ["simulate", "--catalog", "k44", "--exhaustive", "--trials", trials, "--seed", seed])]
+        _assert_recovered_blocks_are_stored(results[1:3], states, stored)
+    (built, _), (by_blocks, _), (by_disks, _) = results[:3]
+    assert built != 0 or policy_is_valid(policy, 8), policy
+    assert by_blocks != 0 or index_list_is_valid(erased, 24), erased
+    assert by_disks != 0 or index_list_is_valid(disks, 8), disks

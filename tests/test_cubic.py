@@ -4,6 +4,7 @@ import hashlib
 import json
 import random
 import re
+from collections import Counter
 from types import SimpleNamespace
 
 import pytest
@@ -35,7 +36,8 @@ from graphdss.graphs import Graph, degree_sequence, girth, is_connected
 from graphdss.orientation import OrientedGraph, eulerian_tour, load_orientation, orient_from_tour
 from graphdss.repair import RepairStrategy, repair_disk, repair_disks
 
-from conftest import load_by_rebuilding, outcome
+from conftest import (load_by_rebuilding, outcome, p4_decompositions, related_girth,
+                      related_graph)
 from test_orientation import K44_REFERENCE_EDGES
 
 
@@ -329,6 +331,66 @@ def prism(k: int) -> Graph:
     edges = [(i, (i + 1) % k) for i in range(k)]
     edges += [(k + u, k + v) for u, v in edges] + [(i, k + i) for i in range(k)]
     return Graph(2 * k, edges)
+
+
+def _assert_kotzig_paths(g, paths):
+    """`decompose_p4`'s own output: a P4 cover whose middle pairs form a
+    perfect matching of `g`, listed in ascending order of their lower
+    vertex, with each vertex the middle of one path and an end of another."""
+    _assert_p4_cover(g, paths)
+    lows = [min(b, c) for _, b, c, _ in paths]
+    assert lows == sorted(set(lows))
+    every = list(range(g.vertex_count))
+    assert sorted(x for _, b, c, _ in paths for x in (b, c)) == every
+    assert sorted(x for a, _, _, e in paths for x in (a, e)) == every
+
+
+@pytest.mark.parametrize("seed", range(24))
+def test_decompose_p4_lists_the_matching_it_found(seed):
+    # n runs over 8, 10, ..., 30, each at two seeds
+    g = random_cubic(8 + 2 * (seed % 12), seed)
+    _assert_kotzig_paths(g, decompose_p4(g))
+
+
+@pytest.mark.parametrize("k", [3, 4, 5, 6, 7, 10, 15, 16, 50])
+def test_decompose_p4_on_a_prism_lists_the_matching_it_found(k):
+    g = prism(k)
+    _assert_kotzig_paths(g, decompose_p4(g))
+
+
+# On the block graph of each Table-1 cage's parallel tour layout: its
+# perfect matchings, its P4 decompositions and how many decompositions give
+# each girth of the related graph G' (ROADMAP item 14).  The largest girth
+# is girth(G) of the cage: no decomposition guarantees more disks than the
+# tour layout, and only 1 % of pg23's reach it.
+EVERY_P4_DECOMPOSITION = {
+    "k5": (3, 7, 20, {2: 12, 3: 8}),
+    "k44": (4, 33, 96, {2: 48, 3: 32, 4: 16}),
+    "robertson": (5, 497, 1896, {3: 1376, 4: 488, 5: 32}),
+    "pg23": (6, 6321, 26400, {3: 19136, 4: 6880, 5: 128, 6: 256}),
+}
+
+
+@pytest.mark.parametrize("name", sorted(EVERY_P4_DECOMPOSITION))
+def test_no_p4_decomposition_of_a_cage_block_graph_beats_its_tour_layout(cage_systems, name):
+    gg, matchings, decompositions, girths = EVERY_P4_DECOMPOSITION[name]
+    system, g = cage_systems[gg]
+    b = system.cubic
+    ours = decompose_p4(b)
+    our_pairs = tuple(sorted((min(u, v), max(u, v)) for _, u, v, _ in ours))
+    seen_pairs, by_girth, found, known = set(), Counter(), 0, {}
+    for pairs, paths in p4_decompositions(b):
+        seen_pairs.add(pairs)
+        arcs = related_graph(paths)  # each vertex the middle of one path, an end of one
+        assert all(e != m for e, m in arcs)  # ... and the two paths differ
+        by_girth[related_girth(arcs, len(paths), known)] += 1
+        if pairs == our_pairs and sorted(
+                p if p[0] < p[-1] else p[::-1] for p in paths) == sorted(ours):
+            found += 1
+    assert (len(seen_pairs), sum(by_girth.values()), dict(by_girth)) == (
+        matchings, decompositions, girths)
+    assert max(by_girth) == girth(g) == gg
+    assert found == 1
 
 
 
