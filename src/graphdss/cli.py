@@ -185,6 +185,8 @@ def cmd_simulate(args) -> int:
     n = len(sys_.disks)
     if args.trials < 1:
         raise UsageError(f"--trials must be at least 1, got {args.trials}")
+    if args.trials > 1_000_000:  # 100 times the default; the trial loop is not otherwise bounded
+        raise UsageError(f"--trials must be at most 1000000, got {args.trials}")
     if args.disks is not None and not 1 <= args.disks <= n:
         raise UsageError(f"--disks must be between 1 and the disk count {n}, got {args.disks}")
     if args.disks is not None and args.seed is None:

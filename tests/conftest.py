@@ -1,4 +1,5 @@
 
+import functools
 import itertools
 import json
 import random
@@ -561,6 +562,89 @@ def related_girth(arcs, disks: int, known: dict) -> float:
     if edges not in known:
         known[edges] = girth(Graph(disks, sorted(edges)))
     return known[edges]
+
+
+def canonical_form(n: int, edges) -> tuple:
+    """A form that two graphs on n vertices share iff they are isomorphic:
+    the least sorted edge list, relabelled by the order of a discrete
+    partition, over the leaves of an individualization-refinement search.
+    The root groups the vertices by the number of edges among their
+    neighbours.  Each node refines its ordered partition until every
+    vertex of a cell has the same neighbour counts into each cell; a child
+    individualizes one vertex of the first smallest cell of more than one
+    vertex, and only the children whose refined partition has the least
+    quotient (each cell's size and neighbour cells) are searched.  Each step
+    depends on the graph and the partition alone, not on the labels, so
+    isomorphic graphs search isomorphic trees; the form lists the edges,
+    so graphs of one form are isomorphic."""
+    adj = [[] for _ in range(n)]
+    for u, v in edges:
+        adj[u].append(v)
+        adj[v].append(u)
+
+    def refine(cells):
+        while True:
+            cell_of = [0] * n
+            for i, cell in enumerate(cells):
+                for v in cell:
+                    cell_of[v] = i
+            key = [tuple(sorted(map(cell_of.__getitem__, around))) for around in adj]
+            split = []
+            for cell in cells:
+                groups = {}
+                for v in cell:
+                    groups.setdefault(key[v], []).append(v)
+                split.extend(groups[k] for k in sorted(groups))
+            if len(split) == len(cells):
+                return cells, tuple((len(cell), key[cell[0]]) for cell in cells)
+            cells = split
+
+    def search(cells):
+        big = [i for i, cell in enumerate(cells) if len(cell) > 1]
+        if not big:
+            at = {cell[0]: j for j, cell in enumerate(cells)}
+            return tuple(sorted((min(at[u], at[v]), max(at[u], at[v])) for u, v in edges))
+        i = min(big, key=lambda i: len(cells[i]))
+        children = [refine(cells[:i] + [[v], [w for w in cells[i] if w != v]] + cells[i + 1:])
+                    for v in cells[i]]
+        least = min(quotient for _, quotient in children)
+        return min(search(child) for child, quotient in children if quotient == least)
+
+    near = [sum(w in adj[u] for u in adj[v] for w in adj[v]) for v in range(n)]
+    return search(refine([[v for v in range(n) if near[v] == k] for k in sorted(set(near))])[0])
+
+
+@functools.lru_cache(maxsize=None)
+def connected_4_regular_graphs(n: int) -> tuple:
+    """Every connected 4-regular graph on n >= 5 vertices, one per
+    isomorphism class, each labelled by its `canonical_form` and in
+    ascending form order.  The connected graphs of one degree sequence
+    are connected under the 2-switches (edges ab, cd become ac, bd) that
+    keep the graph connected (R. Taylor, "Constrained switchings in
+    graphs", LNM 884, 1981), so the closure of the circulant C_n(1, 2)
+    under such switches, kept simple, is the whole class.  Counts: OEIS
+    A006820."""
+    start = sorted(tuple(sorted((v, (v + step) % n))) for v in range(n) for step in (1, 2))
+    found = {canonical_form(n, start): start}
+    todo = [start]
+    while todo:
+        edges = todo.pop()
+        have = set(edges)
+        for (a, b), (c, d) in itertools.combinations(edges, 2):
+            if len({a, b, c, d}) < 4:
+                continue
+            for new in ({(min(a, c), max(a, c)), (min(b, d), max(b, d))},
+                        {(min(a, d), max(a, d)), (min(b, c), max(b, c))}):
+                if new & have:
+                    continue
+                switched = sorted(have - {(a, b), (c, d)} | new)
+                if not is_connected(Graph(n, switched)):
+                    continue
+                form = canonical_form(n, switched)
+                if form not in found:
+                    found[form] = switched
+                    todo.append(switched)
+    return tuple(Graph(n, list(form)) for form in sorted(found))
 
 
 # The grammars of the CLI's list-valued options, written apart from

@@ -245,6 +245,16 @@ def test_simulate_rejects_no_trials(capsys, trials):
     assert "--trials" in err
 
 
+@pytest.mark.parametrize("trials", [str(2**70), "1000001"])
+def test_simulate_refuses_more_trials_than_it_can_run(capsys, trials):
+    # the --disks loop ran 2**70 trials until the process was killed
+    start = time.perf_counter()
+    code, out, err = run(capsys, "simulate", "--catalog", "k44", "--exhaustive", "--disks", "1",
+                         "--seed", "1", "--trials", trials)
+    assert time.perf_counter() - start < 1
+    assert (code, out, err) == (2, "", f"error: --trials must be at most 1000000, got {trials}\n")
+
+
 @pytest.mark.parametrize("disks", ["0", "-1", "999"])
 def test_simulate_rejects_disk_count_out_of_range(capsys, disks):
     code, out, err = run(capsys, "simulate", "--catalog", "k5", "--exhaustive",

@@ -1,7 +1,8 @@
 """`tools/code_lines.py`, the counter behind the code-line figures of
 CHANGES.md and ROADMAP.md, `tools/dead_names.py`, the list of library
-names that nothing calls, and `tools/bench_record.py`, the recorder of the
-benchmark's end-to-end metrics."""
+names that nothing calls, `tools/bench_record.py`, the recorder of the
+benchmark's end-to-end metrics, and the CI step that runs the CLI tests
+against the installed package."""
 
 import importlib.util
 import json
@@ -196,3 +197,27 @@ _WIDE = [5, 15] * 5  # median 10, quartiles 5 and 15
 def test_bench_record_verdicts(monkeypatch, parent, change, better, expected):
     monkeypatch.syspath_prepend(str(ROOT / "tools"))
     assert _tool("bench_record").verdict(parent, change, better, 0.24) == expected
+
+
+def _installed_package_step():
+    """The shell lines, stripped, of the CI step that runs `pip install .`."""
+    steps = (ROOT / ".github" / "workflows" / "tests.yml").read_text(encoding="utf-8")
+    (step,) = [s for s in steps.split("\n      - ") if "pip install ." in s]
+    return [line.strip() for line in step.split("run: |\n", 1)[1].splitlines()]
+
+
+def test_ci_runs_the_cli_tests_against_the_installed_package():
+    # the step's shell lines check only what a console-script process
+    # shows; every other check of the CLI lives in these three files
+    lines = _installed_package_step()
+    imported = [i for i, line in enumerate(lines) if "import graphdss" in line]
+    pytest_lines = [i for i, line in enumerate(lines) if "-m pytest" in line]
+    assert len(imported) == len(pytest_lines) == 1
+    (i,) = pytest_lines
+    assert imported[0] < i
+    assert lines[i - 1] == ('for env in "PYTHONHASHSEED=0" '
+                            '"PYTHONHASHSEED=1 LC_ALL=C PYTHONCOERCECLOCALE=0 PYTHONUTF8=0"; do')
+    assert lines[i].startswith("(ulimit -v 1048576; env $env python -m pytest ")
+    assert lines[i + 1] == "done"
+    for name in ("test_cli.py", "test_transcripts.py", "test_state.py"):
+        assert f'"$GITHUB_WORKSPACE/tests/{name}"' in lines[i], name
