@@ -11,7 +11,7 @@ graph: the check at vertex v is the incidence pairs `graph.incident(v)`,
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, Optional, Sequence, Tuple, Union
+from typing import Dict, Iterable, Optional, Sequence, Tuple
 
 from .graphs import Graph, bfs_tree
 
@@ -76,22 +76,24 @@ def derive_code(g: Graph) -> ParityCode:
                       tuple(parent_pairs[::-1]))
 
 
-def _xor_blocks(state: StorageState, left: Union[Dict[int, int], bytearray],
-                ints: Dict[int, int], pairs: Sequence[Tuple[int, int]],
-                skip: Optional[int]) -> int:
+def _xor_blocks(state: StorageState, later: Sequence[int], ints: Dict[int, int],
+                pairs: Sequence[Tuple[int, int]], skip: Optional[int]) -> int:
     """The one block reader: the XOR of the blocks on the edges of the
     incidence pairs `pairs`, (edge, neighbour) as `Graph.incident` gives
     them, other than edge `skip`, as an int; 0 if there are none.  The XOR
     starts from the first block read, not from 0, so no block is copied.
 
-    `left[e]` counts the reads of edge e still to come, and `ints` holds
-    the int of each edge with reads left: a read takes the edge's int out
-    of `ints` (or converts its block with `int.from_bytes`), counts the
-    edge down and puts the int back only if a later read needs it.  A block
-    read must be in `ints` or `state` and hold `block_size` bytes;
-    otherwise `EncodingError` names its edge."""
+    An edge is read only at its two ends, and every schedule the library
+    makes names each vertex at most once, so a block read at one end is
+    read again only by a step still to come at the other.  `later[w]` is 1
+    while vertex w has a step to come, and `ints` holds the int of an edge
+    whose block is kept for such a step: a read takes the edge's int out of
+    `ints` (or converts its block with `int.from_bytes`) and puts it back
+    only if the neighbour across the edge has a step to come.  A block read
+    must be in `ints` or `state` and hold `block_size` bytes; otherwise
+    `EncodingError` names its edge."""
     symbols, size, acc = state.symbols, state.block_size, None
-    for e, _ in pairs:
+    for e, w in pairs:
         if e == skip:
             continue
         x = ints.pop(e, None)
@@ -102,8 +104,7 @@ def _xor_blocks(state: StorageState, left: Union[Dict[int, int], bytearray],
             if len(blk) != size:
                 raise EncodingError(f"block on edge {e} has {len(blk)} bytes, expected {size}")
             x = int.from_bytes(blk, "little")
-        k = left[e] = left[e] - 1
-        if k:
+        if later[w]:
             ints[e] = x
         acc = x if acc is None else acc ^ x
     return 0 if acc is None else acc
@@ -119,27 +120,32 @@ def fill_edges(code: ParityCode, state: StorageState, steps: Iterable[Tuple[int,
     present, or set by an earlier step, and hold `block_size` bytes;
     otherwise `EncodingError` names its edge.
 
-    The same pass counts the reads of each edge to come, for the block
-    reader `_xor_blocks`; a block written with reads left is kept as its
-    int.
+    The same pass marks each step's vertex as a step to come for the block
+    reader `_xor_blocks`, and a step clears its vertex before it reads.  A
+    written block is kept as its int only if its other end has a step to
+    come, the one step that can read it next, and any older int of the edge
+    is dropped.  So `ints` only ever holds a block's current value, and a
+    hand-made schedule that names a vertex twice or rewrites a block it
+    read is exact too, at the cost of converting again what a vertex's
+    second step reads.
     """
     steps = tuple(steps)
     g = code.graph
     n, m, ends, incident = g.vertex_count, g.edge_count, g.edges, g.incident
-    left: Dict[int, int] = {}
+    later = bytearray(n)
     for e, v in steps:
         if not 0 <= v < n:
             raise EncodingError(f"step ({e}, {v}): no vertex {v}")
         if not (0 <= e < m and v in ends[e]):
             raise EncodingError(f"step ({e}, {v}): edge {e} is not at vertex {v}")
-        for ei, _ in incident(v):
-            if ei != e:
-                left[ei] = left.get(ei, 0) + 1
+        later[v] = 1
     symbols, size = state.symbols, state.block_size
     ints: Dict[int, int] = {}
     for e, v in steps:
-        acc = _xor_blocks(state, left, ints, incident(v), e)
-        if left.get(e):
+        later[v] = 0
+        acc = _xor_blocks(state, later, ints, incident(v), e)
+        ints.pop(e, None)
+        if later[sum(ends[e]) - v]:  # the edge's other end
             ints[e] = acc
         symbols[e] = acc.to_bytes(size, "little")
         del acc  # not held through the next step's reads
@@ -172,17 +178,20 @@ def verify_state(code: ParityCode, state: StorageState) -> bool:
     """True iff the state holds one `block_size` block per edge and the XOR
     of incident blocks is zero at every vertex, checked as: the XOR of all
     but a vertex's last block equals its last block.  Blocks go through
-    `_xor_blocks`, the reader of `fill_edges`, each edge counted for its
-    read at either end; a missing or mis-sized block is the reader's
+    `_xor_blocks`, the reader of `fill_edges`, with every vertex checked
+    once in order: each vertex is a step to come until its check, so a
+    block is kept as its int from the check at its first end to the check
+    at its second.  A missing or mis-sized block is the reader's
     `EncodingError`."""
     g = code.graph
     if len(state.symbols) != g.edge_count:
         return False
-    left, ints = bytearray([2]) * g.edge_count, {}
+    later, ints = bytearray(b"\1") * g.vertex_count, {}
     try:
-        for pairs in map(g.incident, range(g.vertex_count)):
-            if pairs and (_xor_blocks(state, left, ints, pairs, pairs[-1][0])
-                          != _xor_blocks(state, left, ints, pairs[-1:], None)):
+        for v in range(g.vertex_count):
+            later[v], pairs = 0, g.incident(v)
+            if pairs and (_xor_blocks(state, later, ints, pairs, pairs[-1][0])
+                          != _xor_blocks(state, later, ints, pairs[-1:], None)):
                 return False
     except EncodingError:
         return False

@@ -4,7 +4,8 @@ import itertools
 import json
 import random
 import re
-from collections import deque
+from collections import defaultdict, deque
+from typing import Optional
 
 import pytest
 
@@ -679,4 +680,51 @@ def policy_is_valid(text: str, n: int) -> bool:
         if v in given or (v is not None and v >= n):
             return False
         given.add(v)
+    return True
+
+
+# The exit-0 rule of a command that reads a graph file, written apart from
+# `graphdss.graphs`: such a command may exit 0 only if the file is valid
+# under the degree rule of the command.
+
+def graph_file_is_valid(obj, degree: Optional[int] = None, connected: bool = False) -> bool:
+    """A parsed graph file: a JSON object whose "vertices" is an int n >= 0
+    and whose "edges" is a list of 2-lists of ints in 0..n-1, with no loop
+    and no pair given twice in either order (a bool is not an int here);
+    "vertex_labels", if present, is a list of n strings.  With `degree`,
+    every vertex has that many edges; with `connected`, there is at least
+    one vertex and every vertex is reached from vertex 0."""
+    if not isinstance(obj, dict):
+        return False
+    n, edges = obj.get("vertices"), obj.get("edges")
+    if type(n) is not int or n < 0 or not isinstance(edges, list):
+        return False
+    pairs = set()
+    for edge in edges:
+        if not (isinstance(edge, list) and len(edge) == 2
+                and all(type(u) is int and 0 <= u < n for u in edge)):
+            return False
+        pair = frozenset(edge)
+        if len(pair) == 1 or pair in pairs:
+            return False
+        pairs.add(pair)
+    labels = obj.get("vertex_labels", [])
+    if "vertex_labels" in obj and not (isinstance(labels, list) and len(labels) == n
+                                       and all(type(s) is str for s in labels)):
+        return False
+    adjacent = defaultdict(list)
+    for u, v in pairs:
+        adjacent[u].append(v)
+        adjacent[v].append(u)
+    if degree is not None and not (len(adjacent) == n
+                                   and all(len(ws) == degree for ws in adjacent.values())):
+        return False
+    if connected:
+        seen, todo = {0}, [0]
+        while todo:
+            for w in adjacent[todo.pop()]:
+                if w not in seen:
+                    seen.add(w)
+                    todo.append(w)
+        return n > 0 and len(seen) == n
     return True

@@ -23,7 +23,7 @@ from graphdss.cli import main
 from graphdss.orientation import eulerian_tour, orient_from_tour
 from graphdss.repair import RepairStrategy
 
-from conftest import index_list_is_valid, policy_is_valid
+from conftest import graph_file_is_valid, index_list_is_valid, policy_is_valid
 from test_catalog import _GIRTH7_VOLTAGES, _k5_lift
 from test_cubic import (
     _arc_out_of_range,
@@ -1477,14 +1477,20 @@ _PETERSEN_GRAPH = json.loads(graphdss.catalog.by_name("petersen").graph.to_json(
 def test_a_mutated_graph_file_gets_an_exit_code_not_a_traceback(k44, petersen):
     """`build`, `profile --csv` and `simulate --exhaustive` on a mutated k44
     graph file, and `decompose` and `export-dot` on a mutated Petersen
-    graph file, by the rules of `_run_fuzz_case`."""
+    graph file, by the rules of `_run_fuzz_case`.  A command exits 0 only
+    if `graph_file_is_valid` accepts its file under its degree rule: a
+    connected 4-regular graph with a vertex for the first three, a
+    3-regular one for `decompose`, and none for `export-dot`."""
     with tempfile.TemporaryDirectory() as tmp:
         g, cubic = Path(tmp) / "k44.json", Path(tmp) / "petersen.json"
         g.write_text(json.dumps(k44))
         cubic.write_text(json.dumps(petersen))
-        _run_fuzz_case(["build", "--input", g], ["profile", "--input", g, "--csv"],
-                       ["simulate", "--input", g, "--exhaustive"],
-                       ["decompose", "--input", cubic], ["export-dot", "--input", cubic])
+        results = _run_fuzz_case(["build", "--input", g], ["profile", "--input", g, "--csv"],
+                                 ["simulate", "--input", g, "--exhaustive"],
+                                 ["decompose", "--input", cubic], ["export-dot", "--input", cubic])
+    rules = [(k44, 4, True)] * 3 + [(petersen, 3, False), (petersen, None, False)]
+    for (code, _), (obj, degree, connected) in zip(results, rules):
+        assert code != 0 or graph_file_is_valid(obj, degree, connected), obj
 
 
 _K44_TOUR_ARCS = {"arcs": [list(arc) for arc in orient_from_tour(_K44, eulerian_tour(_K44)).arcs]}

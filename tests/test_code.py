@@ -1,8 +1,10 @@
+import collections
 import dataclasses
 import functools
 import hashlib
 import json
 import random
+import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -19,8 +21,9 @@ from graphdss.code import (
     verify_state,
 )
 from graphdss.cubic import PairingMode, build_cubic
-from graphdss.graphs import Graph, girth
+from graphdss.graphs import EdgeSubset, Graph, girth
 from graphdss.orientation import eulerian_tour, orient_from_tour
+from graphdss.repair import RepairStrategy, peel, repair_disks, repair_state
 
 from conftest import (
     AcyclicError,
@@ -33,6 +36,8 @@ from conftest import (
     system_from_cage,
 )
 from test_cubic import k44_reference_system
+from test_payloads import _without
+from test_scale import _peak_mib
 
 TRIANGLE = Graph(3, [(0, 1), (1, 2), (2, 0)])
 
@@ -373,3 +378,123 @@ def test_fill_edges_rejects_a_malformed_step_before_writing(bad, message):
     assert damaged.symbols == before  # not even the good first step ran
     fill_edges(code, damaged, [(e, v)])
     assert damaged.symbols == state.symbols
+
+
+def _fill_by_bytes(code, blocks, steps):
+    """fill_edges's contract, byte by byte: each step in order sets its
+    edge's block to the XOR, in every byte position, of the blocks on the
+    other edges whose ends hold its vertex, read from the graph's edge
+    list, not its incidence pairs."""
+    blocks = dict(blocks)
+    for e, v in steps:
+        column = [0] * len(blocks[e])
+        for f, ends in enumerate(code.graph.edges):
+            if f != e and v in ends:
+                for i, byte in enumerate(blocks[f]):
+                    column[i] ^= byte
+        blocks[e] = bytes(column)
+    return blocks
+
+
+@pytest.mark.parametrize("schedule", ["vertex twice", "rewrite a read block", "vertex 300 times"])
+def test_fill_edges_is_exact_on_a_hand_made_schedule(schedule):
+    """Schedules that no library caller makes, on k44's block graph with a
+    random block on every edge, against a per-byte XOR oracle.  Vertex 0
+    has edges a, b and c, and b's other end is r:
+    - "vertex twice": (a, 0), (b, r), (c, 0).  The first step reads b for
+      r's step, which rewrites b before the second step at 0 reads it.
+    - "rewrite a read block": (x, r), (b, 0), (a, 0).  r's step reads b
+      while vertex 0 has steps to come, then 0 rewrites b and reads the new
+      block, not the one r read.
+    - "vertex 300 times": (a, 0), (b, 0), 150 times over.  Every step
+      after the first at 0 reads blocks that the first steps there wrote."""
+    code = _cage_code("k44")
+    (a, _), (b, r), (c, _) = code.graph.incident(0)
+    x = next(f for f, _ in code.graph.incident(r) if f != b)
+    steps = {"vertex twice": [(a, 0), (b, r), (c, 0)],
+             "rewrite a read block": [(x, r), (b, 0), (a, 0)],
+             "vertex 300 times": [(a, 0), (b, 0)] * 150}[schedule]
+    rng = random.Random(schedule)
+    blocks = {e: rng.randbytes(8) for e in range(code.length)}
+    state = StorageState(8, dict(blocks))
+    fill_edges(code, state, steps)
+    assert state.symbols == _fill_by_bytes(code, blocks, steps)
+
+
+@functools.lru_cache(maxsize=None)
+def _pg23_repairs():
+    """The pg23 system's code and eight seeded repair reports: sets of 1,
+    2, 3 and 5 disks through `repair_disks`, fewer than girth(G) = 6, and
+    sets of 1 to 4 blocks through `peel`, fewer than girth(B) = 6, two
+    under each strategy."""
+    system = system_from_cage(6)[0]
+    m, rng = system.cubic.edge_count, random.Random("pg23 repairs")
+    reports = [repair_disks(system, rng.sample(range(len(system.disks)), count))
+               for count in (1, 2, 3, 5)]
+    for strategy in (RepairStrategy.MIN_ROUNDS, RepairStrategy.MIN_BANDWIDTH) * 2:
+        blocks = rng.sample(range(m), rng.randint(1, 4))
+        reports.append(peel(system, EdgeSubset.from_indices(m, blocks), strategy))
+    return derive_code(system.cubic), reports
+
+
+def _conversions(fn):
+    """fn's result, then the C calls of `int.from_bytes` and of
+    `int.to_bytes` while it runs, counted by a `sys.setprofile` hook."""
+    calls = collections.Counter()
+
+    def hook(frame, event, arg):
+        if event == "c_call":
+            calls[getattr(arg, "__qualname__", None)] += 1
+
+    before = sys.getprofile()
+    sys.setprofile(hook)
+    try:
+        result = fn()
+    finally:
+        sys.setprofile(before)
+    return result, calls["int.from_bytes"], calls["int.to_bytes"]
+
+
+def test_each_phase_converts_each_block_it_reads_or_writes_once():
+    """ROADMAP item 31's conversion formula on eight pg23 repairs of 4 KiB
+    blocks: `encode` converts the k data blocks it reads and the m - k tree
+    blocks it writes, `repair_state` the transferred helper blocks and the
+    recovered ones, and `verify_state` the m blocks; summed, k + m +
+    transferred `int.from_bytes` calls and (m - k) + recovered
+    `int.to_bytes` calls.  A kernel that drops an int a later step reads
+    converts that block again."""
+    code, reports = _pg23_repairs()
+    m, k, size = code.length, code.dimension, 4096
+    rng = random.Random("conversions")
+    for report in reports:
+        data = [rng.randbytes(size) for _ in range(k)]
+        state, *encoding = _conversions(lambda: encode(code, data))
+        damaged = _without(state, set(report.erased.indices()))
+        rebuilt, *repairing = _conversions(lambda: repair_state(code, damaged, report))
+        ok, *verifying = _conversions(lambda: verify_state(code, rebuilt))
+        assert ok and rebuilt.symbols == state.symbols
+        assert (encoding, repairing, verifying) == (
+            [k, m - k], [report.transferred_symbols, len(report.recovered)], [m, 0]), report
+
+
+def test_each_phase_holds_a_block_int_only_until_the_step_at_its_other_end():
+    """The tracemalloc peak of each phase on a pg23 stripe of 64 KiB
+    blocks, in blocks, bounded by the kernel's measured peak plus 3:
+    `encode` 56 (its 51 written tree blocks and the ints kept for steps to
+    come), `repair_state` 2 beside the blocks it writes, and `verify_state`
+    22.  Keeping every int read or written to the end of the call took
+    134, 10 to 50, and 84."""
+    code, reports = _pg23_repairs()
+    size = 64 * 1024
+    rng = random.Random("live set")
+    data = [rng.randbytes(size) for _ in range(code.dimension)]
+    state = encode(code, data)
+
+    def peak_blocks(fn):
+        return _peak_mib(fn) * 2**20 / size
+
+    assert peak_blocks(lambda: encode(code, data)) < 56 + 3
+    assert peak_blocks(lambda: verify_state(code, state)) < 22 + 3
+    for report in reports:
+        damaged = _without(state, set(report.erased.indices()))
+        assert peak_blocks(lambda: repair_state(code, damaged, report)) < len(report.recovered) + 2 + 3
